@@ -6,7 +6,7 @@ from .errors import (DegenerateCut, DimensionExceeded, Disconnected,
                      DiscontinuousInput, InconsistentData, InconsistentSheets,
                      IndexMismatch, InputError, MissingAlpha, NoSolution,
                      NonUnimodular, NotBalanced, NotConstantOnUnbounded,
-                     NotQCartierNearCurve, PreconditionFailed,
+                     NotQCartierNearCurve, PreconditionFailed, SchemaError,
                      SimplicialIdentityViolation, UnknownName,
                      UnsupportedDimension, WrongDimension)
 from .delta import DeltaComplex, LinkElement, build_complex, link_of
@@ -46,8 +46,8 @@ __all__ = [
     "MissingAlpha", "NoSolution", "NonUnimodular", "NotBalanced",
     "NotConstantOnUnbounded", "NotQCartierNearCurve", "OPERATIONS",
     "PointSum", "PreconditionFailed", "PushResult", "RobustResult",
-    "SimplicialIdentityViolation", "SpecializeResult", "TropicalStructure",
-    "TwoPieceFunction", "UnboundedCell", "UnknownName",
+    "SchemaError", "SimplicialIdentityViolation", "SpecializeResult",
+    "TropicalStructure", "TwoPieceFunction", "UnboundedCell", "UnknownName",
     "UnsupportedDimension", "VerifyResult", "WeakReport", "WitnessResult",
     "WrongDimension", "alpha_from_balancing", "build_complex",
     "build_structure_from_degeneration", "canonical_json", "check_weak",

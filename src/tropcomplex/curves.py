@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .delta import LinkElement
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
@@ -30,11 +31,13 @@ class Curve:
                              if int(m) != 0))
         return Curve(items)
 
+    @cached_property
+    def _mults(self):
+        # reversed, so that the first pair for an edge wins, as in a scan
+        return dict(reversed(self.multiplicities))
+
     def mult(self, e):
-        for idx, m in self.multiplicities:
-            if idx == e:
-                return m
-        return 0
+        return self._mults.get(e, 0)
 
     def support_vertices(self, X):
         out = set()

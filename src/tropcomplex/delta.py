@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import Disconnected, DimensionExceeded, SimplicialIdentityViolation
+from .errors import (Disconnected, DimensionExceeded, SchemaError,
+                     SimplicialIdentityViolation)
 
 Simplex = tuple  # (dimension, index)
 
@@ -43,7 +44,6 @@ class DeltaComplex:
         self.faces = tuple(tuple(tuple(f) for f in faces.get(k, ()))
                            for k in range(n + 1))
         self._validate()
-        self._links = {}
         self._build_links()
 
     # -- construction helpers ------------------------------------------------
@@ -108,25 +108,25 @@ class DeltaComplex:
             raise Disconnected("complex has %d components" % len(roots))
 
     def _build_links(self):
-        for k in range(self.n + 1):
-            for i in range(self.counts[k]):
-                self._links[(k, i)] = tuple(
-                    [] for _ in range(self.n - k)
-                )
-        for k in range(self.n + 1):
-            for i in range(self.counts[k]):
-                s = (k, i)
-                for m in range(k + 1, self.n + 1):
-                    for j in range(self.counts[m]):
-                        for slots in combinations(range(m + 1), k + 1):
-                            if self.face_at((m, j), slots) == s:
-                                self._links[s][m - k - 1].append(
-                                    LinkElement(s, (m, j), slots)
-                                )
-        self._links = {
-            s: tuple(tuple(lst) for lst in per_dim)
-            for s, per_dim in self._links.items()
-        }
+        """One pass over the cofaces: each (coface, slot tuple) pair is
+        appended to the link of the face it spans.
+
+        Visiting cofaces by dimension, then index, then slot tuple in
+        combinations order gives every link its elements in exactly that
+        order.  Local matrix rows and the canonical reports depend on it.
+        """
+        links = {(k, i): tuple([] for _ in range(self.n - k))
+                 for k in range(self.n + 1) for i in range(self.counts[k])}
+        for m in range(1, self.n + 1):
+            for j in range(self.counts[m]):
+                coface = (m, j)
+                for k in range(m):
+                    for slots in combinations(range(m + 1), k + 1):
+                        s = self.face_at(coface, slots)
+                        links[s][m - k - 1].append(
+                            LinkElement(s, coface, slots))
+        self._links = {s: tuple(tuple(lst) for lst in per_dim)
+                       for s, per_dim in links.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -238,7 +238,11 @@ def build_complex(data):
     faces = {k: [[None] * (k + 1) for _ in range(counts[k])]
              for k in range(1, n + 1)}
     for entry in data.get("faces", []):
-        k, i, slot, target = (int(x) for x in entry)
+        try:
+            k, i, slot, target = (int(x) for x in entry)
+        except (TypeError, ValueError):
+            raise SchemaError(
+                "face entry %r is not four integers" % (entry,)) from None
         if not 1 <= k <= n:
             raise DimensionExceeded("face entry at dimension %d" % k)
         if not 0 <= i < counts[k]:

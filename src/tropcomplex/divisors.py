@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateCut, IndexMismatch, WrongDimension
@@ -37,11 +38,13 @@ class Divisor:
                              if int(c) != 0))
         return Divisor(items)
 
+    @cached_property
+    def _coeffs(self):
+        # reversed, so that the first pair for a ridge wins, as in a scan
+        return dict(reversed(self.ridge_part))
+
     def coeff(self, r):
-        for idx, c in self.ridge_part:
-            if idx == r:
-                return c
-        return 0
+        return self._coeffs.get(r, 0)
 
     def __add__(self, other):
         out = dict(self.ridge_part)

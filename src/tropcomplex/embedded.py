@@ -58,13 +58,26 @@ class EmbeddedComplex:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
+        """Check the cells and build the lookups over them.
+
+        _bounded_index and _unbounded_index map a cell to the index of its
+        first occurrence; _cofacets maps a bounded cell to the bounded cells
+        one level up that contain it, and _unbounded_on a sorted vertex
+        tuple to the unbounded cells on exactly those vertices, both in
+        cell order.  A bounded cell's length fixes its level, and a level
+        is complete before the next level's faces are looked up.
+        """
+        self._bounded_index = {}
+        self._cofacets = {}
+        self._unbounded_index = {}
+        self._unbounded_on = {}
         for v in self.vertices:
             if len(v) != self.N + 1 or v[-1] != 1:
                 raise IndexMismatch(
                     "vertices must lie in Z^%d at height 1" % (self.N + 1)
                 )
         for k, level in enumerate(self.bounded):
-            for cell in level:
+            for idx, cell in enumerate(level):
                 if len(cell) != k + 1 or len(set(cell)) != k + 1:
                     raise IndexMismatch("bounded %d-cell needs %d distinct vertices"
                                         % (k, k + 1))
@@ -73,13 +86,18 @@ class EmbeddedComplex:
                 if k > 0:
                     for drop in range(k + 1):
                         face = cell[:drop] + cell[drop + 1:]
-                        if face not in self.bounded[k - 1]:
+                        if face not in self._bounded_index:
                             raise IndexMismatch(
                                 "missing face %s of bounded cell %s"
                                 % (face, cell)
                             )
-        seen = set()
-        for cell in self.unbounded:
+                        self._cofacets.setdefault(face, []).append(idx)
+                self._bounded_index.setdefault(cell, idx)
+        for ci, cell in enumerate(self.unbounded):
+            self._unbounded_index.setdefault((cell.vertices, cell.rays), ci)
+            self._unbounded_on.setdefault(
+                tuple(sorted(cell.vertices)), []).append(ci)
+        for ci, cell in enumerate(self.unbounded):
             if not cell.rays or not cell.vertices:
                 raise IndexMismatch("unbounded cells need vertices and rays")
             for r in cell.rays:
@@ -94,10 +112,8 @@ class EmbeddedComplex:
             vecs += [tuple(r) + (0,) for r in cell.rays]
             if not self._unimodular(vecs):
                 raise NonUnimodular("unbounded cell %s" % (cell,))
-            key = (cell.vertices, cell.rays)
-            if key in seen:
+            if self._unbounded_index[(cell.vertices, cell.rays)] != ci:
                 raise IndexMismatch("duplicate unbounded cell %s" % (cell,))
-            seen.add(key)
             # face closure: drop one ray, or one vertex when several remain
             for i in range(len(cell.rays)):
                 rest = cell.rays[:i] + cell.rays[i + 1:]
@@ -107,8 +123,7 @@ class EmbeddedComplex:
                             "missing unbounded face of %s" % (cell,)
                         )
                 else:
-                    k = len(cell.vertices) - 1
-                    if cell.vertices not in self.bounded[k]:
+                    if cell.vertices not in self._bounded_index:
                         raise IndexMismatch(
                             "missing bounded face %s" % (cell.vertices,)
                         )
@@ -150,12 +165,16 @@ class EmbeddedComplex:
         return self.sheet_maps.get((k, idx, slot), default)
 
     def _find_unbounded(self, verts, rays):
-        verts = tuple(sorted(verts))
-        rays = tuple(sorted(rays))
-        for i, cell in enumerate(self.unbounded):
-            if cell.vertices == verts and cell.rays == rays:
-                return i
-        return None
+        return self._unbounded_index.get((tuple(sorted(verts)),
+                                          tuple(sorted(rays))))
+
+    def facets_through(self, ridge):
+        """Cells one dimension above the bounded cell `ridge` that contain
+        it: (bounded cell indices, unbounded cell indices), in cell order."""
+        n = len(ridge)
+        unbounded = [ci for ci in self._unbounded_on.get(ridge, ())
+                     if self.unbounded[ci].dim == n]
+        return self._cofacets.get(ridge, []), unbounded
 
     def vertex_vector(self, i):
         return self.vertices[i]
@@ -216,7 +235,7 @@ def duplicate_sheets(E: EmbeddedComplex):
                 row = []
                 for slot in range(k + 1):
                     face_cell = cell[:slot] + cell[slot + 1:]
-                    fidx = E.bounded[k - 1].index(face_cell)
+                    fidx = E._bounded_index[face_cell]
                     images = E.sheet_map(k, idx, slot)
                     if len(images) != E.sheets(k, idx):
                         raise InconsistentSheets(
@@ -260,19 +279,17 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
         raise NonUnimodular("ridge cone %s" % (ridge,))
     rhs = [0] * (E.N + 1)
     d = 0
-    if n < len(E.bounded):
-        for fidx, cell in enumerate(E.bounded[n]):
-            if set(ridge) <= set(cell):
-                (extra,) = set(cell) - set(ridge)
-                mult = E.sheets(n, fidx)
-                d += mult
-                vec = E.vertex_vector(extra)
-                rhs = [a + mult * b for a, b in zip(rhs, vec)]
-    for cell in E.unbounded:
-        if cell.dim == n and set(ridge) <= set(cell.vertices):
-            for r in cell.rays:
-                vec = E.ray_vector(r)
-                rhs = [a + b for a, b in zip(rhs, vec)]
+    bounded_facets, unbounded_facets = E.facets_through(ridge)
+    for fidx in bounded_facets:
+        (extra,) = set(E.bounded[n][fidx]) - set(ridge)
+        mult = E.sheets(n, fidx)
+        d += mult
+        vec = E.vertex_vector(extra)
+        rhs = [a + mult * b for a, b in zip(rhs, vec)]
+    for ci in unbounded_facets:
+        for r in E.unbounded[ci].rays:
+            vec = E.ray_vector(r)
+            rhs = [a + b for a, b in zip(rhs, vec)]
     rows = [[Fraction(E.vertices[v][j]) for v in ridge] for j in range(E.N + 1)]
     sol = solve(rows, [Fraction(x) for x in rhs])
     if sol is None:
@@ -325,6 +342,8 @@ def robustness_check(E: EmbeddedComplex, k, idx):
     space and is strictly positive on every ray of the unbounded (k+1)-cells
     containing it, decided by exact Fourier-Motzkin elimination.
     """
+    if not (0 <= k < len(E.bounded) and 0 <= idx < len(E.bounded[k])):
+        raise IndexMismatch("no bounded %d-cell with index %d" % (k, idx))
     cell = E.bounded[k][idx]
     base = E.vertices[cell[0]][:-1]
     dirs = [tuple(a - b for a, b in zip(E.vertices[v][:-1], base))
@@ -382,14 +401,13 @@ def _ridge_environment(E: EmbeddedComplex, ridge):
     ('u', ray, 1) entries."""
     n = E.bounded_dim()
     out = []
-    for fidx, cell in enumerate(E.bounded[n]):
-        if set(ridge) <= set(cell):
-            (extra,) = set(cell) - set(ridge)
-            out.append(("b", extra, E.sheets(n, fidx)))
-    for cell in E.unbounded:
-        if cell.dim == n and set(ridge) <= set(cell.vertices):
-            for r in cell.rays:
-                out.append(("u", r, 1))
+    bounded_facets, unbounded_facets = E.facets_through(ridge)
+    for fidx in bounded_facets:
+        (extra,) = set(E.bounded[n][fidx]) - set(ridge)
+        out.append(("b", extra, E.sheets(n, fidx)))
+    for ci in unbounded_facets:
+        for r in E.unbounded[ci].rays:
+            out.append(("u", r, 1))
     return out
 
 

@@ -9,6 +9,10 @@ class InputError(ValueError):
     """Base class for errors caused by invalid input data."""
 
 
+class SchemaError(InputError):
+    """A fixture value has the wrong JSON type or shape."""
+
+
 class SimplicialIdentityViolation(InputError):
     def __init__(self, simplex, i, j):
         self.simplex = simplex

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .delta import DeltaComplex, build_complex
-from .errors import InputError
+from .errors import InputError, SchemaError
 from .structure import TropicalStructure, make_structure
 from .divisors import Divisor, FacetPiece, LocalGerm
 from .curves import BreakpointFunction, Curve, PointSum
@@ -149,6 +149,9 @@ def detect_kind(data):
 
 
 def load_fixture(data):
+    if not isinstance(data, dict):
+        raise SchemaError("a fixture is a JSON object, not %s"
+                          % type(data).__name__)
     if data.get("format") != FORMAT:
         raise InputError("unsupported fixture format %r" % (data.get("format"),))
     kind = detect_kind(data)

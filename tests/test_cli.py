@@ -248,3 +248,30 @@ def test_classgroup_command(capsys):
     assert code == 0
     assert report["result"]["free_rank"] == 3
     assert report["result"]["invariant_factors"] == [2, 2]
+
+
+def test_non_integer_face_entry_is_schema_error(capsys, tmp_path):
+    data = json.loads(fixture_path("triangle").read_text())
+    data["faces"][0][3] = "x"
+    bad = tmp_path / "bad-face.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+def test_top_level_array_is_schema_error(capsys, tmp_path):
+    data = json.loads(fixture_path("triangle").read_text())
+    bad = tmp_path / "array.json"
+    bad.write_text(json.dumps([data]))
+    code, report, _ = invoke(capsys, "classify", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+def test_robust_cell_out_of_range_is_index_mismatch(capsys):
+    code, report, _ = invoke(
+        capsys, "robust", fixture_path("plane"), "--cell", "9,9"
+    )
+    assert code == 2
+    assert report["error"]["type"] == "IndexMismatch"

@@ -1,13 +1,18 @@
 """Combinatorics of glued-simplex complexes: faces, links, validation."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from tropcomplex import (
     DeltaComplex,
     Disconnected,
     DimensionExceeded,
+    LinkElement,
     SimplicialIdentityViolation,
     build_complex,
+    duplicate_sheets,
     link_of,
 )
 
@@ -130,3 +135,82 @@ def test_nonregular_gluing_two_sheets():
     assert cyc.degree((0, 0)) == 2
     assert cyc.degree((0, 1)) == 2
     assert cyc.is_regular()
+
+
+def torus(k, seed=None):
+    """Triangulated k x k torus (k >= 3) with every diagonal parallel.
+
+    With a seed, vertex, edge and triangle labels are shuffled; each simplex
+    lists its vertices in increasing label order."""
+    rng = random.Random(seed)
+    perm = list(range(k * k))
+    if seed is not None:
+        rng.shuffle(perm)
+
+    def v(i, j):
+        return perm[(i % k) * k + j % k]
+
+    tris = set()
+    for i in range(k):
+        for j in range(k):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)
+            tris.add(tuple(sorted((a, b, c))))
+            tris.add(tuple(sorted((a, d, c))))
+    triangles = sorted(tris)
+    edges = sorted({e for t in tris for e in combinations(t, 2)})
+    if seed is not None:
+        rng.shuffle(triangles)
+        rng.shuffle(edges)
+    index = {e: i for i, e in enumerate(edges)}
+    faces = {1: [[b, a] for a, b in edges],
+             2: [[index[(b, c)], index[(a, c)], index[(a, b)]]
+                 for a, b, c in triangles]}
+    return DeltaComplex(2, [k * k, len(edges), len(triangles)], faces)
+
+
+def reference_link(X, s):
+    """The link of s by searching every higher coface, in order of
+    dimension, then index, then slot tuple in combinations order."""
+    k = s[0]
+    return tuple(
+        tuple(LinkElement(s, (m, j), slots)
+              for j in range(X.counts[m])
+              for slots in combinations(range(m + 1), k + 1)
+              if X.face_at((m, j), slots) == s)
+        for m in range(k + 1, X.n + 1)
+    )
+
+
+def test_link_order_matches_reference(fx):
+    from tests.conftest import ABSTRACT, EMBEDDED
+
+    complexes = [fx[name].complex for name in ABSTRACT]
+    complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
+    complexes += [torus(k, seed) for k in (3, 4, 5) for seed in (0, 1, 2)]
+    for X in complexes:
+        for k in range(X.n + 1):
+            for s in X.simplices(k):
+                assert X.link(s) == reference_link(X, s), s
+
+
+def test_construction_face_calls_grow_linearly(monkeypatch):
+    # building a 4x larger torus may cost about 4x the face lookups; a
+    # search over all cofaces of every simplex costs about 16x
+    calls = 0
+    face = DeltaComplex.face
+
+    def counting_face(self, s, i):
+        nonlocal calls
+        calls += 1
+        return face(self, s, i)
+
+    monkeypatch.setattr(DeltaComplex, "face", counting_face)
+    sizes = {}
+    for k in (8, 16):
+        calls = 0
+        X = torus(k)
+        sizes[k] = (calls, sum(X.counts))
+    call_ratio = sizes[16][0] / sizes[8][0]
+    size_ratio = sizes[16][1] / sizes[8][1]
+    assert size_ratio == 4
+    assert call_ratio <= 1.25 * size_ratio

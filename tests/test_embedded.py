@@ -329,3 +329,22 @@ def test_pushforward_divisor_matches_vertex_function_route(plane):
     res_d = push_forward_and_compare(E, D=d)
     res_f = push_forward_and_compare(E, f=f)
     assert res_d.pushed == res_f.pushed
+
+
+def test_facets_through_matches_scan(plane, twosheet):
+    for E in (plane.embedded, twosheet.embedded):
+        for level in E.bounded:
+            for ridge in level:
+                n = len(ridge)
+                above = E.bounded[n] if n < len(E.bounded) else ()
+                bounded = [f for f, cell in enumerate(above)
+                           if set(ridge) <= set(cell)]
+                unbounded = [ci for ci, u in enumerate(E.unbounded)
+                             if u.dim == n and set(ridge) <= set(u.vertices)]
+                assert E.facets_through(ridge) == (bounded, unbounded)
+
+
+def test_robustness_cell_out_of_range(plane):
+    for k, idx in ((9, 9), (0, 7), (0, -1), (-1, 0)):
+        with pytest.raises(IndexMismatch):
+            robustness_check(plane.embedded, k, idx)
