@@ -80,8 +80,8 @@ def germ_space(T: TropicalStructure, v):
     ncols = 1 + len(coords)
     rows = []
     if X.n == 1:
-        row = [Fraction(0)] * ncols
-        row[0] = Fraction(-T.alpha_at(v, 0))
+        row = [0] * ncols
+        row[0] = -T.alpha_at(v, 0)
         for t in coords:
             row[index[t]] += 1
         rows.append(row)
@@ -91,7 +91,7 @@ def germ_space(T: TropicalStructure, v):
         for rho in ridge_incidences:
             ridge = rho.coface
             (slot_v,) = rho.slots
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for t in X.link0(ridge):
                 slot_in_facet = t.slots[slot_v]
                 opp = X.opp_slot(t)

@@ -227,10 +227,17 @@ def build_complex(data):
     Expects keys "n", "simplices" (per-dimension counts) and "faces"
     (entries [dimension, index, slot, target]).
     """
-    n = int(data["n"])
+    try:
+        n = int(data["n"])
+        counts = [int(c) for c in data["simplices"]]
+    except KeyError as exc:
+        raise SchemaError("complex is missing key %s" % exc) from None
+    except (TypeError, ValueError):
+        raise SchemaError(
+            '"n" must be an integer and "simplices" a list of integers'
+        ) from None
     if n < 0:
         raise DimensionExceeded("n must be nonnegative")
-    counts = [int(c) for c in data["simplices"]]
     if len(counts) != n + 1:
         raise DimensionExceeded(
             "expected %d per-dimension counts, got %d" % (n + 1, len(counts))

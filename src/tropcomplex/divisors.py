@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateCut, IndexMismatch, WrongDimension
-from .linalg import (invariant_factors, rref, smith_normal_form, solve,
+from .linalg import (smith_factors, smith_normal_form, smith_solve, solve,
                      solve_integral)
 from .structure import TropicalStructure, local_matrix
 
@@ -107,9 +107,15 @@ def div_vertex_function(T: TropicalStructure, phi):
         raise IndexMismatch(
             "expected %d vertex values, got %d" % (X.counts[0], len(phi))
         )
+    if X.n == 0:
+        return Divisor(())
+    rdim = X.n - 1
     coeffs = {}
-    for r, row in enumerate(chip_matrix(T)):
-        c = sum(a * b for a, b in zip(row, phi))
+    for r in range(X.counts[rdim]):
+        ridge = (rdim, r)
+        c = sum(phi[X.opp_vertex(t)] for t in X.link0(ridge))
+        for slot in range(rdim + 1):
+            c -= T.alpha_at(r, slot) * phi[X.vertex_at(ridge, slot)]
         if c:
             coeffs[r] = c
     return Divisor.on_ridges(coeffs)
@@ -191,10 +197,10 @@ def local_cartier_test(T: TropicalStructure, D: Divisor, q):
     """
     m = local_matrix(T, q)
     rhs = [D.coeff(t.coface[1]) for t in m.elements]
-    rational = solve([list(row) for row in m.matrix], rhs)
+    rational = solve(m.matrix, rhs)
     if rational is None:
         return CartierVerdict("neither", None)
-    integral = solve_integral([list(row) for row in m.matrix], rhs)
+    integral = solve_integral(m.matrix, rhs)
     if integral is not None:
         slopes = tuple(Fraction(x) for x in integral)
         return CartierVerdict("cartier", LocalGerm(q, m.elements, slopes))
@@ -254,7 +260,7 @@ def class_group(T: TropicalStructure):
     if nr == 0:
         return ClassGroupPresentation(0, (), (), ((), (), ()))
     s, u, v = smith_normal_form(l)
-    factors = invariant_factors(l)
+    factors = smith_factors(s)
     free_rank = nr - len(factors)
     return ClassGroupPresentation(
         free_rank,
@@ -278,21 +284,18 @@ def lin_equiv_witness(T: TropicalStructure, D: Divisor, Dp: Divisor):
     gives the class of D - D' in Smith coordinates: kind "torsion" when the
     difference is a nonzero torsion class, "non-membership" otherwise.
     """
-    X = T.complex
     diff = D - Dp
     if diff.facet_pieces:
         raise IndexMismatch("witness queries need ridge-supported divisors")
-    l = chip_matrix(T)
-    b = [0] * len(l)
+    pres = class_group(T)
+    b = [0] * len(pres.matrix)
     for r, c in diff.ridge_part:
         b[r] = c
-    phi = solve_integral(l, b)
+    phi = smith_solve(pres.snf, b)
     if phi is not None:
         lo = min(phi)
         return WitnessResult(tuple(x - lo for x in phi), None)
-    rational = solve([[Fraction(x) for x in row] for row in l],
-                     [Fraction(x) for x in b])
-    pres = class_group(T)
+    rational = solve(pres.matrix, b)
     torsion, free = pres.class_residues(b)
     kind = "torsion" if rational is not None else "non-membership"
     return WitnessResult(None, {

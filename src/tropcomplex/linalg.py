@@ -1,18 +1,40 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here is deterministic and uses arbitrary-precision arithmetic:
-Fraction for rational elimination, int for Smith normal form.  No floating
-point enters any verdict anywhere in the package.
+Everything here is deterministic and uses arbitrary-precision integers.
+Rational elimination (rref, solve, kernel_basis, rank, inertia) runs
+fraction-free on integer rows and divides each row, or the active block, by
+the gcd of its entries after every step, so every working entry stays within
+Hadamard's bound for a minor of the input; Fraction values are built only
+for the results.  The Smith normal form works on int throughout.  No
+floating point enters any verdict anywhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+_ZERO = Fraction(0)
+
+
+def _integers(values):
+    """The values as ints, scaled by the lcm of their denominators.
+
+    Integer input is used as it is; anything else goes through Fraction.
+    """
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return values
+    fracs = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs]
+
+
+def _primitive(row):
+    """The row divided by the gcd of its entries (a zero row stays zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(rows, ncols=None):
@@ -21,8 +43,13 @@ def rref(rows, ncols=None):
     Returns (reduced rows, pivot column list).  Pivots are chosen as the
     first nonzero entry when scanning columns left to right, which keeps the
     output (and everything derived from it) deterministic.
+
+    Each row is held as a nonzero integer multiple of the rational row that
+    Gauss-Jordan elimination would hold at the same step (row_i becomes
+    p * row_i - row_i[c] * pivot_row, divided by its gcd), so the zero
+    patterns, the pivots and the reduced rows are the same.
     """
-    m = _as_fraction_rows(rows)
+    m = [_integers(row) for row in rows]
     if ncols is None:
         ncols = len(m[0]) if m else 0
     pivots = []
@@ -36,17 +63,18 @@ def rref(rows, ncols=None):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row]
+            for row, c in zip(m, pivots)], pivots
 
 
 def kernel_basis(rows, ncols):
@@ -184,12 +212,13 @@ def smith_normal_form(a):
 
 
 def invariant_factors(a):
-    s, _, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i] != 0:
-            out.append(s[i][i])
-    return out
+    return smith_factors(smith_normal_form(a)[0])
+
+
+def smith_factors(s):
+    """The nonzero diagonal entries of a Smith form S, in order."""
+    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
+            if s[i][i] != 0]
 
 
 def solve_integral(a, b):
@@ -198,9 +227,15 @@ def solve_integral(a, b):
     Decided via Smith normal form, so this answers solvability over the
     solution set, not just integrality of one rational solution.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    s, u, v = smith_normal_form(a)
+    return smith_solve(smith_normal_form(a), b)
+
+
+def smith_solve(snf, b):
+    """One integer solution of a . x = b, or None, from the Smith form
+    (S, U, V) of a."""
+    s, u, v = snf
+    m = len(s)
+    n = len(s[0]) if m else 0
     c = [sum(u[i][k] * int(b[k]) for k in range(m)) for i in range(m)]
     y = [0] * n
     for i in range(m):
@@ -224,21 +259,27 @@ def solve_integral(a, b):
 def inertia(a):
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
-    Symmetric congruence elimination over Fraction.  When all remaining
-    diagonal entries vanish, a 2x2 block [[0,b],[b,0]] is eliminated and
-    contributes one positive and one negative eigenvalue.
+    Symmetric congruence elimination on integers.  Rational input is scaled
+    once by a common denominator, so it stays symmetric.  The active block
+    is kept as a positive integer multiple of the rational Schur complement:
+    a 1x1 pivot d scales it by |d|, and when all remaining diagonal entries
+    vanish, a 2x2 block [[0,b],[b,0]] is eliminated, scales it by |b| and
+    contributes one positive and one negative eigenvalue.  Positive scaling
+    keeps the inertia (Sylvester's law), and the block is divided by the gcd
+    of its entries after every step.
     """
     n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
+    flat = _integers(a[i][j] for i in range(n) for j in range(n))
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix not symmetric")
-    active = list(range(n))
     pos = neg = zero = 0
-    while active:
+    while m:
+        k = len(m)
         piv = None
-        for i in active:
+        for i in range(k):
             if m[i][i] != 0:
                 piv = i
                 break
@@ -248,39 +289,38 @@ def inertia(a):
                 pos += 1
             else:
                 neg += 1
-            active.remove(piv)
-            for i in active:
-                if m[i][piv] != 0:
-                    f = m[i][piv] / d
-                    for j in active:
-                        m[i][j] -= f * m[piv][j]
-            for i in active:
-                m[i][piv] = m[piv][i] = Fraction(0)
-            continue
-        off = None
-        for ii in range(len(active)):
-            for jj in range(ii + 1, len(active)):
-                if m[active[ii]][active[jj]] != 0:
-                    off = (active[ii], active[jj])
+            scale, sign = abs(d), (1 if d > 0 else -1)
+            col = [row[piv] for row in m]
+            keep = [i for i in range(k) if i != piv]
+            # |d| (A - a a^T / d), with a the pivot column
+            m = [[scale * m[i][j] - sign * col[i] * col[j] for j in keep]
+                 for i in keep]
+        else:
+            off = None
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if m[i][j] != 0:
+                        off = (i, j)
+                        break
+                if off is not None:
                     break
-            if off is not None:
+            if off is None:
+                zero += k
                 break
-        if off is None:
-            zero += len(active)
-            break
-        i0, j0 = off
-        b = m[i0][j0]
-        pos += 1
-        neg += 1
-        active.remove(i0)
-        active.remove(j0)
-        # Schur complement against the block [[0,b],[b,0]]
-        for k in active:
-            ck, dk = m[k][i0], m[k][j0]
-            for l in active:
-                m[k][l] -= (ck * m[l][j0] + dk * m[l][i0]) / b
-        for k in active:
-            m[k][i0] = m[i0][k] = m[k][j0] = m[j0][k] = Fraction(0)
+            i0, j0 = off
+            b = m[i0][j0]
+            pos += 1
+            neg += 1
+            scale, sign = abs(b), (1 if b > 0 else -1)
+            c = [row[i0] for row in m]
+            e = [row[j0] for row in m]
+            keep = [i for i in range(k) if i not in off]
+            # |b| times the Schur complement against the block [[0,b],[b,0]]
+            m = [[scale * m[i][j] - sign * (c[i] * e[j] + e[i] * c[j])
+                  for j in keep] for i in keep]
+        g = gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return pos, neg, zero
 
 

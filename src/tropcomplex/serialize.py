@@ -37,6 +37,17 @@ def unrat(v):
     return Fraction(v)
 
 
+def _int_entry(entry, size, what):
+    """A fixture entry as a tuple of `size` ints, or SchemaError naming it."""
+    try:
+        out = tuple(int(x) for x in entry)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or len(out) != size:
+        raise SchemaError("%s entry %r is not %d integers" % (what, entry, size))
+    return out
+
+
 def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
@@ -65,9 +76,9 @@ def divisor_to_json(D: Divisor):
 
 def divisor_from_json(data):
     if isinstance(data, list):
-        return Divisor.on_ridges({int(r): int(c) for r, c in data})
-    ridge = tuple(sorted((int(r), int(c)) for r, c in data.get("ridge_part", [])
-                         if int(c) != 0))
+        return Divisor.on_ridges(dict(_int_entry(e, 2, "divisor") for e in data))
+    pairs = [_int_entry(e, 2, "divisor") for e in data.get("ridge_part", [])]
+    ridge = tuple(sorted(p for p in pairs if p[1] != 0))
     pieces = tuple(
         FacetPiece(int(f), tuple(int(x) for x in normal),
                    Fraction(int(num), int(den)), int(mult))
@@ -81,7 +92,7 @@ def curve_to_json(C: Curve):
 
 
 def curve_from_json(data):
-    return Curve.on_edges({int(e): int(m) for e, m in data})
+    return Curve.on_edges(dict(_int_entry(e, 2, "curve") for e in data))
 
 
 def point_sum_to_json(P: PointSum):
@@ -159,8 +170,8 @@ def load_fixture(data):
     if kind == "abstract":
         fx.complex = build_complex(data)
         if "alpha" in data:
-            fx.alpha = {(int(r), int(s)): int(v)
-                        for r, s, v in data["alpha"]}
+            fx.alpha = {(r, s): v for r, s, v in
+                        (_int_entry(e, 3, "alpha") for e in data["alpha"])}
     elif kind == "embedded":
         fx.embedded = load_embedded(data)
     elif kind == "degeneration":

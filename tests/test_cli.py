@@ -275,3 +275,27 @@ def test_robust_cell_out_of_range_is_index_mismatch(capsys):
     )
     assert code == 2
     assert report["error"]["type"] == "IndexMismatch"
+
+
+def test_missing_required_key_is_schema_error(capsys, tmp_path):
+    data = json.loads(fixture_path("triangle").read_text())
+    del data["n"]
+    bad = tmp_path / "no-n.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("divisors", {"D": [[0, "x"]]}),
+    ("alpha", [[0, 0]]),
+])
+def test_malformed_integer_entry_is_schema_error(capsys, tmp_path, field, entry):
+    data = json.loads(fixture_path("triangle").read_text())
+    data[field] = entry
+    bad = tmp_path / "bad-entry.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"

@@ -16,9 +16,11 @@ from tropcomplex import (
     div_vertex_function,
     lin_equiv_witness,
     local_cartier_test,
+    make_structure,
     ridge_multiplicity,
     weil_test,
 )
+from tests.test_delta import torus
 
 ABSTRACT = ["triangle", "triangle-tropical", "tetrahedron", "path", "loop"]
 
@@ -64,6 +66,27 @@ def test_additivity_random(fx):
             assert both == div_vertex_function(T, phi) + div_vertex_function(
                 T, psi
             )
+
+
+def test_vertex_function_divisor_matches_chip_matrix(fx):
+    # div_vertex_function reads each ridge's link; the dense chip matrix
+    # times phi is the reference
+    rng = random.Random(21)
+    structures = [fx[name].structure() for name in ABSTRACT]
+    for k in (3, 4, 5, 6):
+        X = torus(k, seed=k)
+        alpha = {(r, s): rng.randint(-2, 3)
+                 for r in range(X.counts[1]) for s in range(2)}
+        structures.append(make_structure(X, alpha))
+    for T in structures:
+        nv = T.complex.counts[0]
+        l = chip_matrix(T)
+        for _ in range(5):
+            phi = [rng.randint(-5, 5) for _ in range(nv)]
+            want = Divisor.on_ridges(
+                {r: sum(a * b for a, b in zip(row, phi))
+                 for r, row in enumerate(l)})
+            assert div_vertex_function(T, phi) == want
 
 
 def test_divisor_arithmetic(tetrahedron):

@@ -18,6 +18,7 @@ from tropcomplex.linalg import (
     kernel_basis,
     primitive_integer,
     rank,
+    rref,
     smith_normal_form,
     solve,
     solve_integral,
@@ -225,6 +226,146 @@ def test_inertia_fixed_matrices():
     assert inertia([[-1, 1, 1], [1, -1, 1], [1, 1, -1]]) == (1, 2, 0)
     assert inertia([[2]]) == (1, 0, 0)
     assert inertia([]) == (0, 0, 0)
+
+
+# -- fraction-free elimination against the Fraction reference --------------
+
+
+def reference_rref(rows, ncols=None):
+    """Gauss-Jordan elimination over Fraction, first nonzero pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def reference_inertia(a):
+    """Symmetric congruence elimination over Fraction."""
+    n = len(a)
+    m = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    pos = neg = zero = 0
+    while active:
+        piv = next((i for i in active if m[i][i] != 0), None)
+        if piv is not None:
+            d = m[piv][piv]
+            pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+            active.remove(piv)
+            for i in active:
+                f = m[i][piv] / d
+                for j in active:
+                    m[i][j] -= f * m[piv][j]
+            continue
+        off = next(((i, j) for i in active for j in active
+                    if i < j and m[i][j] != 0), None)
+        if off is None:
+            return pos, neg, zero + len(active)
+        i0, j0 = off
+        b = m[i0][j0]
+        pos, neg = pos + 1, neg + 1
+        active.remove(i0)
+        active.remove(j0)
+        c = {k: m[k][i0] for k in active}
+        e = {k: m[k][j0] for k in active}
+        for k in active:
+            for l in active:
+                m[k][l] -= (c[k] * e[l] + e[k] * c[l]) / b
+    return pos, neg, zero
+
+
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def degenerate_matrices(draw, entries):
+    """Tall or wide matrices, with zero rows, duplicate rows and rows that
+    are combinations of others mixed in."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for kind in draw(st.lists(st.sampled_from(("zero", "duplicate", "sum")),
+                              max_size=4)):
+        if kind == "zero":
+            extra = [0] * n
+        elif kind == "duplicate":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entries)
+            extra = [a + c * b for a, b in zip(x, y)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@st.composite
+def symmetric_matrices(draw, entries):
+    """Symmetric matrices: generic, with a zero diagonal (2x2 pivots), or
+    of low rank as B^T D B."""
+    n = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(("generic", "zero-diagonal", "low-rank")))
+    if shape == "low-rank":
+        k = draw(st.integers(0, n))
+        b = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+        d = draw(st.lists(entries, min_size=k, max_size=k))
+        return [[sum(b[t][i] * d[t] * b[t][j] for t in range(k))
+                 for j in range(n)] for i in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or shape == "generic":
+                a[i][j] = a[j][i] = draw(entries)
+    return a
+
+
+@given(st.one_of(degenerate_matrices(small_int), degenerate_matrices(rational)),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_fraction_reference(a, data):
+    assert rref(a) == reference_rref(a)
+    ncols = data.draw(st.integers(0, len(a[0])))
+    assert rref(a, ncols) == reference_rref(a, ncols)
+
+
+@given(st.one_of(symmetric_matrices(small_int), symmetric_matrices(rational)))
+@settings(max_examples=100, deadline=None)
+def test_inertia_matches_fraction_reference(a):
+    assert inertia(a) == reference_inertia(a)
+
+
+def test_inertia_rejects_asymmetric_rational_matrix():
+    with pytest.raises(ValueError):
+        inertia([[1, Fraction(1, 2)], [Fraction(1, 3), 1]])
+
+
+def test_elimination_entries_stay_bounded():
+    # 40 pivots: without the gcd reductions the bit length of the working
+    # entries doubles at every pivot and this does not finish
+    rng = random.Random(40)
+    n = 40
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.randint(-9, 9)
+    assert inertia(a) == reference_inertia(a)
+    assert rref(a) == reference_rref(a)
 
 
 # -- strict feasibility and primitive vectors -------------------------------
