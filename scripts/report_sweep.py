@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Run every tcx subcommand over fixture files and print the reports as JSON.
+
+    python3 scripts/report_sweep.py [FIXTURE.json ...] > sweep.json
+
+Without arguments the shipped fixtures in fixtures/ are swept.  For each
+file the calls are: validate, classify, classgroup, import-embedded and
+degen-build; div with every stored function and three seeded --phi vectors;
+cartier, pushforward -D and specialize with every stored divisor; balance
+and specialize with every stored curve; pushforward -f with every stored
+function; equiv with every ordered pair of divisors; intersect and verify
+with every divisor and curve; robust at every bounded cell plus one past
+each level.  Calls run in-process against the `src/` next to this script;
+the output is a JSON list of {"argv", "exit", "stdout"} in call order, so
+the sweeps of two trees can be compared with diff.  Paths are printed as
+given (the shipped fixtures relative to the working directory), so run
+each tree's sweep from its own root.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import random
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from tropcomplex import cli  # noqa: E402
+
+
+def vertex_count(data):
+    if "vertices" in data:
+        return len(data["vertices"])
+    complex_data = data.get("complex", data)
+    return complex_data["simplices"][0]
+
+
+def calls(path, data):
+    """The argv lists swept for one fixture file."""
+    f = str(path)
+    divisors = sorted(data.get("divisors", {}))
+    curves = sorted(data.get("curves", {}))
+    functions = sorted(data.get("functions", {}))
+    out = [["validate", f], ["classify", f], ["classgroup", f],
+           ["import-embedded", f], ["degen-build", f]]
+    rng = random.Random(path.name)
+    nv = vertex_count(data)
+    phis = functions + [",".join(str(rng.randint(-3, 3)) for _ in range(nv))
+                        for _ in range(3)]
+    out += [["div", f, "--phi=" + phi] for phi in phis]
+    out += [["cartier", f, "-D", d] for d in divisors]
+    out += [["equiv", f, "-D", d, "-E", e] for d in divisors for e in divisors]
+    out += [["balance", f, "-C", c] for c in curves]
+    out += [["intersect", f, "-D", d, "-C", c] for d in divisors for c in curves]
+    out += [["verify", f, "-D", d, "-C", c] for d in divisors for c in curves]
+    out += [["specialize", f, name] for name in divisors + curves]
+    out += [["pushforward", f, "-f", name] for name in functions]
+    out += [["pushforward", f, "-D", d] for d in divisors]
+    levels = data.get("bounded_cells", [[]])
+    out += [["robust", f, "--cell", "%d,%d" % (k, i)]
+            for k, level in enumerate(levels) for i in range(len(level) + 1)]
+    return out
+
+
+def run(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the call
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": stdout.getvalue()}
+
+
+def main(args):
+    paths = [pathlib.Path(p) for p in args] or [
+        pathlib.Path(os.path.relpath(p))
+        for p in sorted((ROOT / "fixtures").glob("*.json"))]
+    reports = []
+    for path in paths:
+        data = json.loads(path.read_text())
+        reports += [run(argv) for argv in calls(path, data)]
+    json.dump(reports, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

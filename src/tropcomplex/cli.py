@@ -10,23 +10,22 @@ and lowest-terms rationals so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from .errors import InputError, PreconditionFailed, UnknownName
 from .delta import link_of
 from .structure import classify, local_matrix
-from .divisors import (TwoPieceFunction, class_group, div_two_piece,
-                       div_vertex_function, lin_equiv_witness,
-                       local_cartier_test, ridge_multiplicity, weil_test)
+from .divisors import (class_group, div_two_piece, div_vertex_function,
+                       lin_equiv_witness, local_cartier_test,
+                       ridge_multiplicity, weil_test)
 from .curves import germ_space, intersect_degree, is_balanced, restrict_divisor
 from .embedded import derive_structure, push_forward_and_compare, robustness_check
 from .degeneration import (build_structure_from_degeneration, specialize,
                            verify_theorem)
 from .serialize import (FORMAT, breakpoints_from_json, canonical_json,
                         curve_to_json, divisor_to_json, germ_to_json,
-                        point_sum_to_json, rat, sha256_of_file)
+                        point_sum_to_json, rat, read_json, sha256_of_file,
+                        two_piece_from_json)
 
 # Subcommand -> library operations it exercises; a disjoint cover of the
 # public operation set, used by the coverage test.
@@ -88,9 +87,12 @@ def _values(spec_str, fx, count):
 
 def _cell(spec_str):
     parts = spec_str.split(",")
-    if len(parts) != 2:
-        raise InputError("cell must be given as 'dim,index'")
-    return int(parts[0]), int(parts[1])
+    try:
+        k, idx = (int(p) for p in parts)
+    except ValueError:
+        raise InputError("cell must be given as 'dim,index', not %r"
+                         % (spec_str,)) from None
+    return k, idx
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +170,9 @@ def cmd_div(args):
                         "pass" if consistent else "fail",
                          "linear local values reproduce the coefficients"])
     elif args.two_piece is not None:
-        with open(args.two_piece, "r", encoding="utf-8") as fh:
-            piece = json.load(fh)
+        piece = two_piece_from_json(read_json(args.two_piece))
         extra["two_piece"] = _file_input(args.two_piece)
-        f = TwoPieceFunction(
-            int(piece["facet"]),
-            tuple(int(x) for x in piece["normal"]),
-            Fraction(int(piece["offset"][0]), int(piece["offset"][1])),
-        )
-        D = div_two_piece(T, f)
+        D = div_two_piece(T, piece)
         result = {"divisor": divisor_to_json(D)}
         verdicts.append(["div", "pass", "divisor computed"])
     else:
@@ -213,12 +209,11 @@ def cmd_classgroup(args):
     fx = _load(args.fixture)
     T = fx.structure()
     pres = class_group(T)
-    s = pres.snf[0]
     result = {
         "free_rank": pres.free_rank,
         "invariant_factors": list(pres.invariant_factors),
         "matrix": [list(row) for row in pres.matrix],
-        "snf_diagonal": [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))],
+        "snf_diagonal": list(pres.smith.diagonal),
     }
     return result, [["classgroup", "pass", "presentation computed"]], {}
 
@@ -280,10 +275,8 @@ def cmd_intersect(args):
     }
     extra = {}
     if args.breakpoints is not None:
-        with open(args.breakpoints, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        g = breakpoints_from_json(read_json(args.breakpoints))
         extra["breakpoints"] = _file_input(args.breakpoints)
-        g = breakpoints_from_json(data)
         P = restrict_divisor(T, C, g)
         result["restricted"] = point_sum_to_json(P)
         result["restricted_degree"] = rat(P.degree)

@@ -14,8 +14,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateCut, IndexMismatch, WrongDimension
-from .linalg import (smith_factors, smith_normal_form, smith_solve, solve,
-                     solve_integral)
+from .linalg import SmithForm, smith, smith_solve, solve, solve_integral
 from .structure import TropicalStructure, local_matrix
 
 
@@ -237,37 +236,27 @@ class ClassGroupPresentation:
     free_rank: int
     invariant_factors: tuple  # factors > 1 only
     matrix: tuple  # the chip-firing matrix, ridges x vertices
-    snf: tuple  # (S, U, V) with U . matrix . V = S
+    smith: SmithForm  # U . matrix . V = S, with U and V as operation logs
 
     def class_residues(self, coeffs):
         """Coordinates of a ridge-supported divisor class: (torsion residues,
         free components) in the Smith basis."""
-        s, u, _ = self.snf
-        m = len(s)
-        n = len(s[0]) if s else 0
-        rankl = sum(1 for i in range(min(m, n)) if s[i][i] != 0)
-        y = [sum(u[i][k] * coeffs[k] for k in range(m)) for i in range(m)]
-        torsion = tuple(y[i] % s[i][i] for i in range(rankl) if s[i][i] > 1)
-        free = tuple(y[i] for i in range(rankl, m))
-        return torsion, free
+        y = self.smith.apply_u(coeffs)
+        factors = self.smith.factors
+        torsion = tuple(y[i] % d for i, d in enumerate(factors) if d > 1)
+        return torsion, tuple(y[len(factors):])
 
 
 def class_group(T: TropicalStructure):
     """Smith presentation of Z^ridges modulo divisors of vertex functions."""
-    X = T.complex
     l = chip_matrix(T)
-    nr = len(l)
-    if nr == 0:
-        return ClassGroupPresentation(0, (), (), ((), (), ()))
-    s, u, v = smith_normal_form(l)
-    factors = smith_factors(s)
-    free_rank = nr - len(factors)
+    f = smith(l)
+    factors = f.factors
     return ClassGroupPresentation(
-        free_rank,
-        tuple(f for f in factors if f > 1),
+        len(l) - len(factors),
+        tuple(d for d in factors if d > 1),
         tuple(tuple(row) for row in l),
-        (tuple(tuple(r) for r in s), tuple(tuple(r) for r in u),
-         tuple(tuple(r) for r in v)),
+        f,
     )
 
 
@@ -282,22 +271,28 @@ def lin_equiv_witness(T: TropicalStructure, D: Divisor, Dp: Divisor):
 
     The witness is normalized to have minimum value 0.  The certificate
     gives the class of D - D' in Smith coordinates: kind "torsion" when the
-    difference is a nonzero torsion class, "non-membership" otherwise.
+    difference is a nonzero torsion class (every free residue is zero),
+    "non-membership" otherwise.
     """
     diff = D - Dp
     if diff.facet_pieces:
         raise IndexMismatch("witness queries need ridge-supported divisors")
-    pres = class_group(T)
-    b = [0] * len(pres.matrix)
+    X = T.complex
+    nr = X.counts[X.n - 1] if X.n else 0
+    b = [0] * nr
     for r, c in diff.ridge_part:
+        if not 0 <= r < nr:
+            raise IndexMismatch("ridge %d out of range (%d ridges)" % (r, nr))
         b[r] = c
-    phi = smith_solve(pres.snf, b)
+    if X.n == 0:
+        return WitnessResult((0,) * X.counts[0], None)
+    pres = class_group(T)
+    phi = smith_solve(pres.smith, b)
     if phi is not None:
         lo = min(phi)
         return WitnessResult(tuple(x - lo for x in phi), None)
-    rational = solve(pres.matrix, b)
     torsion, free = pres.class_residues(b)
-    kind = "torsion" if rational is not None else "non-membership"
+    kind = "non-membership" if any(free) else "torsion"
     return WitnessResult(None, {
         "kind": kind,
         "torsion_residues": list(torsion),

@@ -5,12 +5,17 @@ Rational elimination (rref, solve, kernel_basis, rank, inertia) runs
 fraction-free on integer rows and divides each row, or the active block, by
 the gcd of its entries after every step, so every working entry stays within
 Hadamard's bound for a minor of the input; Fraction values are built only
-for the results.  The Smith normal form works on int throughout.  No
-floating point enters any verdict anywhere in the package.
+for the results.  The Smith normal form (`smith`) eliminates on sparse
+integer rows, pivoting on an entry of smallest absolute value (ties by
+Markowitz cost, then position) and reducing the pivot row and column
+modulo it, and keeps U and V as logs of row and column operations that are
+replayed on one vector at a time; `smith_normal_form` builds them dense on
+request.  No floating point enters any verdict anywhere in the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -120,105 +125,222 @@ def rank(rows, ncols=None):
 # Smith normal form
 
 
+@dataclass(frozen=True)
+class SmithForm:
+    """The Smith form U . a . V = S of an integer m x n matrix a, with U and
+    V kept as operation logs.
+
+    `diagonal` holds the min(m, n) diagonal entries of S: the nonzero ones
+    positive, each dividing the next, then the zeros.  U is the row log
+    replayed in order, then row rows[t] moved to position t; V is the column
+    log replayed in order, then column cols[t] moved to position t.  A log
+    entry (i, k, q) adds q times line i to line k, (i,) negates line i, and
+    (i, k, a, b, c, d) replaces lines i and k by a*i + b*k and c*i + d*k.
+    """
+
+    shape: tuple
+    diagonal: tuple
+    rows: tuple
+    cols: tuple
+    row_log: tuple
+    col_log: tuple
+
+    @property
+    def factors(self):
+        """The nonzero diagonal entries (invariant factors), in order."""
+        return self.diagonal[:len(self.diagonal) - self.diagonal.count(0)]
+
+    def apply_u(self, b):
+        """U . b, replaying the row log on one vector."""
+        x = [int(v) for v in b]
+        for op in self.row_log:
+            if len(op) == 3:
+                i, k, q = op
+                x[k] += q * x[i]
+            elif len(op) == 1:
+                x[op[0]] = -x[op[0]]
+            else:
+                i, k, a, b, c, d = op
+                x[i], x[k] = a * x[i] + b * x[k], c * x[i] + d * x[k]
+        return [x[i] for i in self.rows]
+
+    def apply_v(self, y):
+        """V . y, replaying the column log backwards on one vector; entries
+        missing at the end of y count as zero."""
+        z = [0] * self.shape[1]
+        for j, v in zip(self.cols, y):
+            z[j] = v
+        for op in reversed(self.col_log):
+            if len(op) == 3:
+                i, k, q = op
+                z[i] += q * z[k]
+            elif len(op) == 1:
+                z[op[0]] = -z[op[0]]
+            else:
+                i, k, a, b, c, d = op
+                z[i], z[k] = a * z[i] + c * z[k], b * z[i] + d * z[k]
+        return z
+
+
+def _nearest(a, p):
+    """The integer nearest to a / p (p != 0)."""
+    q, r = divmod(a, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a, b > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
+
+
+def smith(a):
+    """Smith form of an integer matrix by sparse elimination, as a SmithForm.
+
+    Rows are dicts with a column -> rows index.  Each pivot is an entry of
+    smallest |value| in the remaining block, ties broken by the Markowitz
+    cost (row nnz - 1) * (column nnz - 1) and then by (row, column); each
+    row keeps its own best candidate, recomputed only when the row or the
+    nnz of one of its columns changed.  The pivot column and then the pivot
+    row are reduced modulo the pivot with nearest quotients; while a
+    remainder is left the pivot is chosen again, so entries shrink towards
+    the gcd instead of growing as in Euclid-by-swapping.  The pivots are
+    finally put under the divisibility chain by gcd/lcm steps on pairs.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    live = {}                       # row -> {column: nonzero entry}
+    at = [set() for _ in range(n)]  # column -> live rows with an entry there
+    for i, row in enumerate(a):
+        entries = {j: int(x) for j, x in enumerate(row) if x}
+        if entries:
+            live[i] = entries
+            for j in entries:
+                at[j].add(i)
+    row_log, col_log = [], []
+    stale = set(live)  # rows whose best candidate must be recomputed
+
+    def add_row(i, k, q):
+        dst = live[k]
+        for j, v in live[i].items():
+            w = dst.get(j, 0) + q * v
+            if w:
+                if j not in dst:
+                    stale.update(at[j])
+                    at[j].add(k)
+                dst[j] = w
+            elif j in dst:
+                del dst[j]
+                at[j].discard(k)
+                stale.update(at[j])
+        row_log.append((i, k, q))
+        stale.add(k)
+        if not dst:
+            del live[k]
+
+    best = {}    # live row -> (|entry|, cost, row, column) of its candidate
+    pivots = []  # [row, column, value > 0]
+    while True:
+        for i in stale:
+            row = live.get(i)
+            if row is None:
+                best.pop(i, None)
+                continue
+            rc = len(row) - 1
+            cand = None
+            for j, v in row.items():
+                key = (abs(v), rc * (len(at[j]) - 1), i, j)
+                if cand is None or key < cand:
+                    cand = key
+            best[i] = cand
+        stale.clear()
+        if not best:
+            break
+        i, j = min(best.values())[2:]
+        p = live[i][j]
+        unit = p == 1 or p == -1
+        again = False
+        for k in sorted(at[j]):
+            if k != i:
+                x = live[k][j]
+                add_row(i, k, -(x * p if unit else _nearest(x, p)))
+                again = again or j in live.get(k, ())
+        if not again:
+            # column j is now zero outside row i, so a column operation
+            # against it changes only row i
+            prow = live[i]
+            for l in sorted(prow):
+                if l != j:
+                    x = prow[l]
+                    q = -(x * p if unit else _nearest(x, p))
+                    col_log.append((j, l, q))
+                    if x + q * p:
+                        prow[l] = x + q * p
+                        again = True
+                    else:
+                        del prow[l]
+                        at[l].discard(i)
+                        stale.update(at[l])
+            if again:
+                stale.add(i)
+        if again:
+            continue
+        del live[i], best[i]
+        at[j].discard(i)
+        if p < 0:
+            row_log.append((i,))
+        pivots.append([i, j, abs(p)])
+
+    units = [pv for pv in pivots if pv[2] == 1]
+    rest = [pv for pv in pivots if pv[2] != 1]
+    for s, first in enumerate(rest):
+        for second in rest[s + 1:]:
+            (ri, ci, x), (rk, ck, y) = first, second
+            if y % x:
+                g, u, w = _xgcd(x, y)
+                row_log.append((ri, rk, u, w, -y // g, x // g))
+                col_log.append((ci, ck, 1, 1, -w * y // g, u * x // g))
+                first[2], second[2] = g, x // g * y
+    pivots = units + rest
+    rows = [pv[0] for pv in pivots]
+    cols = [pv[1] for pv in pivots]
+    done_rows, done_cols = set(rows), set(cols)
+    return SmithForm(
+        (m, n),
+        tuple(pv[2] for pv in pivots) + (0,) * (min(m, n) - len(pivots)),
+        tuple(rows + [i for i in range(m) if i not in done_rows]),
+        tuple(cols + [j for j in range(n) if j not in done_cols]),
+        tuple(row_log),
+        tuple(col_log),
+    )
+
+
 def smith_normal_form(a):
-    """Smith normal form with transforms.
+    """Smith normal form with dense transforms.
 
     Returns (S, U, V) with U . a . V = S, U and V unimodular, S diagonal with
-    nonnegative entries s_1 | s_2 | ... .  Classical elimination; fine at the
-    scale of the complexes handled here.
+    nonnegative entries s_1 | s_2 | ... .  U and V are built by replaying the
+    logs of `smith(a)` on unit vectors; the library itself only ever applies
+    them to one vector and uses `smith` directly.
     """
-    s = [[int(x) for x in row] for row in a]
-    m = len(s)
-    n = len(s[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot in the remaining block
-        pr = pc = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        swap_rows(t, pr)
-        swap_cols(t, pc)
-        while True:
-            # clear column t
-            again = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    qt, rm = divmod(s[i][t], s[t][t])
-                    add_row(t, i, -qt)
-                    if rm:
-                        swap_rows(t, i)
-                        again = True
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    qt, rm = divmod(s[t][j], s[t][t])
-                    add_col(t, j, -qt)
-                    if rm:
-                        swap_cols(t, j)
-                        again = True
-            if not again:
-                break
-        if s[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility against the remaining block
-        d = s[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % d != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
+    f = smith(a)
+    m, n = f.shape
+    s = [[0] * n for _ in range(m)]
+    for t, d in enumerate(f.diagonal):
+        s[t][t] = d
+    u = [list(r) for r in zip(*(f.apply_u([int(i == j) for i in range(m)])
+                                for j in range(m)))]
+    v = [list(r) for r in zip(*(f.apply_v([int(i == t) for i in range(n)])
+                                for t in range(n)))]
     return s, u, v
 
 
 def invariant_factors(a):
-    return smith_factors(smith_normal_form(a)[0])
-
-
-def smith_factors(s):
-    """The nonzero diagonal entries of a Smith form S, in order."""
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
-            if s[i][i] != 0]
+    return list(smith(a).factors)
 
 
 def solve_integral(a, b):
@@ -227,29 +349,24 @@ def solve_integral(a, b):
     Decided via Smith normal form, so this answers solvability over the
     solution set, not just integrality of one rational solution.
     """
-    return smith_solve(smith_normal_form(a), b)
+    return smith_solve(smith(a), b)
 
 
-def smith_solve(snf, b):
-    """One integer solution of a . x = b, or None, from the Smith form
-    (S, U, V) of a."""
-    s, u, v = snf
-    m = len(s)
-    n = len(s[0]) if m else 0
-    c = [sum(u[i][k] * int(b[k]) for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        d = s[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            q, r = divmod(c[i], d)
-            if r != 0:
-                return None
-            if i < n:
-                y[i] = q
-    return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
+def smith_solve(f, b):
+    """One integer solution of a . x = b, or None, from the SmithForm f of
+    a: c = U . b must be divisible by the invariant factors and vanish past
+    them, and then x = V . y with y = c / factors, padded with zeros."""
+    c = f.apply_u(b)
+    factors = f.factors
+    if any(c[len(factors):]):
+        return None
+    y = []
+    for ct, d in zip(c, factors):
+        q, r = divmod(ct, d)
+        if r:
+            return None
+        y.append(q)
+    return tuple(f.apply_v(y))
 
 
 # ---------------------------------------------------------------------------

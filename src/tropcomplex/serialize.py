@@ -18,7 +18,7 @@ from fractions import Fraction
 from .delta import DeltaComplex, build_complex
 from .errors import InputError, SchemaError
 from .structure import TropicalStructure, make_structure
-from .divisors import Divisor, FacetPiece, LocalGerm
+from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
 from .degeneration import DegenerationData, load_degeneration
 from .embedded import EmbeddedComplex, load_embedded
@@ -38,13 +38,15 @@ def unrat(v):
 
 
 def _int_entry(entry, size, what):
-    """A fixture entry as a tuple of `size` ints, or SchemaError naming it."""
+    """A fixture entry as a tuple of `size` ints (any number when size is
+    None), or SchemaError naming it."""
     try:
         out = tuple(int(x) for x in entry)
     except (TypeError, ValueError):
         out = None
-    if out is None or len(out) != size:
-        raise SchemaError("%s entry %r is not %d integers" % (what, entry, size))
+    if out is None or size is not None and len(out) != size:
+        raise SchemaError("%s entry %r is not %s integers"
+                          % (what, entry, "a list of" if size is None else size))
     return out
 
 
@@ -79,12 +81,35 @@ def divisor_from_json(data):
         return Divisor.on_ridges(dict(_int_entry(e, 2, "divisor") for e in data))
     pairs = [_int_entry(e, 2, "divisor") for e in data.get("ridge_part", [])]
     ridge = tuple(sorted(p for p in pairs if p[1] != 0))
-    pieces = tuple(
-        FacetPiece(int(f), tuple(int(x) for x in normal),
-                   Fraction(int(num), int(den)), int(mult))
-        for f, normal, num, den, mult in data.get("facet_pieces", [])
-    )
+    pieces = tuple(_facet_piece(e) for e in data.get("facet_pieces", []))
     return Divisor(ridge, pieces)
+
+
+def _facet_piece(entry):
+    """[facet, normal, offset numerator, offset denominator, multiplicity]."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 5:
+        raise SchemaError("facet piece entry %r is not [facet, normal, "
+                          "numerator, denominator, multiplicity]" % (entry,))
+    f, num, den, mult = _int_entry(entry[:1] + entry[2:], 4, "facet piece")
+    if den == 0:
+        raise SchemaError("facet piece entry %r has denominator 0" % (entry,))
+    normal = _int_entry(entry[1], None, "facet piece normal")
+    return FacetPiece(f, normal, Fraction(num, den), mult)
+
+
+def two_piece_from_json(data):
+    """{"facet", "normal", "offset": [numerator, denominator]} as a
+    TwoPieceFunction, or SchemaError."""
+    if not isinstance(data, dict) or not {"facet", "normal", "offset"} <= set(data):
+        raise SchemaError("a two-piece function is an object with facet, "
+                          "normal and offset, not %r" % (data,))
+    (facet,) = _int_entry([data["facet"]], 1, "two-piece facet")
+    num, den = _int_entry(data["offset"], 2, "two-piece offset")
+    if den == 0:
+        raise SchemaError("two-piece offset %r has denominator 0"
+                          % (data["offset"],))
+    normal = _int_entry(data["normal"], None, "two-piece normal")
+    return TwoPieceFunction(facet, normal, Fraction(num, den))
 
 
 def curve_to_json(C: Curve):
@@ -115,12 +140,23 @@ def germ_to_json(g: LocalGerm):
 
 
 def breakpoints_from_json(data):
+    """[[edge, [[position num, den, value num, den], ...]], ...]."""
+    if not isinstance(data, list):
+        raise SchemaError("breakpoints are a list of [edge, points], not %r"
+                          % (data,))
     pieces = {}
-    for e, pts in data:
-        pieces[int(e)] = [
-            (Fraction(int(pn), int(pd)), Fraction(int(vn), int(vd)))
-            for pn, pd, vn, vd in pts
-        ]
+    for entry in data:
+        if not isinstance(entry, list) or len(entry) != 2 \
+                or not isinstance(entry[1], list):
+            raise SchemaError("breakpoint entry %r is not [edge, points]"
+                              % (entry,))
+        (e,) = _int_entry(entry[:1], 1, "breakpoint edge")
+        points = [_int_entry(pt, 4, "breakpoint") for pt in entry[1]]
+        if any(pd == 0 or vd == 0 for _, pd, _, vd in points):
+            raise SchemaError("breakpoint entry %r has denominator 0"
+                              % (entry,))
+        pieces[e] = [(Fraction(pn, pd), Fraction(vn, vd))
+                     for pn, pd, vn, vd in points]
     return BreakpointFunction.on_edges(pieces)
 
 
@@ -193,14 +229,18 @@ def load_fixture(data):
         for name, c in data.get("curves", {}).items():
             fx.curves[name] = curve_from_json(c)
     for name, values in data.get("functions", {}).items():
-        fx.functions[name] = [int(x) for x in values]
+        fx.functions[name] = list(_int_entry(values, None, "function"))
     return fx
 
 
-def load_fixture_file(path):
+def read_json(path):
+    """The JSON value in a file, or InputError when it is not valid JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError("invalid JSON in %s: %s" % (path, exc)) from exc
-    return load_fixture(data)
+
+
+def load_fixture_file(path):
+    return load_fixture(read_json(path))

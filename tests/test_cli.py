@@ -299,3 +299,76 @@ def test_malformed_integer_entry_is_schema_error(capsys, tmp_path, field, entry)
     code, report, _ = invoke(capsys, "validate", bad)
     assert code == 2
     assert report["error"]["type"] == "SchemaError"
+
+
+def test_equiv_on_zero_dimensional_complex(capsys, tmp_path):
+    data = {"format": "tcx-1", "n": 0, "simplices": [1],
+            "divisors": {"A": [], "B": []}}
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "equiv", point, "-D", "A", "-E", "B")
+    assert code == 0
+    assert report["result"]["phi"] == [0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("functions", {"f": [0, "x", 1]}),
+    ("divisors", {"F": {"ridge_part": [], "facet_pieces": [[0, [1, "a"], 0, 1, 1]]}}),
+])
+def test_malformed_function_and_facet_piece_are_schema_errors(
+        capsys, tmp_path, field, value):
+    data = json.loads(fixture_path("triangle").read_text())
+    data[field] = value
+    bad = tmp_path / "bad-entry.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+def test_robust_cell_not_integers_is_input_error(capsys):
+    code, report, _ = invoke(
+        capsys, "robust", fixture_path("plane"), "--cell", "a,b"
+    )
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("piece", [
+    {"facet": 0, "offset": [0, 1]},
+    {"facet": 0, "normal": [1, "x"], "offset": [0, 1]},
+])
+def test_malformed_two_piece_file_is_schema_error(capsys, tmp_path, piece):
+    bad = tmp_path / "piece.json"
+    bad.write_text(json.dumps(piece))
+    code, report, _ = invoke(capsys, "div", fixture_path("tetrahedron"),
+                             "--two-piece", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+def test_div_with_two_piece_file(capsys, tmp_path):
+    good = tmp_path / "piece.json"
+    good.write_text(json.dumps({"facet": 0, "normal": [2, 0], "offset": [0, 1]}))
+    code, report, _ = invoke(capsys, "div", fixture_path("tetrahedron"),
+                             "--two-piece", good)
+    assert code == 0
+    assert report["result"]["divisor"]["facet_pieces"] == [[0, [1, 0], 0, 1, 2]]
+
+
+def test_malformed_breakpoints_file_is_schema_error(capsys, tmp_path):
+    bad = tmp_path / "breakpoints.json"
+    bad.write_text(json.dumps([[0, [[0, 1, "x", 1]]]]))
+    code, report, _ = invoke(capsys, "intersect", fixture_path("tetrahedron"),
+                             "-D", "Dab", "-C", "C", "--breakpoints", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+def test_side_file_with_invalid_json_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "piece.json"
+    bad.write_text("{not json")
+    code, report, _ = invoke(capsys, "div", fixture_path("tetrahedron"),
+                             "--two-piece", bad)
+    assert code == 2
+    assert report["error"]["type"] == "InputError"

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tropcomplex import (
+    DeltaComplex,
     DegenerateCut,
     Divisor,
     IndexMismatch,
@@ -20,6 +23,7 @@ from tropcomplex import (
     ridge_multiplicity,
     weil_test,
 )
+from tropcomplex.linalg import solve
 from tests.test_delta import torus
 
 ABSTRACT = ["triangle", "triangle-tropical", "tetrahedron", "path", "loop"]
@@ -332,3 +336,117 @@ def test_witness_rejects_facet_piece_divisors(tetrahedron):
     d = div_two_piece(T, TwoPieceFunction(0, (1, 0), Fraction(0)))
     with pytest.raises(IndexMismatch):
         lin_equiv_witness(T, d, Divisor.on_ridges({}))
+
+
+# -- class groups at scale, against oracles that do not use the Smith code --
+
+
+def unit_alpha(X):
+    return {(r, s): 1 for r in range(X.counts[1]) for s in range(2)}
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_torus_class_group_closed_form(k):
+    # Z^edges / im L on the triangulated k x k torus with alpha = 1:
+    # torsion (k, k) and free rank 3k^2 - (k^2 - 1) = 2k^2 + 1, whatever
+    # the labelling
+    for seed in (None, k):
+        X = torus(k, seed)
+        g = class_group(make_structure(X, unit_alpha(X)))
+        assert (g.free_rank, g.invariant_factors) == (2 * k * k + 1, (k, k))
+
+
+def graph_structure(nv, edges):
+    faces = {1: [[b, a] for a, b in edges]}
+    return make_structure(DeltaComplex(1, [nv, len(edges)], faces))
+
+
+def rational_kind(T, diff):
+    """The rational-solve oracle: a class with no integral witness is
+    torsion exactly when L x = D - D' has a rational solution."""
+    b = [diff.coeff(r) for r in range(len(chip_matrix(T)))]
+    return "torsion" if solve(chip_matrix(T), b) is not None else "non-membership"
+
+
+def witness_cases(fx):
+    """(structure, D, D') triples: every ordered pair of stored divisors on
+    the abstract fixtures; on seeded 3x3-5x5 tori, random, principal and
+    equal pairs; vertex differences on cycles and complete graphs, which
+    are nonzero torsion classes."""
+    cases = []
+    for name in ABSTRACT:
+        T = fx[name].structure()
+        divs = list(fx[name].divisors.values())
+        cases += [(T, d, e) for d in divs for e in divs]
+    rng = random.Random(31)
+    for k in (3, 4, 5):
+        for seed in (None, k):
+            X = torus(k, seed)
+            T = make_structure(X, unit_alpha(X))
+            ne = X.counts[1]
+            for _ in range(6):
+                d = Divisor.on_ridges({r: rng.randint(-2, 2)
+                                       for r in rng.sample(range(ne), 5)})
+                phi = [rng.randint(-3, 3) for _ in range(X.counts[0])]
+                cases.append((T, d, d + div_vertex_function(T, phi)))
+                cases.append((T, d, Divisor.on_ridges(
+                    {r: rng.randint(-2, 2) for r in rng.sample(range(ne), 5)})))
+    for nv, edges in ((5, [(i, (i + 1) % 5) for i in range(5)]),
+                      (4, [(a, b) for a in range(4) for b in range(a + 1, 4)])):
+        T = graph_structure(nv, edges)
+        for a in range(nv):
+            for b in range(nv):
+                cases.append((T, Divisor.on_ridges({a: 1}), Divisor.on_ridges({b: 1})))
+    return cases
+
+
+def test_witness_kind_matches_rational_solve_oracle(fx):
+    kinds = set()
+    for T, d, e in witness_cases(fx):
+        w = lin_equiv_witness(T, d, e)
+        if w.phi is not None:
+            assert div_vertex_function(T, list(w.phi)) == d - e
+            kinds.add("witness")
+        else:
+            assert w.certificate["kind"] == rational_kind(T, d - e)
+            kinds.add(w.certificate["kind"])
+    assert kinds == {"witness", "torsion", "non-membership"}
+
+
+CLASS_GROUP_CASES = [("tetrahedron", None), ("triangle", None), ("path", None),
+                     ("torus", (3, None)), ("torus", (4, 1)), ("torus", (5, 2))]
+
+
+@pytest.fixture(scope="module")
+def presentations(fx):
+    out = []
+    for name, spec in CLASS_GROUP_CASES:
+        if spec is None:
+            T = fx[name].structure()
+        else:
+            X = torus(*spec)
+            T = make_structure(X, unit_alpha(X))
+        out.append((T, class_group(T)))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_class_residues_invariant_under_principal_shift(presentations, data):
+    # b and b + L x are the same class, so they get the same coordinates
+    T, g = data.draw(st.sampled_from(presentations))
+    nr, nv = len(g.matrix), T.complex.counts[0]
+    b = data.draw(st.lists(st.integers(-4, 4), min_size=nr, max_size=nr))
+    x = data.draw(st.lists(st.integers(-4, 4), min_size=nv, max_size=nv))
+    shifted = [bi + sum(a * xi for a, xi in zip(row, x))
+               for bi, row in zip(b, g.matrix)]
+    assert g.class_residues(shifted) == g.class_residues(b)
+
+
+def test_witness_rejects_ridge_out_of_range(tetrahedron):
+    T = tetrahedron.structure()
+    nr = T.complex.counts[1]
+    for r in (nr, -1):
+        with pytest.raises(IndexMismatch):
+            lin_equiv_witness(T, Divisor(((r, 1),)), Divisor.on_ridges({}))

@@ -19,6 +19,7 @@ from tropcomplex.linalg import (
     primitive_integer,
     rank,
     rref,
+    smith,
     smith_normal_form,
     solve,
     solve_integral,
@@ -149,6 +150,178 @@ def test_invariant_factors_det_gcd_oracle():
             want.append(dk // prev)
             prev = dk
         assert got == want
+
+
+def reference_smith_logs(a):
+    """The pivot rule of `smith` by a full scan of the remaining block at
+    every pivot, without its per-row candidate cache: returns the row and
+    column logs and the pivots (row, column, |value|) in elimination
+    order."""
+    rows = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(a)}
+    rows = {i: r for i, r in rows.items() if r}
+    row_log, col_log, pivots = [], [], []
+
+    def count(j):
+        return sum(1 for r in rows.values() if j in r)
+
+    def nearest(x, p):
+        q, r = divmod(x, p)
+        return q + 1 if 2 * abs(r) > abs(p) else q
+
+    while rows:
+        _, _, i, j = min((abs(v), (len(r) - 1) * (count(c) - 1), k, c)
+                         for k, r in rows.items() for c, v in r.items())
+        p = rows[i][j]
+        again = False
+        for k in sorted(k for k, r in rows.items() if k != i and j in r):
+            q = -nearest(rows[k][j], p)
+            for c, v in rows[i].items():
+                rows[k][c] = rows[k].get(c, 0) + q * v
+            rows[k] = {c: v for c, v in rows[k].items() if v}
+            row_log.append((i, k, q))
+            again = again or j in rows[k]
+            if not rows[k]:
+                del rows[k]
+        if not again:
+            for c in sorted(c for c in rows[i] if c != j):
+                q = -nearest(rows[i][c], p)
+                rows[i][c] += q * p
+                col_log.append((j, c, q))
+                again = again or rows[i][c] != 0
+            rows[i] = {c: v for c, v in rows[i].items() if v}
+        if not again:
+            del rows[i]
+            if p < 0:
+                row_log.append((i,))
+            pivots.append((i, j, abs(p)))
+    return row_log, col_log, pivots
+
+
+@given(int_matrix(6, 6))
+@settings(max_examples=100, deadline=None)
+def test_smith_pivot_rule_matches_full_scan(a):
+    # smith keeps one pivot candidate per row and refreshes it only when
+    # the row or one of its columns changed; a full scan must agree
+    row_log, col_log, pivots = reference_smith_logs(a)
+    f = smith(a)
+    assert f.row_log[:len(row_log)] == tuple(row_log)
+    assert f.col_log[:len(col_log)] == tuple(col_log)
+    assert sorted(f.rows[:len(pivots)]) == sorted(i for i, _, _ in pivots)
+
+
+def test_smith_pivot_rule_matches_full_scan_on_shuffled_torus():
+    from tests.test_delta import torus
+    from tropcomplex import chip_matrix, make_structure
+
+    X = torus(4, 3)
+    T = make_structure(X, {(r, s): 1 for r in range(X.counts[1])
+                           for s in range(2)})
+    a = chip_matrix(T)
+    row_log, col_log, _ = reference_smith_logs(a)
+    f = smith(a)
+    assert f.row_log[:len(row_log)] == tuple(row_log)
+    assert f.col_log == tuple(col_log)
+
+
+# -- Smith form: oracles that do not use the Smith code ---------------------
+
+
+def bareiss_det(a):
+    """Determinant by fraction-free Bareiss elimination (Bareiss 1968)."""
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def laplacian(nv, edges):
+    lap = [[0] * nv for _ in range(nv)]
+    for a, b in edges:
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    return lap
+
+
+def grid_edges(k):
+    return ([(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+            + [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)])
+
+
+GRAPHS = ([("C%d" % m, m, [(i, (i + 1) % m) for i in range(m)], m)
+           for m in range(3, 13)]
+          + [("K%d" % m, m, list(itertools.combinations(range(m), 2)), m ** (m - 2))
+             for m in range(3, 9)]
+          + [("grid%d" % k, k * k, grid_edges(k), None) for k in range(2, 7)])
+
+
+@pytest.mark.parametrize("name, nv, edges, closed_form", GRAPHS,
+                         ids=[g[0] for g in GRAPHS])
+def test_invariant_factors_multiply_to_spanning_tree_count(name, nv, edges,
+                                                           closed_form):
+    # Kirchhoff: the reduced Laplacian's determinant counts spanning trees,
+    # and on a connected graph it is the order of the torsion of coker L
+    lap = laplacian(nv, edges)
+    trees = bareiss_det([row[1:] for row in lap[1:]])
+    if closed_form is not None:
+        assert trees == closed_form  # m on C_m, Cayley's m^(m-2) on K_m
+    factors = invariant_factors(lap)
+    assert len(factors) == nv - 1
+    assert math.prod(factors) == trees
+
+
+def hadamard_bits(a):
+    """Bit length of Hadamard's bound on the minors of a: the square root of
+    the smaller product of squared norms, over nonzero rows or columns."""
+    def bound(lines):
+        p = 1
+        for line in lines:
+            p *= sum(x * x for x in line) or 1
+        return math.isqrt(p - 1) + 1
+    return min(bound(a), bound(zip(*a))).bit_length()
+
+
+# Transform entries stay within this multiple of Hadamard's bound, in bits,
+# for matrices of at most 6 x 6 entries in [-6, 6] (the largest ratio seen
+# in 20000 seeded draws was 2.3).  The smallest-entry pivot rule does not
+# bound them in general: on the 12 x 12 grid Laplacian V reaches 862 bits
+# against a bound of 293.
+TRANSFORM_BITS_MULTIPLE = 3
+
+
+@given(int_matrix(6, 6))
+@settings(max_examples=150, deadline=None)
+def test_transform_bits_within_multiple_of_hadamard(a):
+    _, u, v = smith_normal_form(a)
+    h = hadamard_bits(a)
+    for t in (u, v):
+        bits = max((abs(x).bit_length() for row in t for x in row), default=0)
+        assert bits <= TRANSFORM_BITS_MULTIPLE * h
+
+
+def test_snf_contract_on_sparse_chip_matrices():
+    # the chip-firing matrices of shuffled tori exercise the sparse
+    # Markowitz path with fill-in; U . a . V = S must still hold
+    from tests.test_delta import torus
+    from tropcomplex import chip_matrix, make_structure
+
+    for k, seed in ((3, 1), (4, 2)):
+        X = torus(k, seed)
+        T = make_structure(X, {(r, s): 1 for r in range(X.counts[1])
+                               for s in range(2)})
+        assert check_snf(chip_matrix(T)) == [1] * (k * k - 3) + [k, k, 0]
 
 
 # -- integral solving -------------------------------------------------------
