@@ -7,10 +7,11 @@ the gcd of its entries after every step, so every working entry stays within
 Hadamard's bound for a minor of the input; Fraction values are built only
 for the results.  The Smith normal form (`smith`) eliminates on sparse
 integer rows, pivoting on an entry of smallest absolute value (ties by
-Markowitz cost, then position) and reducing the pivot row and column
-modulo it, and keeps U and V as logs of row and column operations that are
-replayed on one vector at a time; `smith_normal_form` builds them dense on
-request.  No floating point enters any verdict anywhere in the package.
+position) and reducing the pivot row and column modulo it, and keeps U and
+V as logs of row and column operations that are replayed on one vector at
+a time; `smith_normal_form` builds them dense on request.  The transforms
+are not reduced, so their entries can exceed Hadamard's bound.  No
+floating point enters any verdict anywhere in the package.
 """
 
 from __future__ import annotations
@@ -202,11 +203,9 @@ def smith(a):
     """Smith form of an integer matrix by sparse elimination, as a SmithForm.
 
     Rows are dicts with a column -> rows index.  Each pivot is an entry of
-    smallest |value| in the remaining block, ties broken by the Markowitz
-    cost (row nnz - 1) * (column nnz - 1) and then by (row, column); each
-    row keeps its own best candidate, recomputed only when the row or the
-    nnz of one of its columns changed.  The pivot column and then the pivot
-    row are reduced modulo the pivot with nearest quotients; while a
+    smallest |value| in the remaining block, found by a scan of the live
+    entries, ties broken by (row, column).  The pivot column and then the
+    pivot row are reduced modulo the pivot with nearest quotients; while a
     remainder is left the pivot is chosen again, so entries shrink towards
     the gcd instead of growing as in Euclid-by-swapping.  The pivots are
     finally put under the divisibility chain by gcd/lcm steps on pairs.
@@ -222,7 +221,6 @@ def smith(a):
             for j in entries:
                 at[j].add(i)
     row_log, col_log = [], []
-    stale = set(live)  # rows whose best candidate must be recomputed
 
     def add_row(i, k, q):
         dst = live[k]
@@ -230,44 +228,24 @@ def smith(a):
             w = dst.get(j, 0) + q * v
             if w:
                 if j not in dst:
-                    stale.update(at[j])
                     at[j].add(k)
                 dst[j] = w
             elif j in dst:
                 del dst[j]
                 at[j].discard(k)
-                stale.update(at[j])
         row_log.append((i, k, q))
-        stale.add(k)
         if not dst:
             del live[k]
 
-    best = {}    # live row -> (|entry|, cost, row, column) of its candidate
     pivots = []  # [row, column, value > 0]
-    while True:
-        for i in stale:
-            row = live.get(i)
-            if row is None:
-                best.pop(i, None)
-                continue
-            rc = len(row) - 1
-            cand = None
-            for j, v in row.items():
-                key = (abs(v), rc * (len(at[j]) - 1), i, j)
-                if cand is None or key < cand:
-                    cand = key
-            best[i] = cand
-        stale.clear()
-        if not best:
-            break
-        i, j = min(best.values())[2:]
+    while live:
+        _, i, j = min((abs(v), i, j)
+                      for i, row in live.items() for j, v in row.items())
         p = live[i][j]
-        unit = p == 1 or p == -1
         again = False
         for k in sorted(at[j]):
             if k != i:
-                x = live[k][j]
-                add_row(i, k, -(x * p if unit else _nearest(x, p)))
+                add_row(i, k, -_nearest(live[k][j], p))
                 again = again or j in live.get(k, ())
         if not again:
             # column j is now zero outside row i, so a column operation
@@ -276,7 +254,7 @@ def smith(a):
             for l in sorted(prow):
                 if l != j:
                     x = prow[l]
-                    q = -(x * p if unit else _nearest(x, p))
+                    q = -_nearest(x, p)
                     col_log.append((j, l, q))
                     if x + q * p:
                         prow[l] = x + q * p
@@ -284,12 +262,9 @@ def smith(a):
                     else:
                         del prow[l]
                         at[l].discard(i)
-                        stale.update(at[l])
-            if again:
-                stale.add(i)
         if again:
             continue
-        del live[i], best[i]
+        del live[i]
         at[j].discard(i)
         if p < 0:
             row_log.append((i,))
