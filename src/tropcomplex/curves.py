@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .delta import LinkElement
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
 from .linalg import kernel_basis
@@ -57,13 +56,13 @@ class GermSpace:
     basis: tuple  # rational vectors of length 1 + len(coords)
 
 
-def _edge_coord_from(X, v, coface, slot_v, slot_w):
-    """Germ coordinate at v for the vertex at slot_w of a coface containing
-    v at slot_v: the edge face through both slots, as a link element of v."""
+def _edge_coord_from(X, coface, slot_v, slot_w):
+    """Germ coordinate key at v for the vertex at slot_w of a coface
+    containing v at slot_v: the edge face through both slots, as the
+    (coface, slots) of a link element of v."""
     lo, hi = min(slot_v, slot_w), max(slot_v, slot_w)
     edge = X.face_at(coface, (lo, hi))
-    pos = 0 if slot_v < slot_w else 1
-    return LinkElement((0, v), edge, (pos,))
+    return edge, (0 if slot_v < slot_w else 1,)
 
 
 def germ_space(T: TropicalStructure, v):
@@ -76,14 +75,14 @@ def germ_space(T: TropicalStructure, v):
     """
     X = T.complex
     coords = X.link0((0, v))
-    index = {t: i + 1 for i, t in enumerate(coords)}
+    index = {(t.coface, t.slots): i + 1 for i, t in enumerate(coords)}
     ncols = 1 + len(coords)
     rows = []
     if X.n == 1:
         row = [0] * ncols
         row[0] = -T.alpha_at(v, 0)
-        for t in coords:
-            row[index[t]] += 1
+        for i in range(len(coords)):
+            row[i + 1] += 1
         rows.append(row)
     elif X.n >= 2:
         link = X.link((0, v))
@@ -95,13 +94,13 @@ def germ_space(T: TropicalStructure, v):
             for t in X.link0(ridge):
                 slot_in_facet = t.slots[slot_v]
                 opp = X.opp_slot(t)
-                row[index[_edge_coord_from(X, v, t.coface, slot_in_facet, opp)]] += 1
+                row[index[_edge_coord_from(X, t.coface, slot_in_facet, opp)]] += 1
             for slot in range(X.n):
                 a = T.alpha_at(ridge[1], slot)
                 if slot == slot_v:
                     row[0] -= a
                 else:
-                    row[index[_edge_coord_from(X, v, ridge, slot_v, slot)]] -= a
+                    row[index[_edge_coord_from(X, ridge, slot_v, slot)]] -= a
             rows.append(row)
     basis = kernel_basis(rows, ncols) if rows else kernel_basis([], ncols)
     return GermSpace(v, coords, tuple(basis))

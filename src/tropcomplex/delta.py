@@ -44,7 +44,9 @@ class DeltaComplex:
         self.faces = tuple(tuple(tuple(f) for f in faces.get(k, ()))
                            for k in range(n + 1))
         self._validate()
+        self._build_vertices()
         self._build_links()
+        self._build_slot_faces()
 
     # -- construction helpers ------------------------------------------------
 
@@ -107,6 +109,19 @@ class DeltaComplex:
         if len(roots) > 1:
             raise Disconnected("complex has %d components" % len(roots))
 
+    def _build_vertices(self):
+        """The vertex of every slot of every simplex, one tuple per simplex.
+
+        Dropping the top slot keeps the slot order, so slots 0..k-1 of s
+        are those of d_k s, and slot k of s is the last slot of d_0 s.
+        """
+        verts = [tuple((i,) for i in range(self.counts[0]))]
+        for k in range(1, self.n + 1):
+            below = verts[k - 1]
+            verts.append(tuple(below[row[k]] + below[row[0]][-1:]
+                               for row in self.faces[k]))
+        self._vertices = tuple(verts)
+
     def _build_links(self):
         """One pass over the cofaces: each (coface, slot tuple) pair is
         appended to the link of the face it spans.
@@ -127,6 +142,19 @@ class DeltaComplex:
                             LinkElement(s, coface, slots))
         self._links = {s: tuple(tuple(lst) for lst in per_dim)
                        for s, per_dim in links.items()}
+
+    def _build_slot_faces(self):
+        """For each coface dimension m and slot tuple of a
+        positive-dimensional link element, its faces as (coface slot
+        dropped, slots re-indexed), one per slot of the complement in
+        increasing order.  The table depends only on n."""
+        self._slot_faces = {}
+        for m in range(2, self.n + 1):
+            for size in range(1, m):
+                for slots in combinations(range(m + 1), size):
+                    self._slot_faces[m, slots] = tuple(
+                        (drop, tuple(x if x < drop else x - 1 for x in slots))
+                        for drop in range(m + 1) if drop not in slots)
 
     # -- queries -------------------------------------------------------------
 
@@ -152,10 +180,10 @@ class DeltaComplex:
         return cur
 
     def vertex_at(self, s, slot):
-        return self.face_at(s, (slot,))[1]
+        return self._vertices[s[0]][s[1]][slot]
 
     def vertices_of(self, s):
-        return tuple(self.vertex_at(s, i) for i in range(s[0] + 1))
+        return self._vertices[s[0]][s[1]]
 
     def link(self, s):
         """Link elements of s grouped by link dimension (0-based tuple)."""
@@ -165,23 +193,31 @@ class DeltaComplex:
         per_dim = self._links[s]
         return per_dim[0] if per_dim else ()
 
+    def link_face_key(self, t, i):
+        """(coface, slots) of the i-th face of a positive-dimensional link
+        element: the lookup key of `link_face`, without building it."""
+        coface = t.coface
+        drop, slots = self._slot_faces[coface[0], t.slots][i]
+        return (coface[0] - 1, self.faces[coface[0]][coface[1]][drop]), slots
+
     def link_face(self, t, i):
         """The i-th face of a positive-dimensional link element."""
-        comp = t.complement()
-        drop = comp[i]
-        new_slots = tuple(x if x < drop else x - 1 for x in t.slots)
-        return LinkElement(t.base, self.face(t.coface, drop), new_slots)
+        return LinkElement(t.base, *self.link_face_key(t, i))
 
     def opp_slot(self, t):
         """Vertex slot of the coface outside the identified face.
 
-        Only defined for 0-dimensional link elements.
+        Only defined for 0-dimensional link elements, whose slots miss
+        exactly one of 0..m for a coface of dimension m.
         """
-        (slot,) = t.complement()
-        return slot
+        m = t.coface[0]
+        if len(t.slots) != m:
+            raise ValueError("opp_slot needs a 0-dimensional link element")
+        return m * (m + 1) // 2 - sum(t.slots)
 
     def opp_vertex(self, t):
-        return self.vertex_at(t.coface, self.opp_slot(t))
+        coface = t.coface
+        return self._vertices[coface[0]][coface[1]][self.opp_slot(t)]
 
     def degree(self, r):
         return len(self.link0(r))

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .errors import DegenerateCut, IndexMismatch, WrongDimension
-from .linalg import SmithForm, smith, smith_solve, solve, solve_integral
+from .errors import DegenerateCut, IndexMismatch
+from .linalg import SmithForm, smith, smith_solve, solvable, solve
 from .structure import TropicalStructure, local_matrix
 
 
@@ -187,44 +187,56 @@ class CartierVerdict:
     germ: LocalGerm | None
 
 
+def local_system(matrix, rhs):
+    """(status, solution) of the local system matrix . x = rhs, from one
+    Smith form of the matrix.
+
+    "cartier" with the integral solution of `smith_solve` when there is
+    one; "neither" with None when U . rhs is nonzero past the invariant
+    factors, so there is no rational solution either; otherwise "qcartier"
+    with the rational solution of `solve`, the only case that eliminates
+    twice.
+    """
+    f = smith(matrix)
+    integral = smith_solve(f, rhs)
+    if integral is not None:
+        return "cartier", tuple(Fraction(x) for x in integral)
+    if any(f.apply_u(rhs)[len(f.factors):]):
+        return "neither", None
+    return "qcartier", solve(matrix, rhs)
+
+
 def local_cartier_test(T: TropicalStructure, D: Divisor, q):
     """Solve M_q x = [D]_q for a germ vanishing on q.
 
     A rational solution makes D Q-Cartier at q; an integral one (decided via
     Smith normal form over the whole solution set) makes it Cartier within
-    the scoped function class.
+    the scoped function class.  One Smith form of M_q decides the status
+    (see `local_system`).
     """
     m = local_matrix(T, q)
     rhs = [D.coeff(t.coface[1]) for t in m.elements]
-    rational = solve(m.matrix, rhs)
-    if rational is None:
-        return CartierVerdict("neither", None)
-    integral = solve_integral(m.matrix, rhs)
-    if integral is not None:
-        slopes = tuple(Fraction(x) for x in integral)
-        return CartierVerdict("cartier", LocalGerm(q, m.elements, slopes))
-    return CartierVerdict("qcartier", LocalGerm(q, m.elements, tuple(rational)))
+    status, slopes = local_system(m.matrix, rhs)
+    germ = None if slopes is None else LocalGerm(q, m.elements, slopes)
+    return CartierVerdict(status, germ)
 
 
-def weil_test(T: TropicalStructure, D: Divisor, jobs=None):
-    """Q-Cartier at every (n-2)-simplex; vacuously true for n <= 1."""
+def weil_test(T: TropicalStructure, D: Divisor):
+    """Q-Cartier at every (n-2)-simplex; vacuously true for n <= 1.
+
+    Returns (passed, indices of the failing (n-2)-simplices).  Only
+    rational solvability is decided, by one fraction-free elimination per
+    local system, with no Smith form.
+    """
     X = T.complex
     if X.n < 2:
         return True, ()
-    qs = list(range(X.counts[X.n - 2]))
-
-    def work(qi):
-        return qi, local_cartier_test(T, D, (X.n - 2, qi)).status
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, qs))
-    else:
-        results = [work(qi) for qi in qs]
-    failures = tuple(qi for qi, status in sorted(results) if status == "neither")
-    return not failures, failures
+    failures = []
+    for qi in range(X.counts[X.n - 2]):
+        m = local_matrix(T, (X.n - 2, qi))
+        if not solvable(m.matrix, [D.coeff(t.coface[1]) for t in m.elements]):
+            failures.append(qi)
+    return not failures, tuple(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the fixture-entry
+parser that raises them.
 
 Every error raised on invalid mathematical input derives from InputError so
 the command line driver can map them to exit code 2 uniformly.
@@ -11,6 +12,19 @@ class InputError(ValueError):
 
 class SchemaError(InputError):
     """A fixture value has the wrong JSON type or shape."""
+
+
+def int_entry(entry, size, what):
+    """A fixture entry as a tuple of `size` ints (any number when size is
+    None), or SchemaError naming it."""
+    try:
+        out = tuple(int(x) for x in entry)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or size is not None and len(out) != size:
+        raise SchemaError("%s entry %r is not %s integers"
+                          % (what, entry, "a list of" if size is None else size))
+    return out
 
 
 class SimplicialIdentityViolation(InputError):

@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything here is deterministic and uses arbitrary-precision integers.
-Rational elimination (rref, solve, kernel_basis, rank, inertia) runs
-fraction-free on integer rows and divides each row, or the active block, by
-the gcd of its entries after every step, so every working entry stays within
-Hadamard's bound for a minor of the input; Fraction values are built only
-for the results.  The Smith normal form (`smith`) eliminates on sparse
-integer rows, pivoting on an entry of smallest absolute value (ties by
-position) and reducing the pivot row and column modulo it, and keeps U and
-V as logs of row and column operations that are replayed on one vector at
-a time; `smith_normal_form` builds them dense on request.  The transforms
+Rational elimination (rref, solve, kernel_basis, solvable, rank, inertia)
+runs fraction-free on integer rows and divides each row, or the active
+block, by the gcd of its entries after every step, so every working entry
+stays within Hadamard's bound for a minor of the input.  The integer
+elimination (`_echelon`) is kept apart from rref's Fraction output:
+`solvable` and `rank` only need the pivots, and build no Fraction.  The
+Smith normal form (`smith`) eliminates on sparse integer rows, pivoting on
+an entry of smallest absolute value (ties by position) and reducing the
+pivot row and column modulo it, and keeps U and V as logs of row and column
+operations that are replayed on one vector at a time; `smith_normal_form`
+builds them dense on request.  The transforms
 are not reduced, so their entries can exceed Hadamard's bound.  No
 floating point enters any verdict anywhere in the package.
 """
@@ -43,17 +45,17 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form.
+def _echelon(rows, ncols=None, reduced=True):
+    """Fraction-free Gauss-Jordan elimination: (integer rows, pivot columns).
 
-    Returns (reduced rows, pivot column list).  Pivots are chosen as the
-    first nonzero entry when scanning columns left to right, which keeps the
-    output (and everything derived from it) deterministic.
-
-    Each row is held as a nonzero integer multiple of the rational row that
-    Gauss-Jordan elimination would hold at the same step (row_i becomes
-    p * row_i - row_i[c] * pivot_row, divided by its gcd), so the zero
-    patterns, the pivots and the reduced rows are the same.
+    Pivots are chosen as the first nonzero entry when scanning columns left
+    to right, which keeps the output (and everything derived from it)
+    deterministic.  Each returned row is a nonzero integer multiple of the
+    rational row that Gauss-Jordan elimination would hold at the same step
+    (row_i becomes p * row_i - row_i[c] * pivot_row, divided by its gcd),
+    so the zero patterns and the pivots are the same; only the first
+    len(pivots) rows are nonzero.  With reduced=False only the rows below
+    each pivot are cleared (row echelon form): the pivots do not change.
     """
     m = [_integers(row) for row in rows]
     if ncols is None:
@@ -71,7 +73,7 @@ def rref(rows, ncols=None):
         m[r], m[pivot] = m[pivot], m[r]
         prow = m[r]
         p = prow[c]
-        for i in range(len(m)):
+        for i in range(0 if reduced else r + 1, len(m)):
             f = m[i][c]
             if i != r and f != 0:
                 m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
@@ -79,6 +81,16 @@ def rref(rows, ncols=None):
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form.
+
+    Returns (reduced rows, pivot column list): the rows of `_echelon`
+    divided by their pivots, as Fractions.
+    """
+    m, pivots = _echelon(rows, ncols)
     return [[Fraction(x, row[c]) if x else _ZERO for x in row]
             for row, c in zip(m, pivots)], pivots
 
@@ -117,9 +129,18 @@ def solve(rows, rhs):
     return tuple(x)
 
 
+def solvable(rows, rhs):
+    """Whether rows . x = rhs has a rational solution, decided by one
+    fraction-free elimination of the augmented rows; no Fraction is
+    built."""
+    ncols = len(rows[0]) if rows else 0
+    _, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)],
+                         ncols + 1, reduced=False)
+    return ncols not in pivots
+
+
 def rank(rows, ncols=None):
-    red, pivots = rref(rows, ncols)
-    return len(pivots)
+    return len(_echelon(rows, ncols, reduced=False)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .delta import DeltaComplex, build_complex
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, int_entry
 from .structure import TropicalStructure, make_structure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
@@ -35,19 +35,6 @@ def unrat(v):
     if isinstance(v, (list, tuple)):
         return Fraction(int(v[0]), int(v[1]))
     return Fraction(v)
-
-
-def _int_entry(entry, size, what):
-    """A fixture entry as a tuple of `size` ints (any number when size is
-    None), or SchemaError naming it."""
-    try:
-        out = tuple(int(x) for x in entry)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or size is not None and len(out) != size:
-        raise SchemaError("%s entry %r is not %s integers"
-                          % (what, entry, "a list of" if size is None else size))
-    return out
 
 
 def canonical_json(obj):
@@ -78,8 +65,8 @@ def divisor_to_json(D: Divisor):
 
 def divisor_from_json(data):
     if isinstance(data, list):
-        return Divisor.on_ridges(dict(_int_entry(e, 2, "divisor") for e in data))
-    pairs = [_int_entry(e, 2, "divisor") for e in data.get("ridge_part", [])]
+        return Divisor.on_ridges(dict(int_entry(e, 2, "divisor") for e in data))
+    pairs = [int_entry(e, 2, "divisor") for e in data.get("ridge_part", [])]
     ridge = tuple(sorted(p for p in pairs if p[1] != 0))
     pieces = tuple(_facet_piece(e) for e in data.get("facet_pieces", []))
     return Divisor(ridge, pieces)
@@ -90,10 +77,10 @@ def _facet_piece(entry):
     if not isinstance(entry, (list, tuple)) or len(entry) != 5:
         raise SchemaError("facet piece entry %r is not [facet, normal, "
                           "numerator, denominator, multiplicity]" % (entry,))
-    f, num, den, mult = _int_entry(entry[:1] + entry[2:], 4, "facet piece")
+    f, num, den, mult = int_entry(entry[:1] + entry[2:], 4, "facet piece")
     if den == 0:
         raise SchemaError("facet piece entry %r has denominator 0" % (entry,))
-    normal = _int_entry(entry[1], None, "facet piece normal")
+    normal = int_entry(entry[1], None, "facet piece normal")
     return FacetPiece(f, normal, Fraction(num, den), mult)
 
 
@@ -103,12 +90,12 @@ def two_piece_from_json(data):
     if not isinstance(data, dict) or not {"facet", "normal", "offset"} <= set(data):
         raise SchemaError("a two-piece function is an object with facet, "
                           "normal and offset, not %r" % (data,))
-    (facet,) = _int_entry([data["facet"]], 1, "two-piece facet")
-    num, den = _int_entry(data["offset"], 2, "two-piece offset")
+    (facet,) = int_entry([data["facet"]], 1, "two-piece facet")
+    num, den = int_entry(data["offset"], 2, "two-piece offset")
     if den == 0:
         raise SchemaError("two-piece offset %r has denominator 0"
                           % (data["offset"],))
-    normal = _int_entry(data["normal"], None, "two-piece normal")
+    normal = int_entry(data["normal"], None, "two-piece normal")
     return TwoPieceFunction(facet, normal, Fraction(num, den))
 
 
@@ -117,7 +104,7 @@ def curve_to_json(C: Curve):
 
 
 def curve_from_json(data):
-    return Curve.on_edges(dict(_int_entry(e, 2, "curve") for e in data))
+    return Curve.on_edges(dict(int_entry(e, 2, "curve") for e in data))
 
 
 def point_sum_to_json(P: PointSum):
@@ -150,8 +137,8 @@ def breakpoints_from_json(data):
                 or not isinstance(entry[1], list):
             raise SchemaError("breakpoint entry %r is not [edge, points]"
                               % (entry,))
-        (e,) = _int_entry(entry[:1], 1, "breakpoint edge")
-        points = [_int_entry(pt, 4, "breakpoint") for pt in entry[1]]
+        (e,) = int_entry(entry[:1], 1, "breakpoint edge")
+        points = [int_entry(pt, 4, "breakpoint") for pt in entry[1]]
         if any(pd == 0 or vd == 0 for _, pd, _, vd in points):
             raise SchemaError("breakpoint entry %r has denominator 0"
                               % (entry,))
@@ -207,10 +194,12 @@ def load_fixture(data):
         fx.complex = build_complex(data)
         if "alpha" in data:
             fx.alpha = {(r, s): v for r, s, v in
-                        (_int_entry(e, 3, "alpha") for e in data["alpha"])}
+                        (int_entry(e, 3, "alpha") for e in data["alpha"])}
     elif kind == "embedded":
         fx.embedded = load_embedded(data)
     elif kind == "degeneration":
+        if "complex" not in data:
+            raise SchemaError("degeneration fixture is missing key 'complex'")
         fx.complex = build_complex(data["complex"])
         fx.degeneration = load_degeneration(data)
         fx.divisors = {
@@ -229,7 +218,7 @@ def load_fixture(data):
         for name, c in data.get("curves", {}).items():
             fx.curves[name] = curve_from_json(c)
     for name, values in data.get("functions", {}).items():
-        fx.functions[name] = list(_int_entry(values, None, "function"))
+        fx.functions[name] = list(int_entry(values, None, "function"))
     return fx
 
 

@@ -8,7 +8,6 @@ eigenvalue, decided by exact inertia computation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .delta import DeltaComplex
@@ -106,22 +105,21 @@ def local_matrix(T: TropicalStructure, q):
             % (q[0], X.n)
         )
     elems = X.link0(q)
-    index = {t: i for i, t in enumerate(elems)}
+    index = {(t.coface, t.slots): i for i, t in enumerate(elems)}
     size = len(elems)
     m = [[0] * size for _ in range(size)]
     link = X.link(q)
     edges = link[1] if len(link) > 1 else ()
     for f in edges:
-        a = index[X.link_face(f, 0)]
-        b = index[X.link_face(f, 1)]
+        a = index[X.link_face_key(f, 0)]
+        b = index[X.link_face_key(f, 1)]
         if a == b:
             m[a][a] += 2
         else:
             m[a][b] += 1
             m[b][a] += 1
-    for t, i in index.items():
-        ridge = t.coface
-        m[i][i] -= T.alpha_at(ridge[1], X.opp_slot(t))
+    for i, t in enumerate(elems):
+        m[i][i] -= T.alpha_at(t.coface[1], X.opp_slot(t))
     return LocalIntersectionMatrix(q, elems, tuple(tuple(row) for row in m))
 
 
@@ -130,14 +128,15 @@ class ClassifyResult:
     verdict: str  # "tropical" or "weak-only"
     inertias: tuple  # (q index, Inertia) pairs
     weak: WeakReport
+    matrices: tuple = ()  # (q index, LocalIntersectionMatrix) pairs
 
 
-def classify(T: TropicalStructure, jobs=None):
+def classify(T: TropicalStructure):
     """Tropical iff every local matrix has exactly one positive eigenvalue.
 
     For n <= 1 there are no (n-2)-simplices and the verdict is tropical
-    vacuously.  Per-q work is independent; jobs > 1 runs it on a thread
-    pool, results are merged by q index either way.
+    vacuously.  When the weak constraint holds, the local matrices built
+    for the inertias are returned with them, in q order.
     """
     X = T.complex
     weak = check_weak(X, T.alpha)
@@ -145,17 +144,9 @@ def classify(T: TropicalStructure, jobs=None):
         return ClassifyResult("weak-only", (), weak)
     if X.n < 2:
         return ClassifyResult("tropical", (), weak)
-    qs = list(range(X.counts[X.n - 2]))
-
-    def work(qi):
-        m = local_matrix(T, (X.n - 2, qi))
-        return qi, Inertia(*inertia(m.matrix))
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, qs))
-    else:
-        results = [work(qi) for qi in qs]
-    results.sort(key=lambda p: p[0])
-    ok = all(ine.positive == 1 for _, ine in results)
-    return ClassifyResult("tropical" if ok else "weak-only", tuple(results), weak)
+    matrices = tuple((qi, local_matrix(T, (X.n - 2, qi)))
+                     for qi in range(X.counts[X.n - 2]))
+    inertias = tuple((qi, Inertia(*inertia(m.matrix))) for qi, m in matrices)
+    ok = all(ine.positive == 1 for _, ine in inertias)
+    return ClassifyResult("tropical" if ok else "weak-only", inertias, weak,
+                          matrices)

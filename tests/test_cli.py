@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -50,20 +51,6 @@ def test_output_is_canonical_and_deterministic(capsys):
     (text,) = outs
     parsed = json.loads(text)
     assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
-
-
-def test_jobs_flag_does_not_change_output(capsys):
-    path = fixture_path("tetrahedron")
-    run(["classify", str(path)])
-    base, _ = capsys.readouterr()
-    run(["classify", str(path), "--jobs", "3"])
-    jobs, _ = capsys.readouterr()
-    assert base == jobs
-    run(["cartier", str(path), "-D", "Dcd"])
-    base, _ = capsys.readouterr()
-    run(["cartier", str(path), "-D", "Dcd", "--jobs", "2"])
-    jobs, _ = capsys.readouterr()
-    assert base == jobs
 
 
 def test_classify_exit_codes(capsys):
@@ -372,3 +359,86 @@ def test_side_file_with_invalid_json_is_input_error(capsys, tmp_path):
                              "--two-piece", bad)
     assert code == 2
     assert report["error"]["type"] == "InputError"
+
+
+def torus_fixture(tmp_path, k):
+    """A unit-alpha k x k torus with one ridge divisor, as a fixture file."""
+    from tests.test_delta import torus
+
+    X = torus(k, seed=k)
+    data = X.to_json()
+    data["alpha"] = [[r, s, 1] for r in range(X.counts[1]) for s in range(2)]
+    data["divisors"] = {"D": [[0, 1], [5, -2]]}
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(data))
+    return path, X
+
+
+def test_cartier_and_classify_build_each_local_matrix_once(
+        capsys, monkeypatch, tmp_path):
+    from tropcomplex import structure
+
+    original = structure.local_matrix
+    calls = []
+
+    def counting(T, q):
+        calls.append(tuple(q))
+        return original(T, q)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropcomplex") \
+                and getattr(module, "local_matrix", None) is original:
+            monkeypatch.setattr(module, "local_matrix", counting)
+    runs = [(*torus_fixture(tmp_path, 4), "D")]
+    for name, divisor in (("triangle", "Duv"), ("triangle-tropical", "Duv"),
+                          ("tetrahedron", "Dcd")):
+        path = fixture_path(name)
+        runs.append((path, tropcomplex.load_fixture_file(path).complex, divisor))
+    for path, X, divisor in runs:
+        cells = [(X.n - 2, q) for q in range(X.counts[X.n - 2])]
+        for argv in (["classify", path], ["cartier", path, "-D", divisor]):
+            calls.clear()
+            code = run([str(a) for a in argv])
+            capsys.readouterr()
+            assert code in (0, 1) and calls == cells, argv
+
+
+def test_cartier_weil_verdict_matches_statuses(capsys, tmp_path):
+    torus_path, _ = torus_fixture(tmp_path, 4)
+    for path, divisor in ((fixture_path("triangle"), "Duv"),
+                          (fixture_path("tetrahedron"), "Dcd"),
+                          (torus_path, "D")):
+        code, report, _ = invoke(capsys, "cartier", path, "-D", divisor)
+        result = report["result"]
+        failures = [q for q, status in result["statuses"] if status == "neither"]
+        assert result["weil"] == {"passed": not failures, "failures": failures}
+        assert code == (1 if failures else 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vertex_ridge_degrees", [[0, 0, "x"]]),
+    ("claimed", [["D", "C", 2, 0]]),
+    ("claimed", [["D", "C", 2]]),
+    ("self_intersections", [[0, 0]]),
+    ("divisors", {"D": [[0, "x"]]}),
+    ("curves", [[0, 1]]),
+])
+def test_malformed_degeneration_entry_is_schema_error(
+        capsys, tmp_path, field, value):
+    data = json.loads(fixture_path("tet-degen").read_text())
+    data[field] = value
+    bad = tmp_path / "bad-degen.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "verify", bad, "-D", "D", "-C", "C")
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+def test_degeneration_without_complex_is_schema_error(capsys, tmp_path):
+    data = json.loads(fixture_path("tet-degen").read_text())
+    del data["complex"]
+    bad = tmp_path / "no-complex.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "degen-build", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"

@@ -168,6 +168,15 @@ def torus(k, seed=None):
     return DeltaComplex(2, [k * k, len(edges), len(triangles)], faces)
 
 
+def full_simplex(n):
+    """The n-simplex with all its faces, vertices labelled in slot order."""
+    cells = [list(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
+    index = [{c: i for i, c in enumerate(level)} for level in cells]
+    faces = {k: [[index[k - 1][c[:i] + c[i + 1:]] for i in range(k + 1)]
+                 for c in cells[k]] for k in range(1, n + 1)}
+    return DeltaComplex(n, [len(level) for level in cells], faces)
+
+
 def reference_link(X, s):
     """The link of s by searching every higher coface, in order of
     dimension, then index, then slot tuple in combinations order."""
@@ -214,3 +223,33 @@ def test_construction_face_calls_grow_linearly(monkeypatch):
     size_ratio = sizes[16][1] / sizes[8][1]
     assert size_ratio == 4
     assert call_ratio <= 1.25 * size_ratio
+
+
+def test_incidence_tables_match_face_composition(fx):
+    # vertex tables, opposite slots and link-face keys against the face
+    # compositions they replace
+    from tests.conftest import ABSTRACT, DEGENERATION, EMBEDDED
+
+    complexes = [fx[name].complex for name in ABSTRACT + DEGENERATION]
+    complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
+    complexes += [torus(5, 3), full_simplex(3), full_simplex(4),
+                  DeltaComplex(1, [1, 1], {1: [[0, 0]]})]
+    assert full_simplex(3).vertices_of((3, 0)) == (0, 1, 2, 3)
+    for X in complexes:
+        for k in range(X.n + 1):
+            for s in X.simplices(k):
+                assert X.vertices_of(s) == tuple(
+                    X.face_at(s, (slot,))[1] for slot in range(k + 1))
+                for t in (t for per_dim in X.link(s) for t in per_dim):
+                    comp = t.complement()
+                    if t.dim == 0:
+                        assert X.opp_slot(t) == comp[0]
+                        assert X.opp_vertex(t) == X.face_at(t.coface, comp)[1]
+                        continue
+                    with pytest.raises(ValueError):
+                        X.opp_slot(t)
+                    for i, drop in enumerate(comp):
+                        slots = tuple(x if x < drop else x - 1 for x in t.slots)
+                        key = (X.face(t.coface, drop), slots)
+                        assert X.link_face_key(t, i) == key
+                        assert X.link_face(t, i) == LinkElement(s, *key)

@@ -13,6 +13,7 @@ from tropcomplex import (
     Divisor,
     IndexMismatch,
     TwoPieceFunction,
+    build_structure_from_degeneration,
     chip_matrix,
     class_group,
     div_two_piece,
@@ -23,8 +24,10 @@ from tropcomplex import (
     ridge_multiplicity,
     weil_test,
 )
-from tropcomplex.linalg import solve
+from tropcomplex.divisors import local_system
+from tropcomplex.linalg import solve, solve_integral
 from tests.test_delta import torus
+from tests.test_linalg import symmetric_matrices
 
 ABSTRACT = ["triangle", "triangle-tropical", "tetrahedron", "path", "loop"]
 
@@ -245,10 +248,98 @@ def test_weil_test_failure_lists_bad_simplices(triangle):
     assert 1 in failures
 
 
-def test_weil_jobs_deterministic(tetrahedron):
-    T = tetrahedron.structure()
-    d = named(tetrahedron, "Dcd")
-    assert weil_test(T, d, jobs=2) == weil_test(T, d)
+def two_solve_status(matrix, rhs):
+    """The status by a rational solve and then a separate integral one."""
+    if solve(matrix, rhs) is None:
+        return "neither"
+    if solve_integral(matrix, rhs) is not None:
+        return "cartier"
+    return "qcartier"
+
+
+@st.composite
+def local_systems(draw):
+    """A small symmetric integer matrix (generic, zero-diagonal or of low
+    rank) and a right-hand side, either arbitrary or in the integral image
+    of the matrix."""
+    m = draw(symmetric_matrices(st.integers(-3, 3)))
+    rhs = draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+    if draw(st.booleans()):
+        rhs = [sum(a * b for a, b in zip(row, rhs)) for row in m]
+    return m, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(local_systems())
+def test_one_smith_status_matches_two_solve_rule(system):
+    matrix, rhs = system
+    status, slopes = local_system(matrix, rhs)
+    assert status == two_solve_status(matrix, rhs)
+    if status == "cartier":
+        integral = solve_integral(matrix, rhs)
+        assert slopes == tuple(Fraction(x) for x in integral)
+    elif status == "qcartier":
+        assert slopes == solve(matrix, rhs)
+    else:
+        assert slopes is None
+
+
+def weil_cases(fx):
+    """(structure, divisors) on every abstract and degeneration fixture and
+    on generated tori: the stored ridge divisors plus seeded ones."""
+    rng = random.Random(5)
+    cases = []
+    for name in ABSTRACT + ["tet-degen"]:
+        f = fx[name]
+        T = (build_structure_from_degeneration(f.complex, f.degeneration)
+             if f.degeneration is not None else f.structure())
+        cases.append((T, [d for d in f.divisors.values() if not d.facet_pieces]))
+    for k, seed in ((3, 0), (4, 1), (5, None)):
+        X = torus(k, seed)
+        cases.append((make_structure(X, unit_alpha(X)), []))
+    for T, divisors in cases:
+        X = T.complex
+        if X.n:
+            nr = X.counts[X.n - 1]
+            divisors += [Divisor.on_ridges({r: rng.randint(-2, 2)
+                                            for r in rng.sample(range(nr), min(nr, 3))})
+                         for _ in range(4)]
+    return cases
+
+
+def test_weil_verdict_is_no_cell_neither(fx):
+    seen = set()
+    for T, divisors in weil_cases(fx):
+        X = T.complex
+        for D in divisors:
+            statuses = ([local_cartier_test(T, D, (X.n - 2, qi)).status
+                         for qi in range(X.counts[X.n - 2])] if X.n >= 2 else [])
+            seen.update(statuses)
+            failures = tuple(qi for qi, s in enumerate(statuses) if s == "neither")
+            assert weil_test(T, D) == (not failures, failures)
+    assert seen == {"cartier", "qcartier", "neither"}
+
+
+def test_weil_test_makes_no_smith_call(fx, monkeypatch):
+    import tropcomplex.divisors
+    import tropcomplex.linalg
+
+    smith = tropcomplex.linalg.smith
+    calls = []
+
+    def counting_smith(a):
+        calls.append(a)
+        return smith(a)
+
+    monkeypatch.setattr(tropcomplex.linalg, "smith", counting_smith)
+    monkeypatch.setattr(tropcomplex.divisors, "smith", counting_smith)
+    for T, divisors in weil_cases(fx):
+        for D in divisors:
+            weil_test(T, D)
+    assert calls == []
+    T = fx["tetrahedron"].structure()
+    local_cartier_test(T, named(fx["tetrahedron"], "Dcd"), (0, 0))
+    assert len(calls) == 1
 
 
 # -- class groups and witnesses ---------------------------------------------

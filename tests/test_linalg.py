@@ -21,6 +21,7 @@ from tropcomplex.linalg import (
     rref,
     smith,
     smith_normal_form,
+    solvable,
     solve,
     solve_integral,
 )
@@ -447,6 +448,19 @@ def test_rref_matches_fraction_reference(a, data):
     assert rref(a) == reference_rref(a)
     ncols = data.draw(st.integers(0, len(a[0])))
     assert rref(a, ncols) == reference_rref(a, ncols)
+
+
+@given(st.one_of(degenerate_matrices(small_int), degenerate_matrices(rational)),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_rank_and_solvable_match_fraction_reference(a, data):
+    # both stop at row echelon form and build no Fraction
+    _, pivots = reference_rref(a)
+    assert rank(a) == len(pivots)
+    b = data.draw(st.lists(small_int, min_size=len(a), max_size=len(a)))
+    aug = [list(row) + [x] for row, x in zip(a, b)]
+    assert solvable(a, b) == (len(a[0]) not in reference_rref(aug)[1])
+    assert solvable(a, b) == (solve(a, b) is not None)
 
 
 @given(st.one_of(symmetric_matrices(small_int), symmetric_matrices(rational)))

@@ -154,12 +154,6 @@ def test_classify_weak_failure_reports_weak_only(fx):
     assert res.inertias == ()
 
 
-def test_classify_jobs_merge_is_deterministic(fx):
-    for name in ["triangle", "tetrahedron"]:
-        T = fx[name].structure()
-        assert classify(T, jobs=3) == classify(T)
-
-
 def test_link_element_count_matches_matrix_size(fx):
     for name in ["triangle", "tetrahedron"]:
         T = fx[name].structure()
