@@ -15,6 +15,12 @@ the output is a JSON list of {"argv", "exit", "stdout"} in call order, so
 the sweeps of two trees can be compared with diff.  Paths are printed as
 given (the shipped fixtures relative to the working directory), so run
 each tree's sweep from its own root.
+
+Before the fixture calls come the parser-level calls: no argument, -h, an
+unknown subcommand, `<subcommand> -h` for every subcommand, cartier
+without -D, and div with an extra argument.  A call that argparse rejects
+also records its stderr.  COLUMNS is pinned to 80 so that help text does
+not depend on the terminal.
 """
 
 from __future__ import annotations
@@ -29,8 +35,14 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+os.environ["COLUMNS"] = "80"
 
 from tropcomplex import cli  # noqa: E402
+
+# every subcommand, in the order `tcx -h` lists them
+COMMANDS = ("validate", "classify", "div", "cartier", "classgroup", "equiv",
+            "balance", "intersect", "import-embedded", "robust",
+            "pushforward", "degen-build", "specialize", "verify")
 
 
 def vertex_count(data):
@@ -67,22 +79,34 @@ def calls(path, data):
     return out
 
 
+def parser_calls(fixture):
+    """The argv lists that argparse answers before any fixture is read."""
+    f = str(fixture)
+    return ([[], ["-h"], ["bogus", f]] + [[c, "-h"] for c in COMMANDS]
+            + [["cartier", f], ["div", f, "--phi=0,0,0,0", "extra"]])
+
+
 def run(argv):
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    rejected = False
     with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejected the call
+        except SystemExit as exc:  # argparse answered: help or an error
             code = exc.code
-    return {"argv": argv, "exit": code, "stdout": stdout.getvalue()}
+            rejected = code != 0
+    report = {"argv": argv, "exit": code, "stdout": stdout.getvalue()}
+    if rejected:
+        report["stderr"] = stderr.getvalue()
+    return report
 
 
 def main(args):
     paths = [pathlib.Path(p) for p in args] or [
         pathlib.Path(os.path.relpath(p))
         for p in sorted((ROOT / "fixtures").glob("*.json"))]
-    reports = []
+    reports = [run(argv) for argv in parser_calls(paths[0])]
     for path in paths:
         data = json.loads(path.read_text())
         reports += [run(argv) for argv in calls(path, data)]

@@ -9,7 +9,7 @@ from .errors import (DegenerateCut, DimensionExceeded, Disconnected,
                      NotQCartierNearCurve, PreconditionFailed, SchemaError,
                      SimplicialIdentityViolation, UnknownName,
                      UnsupportedDimension, WrongDimension)
-from .delta import DeltaComplex, LinkElement, build_complex, link_of
+from .delta import DeltaComplex, LinkElement, build_complex
 from .structure import (ClassifyResult, Inertia, LocalIntersectionMatrix,
                         TropicalStructure, WeakReport, check_weak, classify,
                         fill_alpha, local_matrix, make_structure)
@@ -31,7 +31,7 @@ from .degeneration import (DegenerationData, SpecializeResult, VerifyResult,
                            load_degeneration, specialize, verify_theorem)
 from .serialize import (Fixture, canonical_json, load_fixture,
                         load_fixture_file)
-from .cli import OPERATIONS, main, run
+from .cli import main, run
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "InconsistentSheets", "IndexMismatch", "Inertia", "InputError",
     "IntersectResult", "LinkElement", "LocalGerm", "LocalIntersectionMatrix",
     "MissingAlpha", "NoSolution", "NonUnimodular", "NotBalanced",
-    "NotConstantOnUnbounded", "NotQCartierNearCurve", "OPERATIONS",
+    "NotConstantOnUnbounded", "NotQCartierNearCurve",
     "PointSum", "PreconditionFailed", "PushResult", "RobustResult",
     "SchemaError", "SimplicialIdentityViolation", "SpecializeResult",
     "TropicalStructure", "TwoPieceFunction", "UnboundedCell", "UnknownName",
@@ -54,7 +54,7 @@ __all__ = [
     "chip_matrix", "class_group", "classify", "derive_structure",
     "div_two_piece", "div_vertex_function", "duplicate_sheets",
     "embedded_weights", "fill_alpha", "germ_space", "intersect_degree",
-    "is_balanced", "lin_equiv_witness", "link_of", "load_degeneration",
+    "is_balanced", "lin_equiv_witness", "load_degeneration",
     "load_embedded", "load_fixture", "load_fixture_file", "local_cartier_test",
     "local_matrix", "main", "make_structure", "push_forward_and_compare",
     "restrict_divisor", "ridge_multiplicity", "robustness_check", "run",

@@ -1,19 +1,27 @@
 """Command line driver.
 
-Every subcommand loads a fixture, runs one slice of the library, and prints
-a JSON report: {"format", "command", "inputs", "result", "verdicts"} with
-verdict entries [check name, "pass" | "fail", detail].  Exit code 0 when all
-checks pass, 1 when any fails, 2 on invalid input.  Reports use sorted keys
-and lowest-terms rationals so identical inputs give byte-identical output.
+Every subcommand reads one fixture, runs one slice of the library, and
+prints a JSON report: {"format", "command", "inputs", "result", "verdicts"}
+with verdict entries [check name, "pass" | "fail", detail].  Exit code 0
+when all checks pass, 1 when any fails, 2 on invalid input.  Reports use
+sorted keys and lowest-terms rationals so identical inputs give
+byte-identical output.
+
+`SUBCOMMANDS` is the one table of subcommands: each entry holds the
+handler, its help text, its arguments after the fixture, and the library
+operations it exercises.  A call builds the argument parser of its own
+subcommand only, and reads its fixture file once: the report's sha256 and
+the parsed fixture come from the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+from dataclasses import dataclass
 
 from .errors import InputError, PreconditionFailed, UnknownName
-from .delta import link_of
 from .structure import classify
 from .divisors import (class_group, div_two_piece, div_vertex_function,
                        lin_equiv_witness, local_cartier_test,
@@ -24,37 +32,40 @@ from .degeneration import (build_structure_from_degeneration, specialize,
                            verify_theorem)
 from .serialize import (FORMAT, breakpoints_from_json, canonical_json,
                         curve_to_json, divisor_to_json, germ_to_json,
-                        point_sum_to_json, rat, read_json, sha256_of_file,
+                        load_fixture_file, point_sum_to_json, rat, read_json,
                         two_piece_from_json)
 
-# Subcommand -> library operations it exercises; a disjoint cover of the
-# public operation set, used by the coverage test.
-OPERATIONS = {
-    "validate": ("build_complex", "link_of"),
-    "classify": ("check_weak", "local_matrix", "classify"),
-    "div": ("div_vertex_function", "ridge_multiplicity", "div_two_piece"),
-    "cartier": ("local_cartier_test",),
-    "classgroup": ("class_group",),
-    "equiv": ("lin_equiv_witness",),
-    "balance": ("germ_space", "is_balanced"),
-    "intersect": ("restrict_divisor", "intersect_degree"),
-    "import-embedded": ("duplicate_sheets", "alpha_from_balancing"),
-    "robust": ("robustness_check",),
-    "pushforward": ("push_forward_and_compare",),
-    "degen-build": ("build_structure_from_degeneration",),
-    "specialize": ("specialize", "weil_test"),
-    "verify": ("verify_theorem",),
-}
+
+@dataclass(frozen=True)
+class Subcommand:
+    handler: object  # (fixture, args) -> (result, verdicts, extra inputs)
+    help: str
+    arguments: tuple  # (flags, add_argument keywords) after the fixture
+    # library operations it exercises; over all subcommands a disjoint
+    # cover of the public operation set, used by the coverage test
+    operations: tuple
 
 
-def _file_input(path):
-    return {"path": str(path), "sha256": sha256_of_file(path)}
+def arg(*flags, **kwargs):
+    """One argument of a subcommand: add_argument's flags and keywords."""
+    return flags, kwargs
 
 
-def _load(path):
-    from .serialize import load_fixture_file
+DIVISOR = arg("--divisor", "-D", required=True)
+CURVE = arg("--curve", "-C", required=True)
 
-    return load_fixture_file(path)
+
+def _read_input(path):
+    """A file's bytes and its {"path", "sha256"} input record."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return raw, {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}
+
+
+def _side_file(path, extra, key):
+    """The JSON value of a side file, recorded under extra[key]."""
+    raw, extra[key] = _read_input(path)
+    return read_json(path, raw)
 
 
 def _named_divisor(fx, name):
@@ -96,11 +107,10 @@ def _cell(spec_str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: (result, verdicts, extra inputs)
+# Subcommand handlers: (fixture, args) -> (result, verdicts, extra inputs)
 
 
-def cmd_validate(args):
-    fx = _load(args.fixture)
+def cmd_validate(fx, args):
     if fx.kind == "embedded":
         E = fx.embedded
         result = {
@@ -114,7 +124,7 @@ def cmd_validate(args):
     X = fx.complex
     degrees = []
     for v in range(X.counts[0]):
-        link = link_of(X, (0, v))
+        link = X.link((0, v))
         degrees.append(len(link[0]) if link else 0)
     result = {
         "kind": fx.kind,
@@ -126,8 +136,7 @@ def cmd_validate(args):
     return result, [["validate", "pass", "complex well formed"]], {}
 
 
-def cmd_classify(args):
-    fx = _load(args.fixture)
+def cmd_classify(fx, args):
     T = fx.structure()
     res = classify(T)
     matrices = [[qi, [list(row) for row in m.matrix]] for qi, m in res.matrices]
@@ -142,8 +151,7 @@ def cmd_classify(args):
     return result, [["classify", "pass" if ok else "fail", res.verdict]], {}
 
 
-def cmd_div(args):
-    fx = _load(args.fixture)
+def cmd_div(fx, args):
     T = fx.structure()
     X = T.complex
     verdicts = []
@@ -165,8 +173,8 @@ def cmd_div(args):
                         "pass" if consistent else "fail",
                          "linear local values reproduce the coefficients"])
     elif args.two_piece is not None:
-        piece = two_piece_from_json(read_json(args.two_piece))
-        extra["two_piece"] = _file_input(args.two_piece)
+        piece = two_piece_from_json(
+            _side_file(args.two_piece, extra, "two_piece"))
         D = div_two_piece(T, piece)
         result = {"divisor": divisor_to_json(D)}
         verdicts.append(["div", "pass", "divisor computed"])
@@ -175,8 +183,7 @@ def cmd_div(args):
     return result, verdicts, extra
 
 
-def cmd_cartier(args):
-    fx = _load(args.fixture)
+def cmd_cartier(fx, args):
     T = fx.structure()
     X = T.complex
     D = _named_divisor(fx, args.divisor)
@@ -202,8 +209,7 @@ def cmd_cartier(args):
     return result, verdicts, {}
 
 
-def cmd_classgroup(args):
-    fx = _load(args.fixture)
+def cmd_classgroup(fx, args):
     T = fx.structure()
     pres = class_group(T)
     result = {
@@ -215,8 +221,7 @@ def cmd_classgroup(args):
     return result, [["classgroup", "pass", "presentation computed"]], {}
 
 
-def cmd_equiv(args):
-    fx = _load(args.fixture)
+def cmd_equiv(fx, args):
     T = fx.structure()
     D = _named_divisor(fx, args.divisor)
     Dp = _named_divisor(fx, args.other)
@@ -238,15 +243,17 @@ def cmd_equiv(args):
     return result, [["equivalent", "pass" if ok else "fail", detail]], {}
 
 
-def cmd_balance(args):
-    fx = _load(args.fixture)
+def cmd_balance(fx, args):
     T = fx.structure()
     X = T.complex
     C = _named_curve(fx, args.curve)
     res = is_balanced(T, C)
+    # the spaces is_balanced built; past a failing vertex, the rest
+    built = dict(res.spaces)
     dims = []
-    for v in sorted(C.support_vertices(X)):
-        dims.append([v, len(germ_space(T, v).basis)])
+    for v in C.support_vertices(X):
+        space = built[v] if v in built else germ_space(T, v)
+        dims.append([v, len(space.basis)])
     result = {
         "balanced": res.balanced,
         "germ_dimensions": dims,
@@ -260,8 +267,7 @@ def cmd_balance(args):
                      "curve is balanced" if ok else "balancing fails"]], {}
 
 
-def cmd_intersect(args):
-    fx = _load(args.fixture)
+def cmd_intersect(fx, args):
     T = fx.structure()
     D = _named_divisor(fx, args.divisor)
     C = _named_curve(fx, args.curve)
@@ -272,8 +278,8 @@ def cmd_intersect(args):
     }
     extra = {}
     if args.breakpoints is not None:
-        g = breakpoints_from_json(read_json(args.breakpoints))
-        extra["breakpoints"] = _file_input(args.breakpoints)
+        g = breakpoints_from_json(
+            _side_file(args.breakpoints, extra, "breakpoints"))
         P = restrict_divisor(T, C, g)
         result["restricted"] = point_sum_to_json(P)
         result["restricted_degree"] = rat(P.degree)
@@ -281,8 +287,7 @@ def cmd_intersect(args):
     return result, [["intersect", "pass", detail]], {}
 
 
-def cmd_import_embedded(args):
-    fx = _load(args.fixture)
+def cmd_import_embedded(fx, args):
     if fx.embedded is None:
         raise InputError("import-embedded needs an embedded fixture")
     X, pi, T, solutions = derive_structure(fx.embedded)
@@ -299,8 +304,7 @@ def cmd_import_embedded(args):
     return result, [["import", "pass", "structure constants derived"]], {}
 
 
-def cmd_robust(args):
-    fx = _load(args.fixture)
+def cmd_robust(fx, args):
     if fx.embedded is None:
         raise InputError("robust needs an embedded fixture")
     k, idx = _cell(args.cell)
@@ -316,8 +320,7 @@ def cmd_robust(args):
     return result, [["robust", "pass" if res.robust else "fail", detail]], {}
 
 
-def cmd_pushforward(args):
-    fx = _load(args.fixture)
+def cmd_pushforward(fx, args):
     if fx.embedded is None:
         raise InputError("pushforward needs an embedded fixture")
     E = fx.embedded
@@ -340,8 +343,7 @@ def cmd_pushforward(args):
     raise InputError("pushforward needs --function or --divisor")
 
 
-def cmd_degen_build(args):
-    fx = _load(args.fixture)
+def cmd_degen_build(fx, args):
     if fx.degeneration is None:
         raise InputError("degen-build needs a degeneration fixture")
     T = build_structure_from_degeneration(fx.complex, fx.degeneration)
@@ -354,8 +356,7 @@ def cmd_degen_build(args):
                      "%s data consistent" % fx.degeneration.mode]], {}
 
 
-def cmd_specialize(args):
-    fx = _load(args.fixture)
+def cmd_specialize(fx, args):
     if fx.degeneration is None:
         raise InputError("specialize needs a degeneration fixture")
     T = build_structure_from_degeneration(fx.complex, fx.degeneration)
@@ -382,8 +383,7 @@ def cmd_specialize(args):
     return result, verdicts, {}
 
 
-def cmd_verify(args):
-    fx = _load(args.fixture)
+def cmd_verify(fx, args):
     if fx.degeneration is None:
         raise InputError("verify needs a degeneration fixture")
     T = build_structure_from_degeneration(fx.complex, fx.degeneration)
@@ -406,96 +406,97 @@ def cmd_verify(args):
     return result, [["theorem", "pass" if res.match else "fail", detail]], {}
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "classify": cmd_classify,
-    "div": cmd_div,
-    "cartier": cmd_cartier,
-    "classgroup": cmd_classgroup,
-    "equiv": cmd_equiv,
-    "balance": cmd_balance,
-    "intersect": cmd_intersect,
-    "import-embedded": cmd_import_embedded,
-    "robust": cmd_robust,
-    "pushforward": cmd_pushforward,
-    "degen-build": cmd_degen_build,
-    "specialize": cmd_specialize,
-    "verify": cmd_verify,
+# The subcommands, in the order `tcx -h` lists them.
+SUBCOMMANDS = {
+    "validate": Subcommand(
+        cmd_validate, "check a fixture's complex is well formed", (),
+        ("build_complex",)),
+    "classify": Subcommand(
+        cmd_classify, "weak test and local inertia classification", (),
+        ("check_weak", "local_matrix", "classify")),
+    "div": Subcommand(
+        cmd_div, "divisor of a PL function",
+        (arg("--phi", help="comma-separated vertex values, or a stored "
+                           "function name"),
+         arg("--two-piece", help="JSON file {facet, normal, offset}")),
+        ("div_vertex_function", "ridge_multiplicity", "div_two_piece")),
+    "cartier": Subcommand(
+        cmd_cartier, "local Cartier test and summable-divisor check",
+        (DIVISOR,), ("local_cartier_test",)),
+    "classgroup": Subcommand(
+        cmd_classgroup, "divisor class group presentation", (),
+        ("class_group",)),
+    "equiv": Subcommand(
+        cmd_equiv, "linear equivalence witness",
+        (DIVISOR, arg("--other", "-E", required=True)),
+        ("lin_equiv_witness",)),
+    "balance": Subcommand(
+        cmd_balance, "germ spaces and the balancing test", (CURVE,),
+        ("germ_space", "is_balanced")),
+    "intersect": Subcommand(
+        cmd_intersect, "divisor-curve intersection product",
+        (DIVISOR, CURVE,
+         arg("--breakpoints", help="JSON breakpoint function on the "
+                                   "curve; also reports its divisor")),
+        ("restrict_divisor", "intersect_degree")),
+    "import-embedded": Subcommand(
+        cmd_import_embedded, "duplicate sheets and derive structure constants",
+        (), ("duplicate_sheets", "alpha_from_balancing")),
+    "robust": Subcommand(
+        cmd_robust, "robustness at a bounded cell of an embedded complex",
+        (arg("--cell", required=True, help="'dim,index'"),),
+        ("robustness_check",)),
+    "pushforward": Subcommand(
+        cmd_pushforward, "push a divisor or div(f) to bounded cells",
+        (arg("--divisor", "-D"),
+         arg("--function", "-f",
+             help="vertex values (or stored name); compared against "
+                  "the embedded weight oracle")),
+        ("push_forward_and_compare",)),
+    "degen-build": Subcommand(
+        cmd_degen_build, "structure constants from degeneration data", (),
+        ("build_structure_from_degeneration",)),
+    "specialize": Subcommand(
+        cmd_specialize, "specialize a named divisor or curve", (arg("name"),),
+        ("specialize", "weil_test")),
+    "verify": Subcommand(
+        cmd_verify, "compare computed and claimed intersection numbers",
+        (DIVISOR, CURVE), ("verify_theorem",)),
 }
 
 
-def build_parser():
+def build_parser(argv=()):
+    """The `tcx` parser, with the one subparser that argv[0] names, or with
+    all of them when it names none (no argument, -h, an unknown name), so
+    that help and argument errors read as with every subparser."""
     parser = argparse.ArgumentParser(
         prog="tcx",
         description="Tropical complexes: structure constants, divisors, "
                     "curves, and intersection numbers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("fixture", help="fixture file (JSON, format tcx-1)")
-        return p
-
-    add("validate", "check a fixture's complex is well formed")
-
-    add("classify", "weak test and local inertia classification")
-
-    p = add("div", "divisor of a PL function")
-    p.add_argument("--phi", help="comma-separated vertex values, or a stored "
-                                 "function name")
-    p.add_argument("--two-piece", help="JSON file {facet, normal, offset}")
-
-    p = add("cartier", "local Cartier test and summable-divisor check")
-    p.add_argument("--divisor", "-D", required=True)
-
-    add("classgroup", "divisor class group presentation")
-
-    p = add("equiv", "linear equivalence witness")
-    p.add_argument("--divisor", "-D", required=True)
-    p.add_argument("--other", "-E", required=True)
-
-    p = add("balance", "germ spaces and the balancing test")
-    p.add_argument("--curve", "-C", required=True)
-
-    p = add("intersect", "divisor-curve intersection product")
-    p.add_argument("--divisor", "-D", required=True)
-    p.add_argument("--curve", "-C", required=True)
-    p.add_argument("--breakpoints", help="JSON breakpoint function on the "
-                                         "curve; also reports its divisor")
-
-    add("import-embedded", "duplicate sheets and derive structure constants")
-
-    p = add("robust", "robustness at a bounded cell of an embedded complex")
-    p.add_argument("--cell", required=True, help="'dim,index'")
-
-    p = add("pushforward", "push a divisor or div(f) to bounded cells")
-    p.add_argument("--divisor", "-D")
-    p.add_argument("--function", "-f",
-                   help="vertex values (or stored name); compared against "
-                        "the embedded weight oracle")
-
-    add("degen-build", "structure constants from degeneration data")
-
-    p = add("specialize", "specialize a named divisor or curve")
-    p.add_argument("name")
-
-    p = add("verify", "compare computed and claimed intersection numbers")
-    p.add_argument("--divisor", "-D", required=True)
-    p.add_argument("--curve", "-C", required=True)
-
+    named = [name for name in argv[:1] if name in SUBCOMMANDS]
+    # one subparser keeps the full usage line through its metavar
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(SUBCOMMANDS) if named else None)
+    for name, spec in SUBCOMMANDS.items():
+        if name in named or not named:
+            p = sub.add_parser(name, help=spec.help)
+            p.add_argument("fixture", help="fixture file (JSON, format tcx-1)")
+            for flags, kwargs in spec.arguments:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
 def run(argv):
     """Execute one subcommand; print the report; return the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = HANDLERS[args.command]
+    args = build_parser(argv).parse_args(argv)
+    handler = SUBCOMMANDS[args.command].handler
     report = {"format": FORMAT, "command": args.command, "inputs": {}}
     try:
-        report["inputs"]["fixture"] = _file_input(args.fixture)
-        result, verdicts, extra_inputs = handler(args)
+        raw, report["inputs"]["fixture"] = _read_input(args.fixture)
+        fx = load_fixture_file(args.fixture, raw)
+        result, verdicts, extra_inputs = handler(fx, args)
     except (InputError, OSError) as exc:
         report["result"] = {}
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}

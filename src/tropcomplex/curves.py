@@ -110,14 +110,19 @@ def germ_space(T: TropicalStructure, v):
 class BalanceResult:
     balanced: bool
     certificate: tuple | None  # (vertex, germ vector) violating the condition
+    # (vertex, GermSpace) pairs built, in support-vertex order up to the
+    # certificate's vertex
+    spaces: tuple = ()
 
 
 def is_balanced(T: TropicalStructure, C: Curve):
     """Balanced iff for each support vertex v and each basis germ, the
     multiplicity-weighted sum of slope differences vanishes."""
     X = T.complex
+    spaces = []
     for v in C.support_vertices(X):
         space = germ_space(T, v)
+        spaces.append((v, space))
         for germ in space.basis:
             total = Fraction(0)
             for i, t in enumerate(space.coords):
@@ -125,8 +130,8 @@ def is_balanced(T: TropicalStructure, C: Curve):
                 if m:
                     total += m * (germ[i + 1] - germ[0])
             if total != 0:
-                return BalanceResult(False, (v, germ))
-    return BalanceResult(True, None)
+                return BalanceResult(False, (v, germ), tuple(spaces))
+    return BalanceResult(True, None, tuple(spaces))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ class IntersectResult:
 
 
 def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
-                     germ_shifts=None):
+                     germ_shifts=None, balance=None):
     """Intersection product of a ridge-supported divisor with a balanced
     curve, assembled from local defining germs.
 
@@ -243,6 +248,7 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
     and facet interiors reaches every curve vertex only in those dimensions.
     germ_shifts optionally adds a kernel germ at chosen vertices; the result
     is germ-choice independent, which tests exercise through this hook.
+    balance is `is_balanced(T, C)` when the caller has it already.
     """
     X = T.complex
     if D.facet_pieces:
@@ -251,7 +257,8 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
         raise UnsupportedDimension(
             "intersection products are implemented for n = 1 and n = 2"
         )
-    balance = is_balanced(T, C)
+    if balance is None:
+        balance = is_balanced(T, C)
     if not balance.balanced:
         raise NotBalanced("curve unbalanced at vertex %d" % balance.certificate[0])
     coeffs = {}

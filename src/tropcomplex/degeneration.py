@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
-                     UnknownName, int_entry)
+                     UnknownName, entry_list, int_entry)
 from .structure import TropicalStructure, check_weak
 from .divisors import Divisor, weil_test
 from .curves import Curve, is_balanced, intersect_degree
@@ -31,12 +31,6 @@ class DegenerationData:
     claimed: dict  # (divisor name, curve name) -> Fraction
 
 
-def _list(value, what):
-    if not isinstance(value, list):
-        raise SchemaError("%s entries must be a list, not %r" % (what, value))
-    return value
-
-
 def _named_entries(data, key, what):
     """The {name: [[index, integer], ...]} object under key, with every
     entry checked."""
@@ -44,7 +38,8 @@ def _named_entries(data, key, what):
     if not isinstance(value, dict):
         raise SchemaError("%s must be an object of named entry lists, not %r"
                           % (key, value))
-    return {name: dict(int_entry(e, 2, what) for e in _list(entries, what))
+    return {name: dict(int_entry(e, 2, what)
+                       for e in entry_list(entries, what))
             for name, entries in value.items()}
 
 
@@ -66,16 +61,19 @@ def load_degeneration(data):
     if mode not in ("strict", "nonstrict"):
         raise InconsistentData("unknown mode %r" % (mode,))
     vr = {}
-    for e in _list(data.get("vertex_ridge_degrees", []), "vertex_ridge_degrees"):
+    for e in entry_list(data.get("vertex_ridge_degrees", []),
+                        "vertex_ridge_degrees"):
         v, r, deg = int_entry(e, 3, "vertex_ridge_degrees")
         vr[(v, r)] = deg
     si = {}
-    for e in _list(data.get("self_intersections", []), "self_intersections"):
+    for e in entry_list(data.get("self_intersections", []),
+                        "self_intersections"):
         q, t, c2 = int_entry(e, 3, "self_intersections")
         si[(q, t)] = c2
     divisors = _named_entries(data, "divisors", "divisor")
     curves = _named_entries(data, "curves", "curve")
-    claimed = dict(_claimed(e) for e in _list(data.get("claimed", []), "claimed"))
+    claimed = dict(_claimed(e)
+                   for e in entry_list(data.get("claimed", []), "claimed"))
     return DegenerationData(mode, vr, si, divisors, curves, claimed)
 
 
@@ -257,6 +255,6 @@ def verify_theorem(T: TropicalStructure, data: DegenerationData, dname, cname):
         raise PreconditionFailed(
             "unbalanced", "curve %r is not balanced" % (cname,)
         )
-    computed = intersect_degree(T, D, C).degree
+    computed = intersect_degree(T, D, C, balance=balance).degree
     claimed = data.claimed[(dname, cname)]
     return VerifyResult(dname, cname, computed, claimed, computed == claimed)

@@ -5,6 +5,12 @@ faces[k][i] = (d_0 s, ..., d_k s) for every k-simplex s = (k, i).  Faces of a
 simplex may coincide (non-regular gluing), so links count incidences with
 multiplicity.  A link element of s is a coface together with the strictly
 increasing slot tuple of the coface's parametrizing simplex that maps onto s.
+
+Construction validates the faces (shape, simplicial identities, a connected
+1-skeleton), then fills a second table one dimension at a time: the face of
+every simplex at every slot tuple, each entry read from the level below.
+`face_at`, the vertex lookups and the links all come from that table, so no
+chain of `face` calls is composed after validation.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (Disconnected, DimensionExceeded, SchemaError,
-                     SimplicialIdentityViolation)
+                     SimplicialIdentityViolation, entry_list)
 
 Simplex = tuple  # (dimension, index)
 
@@ -44,7 +50,7 @@ class DeltaComplex:
         self.faces = tuple(tuple(tuple(f) for f in faces.get(k, ()))
                            for k in range(n + 1))
         self._validate()
-        self._build_vertices()
+        self._build_face_table()
         self._build_links()
         self._build_slot_faces()
 
@@ -85,63 +91,79 @@ class DeltaComplex:
                         right = self.face(self.face(s, i), j - 1)
                         if left != right:
                             raise SimplicialIdentityViolation(s, i, j)
-        # connectedness by union-find over simplex/face incidences
-        parent = {}
+        # connectedness of the 1-skeleton, by union-find over vertices: every
+        # simplex is joined to its vertices through its edges
+        parent = list(range(self.counts[0]))
 
         def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
             return x
 
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for k in range(self.n + 1):
-            for i in range(self.counts[k]):
-                find((k, i))
-        for k in range(1, self.n + 1):
-            for i in range(self.counts[k]):
-                for t in self.faces[k][i]:
-                    union((k, i), (k - 1, t))
-        roots = {find((k, i))
-                 for k in range(self.n + 1) for i in range(self.counts[k])}
+        for a, b in (self.faces[1] if self.n >= 1 else ()):
+            parent[find(a)] = find(b)
+        roots = {find(v) for v in range(self.counts[0])}
         if len(roots) > 1:
             raise Disconnected("complex has %d components" % len(roots))
 
-    def _build_vertices(self):
-        """The vertex of every slot of every simplex, one tuple per simplex.
+    def _build_face_table(self):
+        """The face of every simplex at every slot tuple, one dimension at
+        a time, with no face chains.
 
-        Dropping the top slot keeps the slot order, so slots 0..k-1 of s
-        are those of d_k s, and slot k of s is the last slot of d_0 s.
+        Row j of level m lists the faces of (m, j) at its slot tuples of
+        sizes 1..m+1 in combinations order (`_slot_pos[m]` gives a tuple's
+        position), as indices of simplices of dimension size - 1.  The
+        first m+1 entries are its vertices and the last is j.  For a slot
+        tuple S, let `drop` be the largest slot not in S, the first slot
+        that `face` composition removes: the face is the face of
+        d_drop (m, j) at S re-indexed, read from row d_drop (m, j) of
+        level m-1 (for |S| = m, its last entry).  The plan for each m
+        depends only on n.
         """
-        verts = [tuple((i,) for i in range(self.counts[0]))]
-        for k in range(1, self.n + 1):
-            below = verts[k - 1]
-            verts.append(tuple(below[row[k]] + below[row[0]][-1:]
-                               for row in self.faces[k]))
-        self._vertices = tuple(verts)
+        slot_pos = []
+        table = [tuple((i,) for i in range(self.counts[0]))]
+        for m in range(self.n + 1):
+            tuples = [slots for size in range(1, m + 2)
+                      for slots in combinations(range(m + 1), size)]
+            slot_pos.append({slots: p for p, slots in enumerate(tuples)})
+            if m == 0:
+                continue
+            plan = []
+            for slots in tuples[:-1]:
+                drop = max(x for x in range(m + 1) if x not in slots)
+                below = tuple(x if x < drop else x - 1 for x in slots)
+                plan.append((drop, slot_pos[m - 1][below]))
+            lower = table[m - 1]
+            table.append(tuple(
+                tuple([lower[row[drop]][p] for drop, p in plan] + [j])
+                for j, row in enumerate(self.faces[m])))
+        self._slot_pos = tuple(slot_pos)
+        self._face_table = tuple(table)
+        # the vertex tuples on their own, so that vertices_of is one lookup
+        self._vertices = tuple(tuple(row[:m + 1] for row in level)
+                               for m, level in enumerate(table))
 
     def _build_links(self):
         """One pass over the cofaces: each (coface, slot tuple) pair is
-        appended to the link of the face it spans.
+        appended to the link of the face it spans, read from the face
+        table.
 
         Visiting cofaces by dimension, then index, then slot tuple in
         combinations order gives every link its elements in exactly that
         order.  Local matrix rows and the canonical reports depend on it.
         """
-        links = {(k, i): tuple([] for _ in range(self.n - k))
-                 for k in range(self.n + 1) for i in range(self.counts[k])}
+        links = [[tuple([] for _ in range(self.n - k))
+                  for _ in range(self.counts[k])] for k in range(self.n + 1)]
         for m in range(1, self.n + 1):
-            for j in range(self.counts[m]):
+            targets = [(slots, links[len(slots) - 1], m - len(slots))
+                       for slots in self._slot_pos[m]][:-1]
+            for j, row in enumerate(self._face_table[m]):
                 coface = (m, j)
-                for k in range(m):
-                    for slots in combinations(range(m + 1), k + 1):
-                        s = self.face_at(coface, slots)
-                        links[s][m - k - 1].append(
-                            LinkElement(s, coface, slots))
-        self._links = {s: tuple(tuple(lst) for lst in per_dim)
-                       for s, per_dim in links.items()}
+                for (slots, level, d), i in zip(targets, row):
+                    level[i][d].append(
+                        LinkElement((len(slots) - 1, i), coface, slots))
+        self._links = tuple(tuple(tuple(tuple(lst) for lst in per_dim)
+                                  for per_dim in level) for level in links)
 
     def _build_slot_faces(self):
         """For each coface dimension m and slot tuple of a
@@ -168,16 +190,12 @@ class DeltaComplex:
     def face_at(self, s, slots):
         """The face of s spanned by the given parametrizing-simplex slots.
 
-        Slots must be strictly increasing.  The complement is removed one
-        slot at a time from the top, so the standard d_i composition rules
-        apply directly.
+        Slots are a strictly increasing tuple.  The face is the composition
+        of the d_i that remove the complement one slot at a time from the
+        top, looked up in the face table built at construction.
         """
-        cur = s
-        keep = list(slots)
-        drop = [i for i in range(s[0] + 1) if i not in keep]
-        for i in reversed(drop):
-            cur = self.face(cur, i)
-        return cur
+        k, i = s
+        return len(slots) - 1, self._face_table[k][i][self._slot_pos[k][slots]]
 
     def vertex_at(self, s, slot):
         return self._vertices[s[0]][s[1]][slot]
@@ -187,10 +205,10 @@ class DeltaComplex:
 
     def link(self, s):
         """Link elements of s grouped by link dimension (0-based tuple)."""
-        return self._links[s]
+        return self._links[s[0]][s[1]]
 
     def link0(self, s):
-        per_dim = self._links[s]
+        per_dim = self._links[s[0]][s[1]]
         return per_dim[0] if per_dim else ()
 
     def link_face_key(self, t, i):
@@ -280,7 +298,7 @@ def build_complex(data):
         )
     faces = {k: [[None] * (k + 1) for _ in range(counts[k])]
              for k in range(1, n + 1)}
-    for entry in data.get("faces", []):
+    for entry in entry_list(data.get("faces", []), "face"):
         try:
             k, i, slot, target = (int(x) for x in entry)
         except (TypeError, ValueError):
@@ -299,7 +317,3 @@ def build_complex(data):
                 raise DimensionExceeded("missing face entries for (%d,%d)" % (k, i))
     return DeltaComplex(n, counts, faces)
 
-
-def link_of(X: DeltaComplex, s):
-    """Link elements of a simplex grouped by dimension."""
-    return X.link(tuple(s))

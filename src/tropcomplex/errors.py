@@ -15,16 +15,25 @@ class SchemaError(InputError):
 
 
 def int_entry(entry, size, what):
-    """A fixture entry as a tuple of `size` ints (any number when size is
-    None), or SchemaError naming it."""
-    try:
-        out = tuple(int(x) for x in entry)
-    except (TypeError, ValueError):
-        out = None
+    """A fixture entry (a JSON list) as a tuple of `size` ints (any number
+    when size is None), or SchemaError naming it."""
+    out = None
+    if isinstance(entry, (list, tuple)):
+        try:
+            out = tuple(int(x) for x in entry)
+        except (TypeError, ValueError):
+            pass
     if out is None or size is not None and len(out) != size:
         raise SchemaError("%s entry %r is not %s integers"
                           % (what, entry, "a list of" if size is None else size))
     return out
+
+
+def entry_list(value, what):
+    """A fixture value that must be a JSON list, or SchemaError naming it."""
+    if not isinstance(value, list):
+        raise SchemaError("%s entries must be a list, not %r" % (what, value))
+    return value
 
 
 class SimplicialIdentityViolation(InputError):

@@ -10,13 +10,12 @@ equal inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .delta import DeltaComplex, build_complex
-from .errors import InputError, SchemaError, int_entry
+from .errors import InputError, SchemaError, entry_list, int_entry
 from .structure import TropicalStructure, make_structure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
@@ -41,13 +40,6 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def sha256_of_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Object encodings
 
@@ -64,11 +56,18 @@ def divisor_to_json(D: Divisor):
 
 
 def divisor_from_json(data):
+    """[[ridge, coefficient], ...] or {"ridge_part", "facet_pieces"}."""
     if isinstance(data, list):
         return Divisor.on_ridges(dict(int_entry(e, 2, "divisor") for e in data))
-    pairs = [int_entry(e, 2, "divisor") for e in data.get("ridge_part", [])]
+    if not isinstance(data, dict):
+        raise SchemaError("a divisor is a list of [ridge, coefficient] or an "
+                          "object with ridge_part and facet_pieces, not %r"
+                          % (data,))
+    pairs = [int_entry(e, 2, "divisor")
+             for e in entry_list(data.get("ridge_part", []), "divisor")]
     ridge = tuple(sorted(p for p in pairs if p[1] != 0))
-    pieces = tuple(_facet_piece(e) for e in data.get("facet_pieces", []))
+    pieces = tuple(_facet_piece(e) for e in
+                   entry_list(data.get("facet_pieces", []), "facet piece"))
     return Divisor(ridge, pieces)
 
 
@@ -104,7 +103,8 @@ def curve_to_json(C: Curve):
 
 
 def curve_from_json(data):
-    return Curve.on_edges(dict(int_entry(e, 2, "curve") for e in data))
+    return Curve.on_edges(dict(int_entry(e, 2, "curve")
+                               for e in entry_list(data, "curve")))
 
 
 def point_sum_to_json(P: PointSum):
@@ -194,7 +194,8 @@ def load_fixture(data):
         fx.complex = build_complex(data)
         if "alpha" in data:
             fx.alpha = {(r, s): v for r, s, v in
-                        (int_entry(e, 3, "alpha") for e in data["alpha"])}
+                        (int_entry(e, 3, "alpha")
+                         for e in entry_list(data["alpha"], "alpha"))}
     elif kind == "embedded":
         fx.embedded = load_embedded(data)
     elif kind == "degeneration":
@@ -213,23 +214,44 @@ def load_fixture(data):
     else:
         raise InputError("unknown fixture kind %r" % (kind,))
     if kind != "degeneration":
-        for name, d in data.get("divisors", {}).items():
+        for name, d in _named(data, "divisors"):
             fx.divisors[name] = divisor_from_json(d)
-        for name, c in data.get("curves", {}).items():
+        for name, c in _named(data, "curves"):
             fx.curves[name] = curve_from_json(c)
-    for name, values in data.get("functions", {}).items():
+    for name, values in _named(data, "functions"):
         fx.functions[name] = list(int_entry(values, None, "function"))
     return fx
 
 
-def read_json(path):
-    """The JSON value in a file, or InputError when it is not valid JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("invalid JSON in %s: %s" % (path, exc)) from exc
+def _named(data, key):
+    """The (name, value) pairs of the object under key, if any."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise SchemaError("%s must be an object of named entries, not %r"
+                          % (key, value))
+    return value.items()
 
 
-def load_fixture_file(path):
-    return load_fixture(read_json(path))
+def read_json(path, raw=None):
+    """The JSON value in a file, or InputError when it is not UTF-8 JSON.
+
+    raw: the file's bytes, when the caller has read them already.
+    """
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    # the universal newlines of a text-mode read, which error positions count
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError("invalid JSON in %s: %s" % (path, exc)) from exc
+
+
+def load_fixture_file(path, raw=None):
+    """The Fixture in a file; raw as for read_json."""
+    return load_fixture(read_json(path, raw))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import tropcomplex
-from tropcomplex.cli import OPERATIONS, run
+from tropcomplex.cli import SUBCOMMANDS, run
 from tests.conftest import fixture_path
 
 
@@ -19,9 +19,9 @@ def invoke(capsys, *argv):
 
 def test_operations_cover_api_disjointly():
     seen = []
-    for names in OPERATIONS.values():
-        seen.extend(names)
-    assert len(seen) == len(set(seen)) == 23
+    for spec in SUBCOMMANDS.values():
+        seen.extend(spec.operations)
+    assert len(seen) == len(set(seen)) == 22
     for name in seen:
         assert hasattr(tropcomplex, name), name
         assert callable(getattr(tropcomplex, name))
@@ -442,3 +442,148 @@ def test_degeneration_without_complex_is_schema_error(capsys, tmp_path):
     code, report, _ = invoke(capsys, "degen-build", bad)
     assert code == 2
     assert report["error"]["type"] == "SchemaError"
+
+
+def test_div_call_builds_two_parsers_and_reads_fixture_once(
+        capsys, monkeypatch):
+    import argparse
+    import builtins
+
+    path = fixture_path("tetrahedron")
+    parsers = []
+    opened = []
+    init, real_open = argparse.ArgumentParser.__init__, builtins.open
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code = run(["div", str(path), "--phi", "1,1,0,0"])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == 0
+    assert len(parsers) == 2
+    assert opened.count(str(path)) == 1
+
+
+# one argv per subcommand, with every argument it takes
+SAMPLE_ARGV = {
+    "validate": ["f.json"],
+    "classify": ["f.json"],
+    "div": ["f.json", "--phi", "1,2", "--two-piece", "p.json"],
+    "cartier": ["f.json", "-D", "D"],
+    "classgroup": ["f.json"],
+    "equiv": ["f.json", "-D", "D", "-E", "E"],
+    "balance": ["f.json", "-C", "C"],
+    "intersect": ["f.json", "-D", "D", "-C", "C", "--breakpoints", "b.json"],
+    "import-embedded": ["f.json"],
+    "robust": ["f.json", "--cell", "1,2"],
+    "pushforward": ["f.json", "--divisor", "D", "-f", "phi"],
+    "degen-build": ["f.json"],
+    "specialize": ["f.json", "X"],
+    "verify": ["f.json", "--divisor", "D", "--curve", "C"],
+}
+
+
+def test_one_subparser_parses_as_all_of_them(capsys):
+    from tropcomplex.cli import build_parser
+
+    assert list(SAMPLE_ARGV) == list(SUBCOMMANDS)
+
+    def help_text(parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    for name, rest in SAMPLE_ARGV.items():
+        argv = [name] + rest
+        one = build_parser(argv)
+        assert one.parse_args(argv) == build_parser().parse_args(argv)
+        assert help_text(build_parser([name, "-h"]), [name, "-h"]) \
+            == help_text(build_parser(), [name, "-h"])
+
+
+def edited_tetrahedron(tmp_path, field, value):
+    data = json.loads(fixture_path("tetrahedron").read_text())
+    data[field] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("divisors", [["Dab", [[0, 1]]]]),
+    ("curves", 7),
+    ("functions", "phi"),
+    ("faces", 5),
+    ("alpha", 5),
+    ("divisors", {"D": 5}),
+    ("divisors", {"D": {"ridge_part": 5}}),
+    ("curves", {"C": {"01": 1}}),
+    ("functions", {"f": "0101"}),
+])
+def test_wrong_container_type_is_schema_error(capsys, tmp_path, field, value):
+    bad = edited_tetrahedron(tmp_path, field, value)
+    code, report, _ = invoke(capsys, "classify", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+
+
+NOT_UTF8 = b'{"format": "tcx-1", "name": "caf\xe9"}'
+
+
+def test_fixture_not_utf8_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(fixture_path("tetrahedron").read_bytes()
+                    .replace(b'"tcx-1"', b'"tcx-1\xe9"', 1))
+    code, report, _ = invoke(capsys, "classify", bad)
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+    assert report["inputs"]["fixture"]["sha256"] \
+        == hashlib.sha256(bad.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["div", fixture_path("tetrahedron"), "--two-piece"],
+    ["intersect", fixture_path("tetrahedron"), "-D", "Dab", "-C", "C",
+     "--breakpoints"],
+])
+def test_side_file_not_utf8_is_input_error(capsys, tmp_path, argv):
+    bad = tmp_path / "side.json"
+    bad.write_bytes(NOT_UTF8)
+    code, report, _ = invoke(capsys, *argv, bad)
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["balance", fixture_path("tetrahedron"), "-C", "C"],
+    ["verify", fixture_path("tet-degen"), "-D", "D", "-C", "C"],
+])
+def test_germ_space_built_once_per_support_vertex(capsys, monkeypatch, argv):
+    from tropcomplex import curves
+
+    original = curves.germ_space
+    calls = []
+
+    def counting(T, v):
+        calls.append(v)
+        return original(T, v)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropcomplex") \
+                and getattr(module, "germ_space", None) is original:
+            monkeypatch.setattr(module, "germ_space", counting)
+    code = run([str(a) for a in argv])
+    capsys.readouterr()
+    fx = tropcomplex.load_fixture_file(argv[1])
+    C = fx.curves["C"]
+    assert code == 0
+    assert calls == C.support_vertices(fx.complex)

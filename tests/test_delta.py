@@ -13,7 +13,6 @@ from tropcomplex import (
     SimplicialIdentityViolation,
     build_complex,
     duplicate_sheets,
-    link_of,
 )
 
 # vertices u, v, w = 0, 1, 2; edges uv, uw, vw = 0, 1, 2; one triangle
@@ -52,7 +51,7 @@ def test_edge_slot_convention():
 
 
 def test_link_of_vertex_in_triangle():
-    elems = link_of(TRIANGLE, (0, 0))
+    elems = TRIANGLE.link((0, 0))
     # vertex u: two edge cofaces (uv, uw) and one triangle coface
     assert [t.coface for t in elems[0]] == [(1, 0), (1, 1)]
     assert [t.coface for t in elems[1]] == [(2, 0)]
@@ -97,6 +96,17 @@ def test_disconnected_rejected():
         DeltaComplex(1, [3, 1], {1: [[1, 0]]})
     with pytest.raises(Disconnected):
         DeltaComplex(0, [2], {})
+
+
+def test_disconnected_reports_component_count():
+    # two triangles and a lone vertex: three components of the 1-skeleton
+    tri = [[1, 0], [2, 0], [2, 1]]
+    faces = {1: tri + [[b + 3, a + 3] for b, a in tri],
+             2: [[2, 1, 0], [5, 4, 3]]}
+    with pytest.raises(Disconnected, match="complex has 3 components"):
+        DeltaComplex(2, [7, 6, 2], faces)
+    with pytest.raises(Disconnected, match="complex has 3 components"):
+        DeltaComplex(1, [5, 2], {1: [[1, 0], [3, 2]]})
 
 
 def test_count_shape_mismatches():
@@ -177,6 +187,14 @@ def full_simplex(n):
     return DeltaComplex(n, [len(level) for level in cells], faces)
 
 
+def compose(X, s, slots):
+    """The face of s at the given slots by removing the complement one
+    slot at a time from the top with d_i."""
+    for i in reversed([i for i in range(s[0] + 1) if i not in slots]):
+        s = X.face(s, i)
+    return s
+
+
 def reference_link(X, s):
     """The link of s by searching every higher coface, in order of
     dimension, then index, then slot tuple in combinations order."""
@@ -185,7 +203,7 @@ def reference_link(X, s):
         tuple(LinkElement(s, (m, j), slots)
               for j in range(X.counts[m])
               for slots in combinations(range(m + 1), k + 1)
-              if X.face_at((m, j), slots) == s)
+              if compose(X, (m, j), slots) == s)
         for m in range(k + 1, X.n + 1)
     )
 
@@ -206,14 +224,17 @@ def test_construction_face_calls_grow_linearly(monkeypatch):
     # building a 4x larger torus may cost about 4x the face lookups; a
     # search over all cofaces of every simplex costs about 16x
     calls = 0
-    face = DeltaComplex.face
 
-    def counting_face(self, s, i):
-        nonlocal calls
-        calls += 1
-        return face(self, s, i)
+    def counting(method):
+        def counted(self, s, i):
+            nonlocal calls
+            calls += 1
+            return method(self, s, i)
+        return counted
 
-    monkeypatch.setattr(DeltaComplex, "face", counting_face)
+    for name in ("face", "face_at"):
+        monkeypatch.setattr(DeltaComplex, name,
+                            counting(getattr(DeltaComplex, name)))
     sizes = {}
     for k in (8, 16):
         calls = 0
@@ -238,13 +259,17 @@ def test_incidence_tables_match_face_composition(fx):
     for X in complexes:
         for k in range(X.n + 1):
             for s in X.simplices(k):
+                # the face table behind face_at, at every slot tuple
+                for size in range(1, k + 2):
+                    for slots in combinations(range(k + 1), size):
+                        assert X.face_at(s, slots) == compose(X, s, slots)
                 assert X.vertices_of(s) == tuple(
-                    X.face_at(s, (slot,))[1] for slot in range(k + 1))
+                    compose(X, s, (slot,))[1] for slot in range(k + 1))
                 for t in (t for per_dim in X.link(s) for t in per_dim):
                     comp = t.complement()
                     if t.dim == 0:
                         assert X.opp_slot(t) == comp[0]
-                        assert X.opp_vertex(t) == X.face_at(t.coface, comp)[1]
+                        assert X.opp_vertex(t) == compose(X, t.coface, comp)[1]
                         continue
                     with pytest.raises(ValueError):
                         X.opp_slot(t)
