@@ -26,7 +26,7 @@ from .structure import classify
 from .divisors import (class_group, div_two_piece, div_vertex_function,
                        lin_equiv_witness, local_cartier_test,
                        ridge_multiplicity)
-from .curves import germ_space, intersect_degree, is_balanced, restrict_divisor
+from .curves import intersect_degree, is_balanced, restrict_divisor
 from .embedded import derive_structure, push_forward_and_compare, robustness_check
 from .degeneration import (build_structure_from_degeneration, specialize,
                            verify_theorem)
@@ -245,18 +245,11 @@ def cmd_equiv(fx, args):
 
 def cmd_balance(fx, args):
     T = fx.structure()
-    X = T.complex
     C = _named_curve(fx, args.curve)
     res = is_balanced(T, C)
-    # the spaces is_balanced built; past a failing vertex, the rest
-    built = dict(res.spaces)
-    dims = []
-    for v in C.support_vertices(X):
-        space = built[v] if v in built else germ_space(T, v)
-        dims.append([v, len(space.basis)])
     result = {
         "balanced": res.balanced,
-        "germ_dimensions": dims,
+        "germ_dimensions": [list(pair) for pair in res.dims],
         "certificate": None,
     }
     if res.certificate is not None:

@@ -1,7 +1,9 @@
 """Curves on the 1-skeleton, germ spaces, balancing, and intersections.
 
-A curve is an integer multiplicity per edge.  Balancing is tested against a
-finite basis of the linear-germ space at each support vertex.  The
+A curve is an integer multiplicity per edge.  Balancing at a support vertex
+asks whether the curve's slope functional lies in the row space of the
+vertex's germ relations, decided by one fraction-free elimination; a germ
+basis is built only to name the violating germ of an unbalanced curve.  The
 divisor-curve product restricts local defining germs of the divisor to the
 curve and sums outgoing slopes; its degree is a linear-equivalence
 invariant.
@@ -15,9 +17,9 @@ from functools import cached_property
 
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
-from .linalg import kernel_basis
-from .structure import TropicalStructure
-from .divisors import Divisor, local_cartier_test
+from .linalg import _echelon, kernel_basis, solve
+from .structure import TropicalStructure, local_matrix
+from .divisors import Divisor
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,9 @@ def _edge_coord_from(X, coface, slot_v, slot_w):
     return edge, (0 if slot_v < slot_w else 1,)
 
 
-def germ_space(T: TropicalStructure, v):
-    """Exact rational basis of all linear germs at vertex v.
+def _germ_relations(T: TropicalStructure, v):
+    """(coords, rows, ncols): the linear relations that cut out the germs at
+    vertex v.
 
     Coordinates: value at v, then one value per 0-dimensional link element
     (the opposite vertex of each edge incidence).  One relation per ridge
@@ -102,36 +105,52 @@ def germ_space(T: TropicalStructure, v):
                 else:
                     row[index[_edge_coord_from(X, ridge, slot_v, slot)]] -= a
             rows.append(row)
-    basis = kernel_basis(rows, ncols) if rows else kernel_basis([], ncols)
-    return GermSpace(v, coords, tuple(basis))
+    return coords, rows, ncols
+
+
+def germ_space(T: TropicalStructure, v):
+    """Exact rational basis of all linear germs at vertex v, in the
+    coordinates of `_germ_relations`."""
+    coords, rows, ncols = _germ_relations(T, v)
+    return GermSpace(v, coords, tuple(kernel_basis(rows, ncols)))
 
 
 @dataclass(frozen=True)
 class BalanceResult:
     balanced: bool
     certificate: tuple | None  # (vertex, germ vector) violating the condition
-    # (vertex, GermSpace) pairs built, in support-vertex order up to the
-    # certificate's vertex
-    spaces: tuple = ()
+    dims: tuple = ()  # (vertex, germ dimension) per support vertex, in order
 
 
 def is_balanced(T: TropicalStructure, C: Curve):
-    """Balanced iff for each support vertex v and each basis germ, the
-    multiplicity-weighted sum of slope differences vanishes."""
+    """Balanced iff at each support vertex v every linear germ has zero
+    multiplicity-weighted slope sum.
+
+    That sum is w . g for the germ g, with w[i + 1] the multiplicity of the
+    i-th link coordinate and w[0] minus their sum, so C is balanced at v
+    exactly when w lies in the row space of v's germ relations.  One
+    fraction-free elimination of the relation columns with w appended
+    decides it: w is in the span unless its column is a pivot, and the
+    germ dimension is ncols minus the rank of the relations.  Only at the
+    first failing vertex is the germ basis built, to report its first
+    violating germ as the certificate.
+    """
     X = T.complex
-    spaces = []
+    dims = []
+    certificate = None
     for v in C.support_vertices(X):
-        space = germ_space(T, v)
-        spaces.append((v, space))
-        for germ in space.basis:
-            total = Fraction(0)
-            for i, t in enumerate(space.coords):
-                m = C.mult(t.coface[1])
-                if m:
-                    total += m * (germ[i + 1] - germ[0])
-            if total != 0:
-                return BalanceResult(False, (v, germ), tuple(spaces))
-    return BalanceResult(True, None, tuple(spaces))
+        coords, rows, ncols = _germ_relations(T, v)
+        w = [C.mult(t.coface[1]) for t in coords]
+        w.insert(0, -sum(w))
+        _, pivots = _echelon(list(zip(*rows, w)), len(rows) + 1,
+                             reduced=False)
+        fails = len(rows) in pivots  # w is not in the span of the relations
+        dims.append((v, ncols - len(pivots) + (1 if fails else 0)))
+        if fails and certificate is None:
+            germ = next(g for g in germ_space(T, v).basis
+                        if sum(a * b for a, b in zip(w, g)))
+            certificate = (v, germ)
+    return BalanceResult(certificate is None, certificate, tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +265,11 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
 
     Implemented for n in {1, 2}: the covering by stars of (n-2)-simplices
     and facet interiors reaches every curve vertex only in those dimensions.
-    germ_shifts optionally adds a kernel germ at chosen vertices; the result
-    is germ-choice independent, which tests exercise through this hook.
+    For n = 2 the germ at a vertex is the rational solution of the local
+    system that `linalg.solve` returns; any other differs from it by a
+    kernel germ, which a balanced curve annihilates, so the vertex total is
+    the same.  germ_shifts optionally adds a kernel germ at chosen
+    vertices, which tests use to exercise that independence.
     balance is `is_balanced(T, C)` when the caller has it already.
     """
     X = T.complex
@@ -273,19 +295,21 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
                 if m:
                     total += m * slope
         else:
-            verdict = local_cartier_test(T, D, (0, v))
-            if verdict.status == "neither":
+            local = local_matrix(T, (0, v))
+            germ = solve(local.matrix,
+                         [D.coeff(t.coface[1]) for t in local.elements])
+            if germ is None:
                 raise NotQCartierNearCurve(
                     "divisor not Q-Cartier at vertex %d" % v
                 )
-            slopes = list(verdict.germ.slopes)
+            slopes = list(germ)
             if germ_shifts and v in germ_shifts:
                 shift = germ_shifts[v]
                 if len(shift) != len(slopes):
                     raise IndexMismatch("germ shift length at vertex %d" % v)
                 slopes = [a + Fraction(b) for a, b in zip(slopes, shift)]
             total = Fraction(0)
-            for i, t in enumerate(verdict.germ.elements):
+            for i, t in enumerate(local.elements):
                 m = C.mult(t.coface[1])
                 if m:
                     total += m * slopes[i]

@@ -16,10 +16,11 @@ from fractions import Fraction
 from math import gcd
 
 from .delta import DeltaComplex
-from .errors import (InconsistentSheets, IndexMismatch, NoSolution,
-                     NonUnimodular, NotConstantOnUnbounded,
-                     SimplicialIdentityViolation)
-from .linalg import feasible_strict, invariant_factors, primitive_integer, solve
+from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
+                     NoSolution, NonUnimodular, NotConstantOnUnbounded,
+                     SchemaError, SimplicialIdentityViolation, entry_list,
+                     int_entry)
+from .linalg import feasible_strict, primitive_integer, solve
 from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
 
@@ -54,6 +55,11 @@ class EmbeddedComplex:
         self.sheet_counts = dict(sheet_counts or {})
         self.sheet_maps = dict(sheet_maps or {})
         self._validate()
+        dims = [k for k, level in enumerate(self.bounded) if level]
+        dims += [cell.dim for cell in self.unbounded]
+        if not dims:
+            raise IndexMismatch("an embedded complex needs at least one cell")
+        self.n = max(dims)
 
     # -- validation ----------------------------------------------------------
 
@@ -81,6 +87,7 @@ class EmbeddedComplex:
                 if len(cell) != k + 1 or len(set(cell)) != k + 1:
                     raise IndexMismatch("bounded %d-cell needs %d distinct vertices"
                                         % (k, k + 1))
+                self._check_vertices(cell, "bounded cell")
                 if not self._unimodular([self.vertices[i] for i in cell]):
                     raise NonUnimodular("bounded cell %s" % (cell,))
                 if k > 0:
@@ -108,6 +115,7 @@ class EmbeddedComplex:
                     g = gcd(g, abs(x))
                 if g != 1:
                     raise IndexMismatch("ray %s not primitive" % (r,))
+            self._check_vertices(cell.vertices, "unbounded cell")
             vecs = [self.vertices[i] for i in cell.vertices]
             vecs += [tuple(r) + (0,) for r in cell.rays]
             if not self._unimodular(vecs):
@@ -140,19 +148,40 @@ class EmbeddedComplex:
             if k >= len(self.bounded) or idx >= len(self.bounded[k]):
                 raise InconsistentSheets("sheet count for missing cell")
 
+    def _check_vertices(self, cell, what):
+        for i in cell:
+            if not 0 <= i < len(self.vertices):
+                raise IndexMismatch("%s %s names missing vertex %d"
+                                    % (what, cell, i))
+
     @staticmethod
     def _unimodular(vectors):
-        facs = invariant_factors([list(v) for v in vectors])
-        return len(facs) == len(vectors) and all(f == 1 for f in facs)
+        """Whether every invariant factor of the vectors (as rows) is 1, so
+        that they extend to a lattice basis.
+
+        Column Euclid steps reduce each row in turn to a single entry on the
+        columns no earlier row has taken; the vectors are unimodular exactly
+        when that entry is always +-1, and the test stops at the first row
+        where it is not (its gcd then divides every maximal minor).
+        """
+        cols = [list(c) for c in zip(*vectors)]
+        free = list(range(len(cols)))
+        for r in range(len(vectors)):
+            live = [j for j in free if cols[j][r]]
+            while len(live) > 1:
+                j = min(live, key=lambda l: abs(cols[l][r]))
+                pivot = cols[j]
+                for l in live:
+                    if l != j:
+                        q = cols[l][r] // pivot[r]
+                        cols[l] = [a - q * b for a, b in zip(cols[l], pivot)]
+                live = [l for l in live if cols[l][r]]
+            if not live or abs(cols[live[0]][r]) != 1:
+                return False
+            free.remove(live[0])
+        return True
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def n(self):
-        dims = [k for k, level in enumerate(self.bounded) if level]
-        for cell in self.unbounded:
-            dims.append(cell.dim)
-        return max(dims)
 
     def bounded_dim(self):
         return max(k for k, level in enumerate(self.bounded) if level)
@@ -183,26 +212,52 @@ class EmbeddedComplex:
         return tuple(r) + (0,)
 
 
+def _object(value, what):
+    """A fixture value that must be a JSON object, or SchemaError naming it."""
+    if not isinstance(value, dict):
+        raise SchemaError("%s entry %r is not an object" % (what, value))
+    return value
+
+
 def load_embedded(data):
-    N = int(data["N"])
+    """The EmbeddedComplex of an embedded fixture; a malformed entry raises
+    SchemaError naming it."""
+    for key in ("N", "vertices"):
+        if key not in data:
+            raise SchemaError("embedded fixture is missing key %r" % key)
+    (N,) = int_entry([data["N"]], 1, "N")
+    vertices = [int_entry(v, None, "vertex")
+                for v in entry_list(data["vertices"], "vertex")]
     bounded = [
-        [tuple(int(i) for i in cell) for cell in level]
-        for level in data.get("bounded_cells", [])
+        [int_entry(cell, None, "bounded cell")
+         for cell in entry_list(level, "bounded level")]
+        for level in entry_list(data.get("bounded_cells", []), "bounded level")
     ]
     unbounded = []
-    for cell in data.get("unbounded_cells", []):
+    for cell in entry_list(data.get("unbounded_cells", []), "unbounded cell"):
+        cell = _object(cell, "unbounded cell")
+        if "vertices" not in cell:
+            raise SchemaError("unbounded cell entry %r has no vertices"
+                              % (cell,))
+        rays = entry_list(cell.get("rays", []), "ray")
         unbounded.append(UnboundedCell(
-            tuple(sorted(int(i) for i in cell["vertices"])),
-            tuple(sorted(tuple(int(x) for x in r) for r in cell.get("rays", []))),
+            tuple(sorted(int_entry(cell["vertices"], None,
+                                   "unbounded cell vertices"))),
+            tuple(sorted(int_entry(r, None, "ray") for r in rays)),
         ))
-    sheets = data.get("sheets", {})
+    sheets = _object(data.get("sheets", {}), "sheets")
     counts = {}
-    for k, idx, count in sheets.get("counts", []):
-        counts[(int(k), int(idx))] = int(count)
+    for entry in entry_list(sheets.get("counts", []), "sheet count"):
+        k, idx, count = int_entry(entry, 3, "sheet count")
+        counts[(k, idx)] = count
     maps = {}
-    for k, idx, slot, images in sheets.get("face_sheet_maps", []):
-        maps[(int(k), int(idx), int(slot))] = tuple(int(x) for x in images)
-    return EmbeddedComplex(N, data["vertices"], bounded, unbounded, counts, maps)
+    for entry in entry_list(sheets.get("face_sheet_maps", []), "face sheet map"):
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise SchemaError("face sheet map entry %r is not [k, index, slot, "
+                              "images]" % (entry,))
+        key = int_entry(entry[:3], 3, "face sheet map")
+        maps[key] = int_entry(entry[3], None, "face sheet map images")
+    return EmbeddedComplex(N, vertices, bounded, unbounded, counts, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +329,8 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
     n = E.n
     if n - 1 >= len(E.bounded) or ridge_index >= len(E.bounded[n - 1]):
         raise IndexMismatch("no bounded (n-1)-cell with index %d" % ridge_index)
+    # a bounded cell, so construction has tested its cone for unimodularity
     ridge = E.bounded[n - 1][ridge_index]
-    if not E._unimodular([E.vertices[i] for i in ridge]):
-        raise NonUnimodular("ridge cone %s" % (ridge,))
     rhs = [0] * (E.N + 1)
     d = 0
     bounded_facets, unbounded_facets = E.facets_through(ridge)
@@ -290,15 +344,17 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
         for r in E.unbounded[ci].rays:
             vec = E.ray_vector(r)
             rhs = [a + b for a, b in zip(rhs, vec)]
-    rows = [[Fraction(E.vertices[v][j]) for v in ridge] for j in range(E.N + 1)]
-    sol = solve(rows, [Fraction(x) for x in rhs])
+    rows = [[E.vertices[v][j] for v in ridge] for j in range(E.N + 1)]
+    sol = solve(rows, rhs)
     if sol is None:
         raise NoSolution("balancing relation inconsistent at ridge %s" % (ridge,))
     if any(x.denominator != 1 for x in sol):
         raise NoSolution("balancing coefficients not integral at ridge %s"
                          % (ridge,))
     coeffs = tuple(int(x) for x in sol)
-    assert sum(coeffs) == d
+    if sum(coeffs) != d:
+        raise NoSolution("balancing coefficients sum to %d, not %d, at ridge %s"
+                         % (sum(coeffs), d, ridge))
     return BalancingSolution(ridge_index, coeffs, d)
 
 
@@ -378,10 +434,10 @@ def robustness_check(E: EmbeddedComplex, k, idx):
                 best = cand
                 maximal = ci
     if robust and rays:
-        for r in rays:
-            assert sum(a * b for a, b in zip(cert, r)) > 0
-        for v in dirs:
-            assert sum(a * b for a, b in zip(cert, v)) == 0
+        if any(sum(a * b for a, b in zip(cert, r)) <= 0 for r in rays) \
+                or any(sum(a * b for a, b in zip(cert, v)) for v in dirs):
+            raise InconsistentData("robustness certificate %s fails at bounded "
+                                   "cell %s" % (cert, cell))
     return RobustResult(robust, cert, maximal)
 
 
@@ -424,16 +480,17 @@ def embedded_weights(E: EmbeddedComplex, f):
     for ridx, ridge in enumerate(E.bounded[n - 1]):
         env = _ridge_environment(E, ridge)
         rows = [list(E.vertex_vector(v)) for v in ridge]
-        rhs = [Fraction(f[v]) for v in ridge]
+        rhs = [f[v] for v in ridge]
         kind, data, _ = env[0]
         if kind == "b":
             rows.append(list(E.vertex_vector(data)))
-            rhs.append(Fraction(f[data]))
+            rhs.append(f[data])
         else:
             rows.append(list(E.ray_vector(data)))
-            rhs.append(Fraction(0))
-        h = solve([[Fraction(x) for x in row] for row in rows], rhs)
-        assert h is not None
+            rhs.append(0)
+        h = solve(rows, rhs)
+        if h is None:
+            raise NoSolution("no affine gauge at ridge %s" % (ridge,))
         total = Fraction(0)
         for kind, data, mult in env:
             if kind == "b":
@@ -443,7 +500,9 @@ def embedded_weights(E: EmbeddedComplex, f):
             else:
                 vec = E.ray_vector(data)
                 total += mult * (-sum(a * b for a, b in zip(h, vec)))
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise InconsistentData("weight %s at ridge %s is not an integer"
+                                   % (total, ridge), ridge=ridx)
         weights[ridx] = int(total)
     return weights
 

@@ -6,14 +6,15 @@ runs fraction-free on integer rows and divides each row, or the active
 block, by the gcd of its entries after every step, so every working entry
 stays within Hadamard's bound for a minor of the input.  The integer
 elimination (`_echelon`) is kept apart from rref's Fraction output:
-`solvable` and `rank` only need the pivots, and build no Fraction.  The
-Smith normal form (`smith`) eliminates on sparse integer rows, pivoting on
-an entry of smallest absolute value (ties by position) and reducing the
-pivot row and column modulo it, and keeps U and V as logs of row and column
-operations that are replayed on one vector at a time; `smith_normal_form`
-builds them dense on request.  The transforms
-are not reduced, so their entries can exceed Hadamard's bound.  No
-floating point enters any verdict anywhere in the package.
+`solvable` and `rank` only need the pivots, and build no Fraction;
+`solve` and `kernel_basis` build one Fraction per nonzero entry they
+return.  The Smith normal form (`smith`) eliminates on sparse integer
+rows, pivoting on an entry of smallest absolute value (ties by position)
+and reducing the pivot row and column modulo it, and keeps U and V as logs
+of row and column operations that are replayed on one vector at a time;
+`smith_normal_form` builds them dense on request.  The transforms are not
+reduced, so their entries can exceed Hadamard's bound.  No floating point
+enters any verdict anywhere in the package.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .errors import InconsistentData
 
 
 _ZERO = Fraction(0)
@@ -99,16 +102,20 @@ def kernel_basis(rows, ncols):
     """Basis of {x : rows . x = 0} over Q.
 
     Free variables are set to 1 one at a time (increasing column order), so
-    the basis is deterministic.
+    the basis is deterministic.  The entries are read off the rows of
+    `_echelon`, one Fraction per nonzero entry.
     """
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = _echelon(rows, ncols)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [_ZERO] * ncols
         vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -red[i][f]
+        for row, p in zip(m, pivots):
+            if row[f]:
+                vec[p] = Fraction(-row[f], row[p])
         basis.append(tuple(vec))
     return basis
 
@@ -116,16 +123,19 @@ def kernel_basis(rows, ncols):
 def solve(rows, rhs):
     """One rational solution of rows . x = rhs, or None if inconsistent.
 
-    Free variables are set to 0 (deterministic particular solution).
+    Free variables are set to 0 (deterministic particular solution), so
+    each pivot variable is the last entry of its `_echelon` row divided by
+    the pivot.
     """
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
+    m, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)],
+                         ncols + 1)
+    if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
+    x = [_ZERO] * ncols
+    for row, p in zip(m, pivots):
+        if row[ncols]:
+            x[p] = Fraction(row[ncols], row[p])
     return tuple(x)
 
 
@@ -510,10 +520,14 @@ def feasible_strict(equalities, positives, dim):
         else:
             z[t] = Fraction(0)
     y = tuple(sum(z[i] * kern[i][j] for i in range(k)) for j in range(dim))
-    for e in equalities:
-        assert sum(Fraction(a) * b for a, b in zip(e, y)) == 0
-    for p in positives:
-        assert sum(Fraction(a) * b for a, b in zip(p, y)) > 0
+    for i, e in enumerate(equalities):
+        if sum(Fraction(a) * b for a, b in zip(e, y)) != 0:
+            raise InconsistentData("Fourier-Motzkin point violates equality "
+                                   "row %d" % i)
+    for i, p in enumerate(positives):
+        if sum(Fraction(a) * b for a, b in zip(p, y)) <= 0:
+            raise InconsistentData("Fourier-Motzkin point violates strict "
+                                   "row %d" % i)
     return y
 
 

@@ -4,7 +4,9 @@ Every comparison here is exact; the whole suite is expected to finish in
 well under a minute.
 """
 
+import ast
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -256,3 +258,15 @@ def test_a11_theorem_verification_exit_codes(capsys, tmp_path):
     assert code == 1
     assert report["result"]["match"] is False
     assert report["result"]["claimed"] == [3, 1]
+
+
+def test_package_has_no_assert_statements():
+    # results and inputs are checked by explicit typed errors, which
+    # python -O does not strip
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropcomplex"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

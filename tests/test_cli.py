@@ -288,6 +288,28 @@ def test_malformed_integer_entry_is_schema_error(capsys, tmp_path, field, entry)
     assert report["error"]["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d.update(N="two"), "'two'"),
+    (lambda d: d["unbounded_cells"].__setitem__(0, 5), "entry 5"),
+    (lambda d: d["bounded_cells"].__setitem__(1, [0, 1]), "entry 0"),
+    (lambda d: d.pop("vertices"), "'vertices'"),
+    (lambda d: d["vertices"].__setitem__(0, [0, "x", 1]), "'x'"),
+    (lambda d: d.update(sheets=[]), "sheets"),
+    (lambda d: d["unbounded_cells"][0].update(rays=[[1, "x"]]), "'x'"),
+], ids=["N-not-integer", "unbounded-cell-not-object", "level-not-lists",
+        "no-vertices", "vertex-not-integers", "sheets-not-object",
+        "ray-not-integers"])
+def test_malformed_embedded_entry_is_schema_error(capsys, tmp_path, edit, named):
+    data = json.loads(fixture_path("plane").read_text())
+    edit(data)
+    bad = tmp_path / "bad-plane.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
+    assert named in report["error"]["message"]
+
+
 def test_equiv_on_zero_dimensional_complex(capsys, tmp_path):
     data = {"format": "tcx-1", "n": 0, "simplices": [1],
             "divisors": {"A": [], "B": []}}
@@ -563,27 +585,54 @@ def test_side_file_not_utf8_is_input_error(capsys, tmp_path, argv):
     assert report["error"]["type"] == "InputError"
 
 
+def counting_calls(monkeypatch, module_name, attr):
+    """Rebind tropcomplex's `attr` to a wrapper that records its calls, in
+    every tropcomplex module that holds it; returns the call list."""
+    original = getattr(sys.modules["tropcomplex." + module_name], attr)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropcomplex") \
+                and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     ["balance", fixture_path("tetrahedron"), "-C", "C"],
     ["verify", fixture_path("tet-degen"), "-D", "D", "-C", "C"],
 ])
-def test_germ_space_built_once_per_support_vertex(capsys, monkeypatch, argv):
-    from tropcomplex import curves
-
-    original = curves.germ_space
-    calls = []
-
-    def counting(T, v):
-        calls.append(v)
-        return original(T, v)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tropcomplex") \
-                and getattr(module, "germ_space", None) is original:
-            monkeypatch.setattr(module, "germ_space", counting)
+def test_balanced_curve_builds_no_germ_basis(capsys, monkeypatch, argv):
+    calls = counting_calls(monkeypatch, "linalg", "kernel_basis")
     code = run([str(a) for a in argv])
     capsys.readouterr()
-    fx = tropcomplex.load_fixture_file(argv[1])
-    C = fx.curves["C"]
     assert code == 0
-    assert calls == C.support_vertices(fx.complex)
+    assert calls == []
+
+
+def test_unbalanced_curve_builds_one_germ_space(capsys, monkeypatch, tmp_path):
+    # edge 0 of the triangle alone is unbalanced at its first support vertex
+    data = json.loads(fixture_path("triangle").read_text())
+    data["curves"]["U"] = [[0, 1], [2, 1]]
+    path = tmp_path / "unbalanced.json"
+    path.write_text(json.dumps(data))
+    calls = counting_calls(monkeypatch, "curves", "germ_space")
+    code, report, _ = invoke(capsys, "balance", path, "-C", "U")
+    assert code == 1
+    v, _ = report["result"]["certificate"]
+    assert [args[1] for args in calls] == [v]
+    assert [v for v, _ in report["result"]["germ_dimensions"]] == [0, 1, 2]
+
+
+def test_intersect_runs_no_smith_form(capsys, monkeypatch):
+    calls = counting_calls(monkeypatch, "linalg", "smith")
+    for argv in (["intersect", fixture_path("tetrahedron"), "-D", "Dcd", "-C", "C"],
+                 ["intersect", fixture_path("triangle"), "-D", "P1", "-C", "C1"],
+                 ["verify", fixture_path("tet-degen"), "-D", "D", "-C", "C"]):
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0, argv
+    assert calls == []

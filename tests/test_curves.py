@@ -1,10 +1,13 @@
 """Curves: germ spaces, balancing, PL functions on curves, intersections."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcomplex import (
     BreakpointFunction,
@@ -16,14 +19,19 @@ from tropcomplex import (
     NotBalanced,
     NotQCartierNearCurve,
     UnsupportedDimension,
+    build_complex,
+    build_structure_from_degeneration,
     div_vertex_function,
     germ_space,
     intersect_degree,
     is_balanced,
+    load_fixture_file,
     make_structure,
     restrict_divisor,
 )
 from tropcomplex.embedded import derive_structure
+from tests.conftest import fixture_path
+from tests.test_delta import torus
 
 
 def solid_tetrahedron():
@@ -108,6 +116,61 @@ def test_single_edge_unbalanced_where_germs_exist(triangle, path_graph):
 def test_single_edge_on_tetrahedron_vacuously_balanced(tetrahedron):
     T = tetrahedron.structure()
     assert is_balanced(T, Curve.on_edges({0: 1})).balanced
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_structures():
+    """Every abstract and degeneration fixture, the embedded plane, unit-alpha
+    tori, and n = 1 graphs with mixed vertex alphas."""
+    out = []
+    for name in ("triangle", "triangle-tropical", "tetrahedron", "path", "loop"):
+        out.append(load_fixture_file(fixture_path(name)).structure())
+    degen = load_fixture_file(fixture_path("tet-degen"))
+    out.append(build_structure_from_degeneration(
+        build_complex(degen.raw["complex"]), degen.degeneration))
+    out.append(derive_structure(load_fixture_file(fixture_path("plane")).embedded)[2])
+    for k, seed in ((3, None), (4, 1), (5, 2)):
+        X = torus(k, seed)
+        out.append(make_structure(
+            X, {(r, s): 1 for r in range(X.counts[1]) for s in range(2)}))
+    k4 = list(itertools.combinations(range(4), 2))
+    for edges, alphas in ((k4, (3, 2, 3, 3)), (k4 + [(0, 1)], (4, 4, 3, 3)),
+                          ([(0, 1), (1, 2), (2, 0)], (2, 1, 2))):
+        X = DeltaComplex(1, [len(alphas), len(edges)],
+                         {1: [[b, a] for a, b in edges]})
+        out.append(make_structure(X, {(v, 0): a for v, a in enumerate(alphas)}))
+    return tuple(out)
+
+
+def reference_balance(T, C):
+    """(balanced, certificate, dims) by scanning each support vertex's germ
+    basis for the first germ with a nonzero weighted slope sum."""
+    dims, certificate = [], None
+    for v in C.support_vertices(T.complex):
+        space = germ_space(T, v)
+        dims.append((v, len(space.basis)))
+        for germ in space.basis:
+            total = sum(C.mult(t.coface[1]) * (germ[i + 1] - germ[0])
+                        for i, t in enumerate(space.coords))
+            if total and certificate is None:
+                certificate = (v, germ)
+    return certificate is None, certificate, tuple(dims)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_balance_matches_germ_basis_scan(data):
+    structures = oracle_structures()
+    T = structures[data.draw(st.integers(0, len(structures) - 1))]
+    ne = T.complex.counts[1]
+    # a uniform multiple of every edge (balanced on the tori, and where a
+    # graph vertex's alpha is its degree), then a few edges redrawn
+    mults = dict.fromkeys(range(ne), data.draw(st.integers(0, 2)))
+    mults.update(data.draw(st.dictionaries(st.integers(0, ne - 1),
+                                           st.integers(-2, 2), max_size=6)))
+    C = Curve.on_edges(mults)
+    res = is_balanced(T, C)
+    assert (res.balanced, res.certificate, res.dims) == reference_balance(T, C)
 
 
 def test_curve_support_and_effectivity(triangle):

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcomplex.embedded import UnboundedCell
+from tropcomplex.linalg import invariant_factors
 from tropcomplex import (
     Divisor,
     IndexMismatch,
@@ -84,6 +87,28 @@ def test_vertices_must_sit_at_height_one():
 def test_face_closure_required():
     with pytest.raises(IndexMismatch):
         EmbeddedComplex(1, [[0, 1], [1, 1]], [[(0,)], [(0, 1)]], [])
+
+
+def test_cell_naming_a_missing_vertex_rejected():
+    with pytest.raises(IndexMismatch):
+        EmbeddedComplex(1, [[0, 1], [1, 1]], [[(0,), (2,)]], [])
+    with pytest.raises(IndexMismatch):
+        EmbeddedComplex(1, [[0, 1]], [[(0,)]], [UnboundedCell((-1,), ((1,),))])
+
+
+def test_complex_without_cells_rejected():
+    with pytest.raises(IndexMismatch):
+        EmbeddedComplex(1, [[0, 1]], [], [])
+
+
+@given(st.integers(0, 5).flatmap(lambda m: st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=m, max_size=m))))
+@settings(max_examples=500, deadline=None)
+def test_unimodular_matches_invariant_factors(vectors):
+    facs = invariant_factors(vectors)
+    want = len(facs) == len(vectors) and all(f == 1 for f in facs)
+    assert EmbeddedComplex._unimodular(vectors) == want
 
 
 # -- sheet duplication ------------------------------------------------------

@@ -76,6 +76,54 @@ def test_solve_satisfies_system(a, data):
     assert list(mat_apply(a, x)) == [Fraction(v) for v in b]
 
 
+def kernel_basis_via_rref(rows, ncols):
+    """The kernel basis read off rref's Fraction matrix: free variables set
+    to 1 one at a time."""
+    red, pivots = rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -red[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_via_rref(rows, rhs):
+    """The solution read off rref of the augmented rows, free variables 0."""
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][ncols]
+    return tuple(x)
+
+
+small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def matrix_of(entries, max_rows=5, max_cols=5):
+    return st.integers(0, max_rows).flatmap(
+        lambda m: st.integers(1, max_cols).flatmap(
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)))
+
+
+@given(st.one_of(matrix_of(st.integers(-3, 3)), matrix_of(small_fraction)),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_and_solve_match_rref_readings(a, data):
+    ncols = len(a[0]) if a else data.draw(st.integers(1, 4))
+    assert kernel_basis(a, ncols) == kernel_basis_via_rref(a, ncols)
+    if a:
+        b = data.draw(st.lists(st.one_of(st.integers(-3, 3), small_fraction),
+                               min_size=len(a), max_size=len(a)))
+        assert solve(a, b) == solve_via_rref(a, b)
+
+
 # -- Smith normal form ------------------------------------------------------
 
 
