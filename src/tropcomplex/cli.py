@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from dataclasses import dataclass
 
@@ -51,6 +52,7 @@ def arg(*flags, **kwargs):
     return flags, kwargs
 
 
+INTEGER = re.compile("-?[0-9]+")  # ASCII digits only, unlike str.isdigit
 DIVISOR = arg("--divisor", "-D", required=True)
 CURVE = arg("--curve", "-C", required=True)
 
@@ -83,7 +85,7 @@ def _named_curve(fx, name):
 def _values(spec_str, fx, count):
     """Comma-separated integers, or the name of a stored vertex function."""
     parts = [p.strip() for p in spec_str.split(",")]
-    if all(p.lstrip("-").isdigit() for p in parts if p):
+    if all(INTEGER.fullmatch(p) for p in parts if p):
         values = [int(p) for p in parts if p]
     elif spec_str in fx.functions:
         values = list(fx.functions[spec_str])
@@ -122,10 +124,7 @@ def cmd_validate(fx, args):
         }
         return result, [["validate", "pass", "embedded complex well formed"]], {}
     X = fx.complex
-    degrees = []
-    for v in range(X.counts[0]):
-        link = X.link((0, v))
-        degrees.append(len(link[0]) if link else 0)
+    degrees = [X.degree((0, v)) for v in range(X.counts[0])]
     result = {
         "kind": fx.kind,
         "n": X.n,
@@ -277,7 +276,7 @@ def cmd_intersect(fx, args):
         result["restricted"] = point_sum_to_json(P)
         result["restricted_degree"] = rat(P.degree)
     detail = "degree %d/%d" % (res.degree.numerator, res.degree.denominator)
-    return result, [["intersect", "pass", detail]], {}
+    return result, [["intersect", "pass", detail]], extra
 
 
 def cmd_import_embedded(fx, args):

@@ -78,7 +78,7 @@ def _germ_relations(T: TropicalStructure, v):
     """
     X = T.complex
     coords = X.link0((0, v))
-    index = {(t.coface, t.slots): i + 1 for i, t in enumerate(coords)}
+    index = {t: i + 1 for i, t in enumerate(coords)}
     ncols = 1 + len(coords)
     rows = []
     if X.n == 1:

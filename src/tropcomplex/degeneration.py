@@ -16,7 +16,7 @@ from fractions import Fraction
 from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
                      UnknownName, entry_list, int_entry)
-from .structure import TropicalStructure, check_weak
+from .structure import TropicalStructure, check_weak, link_graph
 from .divisors import Divisor, weil_test
 from .curves import Curve, is_balanced, intersect_degree
 
@@ -142,13 +142,9 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
     alpha = {}
     for qi in range(X.counts[n - 2]):
         q = (n - 2, qi)
-        elements = X.link0(q)
-        index = {(t.coface, t.slots): i for i, t in enumerate(elements)}
+        elements, edges = link_graph(X, q)
         loops = [0] * len(elements)
-        link = X.link(q)
-        for f in (link[1] if len(link) > 1 else ()):
-            a = index[X.link_face_key(f, 0)]
-            b = index[X.link_face_key(f, 1)]
+        for a, b in edges:
             if a == b:
                 loops[a] += 1
         for ti, t in enumerate(elements):

@@ -3,8 +3,9 @@
 A complex is stored as per-dimension simplex counts plus the face table
 faces[k][i] = (d_0 s, ..., d_k s) for every k-simplex s = (k, i).  Faces of a
 simplex may coincide (non-regular gluing), so links count incidences with
-multiplicity.  A link element of s is a coface together with the strictly
-increasing slot tuple of the coface's parametrizing simplex that maps onto s.
+multiplicity.  A link element of s is the pair (coface, slots): a coface
+and the strictly increasing slot tuple of the coface's parametrizing simplex
+that maps onto s.  The pair identifies the element, so it is its own key.
 
 Construction validates the faces (shape, simplicial identities, a connected
 1-skeleton), then fills a second table one dimension at a time: the face of
@@ -15,29 +16,20 @@ chain of `face` calls is composed after validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (Disconnected, DimensionExceeded, SchemaError,
-                     SimplicialIdentityViolation, entry_list)
+                     SimplicialIdentityViolation, entry_list, int_entry)
 
 Simplex = tuple  # (dimension, index)
 
 
-@dataclass(frozen=True)
-class LinkElement:
-    base: Simplex
+class LinkElement(NamedTuple):
+    """(coface, slots); equals and hashes as that plain tuple."""
+
     coface: Simplex
-    slots: tuple  # strictly increasing slots of the coface hitting base
-
-    @property
-    def dim(self):
-        return self.coface[0] - self.base[0] - 1
-
-    def complement(self):
-        return tuple(
-            i for i in range(self.coface[0] + 1) if i not in self.slots
-        )
+    slots: tuple
 
 
 class DeltaComplex:
@@ -139,9 +131,6 @@ class DeltaComplex:
                 for j, row in enumerate(self.faces[m])))
         self._slot_pos = tuple(slot_pos)
         self._face_table = tuple(table)
-        # the vertex tuples on their own, so that vertices_of is one lookup
-        self._vertices = tuple(tuple(row[:m + 1] for row in level)
-                               for m, level in enumerate(table))
 
     def _build_links(self):
         """One pass over the cofaces: each (coface, slot tuple) pair is
@@ -160,8 +149,7 @@ class DeltaComplex:
             for j, row in enumerate(self._face_table[m]):
                 coface = (m, j)
                 for (slots, level, d), i in zip(targets, row):
-                    level[i][d].append(
-                        LinkElement((len(slots) - 1, i), coface, slots))
+                    level[i][d].append(LinkElement(coface, slots))
         self._links = tuple(tuple(tuple(tuple(lst) for lst in per_dim)
                                   for per_dim in level) for level in links)
 
@@ -198,10 +186,10 @@ class DeltaComplex:
         return len(slots) - 1, self._face_table[k][i][self._slot_pos[k][slots]]
 
     def vertex_at(self, s, slot):
-        return self._vertices[s[0]][s[1]][slot]
+        return self._face_table[s[0]][s[1]][slot]
 
     def vertices_of(self, s):
-        return self._vertices[s[0]][s[1]]
+        return self._face_table[s[0]][s[1]][:s[0] + 1]
 
     def link(self, s):
         """Link elements of s grouped by link dimension (0-based tuple)."""
@@ -211,16 +199,13 @@ class DeltaComplex:
         per_dim = self._links[s[0]][s[1]]
         return per_dim[0] if per_dim else ()
 
-    def link_face_key(self, t, i):
-        """(coface, slots) of the i-th face of a positive-dimensional link
-        element: the lookup key of `link_face`, without building it."""
-        coface = t.coface
-        drop, slots = self._slot_faces[coface[0], t.slots][i]
-        return (coface[0] - 1, self.faces[coface[0]][coface[1]][drop]), slots
-
     def link_face(self, t, i):
-        """The i-th face of a positive-dimensional link element."""
-        return LinkElement(t.base, *self.link_face_key(t, i))
+        """The i-th face of a positive-dimensional link element: the face
+        of its coface that drops the i-th slot outside t.slots, with the
+        slots re-indexed."""
+        (m, j), slots = t
+        drop, slots = self._slot_faces[m, slots][i]
+        return LinkElement((m - 1, self.faces[m][j][drop]), slots)
 
     def opp_slot(self, t):
         """Vertex slot of the coface outside the identified face.
@@ -234,8 +219,8 @@ class DeltaComplex:
         return m * (m + 1) // 2 - sum(t.slots)
 
     def opp_vertex(self, t):
-        coface = t.coface
-        return self._vertices[coface[0]][coface[1]][self.opp_slot(t)]
+        m, j = t.coface
+        return self._face_table[m][j][self.opp_slot(t)]
 
     def degree(self, r):
         return len(self.link0(r))
@@ -281,15 +266,14 @@ def build_complex(data):
     Expects keys "n", "simplices" (per-dimension counts) and "faces"
     (entries [dimension, index, slot, target]).
     """
-    try:
-        n = int(data["n"])
-        counts = [int(c) for c in data["simplices"]]
-    except KeyError as exc:
-        raise SchemaError("complex is missing key %s" % exc) from None
-    except (TypeError, ValueError):
-        raise SchemaError(
-            '"n" must be an integer and "simplices" a list of integers'
-        ) from None
+    if not isinstance(data, dict):
+        raise SchemaError("a complex is a JSON object, not %s"
+                          % type(data).__name__)
+    for key in ("n", "simplices"):
+        if key not in data:
+            raise SchemaError("complex is missing key %r" % key)
+    (n,) = int_entry([data["n"]], 1, "n")
+    counts = int_entry(data["simplices"], None, "simplices")
     if n < 0:
         raise DimensionExceeded("n must be nonnegative")
     if len(counts) != n + 1:
@@ -299,11 +283,7 @@ def build_complex(data):
     faces = {k: [[None] * (k + 1) for _ in range(counts[k])]
              for k in range(1, n + 1)}
     for entry in entry_list(data.get("faces", []), "face"):
-        try:
-            k, i, slot, target = (int(x) for x in entry)
-        except (TypeError, ValueError):
-            raise SchemaError(
-                "face entry %r is not four integers" % (entry,)) from None
+        k, i, slot, target = int_entry(entry, 4, "face")
         if not 1 <= k <= n:
             raise DimensionExceeded("face entry at dimension %d" % k)
         if not 0 <= i < counts[k]:

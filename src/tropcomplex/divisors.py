@@ -170,9 +170,7 @@ def div_two_piece(T: TropicalStructure, f: TwoPieceFunction):
         raise DegenerateCut(
             "cut misses the facet: %d below, %d on, %d above" % (below, on, above)
         )
-    g = 0
-    for x in lam:
-        g = gcd(g, abs(x))
+    g = gcd(*lam)
     piece = FacetPiece(f.facet, tuple(x // g for x in lam), c / g, g)
     return Divisor((), (piece,))
 

@@ -110,10 +110,7 @@ class EmbeddedComplex:
             for r in cell.rays:
                 if len(r) != self.N or all(x == 0 for x in r):
                     raise IndexMismatch("bad ray %s" % (r,))
-                g = 0
-                for x in r:
-                    g = gcd(g, abs(x))
-                if g != 1:
+                if gcd(*r) != 1:
                     raise IndexMismatch("ray %s not primitive" % (r,))
             self._check_vertices(cell.vertices, "unbounded cell")
             vecs = [self.vertices[i] for i in cell.vertices]

@@ -16,17 +16,14 @@ class SchemaError(InputError):
 
 def int_entry(entry, size, what):
     """A fixture entry (a JSON list) as a tuple of `size` ints (any number
-    when size is None), or SchemaError naming it."""
-    out = None
-    if isinstance(entry, (list, tuple)):
-        try:
-            out = tuple(int(x) for x in entry)
-        except (TypeError, ValueError):
-            pass
-    if out is None or size is not None and len(out) != size:
+    when size is None), or SchemaError naming it.  Only JSON integers are
+    accepted: no bools, floats or numeric strings."""
+    if not (isinstance(entry, (list, tuple))
+            and all(type(x) is int for x in entry)
+            and (size is None or len(entry) == size)):
         raise SchemaError("%s entry %r is not %s integers"
                           % (what, entry, "a list of" if size is None else size))
-    return out
+    return tuple(entry)
 
 
 def entry_list(value, what):

@@ -533,14 +533,4 @@ def feasible_strict(equalities, positives, dim):
 
 def primitive_integer(vec):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return tuple(_primitive(_integers(vec)))

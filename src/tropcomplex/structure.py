@@ -43,9 +43,6 @@ class TropicalStructure:
             raise MissingAlpha("no alpha for ridge %d slot %d" % key)
         return self.alpha[key]
 
-    def ridge_dim(self):
-        return self.complex.n - 1
-
 
 def fill_alpha(X: DeltaComplex, alpha=None):
     """Normalize an alpha map; for n = 1 a missing map is forced to deg(v)."""
@@ -92,6 +89,18 @@ class LocalIntersectionMatrix:
     matrix: tuple  # tuple of tuples, symmetric integers
 
 
+def link_graph(X: DeltaComplex, q):
+    """(elements, edges) of the graph link(q): the 0-dimensional link
+    elements of q, and for each 1-dimensional one the positions (a, b) in
+    elements of its two ends (a == b for a loop)."""
+    elements = X.link0(q)
+    index = {t: i for i, t in enumerate(elements)}
+    link = X.link(q)
+    edges = [(index[X.link_face(f, 0)], index[X.link_face(f, 1)])
+             for f in (link[1] if len(link) > 1 else ())]
+    return elements, edges
+
+
 def local_matrix(T: TropicalStructure, q):
     """Local intersection matrix at an (n-2)-simplex q.
 
@@ -104,15 +113,10 @@ def local_matrix(T: TropicalStructure, q):
             "local matrix needs an (n-2)-simplex, got dimension %d with n=%d"
             % (q[0], X.n)
         )
-    elems = X.link0(q)
-    index = {(t.coface, t.slots): i for i, t in enumerate(elems)}
+    elems, edges = link_graph(X, q)
     size = len(elems)
     m = [[0] * size for _ in range(size)]
-    link = X.link(q)
-    edges = link[1] if len(link) > 1 else ()
-    for f in edges:
-        a = index[X.link_face_key(f, 0)]
-        b = index[X.link_face_key(f, 1)]
+    for a, b in edges:
         if a == b:
             m[a][a] += 2
         else:

@@ -277,9 +277,18 @@ def test_missing_required_key_is_schema_error(capsys, tmp_path):
 @pytest.mark.parametrize("field, entry", [
     ("divisors", {"D": [[0, "x"]]}),
     ("alpha", [[0, 0]]),
+    ("n", True),
+    ("simplices", ["3", 3, 1]),
+    ("simplices", [3, 2.9, 1]),
+    ("faces", [[1, 0, 0, 1.6]]),
+    ("alpha", [[0, 0, 2.7]]),
 ])
 def test_malformed_integer_entry_is_schema_error(capsys, tmp_path, field, entry):
+    # a JSON integer only: booleans, floats and numeric strings are
+    # rejected, not converted
     data = json.loads(fixture_path("triangle").read_text())
+    if field == "faces":
+        entry = data["faces"][1:] + entry
     data[field] = entry
     bad = tmp_path / "bad-entry.json"
     bad.write_text(json.dumps(data))
@@ -296,9 +305,11 @@ def test_malformed_integer_entry_is_schema_error(capsys, tmp_path, field, entry)
     (lambda d: d["vertices"].__setitem__(0, [0, "x", 1]), "'x'"),
     (lambda d: d.update(sheets=[]), "sheets"),
     (lambda d: d["unbounded_cells"][0].update(rays=[[1, "x"]]), "'x'"),
+    (lambda d: d.update(N=2.9), "2.9"),
+    (lambda d: d["vertices"].__setitem__(0, [0.4, 0, 1]), "0.4"),
 ], ids=["N-not-integer", "unbounded-cell-not-object", "level-not-lists",
         "no-vertices", "vertex-not-integers", "sheets-not-object",
-        "ray-not-integers"])
+        "ray-not-integers", "N-float", "vertex-float"])
 def test_malformed_embedded_entry_is_schema_error(capsys, tmp_path, edit, named):
     data = json.loads(fixture_path("plane").read_text())
     edit(data)
@@ -372,6 +383,34 @@ def test_malformed_breakpoints_file_is_schema_error(capsys, tmp_path):
                              "-D", "Dab", "-C", "C", "--breakpoints", bad)
     assert code == 2
     assert report["error"]["type"] == "SchemaError"
+
+
+def test_intersect_records_breakpoints_file(capsys, tmp_path):
+    good = tmp_path / "breakpoints.json"
+    good.write_text(json.dumps([[0, [[0, 1, 0, 1], [1, 2, 1, 1], [1, 1, 0, 1]]],
+                                [1, [[0, 1, 0, 1], [1, 1, 0, 1]]]]))
+    code, report, _ = invoke(capsys, "intersect", fixture_path("path"),
+                             "-D", "Da", "-C", "C", "--breakpoints", good)
+    assert code == 0
+    assert report["inputs"]["breakpoints"] == {
+        "path": str(good),
+        "sha256": hashlib.sha256(good.read_bytes()).hexdigest()}
+    assert report["result"]["restricted_degree"] == [0, 1]
+
+
+@pytest.mark.parametrize("values", ["--1,0,0", "1,\u00b2,0"])
+@pytest.mark.parametrize("argv", [("div", "path", "--phi"),
+                                  ("pushforward", "plane", "-f")])
+def test_values_not_ascii_integers_are_unknown_names(capsys, argv, values):
+    # "--1" and a superscript digit pass str.isdigit after lstrip("-") but
+    # are no integers: the value is looked up as a stored function name
+    command, fixture, flag = argv
+    code, report, _ = invoke(capsys, command, fixture_path(fixture),
+                             "%s=%s" % (flag, values))
+    assert code == 2
+    assert report["error"] == {
+        "type": "UnknownName",
+        "message": "no vertex function named %r" % (values,)}
 
 
 def test_side_file_with_invalid_json_is_input_error(capsys, tmp_path):

@@ -14,6 +14,7 @@ from tropcomplex import (
     build_complex,
     duplicate_sheets,
 )
+from tropcomplex.structure import link_graph
 
 # vertices u, v, w = 0, 1, 2; edges uv, uw, vw = 0, 1, 2; one triangle
 TRIANGLE = DeltaComplex(
@@ -200,7 +201,7 @@ def reference_link(X, s):
     dimension, then index, then slot tuple in combinations order."""
     k = s[0]
     return tuple(
-        tuple(LinkElement(s, (m, j), slots)
+        tuple(LinkElement((m, j), slots)
               for j in range(X.counts[m])
               for slots in combinations(range(m + 1), k + 1)
               if compose(X, (m, j), slots) == s)
@@ -266,8 +267,9 @@ def test_incidence_tables_match_face_composition(fx):
                 assert X.vertices_of(s) == tuple(
                     compose(X, s, (slot,))[1] for slot in range(k + 1))
                 for t in (t for per_dim in X.link(s) for t in per_dim):
-                    comp = t.complement()
-                    if t.dim == 0:
+                    comp = tuple(x for x in range(t.coface[0] + 1)
+                                 if x not in t.slots)
+                    if len(comp) == 1:
                         assert X.opp_slot(t) == comp[0]
                         assert X.opp_vertex(t) == compose(X, t.coface, comp)[1]
                         continue
@@ -275,6 +277,46 @@ def test_incidence_tables_match_face_composition(fx):
                         X.opp_slot(t)
                     for i, drop in enumerate(comp):
                         slots = tuple(x if x < drop else x - 1 for x in t.slots)
-                        key = (X.face(t.coface, drop), slots)
-                        assert X.link_face_key(t, i) == key
-                        assert X.link_face(t, i) == LinkElement(s, *key)
+                        assert X.link_face(t, i) == (X.face(t.coface, drop),
+                                                     slots)
+
+
+def test_link_element_is_its_own_key():
+    t = LinkElement((2, 5), (0, 2))
+    assert t == ((2, 5), (0, 2))
+    assert hash(t) == hash(((2, 5), (0, 2)))
+    assert {((2, 5), (0, 2)): 7}[t] == 7
+    assert (t.coface, t.slots) == t
+
+
+def test_link_graph_edges_match_face_composition(fx):
+    # each edge of link(q) joins the positions in link0(q) of the two
+    # elements that drop one slot outside its slots, by face composition
+    from tests.conftest import ABSTRACT, DEGENERATION, EMBEDDED
+
+    complexes = [fx[name].complex for name in ABSTRACT + DEGENERATION]
+    complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
+    complexes += [torus(k, seed) for k in (3, 4, 5) for seed in (0, 1, 2)]
+    complexes += [full_simplex(3), full_simplex(4),
+                  DeltaComplex(2, [2, 2, 1], {1: [[1, 0], [1, 1]],
+                                              2: [[1, 0, 0]]})]
+    loops = 0
+    for X in complexes:
+        for k in range(X.n - 1):
+            for q in X.simplices(k):
+                elements, edges = link_graph(X, q)
+                assert elements == X.link0(q)
+                expected = []
+                for f in X.link(q)[1]:
+                    m = f.coface[0]
+                    ends = []
+                    for drop in (x for x in range(m + 1) if x not in f.slots):
+                        rest = tuple(x for x in range(m + 1) if x != drop)
+                        slots = tuple(x if x < drop else x - 1
+                                      for x in f.slots)
+                        end = (compose(X, f.coface, rest), slots)
+                        ends.append(list(elements).index(end))
+                    expected.append(tuple(ends))
+                assert edges == expected, (X, q)
+                loops += sum(a == b for a, b in edges)
+    assert loops > 0
