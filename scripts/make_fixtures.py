@@ -1,35 +1,22 @@
 #!/usr/bin/env python3
 """Regenerate the JSON fixtures under fixtures/.
 
+    python3 scripts/make_fixtures.py
+
 Deterministic output: sorted keys, two-space indent, trailing newline.
+The abstract complexes come from `tcxbench/gen.py`, which also builds the
+generated families that the tests and the benchmark use.
 """
 
 import json
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT))
 
-
-def abstract_from_cells(n, cells, **extra):
-    """Fixture dict for a regular complex given by sorted vertex tuples."""
-    counts = [len(level) for level in cells]
-    index = [{cell: i for i, cell in enumerate(level)} for level in cells]
-    faces = []
-    for k in range(1, n + 1):
-        for i, cell in enumerate(cells[k]):
-            for slot in range(k + 1):
-                target = index[k - 1][cell[:slot] + cell[slot + 1:]]
-                faces.append([k, i, slot, target])
-    data = {
-        "format": "tcx-1",
-        "kind": "abstract",
-        "n": n,
-        "simplices": counts,
-        "faces": faces,
-    }
-    data.update(extra)
-    return data
+from tcxbench import gen  # noqa: E402
 
 
 def triangle(alpha):
@@ -38,7 +25,7 @@ def triangle(alpha):
         [(0, 1), (0, 2), (1, 2)],
         [(0, 1, 2)],
     ]
-    return abstract_from_cells(2, cells, alpha=alpha)
+    return gen.regular_fixture(2, cells, alpha=alpha)
 
 
 def make_triangle():
@@ -73,7 +60,7 @@ def make_tetrahedron():
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
     ]
     alpha = [[e, s, 1] for e in range(6) for s in range(2)]
-    data = abstract_from_cells(2, cells, alpha=alpha)
+    data = gen.regular_fixture(2, cells, alpha=alpha)
     data["divisors"] = {
         "Dcd": [[5, 1]],
         "Dab": [[0, 1]],
@@ -89,7 +76,7 @@ def make_tetrahedron():
 
 def make_path():
     cells = [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]
-    data = abstract_from_cells(1, cells)
+    data = gen.regular_fixture(1, cells)
     data["divisors"] = {"Db": [[1, 1]], "Da": [[0, 1]], "Zero": []}
     data["curves"] = {"C": [[0, 1], [1, 1]]}
     data["functions"] = {"phi1": [0, 1, 0]}
@@ -222,13 +209,14 @@ FIXTURES = {
 }
 
 
-def main():
-    OUT.mkdir(exist_ok=True)
+def main(out=OUT):
+    """Write every fixture into the directory out."""
+    out.mkdir(exist_ok=True)
     for name, builder in sorted(FIXTURES.items()):
-        path = OUT / name
+        path = out / name
         text = json.dumps(builder(), sort_keys=True, indent=2) + "\n"
         path.write_text(text, encoding="utf-8")
-        print("wrote", path.relative_to(ROOT))
+        print("wrote", path)
 
 
 if __name__ == "__main__":

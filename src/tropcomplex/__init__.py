@@ -5,8 +5,8 @@ numbers, embedded imports, and degeneration data."""
 from .errors import (DegenerateCut, DimensionExceeded, Disconnected,
                      DiscontinuousInput, InconsistentData, InconsistentSheets,
                      IndexMismatch, InputError, MissingAlpha, NoSolution,
-                     NonUnimodular, NotBalanced, NotConstantOnUnbounded,
-                     NotQCartierNearCurve, PreconditionFailed, SchemaError,
+                     NonUnimodular, NotBalanced, NotQCartierNearCurve,
+                     PreconditionFailed, SchemaError,
                      SimplicialIdentityViolation, UnknownName,
                      UnsupportedDimension, WrongDimension)
 from .delta import DeltaComplex, LinkElement, build_complex
@@ -31,7 +31,7 @@ from .degeneration import (DegenerationData, SpecializeResult, VerifyResult,
                            load_degeneration, specialize, verify_theorem)
 from .serialize import (Fixture, canonical_json, load_fixture,
                         load_fixture_file)
-from .cli import main, run
+from .cli import main
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "InconsistentSheets", "IndexMismatch", "Inertia", "InputError",
     "IntersectResult", "LinkElement", "LocalGerm", "LocalIntersectionMatrix",
     "MissingAlpha", "NoSolution", "NonUnimodular", "NotBalanced",
-    "NotConstantOnUnbounded", "NotQCartierNearCurve",
+    "NotQCartierNearCurve",
     "PointSum", "PreconditionFailed", "PushResult", "RobustResult",
     "SchemaError", "SimplicialIdentityViolation", "SpecializeResult",
     "TropicalStructure", "TwoPieceFunction", "UnboundedCell", "UnknownName",
@@ -57,6 +57,6 @@ __all__ = [
     "is_balanced", "lin_equiv_witness", "load_degeneration",
     "load_embedded", "load_fixture", "load_fixture_file", "local_cartier_test",
     "local_matrix", "main", "make_structure", "push_forward_and_compare",
-    "restrict_divisor", "ridge_multiplicity", "robustness_check", "run",
+    "restrict_divisor", "ridge_multiplicity", "robustness_check",
     "specialize", "verify_theorem", "weil_test",
 ]

@@ -83,10 +83,11 @@ def _named_curve(fx, name):
 
 
 def _values(spec_str, fx, count):
-    """Comma-separated integers, or the name of a stored vertex function."""
+    """Comma-separated integers, or the name of a stored vertex function.
+    Every part must be an integer, so an empty part makes a name."""
     parts = [p.strip() for p in spec_str.split(",")]
-    if all(INTEGER.fullmatch(p) for p in parts if p):
-        values = [int(p) for p in parts if p]
+    if all(INTEGER.fullmatch(p) for p in parts):
+        values = [int(p) for p in parts]
     elif spec_str in fx.functions:
         values = list(fx.functions[spec_str])
     else:
@@ -480,8 +481,11 @@ def build_parser(argv=()):
     return parser
 
 
-def run(argv):
-    """Execute one subcommand; print the report; return the exit code."""
+def main(argv=None):
+    """Execute one subcommand (argv defaults to sys.argv[1:]); print the
+    report; return the exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     handler = SUBCOMMANDS[args.command].handler
     report = {"format": FORMAT, "command": args.command, "inputs": {}}
@@ -503,12 +507,6 @@ def run(argv):
     summary = ", ".join("%s: %s" % (name, status) for name, status, _ in verdicts)
     print("%s: %s" % (args.command, summary or "ok"), file=sys.stderr)
     return 0 if all(status == "pass" for _, status, _ in verdicts) else 1
-
-
-def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -47,9 +47,6 @@ class Curve:
             out.add(X.faces[1][e][1])
         return sorted(out)
 
-    def is_effective(self):
-        return all(m > 0 for _, m in self.multiplicities)
-
 
 @dataclass(frozen=True)
 class GermSpace:
@@ -259,7 +256,7 @@ class IntersectResult:
 
 
 def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
-                     germ_shifts=None, balance=None):
+                     balance=None):
     """Intersection product of a ridge-supported divisor with a balanced
     curve, assembled from local defining germs.
 
@@ -268,9 +265,7 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
     For n = 2 the germ at a vertex is the rational solution of the local
     system that `linalg.solve` returns; any other differs from it by a
     kernel germ, which a balanced curve annihilates, so the vertex total is
-    the same.  germ_shifts optionally adds a kernel germ at chosen
-    vertices, which tests use to exercise that independence.
-    balance is `is_balanced(T, C)` when the caller has it already.
+    the same.  balance is `is_balanced(T, C)` when the caller has it already.
     """
     X = T.complex
     if D.facet_pieces:
@@ -302,17 +297,11 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
                 raise NotQCartierNearCurve(
                     "divisor not Q-Cartier at vertex %d" % v
                 )
-            slopes = list(germ)
-            if germ_shifts and v in germ_shifts:
-                shift = germ_shifts[v]
-                if len(shift) != len(slopes):
-                    raise IndexMismatch("germ shift length at vertex %d" % v)
-                slopes = [a + Fraction(b) for a, b in zip(slopes, shift)]
             total = Fraction(0)
             for i, t in enumerate(local.elements):
                 m = C.mult(t.coface[1])
                 if m:
-                    total += m * slopes[i]
+                    total += m * germ[i]
         if total:
             coeffs[("v", v)] = total
     ps = PointSum.of(coeffs)

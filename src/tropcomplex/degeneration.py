@@ -95,6 +95,12 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
     n = X.n
     if n < 1:
         raise InconsistentData("complex has no ridges")
+    for (v, r), deg in data.vertex_ridge_degrees.items():
+        if not (0 <= v < X.counts[0] and 0 <= r < X.counts[n - 1]):
+            raise InconsistentData(
+                "vertex_ridge_degrees entry [%d, %d, %d] is out of range "
+                "(%d vertices, %d ridges)" % (v, r, deg, X.counts[0],
+                                              X.counts[n - 1]))
     if data.mode == "strict":
         if not X.is_regular():
             raise InconsistentData(

@@ -17,9 +17,8 @@ from math import gcd
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
-                     NoSolution, NonUnimodular, NotConstantOnUnbounded,
-                     SchemaError, SimplicialIdentityViolation, entry_list,
-                     int_entry)
+                     NoSolution, NonUnimodular, SchemaError,
+                     SimplicialIdentityViolation, entry_list, int_entry)
 from .linalg import feasible_strict, primitive_integer, solve
 from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
@@ -202,12 +201,6 @@ class EmbeddedComplex:
                      if self.unbounded[ci].dim == n]
         return self._cofacets.get(ridge, []), unbounded
 
-    def vertex_vector(self, i):
-        return self.vertices[i]
-
-    def ray_vector(self, r):
-        return tuple(r) + (0,)
-
 
 def _object(value, what):
     """A fixture value that must be a JSON object, or SchemaError naming it."""
@@ -335,12 +328,10 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
         (extra,) = set(E.bounded[n][fidx]) - set(ridge)
         mult = E.sheets(n, fidx)
         d += mult
-        vec = E.vertex_vector(extra)
-        rhs = [a + mult * b for a, b in zip(rhs, vec)]
+        rhs = [a + mult * b for a, b in zip(rhs, E.vertices[extra])]
     for ci in unbounded_facets:
         for r in E.unbounded[ci].rays:
-            vec = E.ray_vector(r)
-            rhs = [a + b for a, b in zip(rhs, vec)]
+            rhs = [a + b for a, b in zip(rhs, r + (0,))]
     rows = [[E.vertices[v][j] for v in ridge] for j in range(E.N + 1)]
     sol = solve(rows, rhs)
     if sol is None:
@@ -476,14 +467,14 @@ def embedded_weights(E: EmbeddedComplex, f):
     weights = {}
     for ridx, ridge in enumerate(E.bounded[n - 1]):
         env = _ridge_environment(E, ridge)
-        rows = [list(E.vertex_vector(v)) for v in ridge]
+        rows = [list(E.vertices[v]) for v in ridge]
         rhs = [f[v] for v in ridge]
         kind, data, _ = env[0]
         if kind == "b":
-            rows.append(list(E.vertex_vector(data)))
+            rows.append(list(E.vertices[data]))
             rhs.append(f[data])
         else:
-            rows.append(list(E.ray_vector(data)))
+            rows.append(list(data + (0,)))
             rhs.append(0)
         h = solve(rows, rhs)
         if h is None:
@@ -491,12 +482,10 @@ def embedded_weights(E: EmbeddedComplex, f):
         total = Fraction(0)
         for kind, data, mult in env:
             if kind == "b":
-                vec = E.vertex_vector(data)
-                total += mult * (Fraction(f[data])
-                                 - sum(a * b for a, b in zip(h, vec)))
+                total += mult * (Fraction(f[data]) - sum(
+                    a * b for a, b in zip(h, E.vertices[data])))
             else:
-                vec = E.ray_vector(data)
-                total += mult * (-sum(a * b for a, b in zip(h, vec)))
+                total -= mult * sum(a * b for a, b in zip(h, data + (0,)))
         if total.denominator != 1:
             raise InconsistentData("weight %s at ridge %s is not an integer"
                                    % (total, ridge), ridge=ridx)
@@ -504,16 +493,9 @@ def embedded_weights(E: EmbeddedComplex, f):
     return weights
 
 
-def push_forward_and_compare(E: EmbeddedComplex, D: Divisor = None, f=None,
-                             f_ray_slopes=None):
+def push_forward_and_compare(E: EmbeddedComplex, D: Divisor = None, f=None):
     """Push multiplicities along the duplication map; with f supplied,
     compare the push-forward of div(f o pi) against the weight oracle."""
-    if f_ray_slopes:
-        for ray, slope in dict(f_ray_slopes).items():
-            if slope != 0:
-                raise NotConstantOnUnbounded(
-                    "nonzero slope along ray %s" % (ray,)
-                )
     n = E.bounded_dim()
     n_ridges = len(E.bounded[n - 1]) if n >= 1 else 0
     if f is not None:

@@ -96,10 +96,6 @@ class NoSolution(InputError):
     pass
 
 
-class NotConstantOnUnbounded(InputError):
-    pass
-
-
 class InconsistentData(InputError):
     def __init__(self, message, ridge=None):
         self.ridge = ridge

@@ -345,19 +345,6 @@ def smith_normal_form(a):
     return s, u, v
 
 
-def invariant_factors(a):
-    return list(smith(a).factors)
-
-
-def solve_integral(a, b):
-    """One integer solution of a . x = b, or None.
-
-    Decided via Smith normal form, so this answers solvability over the
-    solution set, not just integrality of one rational solution.
-    """
-    return smith_solve(smith(a), b)
-
-
 def smith_solve(f, b):
     """One integer solution of a . x = b, or None, from the SmithForm f of
     a: c = U . b must be divisible by the invariant factors and vanish past

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .delta import DeltaComplex, build_complex
-from .errors import InputError, SchemaError, entry_list, int_entry
+from .errors import (IndexMismatch, InputError, SchemaError, entry_list,
+                     int_entry)
 from .structure import TropicalStructure, make_structure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
@@ -28,12 +29,6 @@ FORMAT = "tcx-1"
 def rat(x):
     f = Fraction(x)
     return [f.numerator, f.denominator]
-
-
-def unrat(v):
-    if isinstance(v, (list, tuple)):
-        return Fraction(int(v[0]), int(v[1]))
-    return Fraction(v)
 
 
 def canonical_json(obj):
@@ -220,7 +215,27 @@ def load_fixture(data):
             fx.curves[name] = curve_from_json(c)
     for name, values in _named(data, "functions"):
         fx.functions[name] = list(int_entry(values, None, "function"))
+    if fx.complex is not None:
+        _check_ranges(fx)
     return fx
+
+
+def _check_ranges(fx):
+    """Every curve edge and divisor ridge names a simplex of the fixture's
+    complex, or IndexMismatch names the entry."""
+    X = fx.complex
+    n = X.n
+    checks = (("curve", "edge", X.counts[1] if n >= 1 else 0,
+               {name: C.multiplicities for name, C in fx.curves.items()}),
+              ("divisor", "ridge", X.counts[n - 1] if n >= 1 else 0,
+               {name: D.ridge_part for name, D in fx.divisors.items()}))
+    for what, cell, count, named in checks:
+        for name, pairs in named.items():
+            for i, c in pairs:
+                if not 0 <= i < count:
+                    raise IndexMismatch(
+                        "%s %r entry [%d, %d]: %s %d out of range (%d %ss)"
+                        % (what, name, i, c, cell, i, count, cell))
 
 
 def _named(data, key):

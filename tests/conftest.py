@@ -1,10 +1,14 @@
-"""Shared fixtures: one loader per bundled example complex."""
+"""Shared fixtures: one loader per bundled example complex, and the
+generated complexes of `tcxbench/gen.py` as DeltaComplex objects."""
 
 import pathlib
+import random
+from itertools import combinations
 
 import pytest
 
-from tropcomplex import load_fixture_file
+from tcxbench import gen
+from tropcomplex import build_complex, load_fixture_file
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,6 +20,18 @@ ALL = ABSTRACT + EMBEDDED + DEGENERATION
 
 def fixture_path(name):
     return FIXDIR / (name + ".json")
+
+
+def torus(k, seed=None):
+    """The k x k torus of gen.torus; a seed (0 included) shuffles labels."""
+    return build_complex(
+        gen.torus(k, None if seed is None else random.Random(seed)).fixture)
+
+
+def full_simplex(n):
+    """The n-simplex with all its faces, vertices labelled in slot order."""
+    cells = [list(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
+    return build_complex(gen.regular_fixture(n, cells))
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from tropcomplex import (
     push_forward_and_compare,
     robustness_check,
 )
-from tropcomplex.cli import run
+from tropcomplex.cli import main
 from tropcomplex.embedded import derive_structure
 from tropcomplex.linalg import inertia
 from tests.conftest import fixture_path
@@ -241,7 +241,7 @@ def test_a10_degeneration_consistency(tet_degen):
 
 def test_a11_theorem_verification_exit_codes(capsys, tmp_path):
     path = fixture_path("tet-degen")
-    code = run(["verify", str(path), "-D", "D", "-C", "C"])
+    code = main(["verify", str(path), "-D", "D", "-C", "C"])
     out, _ = capsys.readouterr()
     report = json.loads(out)
     assert code == 0
@@ -252,7 +252,7 @@ def test_a11_theorem_verification_exit_codes(capsys, tmp_path):
     data["claimed"] = [["D", "C", 3, 1]]
     bad = tmp_path / "claim3.json"
     bad.write_text(json.dumps(data))
-    code = run(["verify", str(bad), "-D", "D", "-C", "C"])
+    code = main(["verify", str(bad), "-D", "D", "-C", "C"])
     out, _ = capsys.readouterr()
     report = json.loads(out)
     assert code == 1

@@ -2,17 +2,19 @@
 
 import hashlib
 import json
+import random
 import sys
 
 import pytest
 
 import tropcomplex
-from tropcomplex.cli import SUBCOMMANDS, run
+from tcxbench import gen
+from tropcomplex.cli import SUBCOMMANDS, main
 from tests.conftest import fixture_path
 
 
 def invoke(capsys, *argv):
-    code = run([str(a) for a in argv])
+    code = main([str(a) for a in argv])
     out, err = capsys.readouterr()
     return code, json.loads(out), err
 
@@ -44,7 +46,7 @@ def test_output_is_canonical_and_deterministic(capsys):
     path = fixture_path("tetrahedron")
     outs = set()
     for _ in range(2):
-        run(["classify", str(path)])
+        main(["classify", str(path)])
         out, _ = capsys.readouterr()
         outs.add(out)
     assert len(outs) == 1
@@ -398,12 +400,14 @@ def test_intersect_records_breakpoints_file(capsys, tmp_path):
     assert report["result"]["restricted_degree"] == [0, 1]
 
 
-@pytest.mark.parametrize("values", ["--1,0,0", "1,\u00b2,0"])
+@pytest.mark.parametrize("values", ["--1,0,0", "1,\u00b2,0", "1,,0,0",
+                                    "1,0,0,"])
 @pytest.mark.parametrize("argv", [("div", "path", "--phi"),
                                   ("pushforward", "plane", "-f")])
 def test_values_not_ascii_integers_are_unknown_names(capsys, argv, values):
     # "--1" and a superscript digit pass str.isdigit after lstrip("-") but
-    # are no integers: the value is looked up as a stored function name
+    # are no integers, and neither is an empty part: the value is looked up
+    # as a stored function name
     command, fixture, flag = argv
     code, report, _ = invoke(capsys, command, fixture_path(fixture),
                              "%s=%s" % (flag, values))
@@ -411,6 +415,27 @@ def test_values_not_ascii_integers_are_unknown_names(capsys, argv, values):
     assert report["error"] == {
         "type": "UnknownName",
         "message": "no vertex function named %r" % (values,)}
+
+
+@pytest.mark.parametrize("fixture, key, entry, argv", [
+    ("tetrahedron", "curves", [99, 1], ["balance", "-C", "X"]),
+    ("tetrahedron", "curves", [99, 1], ["intersect", "-D", "Dcd", "-C", "X"]),
+    ("tetrahedron", "curves", [-1, 1], ["balance", "-C", "X"]),
+    ("tetrahedron", "divisors", [99, 1], ["cartier", "-D", "X"]),
+    ("tetrahedron", "divisors", [-1, 1], ["cartier", "-D", "X"]),
+    ("tet-degen", "curves", [6, 1], ["specialize", "X"]),
+    ("tet-degen", "divisors", [-1, 1], ["specialize", "X"]),
+])
+def test_out_of_range_curve_edge_or_divisor_ridge_is_index_mismatch(
+        capsys, tmp_path, fixture, key, entry, argv):
+    data = json.loads(fixture_path(fixture).read_text())
+    data[key]["X"] = [entry]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, argv[0], bad, *argv[1:])
+    assert code == 2
+    assert report["error"]["type"] == "IndexMismatch"
+    assert "entry %s" % entry in report["error"]["message"]
 
 
 def test_side_file_with_invalid_json_is_input_error(capsys, tmp_path):
@@ -423,16 +448,13 @@ def test_side_file_with_invalid_json_is_input_error(capsys, tmp_path):
 
 
 def torus_fixture(tmp_path, k):
-    """A unit-alpha k x k torus with one ridge divisor, as a fixture file."""
-    from tests.test_delta import torus
-
-    X = torus(k, seed=k)
-    data = X.to_json()
-    data["alpha"] = [[r, s, 1] for r in range(X.counts[1]) for s in range(2)]
-    data["divisors"] = {"D": [[0, 1], [5, -2]]}
+    """The unit-alpha k x k torus of gen.torus with one ridge divisor, as a
+    fixture file, and its complex."""
+    data = dict(gen.torus(k, random.Random(k)).fixture,
+                divisors={"D": [[0, 1], [5, -2]]})
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(data))
-    return path, X
+    return path, tropcomplex.build_complex(data)
 
 
 def test_cartier_and_classify_build_each_local_matrix_once(
@@ -459,7 +481,7 @@ def test_cartier_and_classify_build_each_local_matrix_once(
         cells = [(X.n - 2, q) for q in range(X.counts[X.n - 2])]
         for argv in (["classify", path], ["cartier", path, "-D", divisor]):
             calls.clear()
-            code = run([str(a) for a in argv])
+            code = main([str(a) for a in argv])
             capsys.readouterr()
             assert code in (0, 1) and calls == cells, argv
 
@@ -525,7 +547,7 @@ def test_div_call_builds_two_parsers_and_reads_fixture_once(
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(builtins, "open", counting_open)
-    code = run(["div", str(path), "--phi", "1,1,0,0"])
+    code = main(["div", str(path), "--phi", "1,1,0,0"])
     monkeypatch.undo()
     capsys.readouterr()
     assert code == 0
@@ -647,7 +669,7 @@ def counting_calls(monkeypatch, module_name, attr):
 ])
 def test_balanced_curve_builds_no_germ_basis(capsys, monkeypatch, argv):
     calls = counting_calls(monkeypatch, "linalg", "kernel_basis")
-    code = run([str(a) for a in argv])
+    code = main([str(a) for a in argv])
     capsys.readouterr()
     assert code == 0
     assert calls == []

@@ -244,6 +244,22 @@ def test_nonstrict_random_consistent_data_is_weak(tet_degen):
         assert check_weak(X, T.alpha).passed
 
 
+@pytest.mark.parametrize("entry", [[0, 99, 0], [0, -1, 0], [99, 0, 1],
+                                   [-1, 0, 1]])
+@pytest.mark.parametrize("mode", ["strict", "nonstrict"])
+def test_out_of_range_degree_entry_is_rejected(tet_degen, mode, entry):
+    # a vertex or ridge that is not in the complex is an input error in
+    # both modes, not an IndexError and not an ignored entry
+    X = build_complex(tet_degen.raw["complex"])
+    raw = {"mode": mode, "vertex_ridge_degrees":
+           tet_degen.raw["vertex_ridge_degrees"] + [entry]}
+    if mode == "nonstrict":
+        raw["self_intersections"] = tetra_nonstrict_rows(X)
+    with pytest.raises(InconsistentData, match=r"entry \[%d, %d, %d\]"
+                       % tuple(entry)):
+        build_structure_from_degeneration(X, load_degeneration(raw))
+
+
 # -- specialization and verification ----------------------------------------
 
 

@@ -1,6 +1,5 @@
 """Combinatorics of glued-simplex complexes: faces, links, validation."""
 
-import random
 from itertools import combinations
 
 import pytest
@@ -15,6 +14,8 @@ from tropcomplex import (
     duplicate_sheets,
 )
 from tropcomplex.structure import link_graph
+from tests.conftest import (ABSTRACT, DEGENERATION, EMBEDDED, full_simplex,
+                            torus)
 
 # vertices u, v, w = 0, 1, 2; edges uv, uw, vw = 0, 1, 2; one triangle
 TRIANGLE = DeltaComplex(
@@ -125,8 +126,6 @@ def test_face_index_out_of_range():
 
 
 def test_fixture_complexes_validate(fx):
-    from tests.conftest import ABSTRACT
-
     for name in ABSTRACT:
         X = fx[name].complex
         # every iterated boundary satisfies the simplicial identity, which
@@ -146,46 +145,6 @@ def test_nonregular_gluing_two_sheets():
     assert cyc.degree((0, 0)) == 2
     assert cyc.degree((0, 1)) == 2
     assert cyc.is_regular()
-
-
-def torus(k, seed=None):
-    """Triangulated k x k torus (k >= 3) with every diagonal parallel.
-
-    With a seed, vertex, edge and triangle labels are shuffled; each simplex
-    lists its vertices in increasing label order."""
-    rng = random.Random(seed)
-    perm = list(range(k * k))
-    if seed is not None:
-        rng.shuffle(perm)
-
-    def v(i, j):
-        return perm[(i % k) * k + j % k]
-
-    tris = set()
-    for i in range(k):
-        for j in range(k):
-            a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)
-            tris.add(tuple(sorted((a, b, c))))
-            tris.add(tuple(sorted((a, d, c))))
-    triangles = sorted(tris)
-    edges = sorted({e for t in tris for e in combinations(t, 2)})
-    if seed is not None:
-        rng.shuffle(triangles)
-        rng.shuffle(edges)
-    index = {e: i for i, e in enumerate(edges)}
-    faces = {1: [[b, a] for a, b in edges],
-             2: [[index[(b, c)], index[(a, c)], index[(a, b)]]
-                 for a, b, c in triangles]}
-    return DeltaComplex(2, [k * k, len(edges), len(triangles)], faces)
-
-
-def full_simplex(n):
-    """The n-simplex with all its faces, vertices labelled in slot order."""
-    cells = [list(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
-    index = [{c: i for i, c in enumerate(level)} for level in cells]
-    faces = {k: [[index[k - 1][c[:i] + c[i + 1:]] for i in range(k + 1)]
-                 for c in cells[k]] for k in range(1, n + 1)}
-    return DeltaComplex(n, [len(level) for level in cells], faces)
 
 
 def compose(X, s, slots):
@@ -210,8 +169,6 @@ def reference_link(X, s):
 
 
 def test_link_order_matches_reference(fx):
-    from tests.conftest import ABSTRACT, EMBEDDED
-
     complexes = [fx[name].complex for name in ABSTRACT]
     complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
     complexes += [torus(k, seed) for k in (3, 4, 5) for seed in (0, 1, 2)]
@@ -250,8 +207,6 @@ def test_construction_face_calls_grow_linearly(monkeypatch):
 def test_incidence_tables_match_face_composition(fx):
     # vertex tables, opposite slots and link-face keys against the face
     # compositions they replace
-    from tests.conftest import ABSTRACT, DEGENERATION, EMBEDDED
-
     complexes = [fx[name].complex for name in ABSTRACT + DEGENERATION]
     complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
     complexes += [torus(5, 3), full_simplex(3), full_simplex(4),
@@ -292,8 +247,6 @@ def test_link_element_is_its_own_key():
 def test_link_graph_edges_match_face_composition(fx):
     # each edge of link(q) joins the positions in link0(q) of the two
     # elements that drop one slot outside its slots, by face composition
-    from tests.conftest import ABSTRACT, DEGENERATION, EMBEDDED
-
     complexes = [fx[name].complex for name in ABSTRACT + DEGENERATION]
     complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
     complexes += [torus(k, seed) for k in (3, 4, 5) for seed in (0, 1, 2)]

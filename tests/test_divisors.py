@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tropcomplex import (
-    DeltaComplex,
     DegenerateCut,
     Divisor,
     IndexMismatch,
@@ -19,14 +18,16 @@ from tropcomplex import (
     div_two_piece,
     div_vertex_function,
     lin_equiv_witness,
+    load_fixture,
     local_cartier_test,
     make_structure,
     ridge_multiplicity,
     weil_test,
 )
 from tropcomplex.divisors import local_system
-from tropcomplex.linalg import solve, solve_integral
-from tests.test_delta import torus
+from tropcomplex.linalg import smith, smith_solve, solve
+from tcxbench import gen
+from tests.conftest import torus
 from tests.test_linalg import symmetric_matrices
 
 ABSTRACT = ["triangle", "triangle-tropical", "tetrahedron", "path", "loop"]
@@ -252,7 +253,7 @@ def two_solve_status(matrix, rhs):
     """The status by a rational solve and then a separate integral one."""
     if solve(matrix, rhs) is None:
         return "neither"
-    if solve_integral(matrix, rhs) is not None:
+    if smith_solve(smith(matrix), rhs) is not None:
         return "cartier"
     return "qcartier"
 
@@ -276,7 +277,7 @@ def test_one_smith_status_matches_two_solve_rule(system):
     status, slopes = local_system(matrix, rhs)
     assert status == two_solve_status(matrix, rhs)
     if status == "cartier":
-        integral = solve_integral(matrix, rhs)
+        integral = smith_solve(smith(matrix), rhs)
         assert slopes == tuple(Fraction(x) for x in integral)
     elif status == "qcartier":
         assert slopes == solve(matrix, rhs)
@@ -294,9 +295,9 @@ def weil_cases(fx):
         T = (build_structure_from_degeneration(f.complex, f.degeneration)
              if f.degeneration is not None else f.structure())
         cases.append((T, [d for d in f.divisors.values() if not d.facet_pieces]))
-    for k, seed in ((3, 0), (4, 1), (5, None)):
-        X = torus(k, seed)
-        cases.append((make_structure(X, unit_alpha(X)), []))
+    for k, labels in ((3, random.Random(0)), (4, random.Random(1)), (5, None)):
+        cases.append((load_fixture(gen.torus(k, labels).fixture).structure(),
+                      []))
     for T, divisors in cases:
         X = T.complex
         if X.n:
@@ -432,24 +433,14 @@ def test_witness_rejects_facet_piece_divisors(tetrahedron):
 # -- class groups at scale, against oracles that do not use the Smith code --
 
 
-def unit_alpha(X):
-    return {(r, s): 1 for r in range(X.counts[1]) for s in range(2)}
-
-
 @pytest.mark.parametrize("k", range(3, 13))
 def test_torus_class_group_closed_form(k):
     # Z^edges / im L on the triangulated k x k torus with alpha = 1:
     # torsion (k, k) and free rank 3k^2 - (k^2 - 1) = 2k^2 + 1, whatever
     # the labelling
-    for seed in (None, k):
-        X = torus(k, seed)
-        g = class_group(make_structure(X, unit_alpha(X)))
+    for rng in (None, random.Random(k)):
+        g = class_group(load_fixture(gen.torus(k, rng).fixture).structure())
         assert (g.free_rank, g.invariant_factors) == (2 * k * k + 1, (k, k))
-
-
-def graph_structure(nv, edges):
-    faces = {1: [[b, a] for a, b in edges]}
-    return make_structure(DeltaComplex(1, [nv, len(edges)], faces))
 
 
 def rational_kind(T, diff):
@@ -471,9 +462,9 @@ def witness_cases(fx):
         cases += [(T, d, e) for d in divs for e in divs]
     rng = random.Random(31)
     for k in (3, 4, 5):
-        for seed in (None, k):
-            X = torus(k, seed)
-            T = make_structure(X, unit_alpha(X))
+        for t in (gen.torus(k), gen.torus(k, random.Random(k))):
+            T = load_fixture(t.fixture).structure()
+            X = T.complex
             ne = X.counts[1]
             for _ in range(6):
                 d = Divisor.on_ridges({r: rng.randint(-2, 2)
@@ -482,11 +473,10 @@ def witness_cases(fx):
                 cases.append((T, d, d + div_vertex_function(T, phi)))
                 cases.append((T, d, Divisor.on_ridges(
                     {r: rng.randint(-2, 2) for r in rng.sample(range(ne), 5)})))
-    for nv, edges in ((5, [(i, (i + 1) % 5) for i in range(5)]),
-                      (4, [(a, b) for a in range(4) for b in range(a + 1, 4)])):
-        T = graph_structure(nv, edges)
-        for a in range(nv):
-            for b in range(nv):
+    for g in (gen.cycle_graph(5), gen.complete_graph(4)):
+        T = load_fixture(g.fixture).structure()
+        for a in range(g.nv):
+            for b in range(g.nv):
                 cases.append((T, Divisor.on_ridges({a: 1}), Divisor.on_ridges({b: 1})))
     return cases
 
@@ -504,21 +494,14 @@ def test_witness_kind_matches_rational_solve_oracle(fx):
     assert kinds == {"witness", "torsion", "non-membership"}
 
 
-CLASS_GROUP_CASES = [("tetrahedron", None), ("triangle", None), ("path", None),
-                     ("torus", (3, None)), ("torus", (4, 1)), ("torus", (5, 2))]
-
-
 @pytest.fixture(scope="module")
 def presentations(fx):
-    out = []
-    for name, spec in CLASS_GROUP_CASES:
-        if spec is None:
-            T = fx[name].structure()
-        else:
-            X = torus(*spec)
-            T = make_structure(X, unit_alpha(X))
-        out.append((T, class_group(T)))
-    return out
+    structures = [fx[name].structure()
+                  for name in ("tetrahedron", "triangle", "path")]
+    structures += [load_fixture(gen.torus(k, rng).fixture).structure()
+                   for k, rng in ((3, None), (4, random.Random(1)),
+                                  (5, random.Random(2)))]
+    return [(T, class_group(T)) for T in structures]
 
 
 @given(st.data())

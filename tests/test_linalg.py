@@ -11,19 +11,19 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcxbench import gen
 from tropcomplex.linalg import (
     feasible_strict,
     inertia,
-    invariant_factors,
     kernel_basis,
     primitive_integer,
     rank,
     rref,
     smith,
     smith_normal_form,
+    smith_solve,
     solvable,
     solve,
-    solve_integral,
 )
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -128,7 +128,7 @@ def test_kernel_basis_and_solve_match_rref_readings(a, data):
 
 
 def is_unimodular(u):
-    return all(f == 1 for f in invariant_factors(u))
+    return all(f == 1 for f in smith(u).factors)
 
 
 def check_snf(a):
@@ -165,7 +165,7 @@ def test_snf_diagonal_divisibility_unimodular(a):
 @given(int_matrix())
 @settings(max_examples=50, deadline=None)
 def test_invariant_factors_match_sympy(a):
-    got = list(invariant_factors(a))
+    got = list(smith(a).factors)
     want = [
         int(f)
         for f in sympy_invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
@@ -180,7 +180,7 @@ def test_invariant_factors_det_gcd_oracle():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        got = list(invariant_factors(a))
+        got = list(smith(a).factors)
         mat = sympy.Matrix(a)
         # determinantal divisors: d_k = gcd of all k x k minors
         prev = 1
@@ -223,40 +223,24 @@ def bareiss_det(a):
     return sign * m[-1][-1] if n else 1
 
 
-def laplacian(nv, edges):
-    lap = [[0] * nv for _ in range(nv)]
-    for a, b in edges:
-        lap[a][a] += 1
-        lap[b][b] += 1
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-    return lap
+GRAPHS = ([(gen.cycle_graph(m), m) for m in range(3, 13)]
+          + [(gen.complete_graph(m), m ** (m - 2)) for m in range(3, 9)]
+          + [(gen.grid_graph(k), None) for k in range(2, 7)])
 
 
-def grid_edges(k):
-    return ([(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
-            + [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)])
-
-
-GRAPHS = ([("C%d" % m, m, [(i, (i + 1) % m) for i in range(m)], m)
-           for m in range(3, 13)]
-          + [("K%d" % m, m, list(itertools.combinations(range(m), 2)), m ** (m - 2))
-             for m in range(3, 9)]
-          + [("grid%d" % k, k * k, grid_edges(k), None) for k in range(2, 7)])
-
-
-@pytest.mark.parametrize("name, nv, edges, closed_form", GRAPHS,
-                         ids=[g[0] for g in GRAPHS])
-def test_invariant_factors_multiply_to_spanning_tree_count(name, nv, edges,
-                                                           closed_form):
+@pytest.mark.parametrize("graph, closed_form", GRAPHS,
+                         ids=[g.name for g, _ in GRAPHS])
+def test_invariant_factors_multiply_to_spanning_tree_count(graph, closed_form):
     # Kirchhoff: the reduced Laplacian's determinant counts spanning trees,
-    # and on a connected graph it is the order of the torsion of coker L
-    lap = laplacian(nv, edges)
+    # and on a connected graph it is the order of the torsion of coker L;
+    # gen's chip-firing Laplacian is adjacency minus degree, Kirchhoff's
+    # its negative
+    lap = [[-x for x in row] for row in graph.laplacian()]
     trees = bareiss_det([row[1:] for row in lap[1:]])
     if closed_form is not None:
         assert trees == closed_form  # m on C_m, Cayley's m^(m-2) on K_m
-    factors = invariant_factors(lap)
-    assert len(factors) == nv - 1
+    factors = smith(lap).factors
+    assert len(factors) == graph.nv - 1
     assert math.prod(factors) == trees
 
 
@@ -295,13 +279,10 @@ def test_transform_bits_regression_pin_on_small_matrices():
 def test_snf_contract_on_sparse_chip_matrices():
     # the chip-firing matrices of shuffled tori exercise the sparse
     # elimination with fill-in; U . a . V = S must still hold
-    from tests.test_delta import torus
-    from tropcomplex import chip_matrix, make_structure
+    from tropcomplex import chip_matrix, load_fixture
 
     for k, seed in ((3, 1), (4, 2)):
-        X = torus(k, seed)
-        T = make_structure(X, {(r, s): 1 for r in range(X.counts[1])
-                               for s in range(2)})
+        T = load_fixture(gen.torus(k, random.Random(seed)).fixture).structure()
         assert check_snf(chip_matrix(T)) == [1] * (k * k - 3) + [k, k, 0]
 
 
@@ -309,12 +290,13 @@ def test_snf_contract_on_sparse_chip_matrices():
 
 
 def test_solve_integral_examples():
-    assert solve_integral([[2]], [4]) == (2,)
-    assert solve_integral([[2]], [3]) is None
-    x = solve_integral([[1, 2], [3, 4]], [3, 7])
-    assert x is not None and mat_apply([[1, 2], [3, 4]], x) == [3, 7]
+    assert smith_solve(smith([[2]]), [4]) == (2,)
+    assert smith_solve(smith([[2]]), [3]) is None
+    a = [[1, 2], [3, 4]]
+    x = smith_solve(smith(a), [3, 7])
+    assert x is not None and mat_apply(a, x) == [3, 7]
     # rational solution (-4, 9/2) exists but no integral one
-    assert solve_integral([[1, 2], [3, 4]], [5, 6]) is None
+    assert smith_solve(smith(a), [5, 6]) is None
 
 
 @given(int_matrix(), st.data())
@@ -323,7 +305,7 @@ def test_solve_integral_round_trip(a, data):
     n = len(a[0])
     x0 = data.draw(st.lists(small_int, min_size=n, max_size=n))
     b = mat_apply(a, x0)
-    x = solve_integral(a, b)
+    x = smith_solve(smith(a), b)
     assert x is not None
     assert all(isinstance(v, int) for v in x)
     assert mat_apply(a, x) == b
