@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, PreconditionFailed, UnknownName
 from .structure import classify
@@ -37,8 +37,7 @@ from .serialize import (FORMAT, breakpoints_from_json, canonical_json,
                         two_piece_from_json)
 
 
-@dataclass(frozen=True)
-class Subcommand:
+class Subcommand(NamedTuple):
     handler: object  # (fixture, args) -> (result, verdicts, extra inputs)
     help: str
     arguments: tuple  # (flags, add_argument keywords) after the fixture

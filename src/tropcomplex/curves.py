@@ -11,9 +11,8 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
@@ -22,9 +21,30 @@ from .structure import TropicalStructure, local_matrix
 from .divisors import Divisor
 
 
-@dataclass(frozen=True)
 class Curve:
-    multiplicities: tuple  # sorted (edge index, multiplicity), mult != 0
+    """An immutable value: equal and hashed by its multiplicities.  Not a
+    tuple, so it has no length, iteration, or tuple + and *."""
+
+    __slots__ = ("multiplicities", "_mults")
+
+    def __init__(self, multiplicities: tuple):
+        # sorted (edge index, multiplicity), mult != 0
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "_mults", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Curve is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.multiplicities == other.multiplicities
+
+    def __hash__(self):
+        return hash(self.multiplicities)
+
+    def __repr__(self):
+        return "Curve(multiplicities=%r)" % (self.multiplicities,)
 
     @staticmethod
     def on_edges(coeffs):
@@ -32,12 +52,10 @@ class Curve:
                              if int(m) != 0))
         return Curve(items)
 
-    @cached_property
-    def _mults(self):
-        # reversed, so that the first pair for an edge wins, as in a scan
-        return dict(reversed(self.multiplicities))
-
     def mult(self, e):
+        if self._mults is None:
+            # reversed, so that the first pair for an edge wins, as in a scan
+            object.__setattr__(self, "_mults", dict(reversed(self.multiplicities)))
         return self._mults.get(e, 0)
 
     def support_vertices(self, X):
@@ -48,8 +66,7 @@ class Curve:
         return sorted(out)
 
 
-@dataclass(frozen=True)
-class GermSpace:
+class GermSpace(NamedTuple):
     vertex: int
     coords: tuple  # link(v)_0 elements; coordinate 0 is the vertex itself
     basis: tuple  # rational vectors of length 1 + len(coords)
@@ -112,8 +129,7 @@ def germ_space(T: TropicalStructure, v):
     return GermSpace(v, coords, tuple(kernel_basis(rows, ncols)))
 
 
-@dataclass(frozen=True)
-class BalanceResult:
+class BalanceResult(NamedTuple):
     balanced: bool
     certificate: tuple | None  # (vertex, germ vector) violating the condition
     dims: tuple = ()  # (vertex, germ dimension) per support vertex, in order
@@ -154,8 +170,7 @@ def is_balanced(T: TropicalStructure, C: Curve):
 # PL functions on curves and their divisors
 
 
-@dataclass(frozen=True)
-class BreakpointFunction:
+class BreakpointFunction(NamedTuple):
     """Per supported edge: ((position, value), ...) with rational positions
     strictly increasing from 0 to 1 in the lattice-length metric."""
 
@@ -176,8 +191,7 @@ class BreakpointFunction:
         return None
 
 
-@dataclass(frozen=True)
-class PointSum:
+class PointSum(NamedTuple):
     """Formal rational sum of vertices and interior edge points."""
 
     entries: tuple  # (("v", i) | ("e", i, pos), coeff), sorted, coeff != 0
@@ -249,8 +263,7 @@ def restrict_divisor(T: TropicalStructure, C: Curve, f: BreakpointFunction):
 # Divisor-curve intersection
 
 
-@dataclass(frozen=True)
-class IntersectResult:
+class IntersectResult(NamedTuple):
     point_sum: PointSum
     degree: Fraction
 

@@ -10,8 +10,8 @@ are verified against the computed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
@@ -21,8 +21,7 @@ from .divisors import Divisor, weil_test
 from .curves import Curve, is_balanced, intersect_degree
 
 
-@dataclass(frozen=True)
-class DegenerationData:
+class DegenerationData(NamedTuple):
     mode: str  # "strict" | "nonstrict"
     vertex_ridge_degrees: dict  # (vertex, ridge) -> int
     self_intersections: dict  # (codim2 cell, link position) -> int
@@ -145,8 +144,14 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
             "non-strict data needs codimension-two cells; none exist in "
             "dimension %d" % n
         )
+    strata = X.counts[n - 2]
+    for (qi, ti), c2 in data.self_intersections.items():
+        if not (0 <= qi < strata and 0 <= ti < len(X.link0((n - 2, qi)))):
+            raise InconsistentData(
+                "self_intersections entry [%d, %d, %d] names no stratum and "
+                "link position (%d strata)" % (qi, ti, c2, strata))
     alpha = {}
-    for qi in range(X.counts[n - 2]):
+    for qi in range(strata):
         q = (n - 2, qi)
         elements, edges = link_graph(X, q)
         loops = [0] * len(elements)
@@ -198,8 +203,7 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
 # Specialization
 
 
-@dataclass(frozen=True)
-class SpecializeResult:
+class SpecializeResult(NamedTuple):
     kind: str  # "divisor" | "curve"
     divisor: Divisor | None
     curve: Curve | None
@@ -220,8 +224,7 @@ def specialize(T: TropicalStructure, data: DegenerationData, name):
     raise UnknownName("no divisor or curve named %r" % (name,))
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     divisor: str
     curve: str
     computed: Fraction

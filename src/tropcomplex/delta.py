@@ -283,7 +283,12 @@ def build_complex(data):
     faces = {k: [[None] * (k + 1) for _ in range(counts[k])]
              for k in range(1, n + 1)}
     for entry in entry_list(data.get("faces", []), "face"):
-        k, i, slot, target = int_entry(entry, 4, "face")
+        # int_entry's test, inline: this loop runs once per face entry
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 4
+                and type(entry[0]) is int and type(entry[1]) is int
+                and type(entry[2]) is int and type(entry[3]) is int):
+            raise SchemaError("face entry %r is not 4 integers" % (entry,))
+        k, i, slot, target = entry
         if not 1 <= k <= n:
             raise DimensionExceeded("face entry at dimension %d" % k)
         if not 0 <= i < counts[k]:

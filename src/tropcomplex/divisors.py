@@ -8,28 +8,49 @@ sums plus optional facet pieces.  All verdicts are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DegenerateCut, IndexMismatch
 from .linalg import SmithForm, smith, smith_solve, solvable, solve
 from .structure import TropicalStructure, local_matrix
 
 
-@dataclass(frozen=True)
-class FacetPiece:
+class FacetPiece(NamedTuple):
     facet: int
     normal: tuple  # primitive integral, simplex coordinates
     offset: Fraction
     multiplicity: int
 
 
-@dataclass(frozen=True)
 class Divisor:
-    ridge_part: tuple  # sorted (ridge index, coefficient) pairs, coeff != 0
-    facet_pieces: tuple = ()
+    """An immutable value: equal and hashed by its two parts.  Not a tuple,
+    so it has no length, iteration, or tuple + and *."""
+
+    __slots__ = ("ridge_part", "facet_pieces", "_coeffs")
+
+    def __init__(self, ridge_part: tuple, facet_pieces: tuple = ()):
+        # ridge_part: sorted (ridge index, coefficient) pairs, coeff != 0
+        object.__setattr__(self, "ridge_part", ridge_part)
+        object.__setattr__(self, "facet_pieces", facet_pieces)
+        object.__setattr__(self, "_coeffs", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Divisor is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ridge_part == other.ridge_part
+                and self.facet_pieces == other.facet_pieces)
+
+    def __hash__(self):
+        return hash((self.ridge_part, self.facet_pieces))
+
+    def __repr__(self):
+        return "Divisor(ridge_part=%r, facet_pieces=%r)" % (self.ridge_part,
+                                                            self.facet_pieces)
 
     @staticmethod
     def on_ridges(coeffs):
@@ -37,12 +58,10 @@ class Divisor:
                              if int(c) != 0))
         return Divisor(items)
 
-    @cached_property
-    def _coeffs(self):
-        # reversed, so that the first pair for a ridge wins, as in a scan
-        return dict(reversed(self.ridge_part))
-
     def coeff(self, r):
+        if self._coeffs is None:
+            # reversed, so that the first pair for a ridge wins, as in a scan
+            object.__setattr__(self, "_coeffs", dict(reversed(self.ridge_part)))
         return self._coeffs.get(r, 0)
 
     def __add__(self, other):
@@ -65,8 +84,7 @@ class Divisor:
         return self + (-other)
 
 
-@dataclass(frozen=True)
-class TwoPieceFunction:
+class TwoPieceFunction(NamedTuple):
     """max{normal . x - offset, 0} on one facet, in simplex coordinates
     (vertex slot 0 at the origin, slot i at e_i)."""
 
@@ -75,8 +93,7 @@ class TwoPieceFunction:
     offset: Fraction
 
 
-@dataclass(frozen=True)
-class LocalGerm:
+class LocalGerm(NamedTuple):
     base: tuple  # the (n-2)-simplex
     elements: tuple  # 0-dimensional link elements, enumeration order
     slopes: tuple  # one rational per element; the germ vanishes on the base
@@ -179,8 +196,7 @@ def div_two_piece(T: TropicalStructure, f: TwoPieceFunction):
 # Local Cartier tests
 
 
-@dataclass(frozen=True)
-class CartierVerdict:
+class CartierVerdict(NamedTuple):
     status: str  # "cartier" | "qcartier" | "neither"
     germ: LocalGerm | None
 
@@ -241,8 +257,7 @@ def weil_test(T: TropicalStructure, D: Divisor):
 # Class group and linear-equivalence witnesses
 
 
-@dataclass(frozen=True)
-class ClassGroupPresentation:
+class ClassGroupPresentation(NamedTuple):
     free_rank: int
     invariant_factors: tuple  # factors > 1 only
     matrix: tuple  # the chip-firing matrix, ridges x vertices
@@ -270,8 +285,7 @@ def class_group(T: TropicalStructure):
     )
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     phi: tuple | None  # integer vertex values, minimum 0
     certificate: dict | None  # set when no witness exists
 

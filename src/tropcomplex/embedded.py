@@ -11,9 +11,9 @@ with the link/chip-firing machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
@@ -24,8 +24,7 @@ from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
 
 
-@dataclass(frozen=True)
-class UnboundedCell:
+class UnboundedCell(NamedTuple):
     vertices: tuple  # sorted vertex indices
     rays: tuple  # sorted primitive integer vectors in Z^N
 
@@ -34,8 +33,7 @@ class UnboundedCell:
         return len(self.vertices) + len(self.rays) - 1
 
 
-@dataclass(frozen=True)
-class BalancingSolution:
+class BalancingSolution(NamedTuple):
     ridge: int
     coefficients: tuple  # integers c_i over the ridge's vertices
     d: int  # sheet-weighted count of adjacent bounded facets
@@ -372,8 +370,7 @@ def derive_structure(E: EmbeddedComplex):
 # Robustness
 
 
-@dataclass(frozen=True)
-class RobustResult:
+class RobustResult(NamedTuple):
     robust: bool
     certificate: tuple | None  # primitive integer functional, or None
     maximal_unbounded_cell: int | None  # index into E.unbounded, or None
@@ -433,8 +430,7 @@ def robustness_check(E: EmbeddedComplex, k, idx):
 # Push-forward and the weight oracle
 
 
-@dataclass(frozen=True)
-class PushResult:
+class PushResult(NamedTuple):
     pushed: dict  # bounded ridge-cell index -> integer
     oracle: dict | None  # same keys, from the lattice-distance computation
     verdict: str | None  # "pass" | "fail" when f was supplied

@@ -19,9 +19,9 @@ enters any verdict anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InconsistentData
 
@@ -157,8 +157,7 @@ def rank(rows, ncols=None):
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """The Smith form U . a . V = S of an integer m x n matrix a, with U and
     V kept as operation logs.
 

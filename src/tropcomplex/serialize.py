@@ -11,7 +11,6 @@ equal inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .delta import DeltaComplex, build_complex
@@ -146,17 +145,22 @@ def breakpoints_from_json(data):
 # Fixtures
 
 
-@dataclass
 class Fixture:
-    kind: str
-    raw: dict
-    complex: DeltaComplex | None = None
-    alpha: dict | None = None
-    embedded: EmbeddedComplex | None = None
-    degeneration: DegenerationData | None = None
-    divisors: dict = field(default_factory=dict)
-    curves: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
+    """A loaded fixture; `load_fixture` fills it in after construction."""
+
+    __slots__ = ("kind", "raw", "complex", "alpha", "embedded",
+                 "degeneration", "divisors", "curves", "functions")
+
+    def __init__(self, kind: str, raw: dict):
+        self.kind = kind
+        self.raw = raw
+        self.complex: DeltaComplex | None = None
+        self.alpha: dict | None = None
+        self.embedded: EmbeddedComplex | None = None
+        self.degeneration: DegenerationData | None = None
+        self.divisors: dict = {}
+        self.curves: dict = {}
+        self.functions: dict = {}
 
     def structure(self):
         if self.complex is None:
@@ -221,8 +225,9 @@ def load_fixture(data):
 
 
 def _check_ranges(fx):
-    """Every curve edge and divisor ridge names a simplex of the fixture's
-    complex, or IndexMismatch names the entry."""
+    """Every curve edge, divisor ridge and facet of a facet piece names a
+    simplex of the fixture's complex, and every facet piece's normal has n
+    entries, or IndexMismatch names the entry."""
     X = fx.complex
     n = X.n
     checks = (("curve", "edge", X.counts[1] if n >= 1 else 0,
@@ -236,6 +241,17 @@ def _check_ranges(fx):
                     raise IndexMismatch(
                         "%s %r entry [%d, %d]: %s %d out of range (%d %ss)"
                         % (what, name, i, c, cell, i, count, cell))
+    for name, D in fx.divisors.items():
+        for entry in divisor_to_json(D)["facet_pieces"]:
+            facet, normal = entry[:2]
+            if not 0 <= facet < X.counts[n]:
+                raise IndexMismatch(
+                    "divisor %r facet piece %r: facet %d out of range "
+                    "(%d facets)" % (name, entry, facet, X.counts[n]))
+            if len(normal) != n:
+                raise IndexMismatch(
+                    "divisor %r facet piece %r: normal has %d entries, not "
+                    "n = %d" % (name, entry, len(normal), n))
 
 
 def _named(data, key):

@@ -8,15 +8,14 @@ eigenvalue, decided by exact inertia computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .delta import DeltaComplex
 from .errors import MissingAlpha, WrongDimension
 from .linalg import inertia
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     positive: int
     negative: int
     zero: int
@@ -25,17 +24,36 @@ class Inertia:
         return (self.positive, self.negative, self.zero)
 
 
-@dataclass(frozen=True)
-class WeakReport:
+class WeakReport(NamedTuple):
     passed: bool
     violations: tuple  # (ridge index, slot sum, degree)
     isolated_ridges: tuple  # ridges lying in no facet
 
 
-@dataclass(frozen=True)
 class TropicalStructure:
-    complex: DeltaComplex
-    alpha: dict = field(compare=False)
+    """A complex with its structure constants; equal and hashed by the
+    complex alone, and immutable."""
+
+    __slots__ = ("complex", "alpha")
+
+    def __init__(self, complex: DeltaComplex, alpha: dict):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "alpha", alpha)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TropicalStructure is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.complex == other.complex
+
+    def __hash__(self):
+        return hash(self.complex)
+
+    def __repr__(self):
+        return "TropicalStructure(complex=%r, alpha=%r)" % (self.complex,
+                                                           self.alpha)
 
     def alpha_at(self, ridge_index, slot):
         key = (ridge_index, slot)
@@ -82,8 +100,7 @@ def check_weak(X: DeltaComplex, alpha):
     return WeakReport(not violations, tuple(violations), tuple(isolated))
 
 
-@dataclass(frozen=True)
-class LocalIntersectionMatrix:
+class LocalIntersectionMatrix(NamedTuple):
     base: tuple  # the (n-2)-simplex
     elements: tuple  # 0-dimensional link elements, enumeration order
     matrix: tuple  # tuple of tuples, symmetric integers
@@ -127,8 +144,7 @@ def local_matrix(T: TropicalStructure, q):
     return LocalIntersectionMatrix(q, elems, tuple(tuple(row) for row in m))
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     verdict: str  # "tropical" or "weak-only"
     inertias: tuple  # (q index, Inertia) pairs
     weak: WeakReport

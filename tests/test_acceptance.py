@@ -8,6 +8,8 @@ import ast
 import json
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from tropcomplex import (
@@ -270,3 +272,15 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every `tcx` call is a fresh process that pays for each module the
+    # package imports; dataclasses alone pulls in inspect, ast and dis
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, %r); import tropcomplex; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+             % str(src))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

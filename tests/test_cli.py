@@ -438,6 +438,24 @@ def test_out_of_range_curve_edge_or_divisor_ridge_is_index_mismatch(
     assert "entry %s" % entry in report["error"]["message"]
 
 
+@pytest.mark.parametrize("piece, problem", [
+    ([99, [1, 0], 0, 1, 1], "facet 99 out of range (4 facets)"),
+    ([4, [1, 0], 0, 1, 1], "facet 4 out of range (4 facets)"),
+    ([-1, [1, 0], 0, 1, 1], "facet -1 out of range (4 facets)"),
+    ([0, [1], 0, 1, 1], "normal has 1 entries, not n = 2"),
+    ([0, [1, 0, 0], 0, 1, 1], "normal has 3 entries, not n = 2"),
+])
+def test_out_of_range_facet_piece_is_index_mismatch(capsys, tmp_path, piece,
+                                                    problem):
+    bad = edited_tetrahedron(tmp_path, "divisors", {
+        "X": {"ridge_part": [], "facet_pieces": [piece]}})
+    code, report, _ = invoke(capsys, "cartier", bad, "-D", "X")
+    assert code == 2
+    assert report["error"]["type"] == "IndexMismatch"
+    assert report["error"]["message"] == "divisor 'X' facet piece %s: %s" % (
+        piece, problem)
+
+
 def test_side_file_with_invalid_json_is_input_error(capsys, tmp_path):
     bad = tmp_path / "piece.json"
     bad.write_text("{not json")

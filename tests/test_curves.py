@@ -164,6 +164,19 @@ def test_curve_support_and_effectivity(triangle):
     assert list(C.support_vertices(triangle.complex)) == [0, 1, 2]
 
 
+def test_curve_is_a_hashable_value_not_a_tuple(triangle):
+    C = triangle.curves["C1"]
+    same = Curve(tuple(list(C.multiplicities)))
+    assert same == C and hash(same) == hash(C) and same is not C
+    assert {C: "C"}[same] == "C" and same.mult(1) == 2
+    assert C != Curve(((1, 2),)) and C != C.multiplicities
+    for op in (len, iter, lambda x: x * 2):
+        with pytest.raises(TypeError):
+            op(C)
+    with pytest.raises(AttributeError):
+        C.multiplicities = ()
+
+
 # -- PL functions on curves -------------------------------------------------
 
 

@@ -153,6 +153,19 @@ def test_nonstrict_matches_strict_on_tetrahedron(tet_degen):
     assert T.alpha == strictT.alpha
 
 
+@pytest.mark.parametrize("extra", [[99, 0, 5], [0, 99, 5], [-1, 0, 5]])
+def test_nonstrict_rejects_entry_naming_no_stratum_or_position(tet_degen,
+                                                               extra):
+    X = build_complex(tet_degen.raw["complex"])
+    data = load_degeneration(
+        {"mode": "nonstrict",
+         "self_intersections": tetra_nonstrict_rows(X) + [extra]}
+    )
+    entry = r"\[%d, %d, 5\]" % tuple(extra[:2])
+    with pytest.raises(InconsistentData, match=entry):
+        build_structure_from_degeneration(X, data)
+
+
 def test_nonstrict_cone_over_loop():
     # apex 0; vertex 1 carries a loop; the facet glues both loop slots
     X = DeltaComplex(2, [2, 2, 1], {1: [[1, 0], [1, 1]], 2: [[1, 0, 0]]})

@@ -9,6 +9,7 @@ from tropcomplex import (
     Disconnected,
     DimensionExceeded,
     LinkElement,
+    SchemaError,
     SimplicialIdentityViolation,
     build_complex,
     duplicate_sheets,
@@ -123,6 +124,17 @@ def test_count_shape_mismatches():
 def test_face_index_out_of_range():
     with pytest.raises(DimensionExceeded):
         DeltaComplex(1, [2, 1], {1: [[2, 0]]})
+
+
+@pytest.mark.parametrize("entry", [
+    [True, 0, 0, 1], [1, 0.0, 0, 1], [1, 0, "0", 1], [1, 0, 1, None],
+    [1, 0, 0], [1, 0, 0, 1, 0], "1001", {"k": 1, "i": 0, "s": 0, "t": 1}, 5,
+])
+def test_malformed_face_entry_is_named(entry):
+    data = {"n": 1, "simplices": [2, 1], "faces": [[1, 0, 1, 0], entry]}
+    with pytest.raises(SchemaError) as exc:
+        build_complex(data)
+    assert str(exc.value) == "face entry %r is not 4 integers" % (entry,)
 
 
 def test_fixture_complexes_validate(fx):

@@ -106,6 +106,19 @@ def test_divisor_arithmetic(tetrahedron):
     assert d.coeff(5) == 1 and d.coeff(0) == 0
 
 
+def test_divisor_is_a_hashable_value_not_a_tuple(tetrahedron):
+    d = named(tetrahedron, "Dcd")
+    same = Divisor(tuple(list(d.ridge_part)), d.facet_pieces)
+    assert same == d and hash(same) == hash(d) and same is not d
+    assert {d: "d"}[same] == "d" and same.coeff(5) == 1
+    assert d != Divisor(((5, 2),)) and d != d.ridge_part
+    for op in (len, iter, lambda x: x * 2):
+        with pytest.raises(TypeError):
+            op(d)
+    with pytest.raises(AttributeError):
+        d.ridge_part = ()
+
+
 def test_chip_matrix_columns_kill_constants(fx):
     for name in ABSTRACT:
         T = fx[name].structure()

@@ -67,6 +67,15 @@ def test_fill_alpha_required_above_dimension_one(fx):
         fill_alpha(fx["triangle"].complex)
 
 
+def test_structure_equality_ignores_alpha(fx):
+    X = fx["path"].complex
+    T = make_structure(X)
+    U = make_structure(X, {(0, 0): 5, (1, 0): 5, (2, 0): 5})
+    assert T.alpha != U.alpha
+    assert T == U and hash(T) == hash(U) and {T: "T"}[U] == "T"
+    assert T != make_structure(fx["loop"].complex) and T != X
+
+
 def test_missing_alpha_entry_raises(fx):
     T = make_structure(fx["triangle"].complex, {(0, 0): 1})
     with pytest.raises(MissingAlpha):
