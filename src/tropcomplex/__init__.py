@@ -12,7 +12,7 @@ from .errors import (DegenerateCut, DimensionExceeded, Disconnected,
 from .delta import DeltaComplex, LinkElement, build_complex
 from .structure import (ClassifyResult, Inertia, LocalIntersectionMatrix,
                         TropicalStructure, WeakReport, check_weak, classify,
-                        fill_alpha, local_matrix, make_structure)
+                        local_matrix)
 from .divisors import (CartierVerdict, ClassGroupPresentation, Divisor,
                        FacetPiece, LocalGerm, TwoPieceFunction, WitnessResult,
                        chip_matrix, class_group, div_two_piece,
@@ -53,10 +53,10 @@ __all__ = [
     "build_structure_from_degeneration", "canonical_json", "check_weak",
     "chip_matrix", "class_group", "classify", "derive_structure",
     "div_two_piece", "div_vertex_function", "duplicate_sheets",
-    "embedded_weights", "fill_alpha", "germ_space", "intersect_degree",
+    "embedded_weights", "germ_space", "intersect_degree",
     "is_balanced", "lin_equiv_witness", "load_degeneration",
     "load_embedded", "load_fixture", "load_fixture_file", "local_cartier_test",
-    "local_matrix", "main", "make_structure", "push_forward_and_compare",
+    "local_matrix", "main", "push_forward_and_compare",
     "restrict_divisor", "ridge_multiplicity", "robustness_check",
     "specialize", "verify_theorem", "weil_test",
 ]

@@ -48,9 +48,7 @@ class Curve:
 
     @staticmethod
     def on_edges(coeffs):
-        items = tuple(sorted((int(e), int(m)) for e, m in dict(coeffs).items()
-                             if int(m) != 0))
-        return Curve(items)
+        return Curve(tuple(sorted((e, m) for e, m in coeffs.items() if m)))
 
     def mult(self, e):
         if self._mults is None:
@@ -181,7 +179,7 @@ class BreakpointFunction(NamedTuple):
         out = []
         for e, pts in sorted(dict(data).items()):
             pts = tuple((Fraction(p), Fraction(val)) for p, val in pts)
-            out.append((int(e), pts))
+            out.append((e, pts))
         return BreakpointFunction(tuple(out))
 
     def edge_data(self, e):

@@ -25,20 +25,20 @@ class DegenerationData(NamedTuple):
     mode: str  # "strict" | "nonstrict"
     vertex_ridge_degrees: dict  # (vertex, ridge) -> int
     self_intersections: dict  # (codim2 cell, link position) -> int
-    divisors: dict  # name -> {ridge: int}
-    curves: dict  # name -> {edge: int}
+    divisors: dict  # name -> Divisor
+    curves: dict  # name -> Curve
     claimed: dict  # (divisor name, curve name) -> Fraction
 
 
-def _named_entries(data, key, what):
+def _named_entries(data, key, what, make):
     """The {name: [[index, integer], ...]} object under key, with every
-    entry checked."""
+    entry checked, as {name: make({index: integer})}."""
     value = data.get(key, {})
     if not isinstance(value, dict):
         raise SchemaError("%s must be an object of named entry lists, not %r"
                           % (key, value))
-    return {name: dict(int_entry(e, 2, what)
-                       for e in entry_list(entries, what))
+    return {name: make(dict(int_entry(e, 2, what)
+                            for e in entry_list(entries, what)))
             for name, entries in value.items()}
 
 
@@ -69,8 +69,8 @@ def load_degeneration(data):
                         "self_intersections"):
         q, t, c2 = int_entry(e, 3, "self_intersections")
         si[(q, t)] = c2
-    divisors = _named_entries(data, "divisors", "divisor")
-    curves = _named_entries(data, "curves", "curve")
+    divisors = _named_entries(data, "divisors", "divisor", Divisor.on_ridges)
+    curves = _named_entries(data, "curves", "curve", Curve.on_edges)
     claimed = dict(_claimed(e)
                    for e in entry_list(data.get("claimed", []), "claimed"))
     return DegenerationData(mode, vr, si, divisors, curves, claimed)
@@ -182,7 +182,7 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
                     % (r, slot), ridge=r
                 )
     T = TropicalStructure(X, alpha)
-    weak = check_weak(X, alpha)
+    weak = check_weak(T)
     if not weak.passed:
         r = weak.violations[0][0]
         raise InconsistentData(
@@ -212,12 +212,12 @@ class SpecializeResult(NamedTuple):
 
 def specialize(T: TropicalStructure, data: DegenerationData, name):
     if name in data.divisors:
-        D = Divisor.on_ridges(dict(data.divisors[name]))
+        D = data.divisors[name]
         passed, _ = weil_test(T, D)
         return SpecializeResult("divisor", D, None,
                                 "pass" if passed else "fail")
     if name in data.curves:
-        C = Curve.on_edges(dict(data.curves[name]))
+        C = data.curves[name]
         result = is_balanced(T, C)
         return SpecializeResult("curve", None, C,
                                 "balanced" if result.balanced else "warning")
@@ -248,8 +248,8 @@ def verify_theorem(T: TropicalStructure, data: DegenerationData, dname, cname):
         raise UnknownName(
             "no claimed intersection number for (%r, %r)" % (dname, cname)
         )
-    D = Divisor.on_ridges(dict(data.divisors[dname]))
-    C = Curve.on_edges(dict(data.curves[cname]))
+    D = data.divisors[dname]
+    C = data.curves[cname]
     passed, _ = weil_test(T, D)
     if not passed:
         raise PreconditionFailed(

@@ -168,9 +168,6 @@ class DeltaComplex:
 
     # -- queries -------------------------------------------------------------
 
-    def simplices(self, k):
-        return [(k, i) for i in range(self.counts[k])]
-
     def face(self, s, i):
         k, idx = s
         return (k - 1, self.faces[k][idx][i])

@@ -54,9 +54,7 @@ class Divisor:
 
     @staticmethod
     def on_ridges(coeffs):
-        items = tuple(sorted((int(r), int(c)) for r, c in dict(coeffs).items()
-                             if int(c) != 0))
-        return Divisor(items)
+        return Divisor(tuple(sorted((r, c) for r, c in coeffs.items() if c)))
 
     def coeff(self, r):
         if self._coeffs is None:
@@ -175,7 +173,7 @@ def div_two_piece(T: TropicalStructure, f: TwoPieceFunction):
     n = X.n
     if f.facet >= X.counts[n] or len(f.normal) != n:
         raise IndexMismatch("facet %d / normal length %d" % (f.facet, len(f.normal)))
-    lam = tuple(int(x) for x in f.normal)
+    lam = f.normal
     c = Fraction(f.offset)
     if all(x == 0 for x in lam):
         raise DegenerateCut("zero normal")

@@ -43,11 +43,9 @@ class EmbeddedComplex:
     def __init__(self, N, vertices, bounded, unbounded, sheet_counts=None,
                  sheet_maps=None):
         self.N = N
-        self.vertices = tuple(tuple(int(x) for x in v) for v in vertices)
-        self.bounded = tuple(
-            tuple(tuple(sorted(int(i) for i in cell)) for cell in level)
-            for level in bounded
-        )
+        self.vertices = tuple(map(tuple, vertices))
+        self.bounded = tuple(tuple(tuple(sorted(cell)) for cell in level)
+                             for level in bounded)
         self.unbounded = tuple(unbounded)
         self.sheet_counts = dict(sheet_counts or {})
         self.sheet_maps = dict(sheet_maps or {})
@@ -138,9 +136,16 @@ class EmbeddedComplex:
                         )
         for (k, idx), count in self.sheet_counts.items():
             if count < 1:
-                raise InconsistentSheets("sheet counts must be positive")
-            if k >= len(self.bounded) or idx >= len(self.bounded[k]):
-                raise InconsistentSheets("sheet count for missing cell")
+                raise InconsistentSheets("sheet count entry %r is not positive"
+                                         % ([k, idx, count],))
+            if not self.has_bounded(k, idx):
+                raise InconsistentSheets("sheet count entry %r names no "
+                                         "bounded cell" % ([k, idx, count],))
+        for (k, idx, slot), images in self.sheet_maps.items():
+            if not (k > 0 and self.has_bounded(k, idx) and 0 <= slot <= k):
+                raise InconsistentSheets(
+                    "face sheet map entry %r names no face of a bounded cell"
+                    % ([k, idx, slot, list(images)],))
 
     def _check_vertices(self, cell, what):
         for i in cell:
@@ -176,6 +181,9 @@ class EmbeddedComplex:
         return True
 
     # -- queries -------------------------------------------------------------
+
+    def has_bounded(self, k, idx):
+        return 0 <= k < len(self.bounded) and 0 <= idx < len(self.bounded[k])
 
     def bounded_dim(self):
         return max(k for k, level in enumerate(self.bounded) if level)
@@ -315,7 +323,7 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
     sheets and the u_j over rays of adjacent unbounded facets.
     """
     n = E.n
-    if n - 1 >= len(E.bounded) or ridge_index >= len(E.bounded[n - 1]):
+    if not E.has_bounded(n - 1, ridge_index):
         raise IndexMismatch("no bounded (n-1)-cell with index %d" % ridge_index)
     # a bounded cell, so construction has tested its cone for unimodularity
     ridge = E.bounded[n - 1][ridge_index]
@@ -383,7 +391,7 @@ def robustness_check(E: EmbeddedComplex, k, idx):
     space and is strictly positive on every ray of the unbounded (k+1)-cells
     containing it, decided by exact Fourier-Motzkin elimination.
     """
-    if not (0 <= k < len(E.bounded) and 0 <= idx < len(E.bounded[k])):
+    if not E.has_bounded(k, idx):
         raise IndexMismatch("no bounded %d-cell with index %d" % (k, idx))
     cell = E.bounded[k][idx]
     base = E.vertices[cell[0]][:-1]
@@ -461,7 +469,7 @@ def embedded_weights(E: EmbeddedComplex, f):
     """
     n = E.bounded_dim()
     weights = {}
-    for ridx, ridge in enumerate(E.bounded[n - 1]):
+    for ridx, ridge in enumerate(E.bounded[n - 1] if n >= 1 else ()):
         env = _ridge_environment(E, ridge)
         rows = [list(E.vertices[v]) for v in ridge]
         rhs = [f[v] for v in ridge]
@@ -491,7 +499,11 @@ def embedded_weights(E: EmbeddedComplex, f):
 
 def push_forward_and_compare(E: EmbeddedComplex, D: Divisor = None, f=None):
     """Push multiplicities along the duplication map; with f supplied,
-    compare the push-forward of div(f o pi) against the weight oracle."""
+    compare the push-forward of div(f o pi) against the weight oracle.
+
+    D must be ridge-supported on the duplicated (n-1)-simplices, or
+    IndexMismatch names the entry, as for lin_equiv_witness.
+    """
     n = E.bounded_dim()
     n_ridges = len(E.bounded[n - 1]) if n >= 1 else 0
     if f is not None:
@@ -499,19 +511,25 @@ def push_forward_and_compare(E: EmbeddedComplex, D: Divisor = None, f=None):
             raise IndexMismatch(
                 "expected %d vertex values, got %d" % (len(E.vertices), len(f))
             )
-        X, pi, T, _ = derive_structure(E)
-        fpi = [int(f[E.bounded[0][cell][0]]) for cell in pi[0]]
-        dv = div_vertex_function(T, fpi)
-        pushed = {r: 0 for r in range(n_ridges)}
-        for dup_idx, cell_idx in enumerate(pi[n - 1]):
-            pushed[cell_idx] += dv.coeff(dup_idx)
-        oracle = embedded_weights(E, [int(x) for x in f])
-        verdict = "pass" if pushed == oracle else "fail"
-        return PushResult(pushed, oracle, verdict)
-    if D is None:
+        _, pi, T, _ = derive_structure(E)
+        D = div_vertex_function(T, [f[E.bounded[0][cell][0]] for cell in pi[0]])
+    elif D is None:
         raise IndexMismatch("need a divisor or a vertex function")
-    X, pi = duplicate_sheets(E)
+    else:
+        _, pi = duplicate_sheets(E)
+    # the bounded ridge cell of each duplicated (n-1)-simplex
+    ridge_cells = pi[n - 1] if n >= 1 else ()
+    if D.facet_pieces:
+        raise IndexMismatch("push-forward needs a ridge-supported divisor")
+    for r, c in D.ridge_part:
+        if not 0 <= r < len(ridge_cells):
+            raise IndexMismatch(
+                "divisor entry [%d, %d]: ridge %d out of range (%d "
+                "duplicated ridges)" % (r, c, r, len(ridge_cells)))
     pushed = {r: 0 for r in range(n_ridges)}
-    for dup_idx, cell_idx in enumerate(pi[n - 1]):
+    for dup_idx, cell_idx in enumerate(ridge_cells):
         pushed[cell_idx] += D.coeff(dup_idx)
-    return PushResult(pushed, None, None)
+    if f is None:
+        return PushResult(pushed, None, None)
+    oracle = embedded_weights(E, f)
+    return PushResult(pushed, oracle, "pass" if pushed == oracle else "fail")

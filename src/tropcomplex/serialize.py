@@ -16,7 +16,7 @@ from fractions import Fraction
 from .delta import DeltaComplex, build_complex
 from .errors import (IndexMismatch, InputError, SchemaError, entry_list,
                      int_entry)
-from .structure import TropicalStructure, make_structure
+from .structure import TropicalStructure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
 from .degeneration import DegenerationData, load_degeneration
@@ -148,12 +148,11 @@ def breakpoints_from_json(data):
 class Fixture:
     """A loaded fixture; `load_fixture` fills it in after construction."""
 
-    __slots__ = ("kind", "raw", "complex", "alpha", "embedded",
-                 "degeneration", "divisors", "curves", "functions")
+    __slots__ = ("kind", "complex", "alpha", "embedded", "degeneration",
+                 "divisors", "curves", "functions")
 
-    def __init__(self, kind: str, raw: dict):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.raw = raw
         self.complex: DeltaComplex | None = None
         self.alpha: dict | None = None
         self.embedded: EmbeddedComplex | None = None
@@ -165,7 +164,7 @@ class Fixture:
     def structure(self):
         if self.complex is None:
             raise InputError("fixture has no abstract complex")
-        return make_structure(self.complex, self.alpha)
+        return TropicalStructure(self.complex, self.alpha)
 
 
 def detect_kind(data):
@@ -188,7 +187,7 @@ def load_fixture(data):
     if data.get("format") != FORMAT:
         raise InputError("unsupported fixture format %r" % (data.get("format"),))
     kind = detect_kind(data)
-    fx = Fixture(kind, data)
+    fx = Fixture(kind)
     if kind == "abstract":
         fx.complex = build_complex(data)
         if "alpha" in data:
@@ -202,14 +201,8 @@ def load_fixture(data):
             raise SchemaError("degeneration fixture is missing key 'complex'")
         fx.complex = build_complex(data["complex"])
         fx.degeneration = load_degeneration(data)
-        fx.divisors = {
-            name: Divisor.on_ridges(dict(entries))
-            for name, entries in fx.degeneration.divisors.items()
-        }
-        fx.curves = {
-            name: Curve.on_edges(dict(entries))
-            for name, entries in fx.degeneration.curves.items()
-        }
+        fx.divisors = fx.degeneration.divisors
+        fx.curves = fx.degeneration.curves
     else:
         raise InputError("unknown fixture kind %r" % (kind,))
     if kind != "degeneration":

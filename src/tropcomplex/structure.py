@@ -32,11 +32,17 @@ class WeakReport(NamedTuple):
 
 class TropicalStructure:
     """A complex with its structure constants; equal and hashed by the
-    complex alone, and immutable."""
+    complex alone, and immutable.  alpha maps (ridge, slot) to an integer;
+    when it is None, n = 1 takes alpha(v) = deg(v) and n = 0 none."""
 
     __slots__ = ("complex", "alpha")
 
-    def __init__(self, complex: DeltaComplex, alpha: dict):
+    def __init__(self, complex: DeltaComplex, alpha: dict = None):
+        if alpha is None:
+            if complex.n > 1:
+                raise MissingAlpha("alpha required for n = %d" % complex.n)
+            alpha = {(v, 0): complex.degree((0, v))
+                     for v in range(complex.counts[0])} if complex.n else {}
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "alpha", alpha)
 
@@ -62,36 +68,16 @@ class TropicalStructure:
         return self.alpha[key]
 
 
-def fill_alpha(X: DeltaComplex, alpha=None):
-    """Normalize an alpha map; for n = 1 a missing map is forced to deg(v)."""
-    if X.n == 0:
-        return {}
-    if alpha is None:
-        if X.n != 1:
-            raise MissingAlpha("alpha required for n = %d" % X.n)
-        return {(v, 0): X.degree((0, v)) for v in range(X.counts[0])}
-    return {(int(r), int(s)): int(v) for (r, s), v in dict(alpha).items()}
-
-
-def make_structure(X: DeltaComplex, alpha=None):
-    return TropicalStructure(X, fill_alpha(X, alpha))
-
-
-def check_weak(X: DeltaComplex, alpha):
+def check_weak(T: TropicalStructure):
     """Weak constraint report: per ridge, slot sum of alpha vs deg(r)."""
-    alpha = fill_alpha(X, alpha)
+    X = T.complex
     if X.n == 0:
         return WeakReport(True, (), ())
     rdim = X.n - 1
     violations = []
     isolated = []
     for r in range(X.counts[rdim]):
-        total = 0
-        for slot in range(rdim + 1):
-            key = (r, slot)
-            if key not in alpha:
-                raise MissingAlpha("no alpha for ridge %d slot %d" % key)
-            total += alpha[key]
+        total = sum(T.alpha_at(r, slot) for slot in range(rdim + 1))
         deg = X.degree((rdim, r))
         if deg == 0:
             isolated.append(r)
@@ -159,7 +145,7 @@ def classify(T: TropicalStructure):
     for the inertias are returned with them, in q order.
     """
     X = T.complex
-    weak = check_weak(X, T.alpha)
+    weak = check_weak(T)
     if not weak.passed:
         return ClassifyResult("weak-only", (), weak)
     if X.n < 2:

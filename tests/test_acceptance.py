@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from tropcomplex import (
     alpha_from_balancing,
-    build_complex,
     build_structure_from_degeneration,
     check_weak,
     class_group,
@@ -43,9 +42,8 @@ def all_structures(fx):
         out[name] = fx[name].structure()
     for name in ["plane", "twosheet"]:
         out[name] = derive_structure(fx[name].embedded)[2]
-    X = build_complex(fx["tet-degen"].raw["complex"])
     out["tet-degen"] = build_structure_from_degeneration(
-        X, fx["tet-degen"].degeneration
+        fx["tet-degen"].complex, fx["tet-degen"].degeneration
     )
     return out
 
@@ -203,9 +201,9 @@ def test_a09_pushforward_matches_weight_oracle(plane):
 
 
 def test_a10_degeneration_consistency(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     strictT = build_structure_from_degeneration(X, tet_degen.degeneration)
-    assert check_weak(X, strictT.alpha).passed
+    assert check_weak(strictT).passed
     assert all(v == 1 for v in strictT.alpha.values())
 
     rng = random.Random(110)
@@ -228,7 +226,7 @@ def test_a10_degeneration_consistency(tet_degen):
         )
         T = build_structure_from_degeneration(X, data)
         assert T.alpha == alpha
-        assert check_weak(X, T.alpha).passed
+        assert check_weak(T).passed
 
     # the two ingestion routes agree on a regular complex without loops
     nonstrict_rows = []

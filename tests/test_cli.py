@@ -19,16 +19,6 @@ def invoke(capsys, *argv):
     return code, json.loads(out), err
 
 
-def test_operations_cover_api_disjointly():
-    seen = []
-    for spec in SUBCOMMANDS.values():
-        seen.extend(spec.operations)
-    assert len(seen) == len(set(seen)) == 22
-    for name in seen:
-        assert hasattr(tropcomplex, name), name
-        assert callable(getattr(tropcomplex, name))
-
-
 def test_report_schema(capsys):
     path = fixture_path("triangle")
     code, report, err = invoke(capsys, "validate", path)
@@ -454,6 +444,41 @@ def test_out_of_range_facet_piece_is_index_mismatch(capsys, tmp_path, piece,
     assert report["error"]["type"] == "IndexMismatch"
     assert report["error"]["message"] == "divisor 'X' facet piece %s: %s" % (
         piece, problem)
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("face_sheet_maps", [9, 9, 0, [0]]),
+    ("face_sheet_maps", [1, 0, 7, [0, 0]]),
+    ("counts", [-1, 0, 2]),
+], ids=["map-of-no-cell", "map-slot-past-k", "count-of-negative-level"])
+@pytest.mark.parametrize("command", ["import-embedded", "validate"])
+def test_sheet_entry_naming_no_cell_is_inconsistent_sheets(
+        capsys, tmp_path, command, key, entry):
+    data = json.loads(fixture_path("twosheet").read_text())
+    data["sheets"][key].append(entry)
+    bad = tmp_path / "bad-sheets.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, command, bad)
+    assert code == 2
+    assert report["error"]["type"] == "InconsistentSheets"
+    assert "entry %s" % entry in report["error"]["message"]
+
+
+@pytest.mark.parametrize("divisor, named", [
+    ([[99, 1]], "entry [99, 1]: ridge 99 out of range (2 duplicated ridges)"),
+    ([[2, 1]], "entry [2, 1]: ridge 2 out of range (2 duplicated ridges)"),
+    ({"facet_pieces": [[0, [1], 0, 1, 1]]}, "ridge-supported"),
+])
+def test_pushforward_divisor_off_the_duplicated_ridges_is_index_mismatch(
+        capsys, tmp_path, divisor, named):
+    data = json.loads(fixture_path("twosheet").read_text())
+    data["divisors"]["Dbad"] = divisor
+    bad = tmp_path / "bad-divisor.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "pushforward", bad, "-D", "Dbad")
+    assert code == 2
+    assert report["error"]["type"] == "IndexMismatch"
+    assert named in report["error"]["message"]
 
 
 def test_side_file_with_invalid_json_is_input_error(capsys, tmp_path):

@@ -17,8 +17,8 @@ from tropcomplex import (
     Divisor,
     NotBalanced,
     NotQCartierNearCurve,
+    TropicalStructure,
     UnsupportedDimension,
-    build_complex,
     build_structure_from_degeneration,
     div_vertex_function,
     germ_space,
@@ -27,7 +27,6 @@ from tropcomplex import (
     load_fixture,
     load_fixture_file,
     local_matrix,
-    make_structure,
     restrict_divisor,
 )
 from tropcomplex.embedded import derive_structure
@@ -113,8 +112,8 @@ def oracle_structures():
     for name in ("triangle", "triangle-tropical", "tetrahedron", "path", "loop"):
         out.append(load_fixture_file(fixture_path(name)).structure())
     degen = load_fixture_file(fixture_path("tet-degen"))
-    out.append(build_structure_from_degeneration(
-        build_complex(degen.raw["complex"]), degen.degeneration))
+    out.append(build_structure_from_degeneration(degen.complex,
+                                                 degen.degeneration))
     out.append(derive_structure(load_fixture_file(fixture_path("plane")).embedded)[2])
     for k, rng in ((3, None), (4, random.Random(1)), (5, random.Random(2))):
         out.append(load_fixture(gen.torus(k, rng).fixture).structure())
@@ -123,7 +122,7 @@ def oracle_structures():
                           ([(0, 1), (1, 2), (2, 0)], (2, 1, 2))):
         X = DeltaComplex(1, [len(alphas), len(edges)],
                          {1: [[b, a] for a, b in edges]})
-        out.append(make_structure(X, {(v, 0): a for v, a in enumerate(alphas)}))
+        out.append(TropicalStructure(X, {(v, 0): a for v, a in enumerate(alphas)}))
     return tuple(out)
 
 
@@ -335,7 +334,7 @@ def test_intersection_errors(triangle):
     with pytest.raises(NotBalanced):
         intersect_degree(T, triangle.divisors["P1"], Curve.on_edges({0: 1}))
     X3 = full_simplex(3)
-    T3 = make_structure(X3, {(r, s): 0 for r in range(4) for s in range(3)})
+    T3 = TropicalStructure(X3, {(r, s): 0 for r in range(4) for s in range(3)})
     with pytest.raises(UnsupportedDimension):
         intersect_degree(T3, Divisor.on_ridges({}), Curve.on_edges({0: 1}))
 

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from tropcomplex import (
+    Curve,
     DeltaComplex,
+    Divisor,
     InconsistentData,
     PreconditionFailed,
     UnknownName,
-    build_complex,
     build_structure_from_degeneration,
     check_weak,
     load_degeneration,
@@ -57,15 +58,21 @@ def tetra_nonstrict_rows(X, c2=-1):
     return rows
 
 
+def degree_rows(fx):
+    """The strict [vertex, ridge, degree] rows of a degeneration fixture."""
+    return [[v, r, deg] for (v, r), deg in
+            fx.degeneration.vertex_ridge_degrees.items()]
+
+
 # -- strict ingestion -------------------------------------------------------
 
 
 def test_strict_fixture_recovers_constant_structure(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     T = build_structure_from_degeneration(X, tet_degen.degeneration)
     assert len(T.alpha) == 12
     assert all(v == 1 for v in T.alpha.values())
-    assert check_weak(X, T.alpha).passed
+    assert check_weak(T).passed
 
 
 def test_strict_triangle_recovers_fixture_alpha(triangle):
@@ -107,8 +114,8 @@ def test_no_ridges_rejected():
 
 
 def test_strict_missing_entry_attributes_ridge(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
-    rows = [r for r in tet_degen.raw["vertex_ridge_degrees"] if r[:2] != [0, 0]]
+    X = tet_degen.complex
+    rows = [r for r in degree_rows(tet_degen) if r[:2] != [0, 0]]
     data = load_degeneration({"mode": "strict", "vertex_ridge_degrees": rows})
     with pytest.raises(InconsistentData) as exc:
         build_structure_from_degeneration(X, data)
@@ -116,8 +123,8 @@ def test_strict_missing_entry_attributes_ridge(tet_degen):
 
 
 def test_strict_transverse_mismatch(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
-    rows = [list(r) for r in tet_degen.raw["vertex_ridge_degrees"]]
+    X = tet_degen.complex
+    rows = degree_rows(tet_degen)
     # vertex 0 meets the ridge cd transversally once, not twice
     for r in rows:
         if r[:2] == [0, 5]:
@@ -129,8 +136,8 @@ def test_strict_transverse_mismatch(tet_degen):
 
 
 def test_strict_nonzero_total(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
-    rows = [list(r) for r in tet_degen.raw["vertex_ridge_degrees"]]
+    X = tet_degen.complex
+    rows = degree_rows(tet_degen)
     for r in rows:
         if r[:2] == [2, 5]:
             r[2] = -2
@@ -144,7 +151,7 @@ def test_strict_nonzero_total(tet_degen):
 
 
 def test_nonstrict_matches_strict_on_tetrahedron(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     strictT = build_structure_from_degeneration(X, tet_degen.degeneration)
     data = load_degeneration(
         {"mode": "nonstrict", "self_intersections": tetra_nonstrict_rows(X)}
@@ -156,7 +163,7 @@ def test_nonstrict_matches_strict_on_tetrahedron(tet_degen):
 @pytest.mark.parametrize("extra", [[99, 0, 5], [0, 99, 5], [-1, 0, 5]])
 def test_nonstrict_rejects_entry_naming_no_stratum_or_position(tet_degen,
                                                                extra):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     data = load_degeneration(
         {"mode": "nonstrict",
          "self_intersections": tetra_nonstrict_rows(X) + [extra]}
@@ -186,7 +193,7 @@ def test_nonstrict_needs_codimension_two(path_graph):
 
 
 def test_nonstrict_missing_entry(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     rows = tetra_nonstrict_rows(X)[:-1]
     data = load_degeneration(
         {"mode": "nonstrict", "self_intersections": rows}
@@ -196,7 +203,7 @@ def test_nonstrict_missing_entry(tet_degen):
 
 
 def test_nonstrict_weak_violation_attributes_ridge(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     rows = tetra_nonstrict_rows(X)
     rows[0][2] = -3
     data = load_degeneration(
@@ -208,7 +215,7 @@ def test_nonstrict_weak_violation_attributes_ridge(tet_degen):
 
 
 def test_nonstrict_cross_checks_given_degrees(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     data = load_degeneration(
         {
             "mode": "nonstrict",
@@ -222,7 +229,7 @@ def test_nonstrict_cross_checks_given_degrees(tet_degen):
 
 
 def test_nonstrict_accepts_consistent_given_degrees(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     data = load_degeneration(
         {
             "mode": "nonstrict",
@@ -236,7 +243,7 @@ def test_nonstrict_accepts_consistent_given_degrees(tet_degen):
 
 def test_nonstrict_random_consistent_data_is_weak(tet_degen):
     rng = random.Random(29)
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     for _ in range(10):
         alpha = {}
         for r in range(X.counts[1]):
@@ -254,7 +261,7 @@ def test_nonstrict_random_consistent_data_is_weak(tet_degen):
         )
         T = build_structure_from_degeneration(X, data)
         assert T.alpha == alpha
-        assert check_weak(X, T.alpha).passed
+        assert check_weak(T).passed
 
 
 @pytest.mark.parametrize("entry", [[0, 99, 0], [0, -1, 0], [99, 0, 1],
@@ -263,9 +270,9 @@ def test_nonstrict_random_consistent_data_is_weak(tet_degen):
 def test_out_of_range_degree_entry_is_rejected(tet_degen, mode, entry):
     # a vertex or ridge that is not in the complex is an input error in
     # both modes, not an IndexError and not an ignored entry
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     raw = {"mode": mode, "vertex_ridge_degrees":
-           tet_degen.raw["vertex_ridge_degrees"] + [entry]}
+           degree_rows(tet_degen) + [entry]}
     if mode == "nonstrict":
         raw["self_intersections"] = tetra_nonstrict_rows(X)
     with pytest.raises(InconsistentData, match=r"entry \[%d, %d, %d\]"
@@ -277,7 +284,7 @@ def test_out_of_range_degree_entry_is_rejected(tet_degen, mode, entry):
 
 
 def test_specialize_fixture_names(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     T = build_structure_from_degeneration(X, tet_degen.degeneration)
     res = specialize(T, tet_degen.degeneration, "D")
     assert res.kind == "divisor" and res.verdict == "pass"
@@ -298,7 +305,7 @@ def test_specialize_flags_problem_inputs(triangle):
 
 
 def test_verify_fixture_claims(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     T = build_structure_from_degeneration(X, tet_degen.degeneration)
     for dname, want in [("D", 2), ("E", 0), ("Zero", 0)]:
         res = verify_theorem(T, tet_degen.degeneration, dname, "C")
@@ -308,10 +315,8 @@ def test_verify_fixture_claims(tet_degen):
 
 
 def test_verify_detects_mismatch(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
-    raw = {k: v for k, v in tet_degen.raw.items() if k not in ("format", "kind", "complex")}
-    raw["claimed"] = [["D", "C", 3, 1]]
-    data = load_degeneration(raw)
+    X = tet_degen.complex
+    data = tet_degen.degeneration._replace(claimed={("D", "C"): Fraction(3)})
     T = build_structure_from_degeneration(X, data)
     res = verify_theorem(T, data, "D", "C")
     assert res.computed == 2 and res.claimed == 3
@@ -319,7 +324,7 @@ def test_verify_detects_mismatch(tet_degen):
 
 
 def test_verify_unknown_names(tet_degen):
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     T = build_structure_from_degeneration(X, tet_degen.degeneration)
     with pytest.raises(UnknownName):
         verify_theorem(T, tet_degen.degeneration, "missing", "C")
@@ -356,18 +361,27 @@ def test_verify_precondition_balance(triangle):
 
 def test_verify_invariant_under_principal_shifts(tet_degen):
     # D and D + div(phi) pair identically with every balanced curve
-    from tropcomplex import div_vertex_function, intersect_degree, Curve, Divisor
+    from tropcomplex import div_vertex_function, intersect_degree
 
     rng = random.Random(31)
-    X = build_complex(tet_degen.raw["complex"])
+    X = tet_degen.complex
     T = build_structure_from_degeneration(X, tet_degen.degeneration)
-    C = Curve.on_edges({e: m for e, m in tet_degen.degeneration.curves["C"].items()})
-    D = Divisor.on_ridges(dict(tet_degen.degeneration.divisors["D"]))
+    C = tet_degen.degeneration.curves["C"]
+    D = tet_degen.degeneration.divisors["D"]
     base = intersect_degree(T, D, C).degree
     for _ in range(10):
         phi = [rng.randint(-4, 4) for _ in range(4)]
         shifted = D + div_vertex_function(T, phi)
         assert intersect_degree(T, shifted, C).degree == base
+
+
+def test_fixture_shares_the_degeneration_divisors_and_curves(tet_degen):
+    assert tet_degen.divisors is tet_degen.degeneration.divisors
+    assert tet_degen.curves is tet_degen.degeneration.curves
+    assert set(tet_degen.divisors) == {"D", "E", "Zero"}
+    assert all(type(D) is Divisor for D in tet_degen.divisors.values())
+    assert all(type(C) is Curve for C in tet_degen.curves.values())
+    assert tet_degen.divisors["D"] == Divisor(((5, 1),))
 
 
 def test_claimed_fractions_parse(tet_degen):

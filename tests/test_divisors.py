@@ -11,6 +11,7 @@ from tropcomplex import (
     DegenerateCut,
     Divisor,
     IndexMismatch,
+    TropicalStructure,
     TwoPieceFunction,
     build_structure_from_degeneration,
     chip_matrix,
@@ -20,7 +21,6 @@ from tropcomplex import (
     lin_equiv_witness,
     load_fixture,
     local_cartier_test,
-    make_structure,
     ridge_multiplicity,
     weil_test,
 )
@@ -85,7 +85,7 @@ def test_vertex_function_divisor_matches_chip_matrix(fx):
         X = torus(k, seed=k)
         alpha = {(r, s): rng.randint(-2, 3)
                  for r in range(X.counts[1]) for s in range(2)}
-        structures.append(make_structure(X, alpha))
+        structures.append(TropicalStructure(X, alpha))
     for T in structures:
         nv = T.complex.counts[0]
         l = chip_matrix(T)

@@ -165,6 +165,12 @@ def test_plane_balancing_table(plane):
         assert sum(sol.coefficients) == sol.d
 
 
+@pytest.mark.parametrize("ridge", [12, -1])
+def test_balancing_at_a_missing_ridge_is_index_mismatch(plane, ridge):
+    with pytest.raises(IndexMismatch, match="index %d" % ridge):
+        alpha_from_balancing(plane.embedded, ridge)
+
+
 def test_balancing_coefficient_sum_rule(plane, twosheet):
     for E in (plane.embedded, twosheet.embedded):
         n = E.n
@@ -176,7 +182,7 @@ def test_balancing_coefficient_sum_rule(plane, twosheet):
 def test_derive_structure_is_weak(plane, twosheet):
     for fixture in (plane, twosheet):
         X, pi, T, sols = derive_structure(fixture.embedded)
-        report = check_weak(X, T.alpha)
+        report = check_weak(T)
         assert report.passed
         assert set(sols) == set(range(len(fixture.embedded.bounded[T.complex.n - 1])))
 
@@ -327,6 +333,17 @@ def test_pushforward_adds_sheet_multiplicities():
     )
     res = push_forward_and_compare(E, D=Divisor.on_ridges({0: 1, 1: 2}))
     assert res.pushed[0] == 3
+
+
+def test_pushforward_without_bounded_ridges():
+    # bounded cells of dimension 0 only: no ridge receives a multiplicity
+    point = EmbeddedComplex(1, [[0, 1]], [[(0,)]], [])
+    res = push_forward_and_compare(point, f=[3])
+    assert (res.pushed, res.oracle, res.verdict) == ({}, {}, "pass")
+    assert push_forward_and_compare(point, D=Divisor.on_ridges({})).pushed == {}
+    ray = EmbeddedComplex(1, [[0, 1]], [[(0,)]], [UnboundedCell((0,), ((1,),))])
+    with pytest.raises(IndexMismatch, match=r"ridge 0 out of range \(0 dup"):
+        push_forward_and_compare(ray, D=Divisor.on_ridges({0: 1}))
 
 
 def test_pushforward_checks_vertex_count(plane):

@@ -8,11 +8,10 @@ from tropcomplex import (
     DeltaComplex,
     MissingAlpha,
     WrongDimension,
+    TropicalStructure,
     check_weak,
     classify,
-    fill_alpha,
     local_matrix,
-    make_structure,
 )
 
 TRIANGLE_MATRICES = {
@@ -27,17 +26,17 @@ TETRA_MATRIX = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
 def test_weak_condition_on_fixtures(fx):
     for name in ["triangle", "triangle-tropical", "tetrahedron", "path", "loop"]:
         T = fx[name].structure()
-        report = check_weak(T.complex, T.alpha)
+        report = check_weak(T)
         assert report.passed, name
         assert report.isolated_ridges == ()
 
 
 def test_weak_violation_reported():
-    T = make_structure(
+    T = TropicalStructure(
         DeltaComplex(1, [3, 2], {1: [[1, 0], [2, 1]]}),
         {(0, 0): 1, (1, 0): 3, (2, 0): 1},
     )
-    report = check_weak(T.complex, T.alpha)
+    report = check_weak(T)
     assert not report.passed
     # middle vertex has degree 2, alpha claims 3
     assert any(r == 1 for r, _, _ in report.violations)
@@ -50,34 +49,39 @@ def test_isolated_ridge_detected():
     )
     alpha = {(e, s): 0 for e in range(4) for s in range(2)}
     alpha.update({(0, 0): 1, (1, 0): 1, (2, 0): 1})
-    report = check_weak(X, alpha)
+    report = check_weak(TropicalStructure(X, alpha))
     assert 3 in report.isolated_ridges
 
 
-def test_fill_alpha_defaults_to_degrees_on_graphs(fx):
+def test_structure_alpha_defaults_to_degrees_on_graphs(fx):
     X = fx["path"].complex
-    alpha = fill_alpha(X)
-    assert alpha == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
-    loop = fx["loop"].complex
-    assert fill_alpha(loop) == {(0, 0): 2}
+    assert TropicalStructure(X).alpha == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
+    assert TropicalStructure(fx["loop"].complex).alpha == {(0, 0): 2}
+    assert TropicalStructure(DeltaComplex(0, [1], {})).alpha == {}
 
 
-def test_fill_alpha_required_above_dimension_one(fx):
-    with pytest.raises(MissingAlpha):
-        fill_alpha(fx["triangle"].complex)
+def test_structure_alpha_required_above_dimension_one(fx):
+    with pytest.raises(MissingAlpha, match=r"^alpha required for n = 2$"):
+        TropicalStructure(fx["triangle"].complex)
+
+
+def test_check_weak_names_missing_alpha_slot(fx):
+    T = TropicalStructure(fx["path"].complex, {(0, 0): 1, (2, 0): 1})
+    with pytest.raises(MissingAlpha, match=r"^no alpha for ridge 1 slot 0$"):
+        check_weak(T)
 
 
 def test_structure_equality_ignores_alpha(fx):
     X = fx["path"].complex
-    T = make_structure(X)
-    U = make_structure(X, {(0, 0): 5, (1, 0): 5, (2, 0): 5})
+    T = TropicalStructure(X)
+    U = TropicalStructure(X, {(0, 0): 5, (1, 0): 5, (2, 0): 5})
     assert T.alpha != U.alpha
     assert T == U and hash(T) == hash(U) and {T: "T"}[U] == "T"
-    assert T != make_structure(fx["loop"].complex) and T != X
+    assert T != TropicalStructure(fx["loop"].complex) and T != X
 
 
 def test_missing_alpha_entry_raises(fx):
-    T = make_structure(fx["triangle"].complex, {(0, 0): 1})
+    T = TropicalStructure(fx["triangle"].complex, {(0, 0): 1})
     with pytest.raises(MissingAlpha):
         local_matrix(T, (0, 0))
 
@@ -157,7 +161,7 @@ def test_classify_graphs_vacuously_tropical(fx):
 def test_classify_weak_failure_reports_weak_only(fx):
     X = fx["triangle"].complex
     alpha = {(e, s): 5 for e in range(3) for s in range(2)}
-    res = classify(make_structure(X, alpha))
+    res = classify(TropicalStructure(X, alpha))
     assert res.verdict == "weak-only"
     assert not res.weak.passed
     assert res.inertias == ()
