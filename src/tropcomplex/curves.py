@@ -28,7 +28,7 @@ class Curve:
     __slots__ = ("multiplicities", "_mults")
 
     def __init__(self, multiplicities: tuple):
-        # sorted (edge index, multiplicity), mult != 0
+        # sorted (edge index, multiplicity), one per edge, mult != 0
         object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "_mults", None)
 
@@ -52,8 +52,7 @@ class Curve:
 
     def mult(self, e):
         if self._mults is None:
-            # reversed, so that the first pair for an edge wins, as in a scan
-            object.__setattr__(self, "_mults", dict(reversed(self.multiplicities)))
+            object.__setattr__(self, "_mults", dict(self.multiplicities))
         return self._mults.get(e, 0)
 
     def support_vertices(self, X):

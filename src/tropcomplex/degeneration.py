@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
-                     UnknownName, entry_list, int_entry)
+                     UnknownName, entry_list, int_entry, int_table, named)
 from .structure import TropicalStructure, check_weak, link_graph
 from .divisors import Divisor, weil_test
 from .curves import Curve, is_balanced, intersect_degree
@@ -28,18 +28,6 @@ class DegenerationData(NamedTuple):
     divisors: dict  # name -> Divisor
     curves: dict  # name -> Curve
     claimed: dict  # (divisor name, curve name) -> Fraction
-
-
-def _named_entries(data, key, what, make):
-    """The {name: [[index, integer], ...]} object under key, with every
-    entry checked, as {name: make({index: integer})}."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise SchemaError("%s must be an object of named entry lists, not %r"
-                          % (key, value))
-    return {name: make(dict(int_entry(e, 2, what)
-                            for e in entry_list(entries, what)))
-            for name, entries in value.items()}
 
 
 def _claimed(entry):
@@ -59,18 +47,14 @@ def load_degeneration(data):
     mode = data.get("mode", "strict")
     if mode not in ("strict", "nonstrict"):
         raise InconsistentData("unknown mode %r" % (mode,))
-    vr = {}
-    for e in entry_list(data.get("vertex_ridge_degrees", []),
-                        "vertex_ridge_degrees"):
-        v, r, deg = int_entry(e, 3, "vertex_ridge_degrees")
-        vr[(v, r)] = deg
-    si = {}
-    for e in entry_list(data.get("self_intersections", []),
-                        "self_intersections"):
-        q, t, c2 = int_entry(e, 3, "self_intersections")
-        si[(q, t)] = c2
-    divisors = _named_entries(data, "divisors", "divisor", Divisor.on_ridges)
-    curves = _named_entries(data, "curves", "curve", Curve.on_edges)
+    vr = int_table(data.get("vertex_ridge_degrees", []), 3,
+                   "vertex_ridge_degrees")
+    si = int_table(data.get("self_intersections", []), 3,
+                   "self_intersections")
+    divisors = {name: Divisor.on_ridges(int_table(entries, 2, "divisor"))
+                for name, entries in named(data, "divisors")}
+    curves = {name: Curve.on_edges(int_table(entries, 2, "curve"))
+              for name, entries in named(data, "curves")}
     claimed = dict(_claimed(e)
                    for e in entry_list(data.get("claimed", []), "claimed"))
     return DegenerationData(mode, vr, si, divisors, curves, claimed)
@@ -105,33 +89,33 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
             raise InconsistentData(
                 "strict data needs pairwise-distinct vertices on every simplex"
             )
+        # the given degrees by ridge: {ridge: {vertex: degree}}
+        given = {}
+        for (v, r), deg in data.vertex_ridge_degrees.items():
+            given.setdefault(r, {})[v] = deg
         alpha = {}
         for r in range(X.counts[n - 1]):
-            verts = X.vertices_of((n - 1, r))
-            for slot, v in enumerate(verts):
-                if (v, r) not in data.vertex_ridge_degrees:
+            on_r = given.get(r, {})
+            for slot, v in enumerate(X.vertices_of((n - 1, r))):
+                if v not in on_r:
                     raise InconsistentData(
                         "missing deg(C_%d . C_%d)" % (v, r), ridge=r
                     )
-                alpha[(r, slot)] = -data.vertex_ridge_degrees[(v, r)]
+                alpha[(r, slot)] = -on_r[v]
         T = TropicalStructure(X, alpha)
         for r in range(X.counts[n - 1]):
+            on_r = given.get(r, {})
             degs = _derived_degrees(T, r)
             on_ridge = set(X.vertices_of((n - 1, r)))
-            for v in range(X.counts[0]):
-                given = data.vertex_ridge_degrees.get((v, r), 0)
-                if v in on_ridge:
-                    continue
-                if given != degs.get(v, 0):
+            # a vertex named by neither side has degree 0 on both
+            for v in sorted(on_r.keys() | degs.keys()):
+                if v not in on_ridge and on_r.get(v, 0) != degs.get(v, 0):
                     raise InconsistentData(
                         "deg(C_%d . C_%d) = %d does not match the %d "
                         "transverse intersections"
-                        % (v, r, given, degs.get(v, 0)), ridge=r
+                        % (v, r, on_r.get(v, 0), degs.get(v, 0)), ridge=r
                     )
-            total = sum(
-                data.vertex_ridge_degrees.get((v, r), 0)
-                for v in range(X.counts[0])
-            )
+            total = sum(on_r.values())
             if total != 0:
                 raise InconsistentData(
                     "degrees against C_%d sum to %d, not 0" % (r, total),

@@ -31,7 +31,7 @@ class Divisor:
     __slots__ = ("ridge_part", "facet_pieces", "_coeffs")
 
     def __init__(self, ridge_part: tuple, facet_pieces: tuple = ()):
-        # ridge_part: sorted (ridge index, coefficient) pairs, coeff != 0
+        # ridge_part: sorted (ridge, coefficient) pairs, one per ridge, coeff != 0
         object.__setattr__(self, "ridge_part", ridge_part)
         object.__setattr__(self, "facet_pieces", facet_pieces)
         object.__setattr__(self, "_coeffs", None)
@@ -58,8 +58,7 @@ class Divisor:
 
     def coeff(self, r):
         if self._coeffs is None:
-            # reversed, so that the first pair for a ridge wins, as in a scan
-            object.__setattr__(self, "_coeffs", dict(reversed(self.ridge_part)))
+            object.__setattr__(self, "_coeffs", dict(self.ridge_part))
         return self._coeffs.get(r, 0)
 
     def __add__(self, other):

@@ -18,7 +18,8 @@ from typing import NamedTuple
 from .delta import DeltaComplex
 from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
                      NoSolution, NonUnimodular, SchemaError,
-                     SimplicialIdentityViolation, entry_list, int_entry)
+                     SimplicialIdentityViolation, entry_list, int_entry,
+                     int_table)
 from .linalg import feasible_strict, primitive_integer, solve
 from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
@@ -146,6 +147,17 @@ class EmbeddedComplex:
                 raise InconsistentSheets(
                     "face sheet map entry %r names no face of a bounded cell"
                     % ([k, idx, slot, list(images)],))
+            if len(images) != self.sheets(k, idx):
+                raise InconsistentSheets(
+                    "sheet map of cell (%d,%d) slot %d has length %d"
+                    % (k, idx, slot, len(images)))
+            cell = self.bounded[k][idx]
+            fidx = self._bounded_index[cell[:slot] + cell[slot + 1:]]
+            for sheet, fsheet in enumerate(images):
+                if not 0 <= fsheet < self.sheets(k - 1, fidx):
+                    raise InconsistentSheets(
+                        "cell (%d,%d) slot %d sends sheet %d to missing "
+                        "sheet %d of its face" % (k, idx, slot, sheet, fsheet))
 
     def _check_vertices(self, cell, what):
         for i in cell:
@@ -242,10 +254,7 @@ def load_embedded(data):
             tuple(sorted(int_entry(r, None, "ray") for r in rays)),
         ))
     sheets = _object(data.get("sheets", {}), "sheets")
-    counts = {}
-    for entry in entry_list(sheets.get("counts", []), "sheet count"):
-        k, idx, count = int_entry(entry, 3, "sheet count")
-        counts[(k, idx)] = count
+    counts = int_table(sheets.get("counts", []), 3, "sheet count")
     maps = {}
     for entry in entry_list(sheets.get("face_sheet_maps", []), "face sheet map"):
         if not isinstance(entry, list) or len(entry) != 4:
@@ -264,7 +273,8 @@ def duplicate_sheets(E: EmbeddedComplex):
     """Abstract complex with one simplex per (bounded cell, sheet).
 
     Returns (DeltaComplex, pi) where pi[k][i] is the bounded-cell index of
-    the i-th k-simplex.
+    the i-th k-simplex.  EmbeddedComplex has checked each sheet map's length
+    and targets; maps that do not commute raise InconsistentSheets here.
     """
     nb = E.bounded_dim()
     simplices = {}
@@ -285,20 +295,8 @@ def duplicate_sheets(E: EmbeddedComplex):
             for sheet in range(E.sheets(k, idx)):
                 row = []
                 for slot in range(k + 1):
-                    face_cell = cell[:slot] + cell[slot + 1:]
-                    fidx = E._bounded_index[face_cell]
-                    images = E.sheet_map(k, idx, slot)
-                    if len(images) != E.sheets(k, idx):
-                        raise InconsistentSheets(
-                            "sheet map of cell (%d,%d) slot %d has length %d"
-                            % (k, idx, slot, len(images))
-                        )
-                    fsheet = images[sheet]
-                    if not 0 <= fsheet < E.sheets(k - 1, fidx):
-                        raise InconsistentSheets(
-                            "cell (%d,%d) slot %d sends sheet %d to missing "
-                            "sheet %d of its face" % (k, idx, slot, sheet, fsheet)
-                        )
+                    fidx = E._bounded_index[cell[:slot] + cell[slot + 1:]]
+                    fsheet = E.sheet_map(k, idx, slot)[sheet]
                     row.append(simplices[(k - 1, fidx, fsheet)])
                 rows.append(row)
         faces[k] = rows

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the fixture-entry
-parser that raises them.
+readers that raise them.
 
 Every error raised on invalid mathematical input derives from InputError so
 the command line driver can map them to exit code 2 uniformly.
@@ -31,6 +31,37 @@ def entry_list(value, what):
     if not isinstance(value, list):
         raise SchemaError("%s entries must be a list, not %r" % (what, value))
     return value
+
+
+def int_table(value, width, what):
+    """A fixture value that must be a JSON list of `width`-integer entries,
+    as a dict from each entry's leading integers (a plain int when width
+    is 2) to its last integer.  As with a repeated key in a JSON object,
+    the last entry for a key wins.  An entry that is not `width` JSON
+    integers raises SchemaError naming it, as int_entry does."""
+    table = {}
+    for entry in entry_list(value, what):
+        # int_entry's test, inline and without a generator: this loop runs
+        # once per entry, and tables run to thousands of entries
+        if isinstance(entry, (list, tuple)) and len(entry) == width:
+            for x in entry:
+                if type(x) is not int:
+                    break
+            else:
+                table[entry[0] if width == 2 else tuple(entry[:-1])] = entry[-1]
+                continue
+        raise SchemaError("%s entry %r is not %d integers"
+                          % (what, entry, width))
+    return table
+
+
+def named(data, key):
+    """The (name, value) pairs of the JSON object under key, if any."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise SchemaError("%s must be an object of named entries, not %r"
+                          % (key, value))
+    return value.items()
 
 
 class SimplicialIdentityViolation(InputError):

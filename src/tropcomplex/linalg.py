@@ -1,20 +1,21 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything here is deterministic and uses arbitrary-precision integers.
-Rational elimination (rref, solve, kernel_basis, solvable, rank, inertia)
-runs fraction-free on integer rows and divides each row, or the active
-block, by the gcd of its entries after every step, so every working entry
-stays within Hadamard's bound for a minor of the input.  The integer
+Rational elimination (rref, solve, kernel_basis, solvable, inertia) runs
+fraction-free on integer rows and divides each row, or the active block,
+by the gcd of its entries after every step, so every working entry stays
+within Hadamard's bound for a minor of the input.  The integer
 elimination (`_echelon`) is kept apart from rref's Fraction output:
-`solvable` and `rank` only need the pivots, and build no Fraction;
-`solve` and `kernel_basis` build one Fraction per nonzero entry they
-return.  The Smith normal form (`smith`) eliminates on sparse integer
-rows, pivoting on an entry of smallest absolute value (ties by position)
-and reducing the pivot row and column modulo it, and keeps U and V as logs
-of row and column operations that are replayed on one vector at a time;
-`smith_normal_form` builds them dense on request.  The transforms are not
-reduced, so their entries can exceed Hadamard's bound.  No floating point
-enters any verdict anywhere in the package.
+`solvable` and the balancing test of `curves` only need the pivots, and
+build no Fraction; `solve` and `kernel_basis` build one Fraction per
+nonzero entry they return.  The Smith normal form (`smith`) eliminates on
+sparse integer rows, pivoting on an entry of smallest absolute value
+(ties by position) and reducing the pivot row and column modulo it, and
+keeps U and V as logs of row and column operations that are replayed on
+one vector at a time; `smith_normal_form` builds them dense on
+request.  The transforms are not reduced, so their entries can exceed
+Hadamard's bound.  No floating point enters any verdict anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -147,10 +148,6 @@ def solvable(rows, rhs):
     _, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)],
                          ncols + 1, reduced=False)
     return ncols not in pivots
-
-
-def rank(rows, ncols=None):
-    return len(_echelon(rows, ncols, reduced=False)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .delta import DeltaComplex, build_complex
 from .errors import (IndexMismatch, InputError, SchemaError, entry_list,
-                     int_entry)
+                     int_entry, int_table, named)
 from .structure import TropicalStructure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
@@ -50,19 +50,18 @@ def divisor_to_json(D: Divisor):
 
 
 def divisor_from_json(data):
-    """[[ridge, coefficient], ...] or {"ridge_part", "facet_pieces"}."""
+    """[[ridge, coefficient], ...] or {"ridge_part", "facet_pieces"}; the
+    ridge part of either form is read by int_table."""
     if isinstance(data, list):
-        return Divisor.on_ridges(dict(int_entry(e, 2, "divisor") for e in data))
-    if not isinstance(data, dict):
+        data = {"ridge_part": data}
+    elif not isinstance(data, dict):
         raise SchemaError("a divisor is a list of [ridge, coefficient] or an "
                           "object with ridge_part and facet_pieces, not %r"
                           % (data,))
-    pairs = [int_entry(e, 2, "divisor")
-             for e in entry_list(data.get("ridge_part", []), "divisor")]
-    ridge = tuple(sorted(p for p in pairs if p[1] != 0))
+    table = int_table(data.get("ridge_part", []), 2, "divisor")
     pieces = tuple(_facet_piece(e) for e in
                    entry_list(data.get("facet_pieces", []), "facet piece"))
-    return Divisor(ridge, pieces)
+    return Divisor.on_ridges(table) + Divisor((), pieces)
 
 
 def _facet_piece(entry):
@@ -97,8 +96,7 @@ def curve_to_json(C: Curve):
 
 
 def curve_from_json(data):
-    return Curve.on_edges(dict(int_entry(e, 2, "curve")
-                               for e in entry_list(data, "curve")))
+    return Curve.on_edges(int_table(data, 2, "curve"))
 
 
 def point_sum_to_json(P: PointSum):
@@ -191,9 +189,7 @@ def load_fixture(data):
     if kind == "abstract":
         fx.complex = build_complex(data)
         if "alpha" in data:
-            fx.alpha = {(r, s): v for r, s, v in
-                        (int_entry(e, 3, "alpha")
-                         for e in entry_list(data["alpha"], "alpha"))}
+            fx.alpha = int_table(data["alpha"], 3, "alpha")
     elif kind == "embedded":
         fx.embedded = load_embedded(data)
     elif kind == "degeneration":
@@ -206,11 +202,11 @@ def load_fixture(data):
     else:
         raise InputError("unknown fixture kind %r" % (kind,))
     if kind != "degeneration":
-        for name, d in _named(data, "divisors"):
+        for name, d in named(data, "divisors"):
             fx.divisors[name] = divisor_from_json(d)
-        for name, c in _named(data, "curves"):
+        for name, c in named(data, "curves"):
             fx.curves[name] = curve_from_json(c)
-    for name, values in _named(data, "functions"):
+    for name, values in named(data, "functions"):
         fx.functions[name] = list(int_entry(values, None, "function"))
     if fx.complex is not None:
         _check_ranges(fx)
@@ -245,15 +241,6 @@ def _check_ranges(fx):
                 raise IndexMismatch(
                     "divisor %r facet piece %r: normal has %d entries, not "
                     "n = %d" % (name, entry, len(normal), n))
-
-
-def _named(data, key):
-    """The (name, value) pairs of the object under key, if any."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise SchemaError("%s must be an object of named entries, not %r"
-                          % (key, value))
-    return value.items()
 
 
 def read_json(path, raw=None):

@@ -464,6 +464,28 @@ def test_sheet_entry_naming_no_cell_is_inconsistent_sheets(
     assert "entry %s" % entry in report["error"]["message"]
 
 
+@pytest.mark.parametrize("entry, problem", [
+    ([1, 0, 0, [0, 0, 0]], "sheet map of cell (1,0) slot 0 has length 3"),
+    ([1, 0, 0, [0, 1]],
+     "cell (1,0) slot 0 sends sheet 1 to missing sheet 1 of its face"),
+    ([1, 0, 1, [-1, 0]],
+     "cell (1,0) slot 1 sends sheet 0 to missing sheet -1 of its face"),
+], ids=["wrong-length", "missing-sheet", "negative-sheet"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["robust", "--cell", "0,0"], ["import-embedded"],
+    ["pushforward", "-D", "Ddup"]])
+def test_bad_face_sheet_map_is_inconsistent_sheets_in_every_subcommand(
+        capsys, tmp_path, entry, problem, argv):
+    data = json.loads(fixture_path("twosheet").read_text())
+    data["sheets"]["face_sheet_maps"].append(entry)
+    bad = tmp_path / "bad-map.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, argv[0], bad, *argv[1:])
+    assert code == 2
+    assert report["error"] == {"type": "InconsistentSheets",
+                               "message": problem}
+
+
 @pytest.mark.parametrize("divisor, named", [
     ([[99, 1]], "entry [99, 1]: ridge 99 out of range (2 duplicated ridges)"),
     ([[2, 1]], "entry [2, 1]: ridge 2 out of range (2 duplicated ridges)"),

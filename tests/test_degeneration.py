@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tcxbench import gen
 from tropcomplex import (
     Curve,
     DeltaComplex,
@@ -15,6 +16,7 @@ from tropcomplex import (
     build_structure_from_degeneration,
     check_weak,
     load_degeneration,
+    load_fixture,
     specialize,
     verify_theorem,
 )
@@ -145,6 +147,46 @@ def test_strict_nonzero_total(tet_degen):
     with pytest.raises(InconsistentData) as exc:
         build_structure_from_degeneration(X, data)
     assert exc.value.ridge == 5
+
+
+class CountingDict(dict):
+    """A dict that counts the entries read through it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def test_strict_check_reads_grow_linearly():
+    # a 4x larger torus may cost about 4x the degree reads; reading every
+    # vertex for every ridge costs about 16x
+    sizes = {}
+    for k in (4, 8):
+        t = gen.torus(k, random.Random(k))
+        fx = load_fixture(gen.torus_degeneration(t, random.Random(k)))
+        degrees = CountingDict(fx.degeneration.vertex_ridge_degrees)
+        data = fx.degeneration._replace(vertex_ridge_degrees=degrees)
+        T = build_structure_from_degeneration(fx.complex, data)
+        assert set(T.alpha.values()) == {1}
+        sizes[k] = (degrees.reads, len(degrees))
+    assert sizes[8][1] == 4 * sizes[4][1]
+    assert sizes[8][0] <= 1.25 * 4 * sizes[4][0]
 
 
 # -- non-strict ingestion ---------------------------------------------------

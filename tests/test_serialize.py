@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropcomplex import Divisor, InputError, canonical_json, load_fixture
+from tropcomplex import (Divisor, InputError, canonical_json,
+                         div_vertex_function, lin_equiv_witness, load_fixture,
+                         local_cartier_test, weil_test)
 from tropcomplex.curves import BreakpointFunction, PointSum
 from tropcomplex.serialize import (
     FORMAT,
@@ -31,6 +33,32 @@ def test_divisor_round_trip(tetrahedron):
         assert divisor_from_json(divisor_to_json(d)) == d
     bare = divisor_from_json([[0, -2], [5, 2]])
     assert bare == tetrahedron.divisors["E"]
+
+
+def test_repeated_ridge_reads_as_its_last_entry_in_both_forms(tetrahedron):
+    # a principal divisor whose ridge 0 is listed twice, a wrong
+    # coefficient first: both forms read the last entry, and so do the
+    # Cartier, Weil and equivalence tests
+    T = tetrahedron.structure()
+    X = T.complex
+    P = div_vertex_function(T, [2, 0, -1, 0])
+    assert P.coeff(0) == -3
+    pairs = [[0, 5]] + [[r, c] for r, c in P.ridge_part]
+    listed = divisor_from_json(pairs)
+    objected = divisor_from_json({"ridge_part": pairs, "facet_pieces": []})
+    assert listed == objected == P
+    for D in (listed, objected):
+        assert D.coeff(0) == -3
+        assert weil_test(T, D) == weil_test(T, P) == (True, ())
+        for q in range(X.counts[0]):
+            assert local_cartier_test(T, D, (0, q)) \
+                == local_cartier_test(T, P, (0, q))
+        assert lin_equiv_witness(T, D, Divisor(())) \
+            == lin_equiv_witness(T, P, Divisor(()))
+        assert lin_equiv_witness(T, D, P).phi is not None
+    # the first entry's coefficient makes a divisor that is not principal
+    first = Divisor(((0, 5),) + P.ridge_part[1:])
+    assert lin_equiv_witness(T, first, Divisor(())).phi is None
 
 
 def test_curve_round_trip(tetrahedron):
