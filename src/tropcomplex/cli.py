@@ -43,8 +43,19 @@ class Subcommand(NamedTuple):
     arguments: tuple  # (flags, add_argument keywords) after the fixture
 
 
+class _Verbatim(argparse.Action):
+    """Store an option's string as given.  argparse in Python 3.11 drops
+    the value of `--flag=--` and hands the action an empty list instead."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def arg(*flags, **kwargs):
-    """One argument of a subcommand: add_argument's flags and keywords."""
+    """One argument of a subcommand: add_argument's flags and keywords.
+    An option keeps its string verbatim, '--' included."""
+    if flags[0].startswith("-"):
+        kwargs.setdefault("action", _Verbatim)
     return flags, kwargs
 
 
@@ -78,16 +89,24 @@ def _named_curve(fx, name):
     return fx.curves[name]
 
 
+def _integers(spec_str):
+    """The comma-separated integers of an argument, or None unless every
+    part is one: ASCII digits with an optional leading minus, spaces around
+    it allowed.  No other digits, no plus sign, no underscores."""
+    parts = [p.strip() for p in spec_str.split(",")]
+    if all(INTEGER.fullmatch(p) for p in parts):
+        return [int(p) for p in parts]
+    return None
+
+
 def _values(spec_str, fx, count):
     """Comma-separated integers, or the name of a stored vertex function.
     Every part must be an integer, so an empty part makes a name."""
-    parts = [p.strip() for p in spec_str.split(",")]
-    if all(INTEGER.fullmatch(p) for p in parts):
-        values = [int(p) for p in parts]
-    elif spec_str in fx.functions:
+    values = _integers(spec_str)
+    if values is None:
+        if spec_str not in fx.functions:
+            raise UnknownName("no vertex function named %r" % (spec_str,))
         values = list(fx.functions[spec_str])
-    else:
-        raise UnknownName("no vertex function named %r" % (spec_str,))
     if len(values) != count:
         raise InputError(
             "expected %d vertex values, got %d" % (count, len(values))
@@ -96,13 +115,11 @@ def _values(spec_str, fx, count):
 
 
 def _cell(spec_str):
-    parts = spec_str.split(",")
-    try:
-        k, idx = (int(p) for p in parts)
-    except ValueError:
+    values = _integers(spec_str)
+    if values is None or len(values) != 2:
         raise InputError("cell must be given as 'dim,index', not %r"
-                         % (spec_str,)) from None
-    return k, idx
+                         % (spec_str,))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

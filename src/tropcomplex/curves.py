@@ -181,12 +181,6 @@ class BreakpointFunction(NamedTuple):
             out.append((e, pts))
         return BreakpointFunction(tuple(out))
 
-    def edge_data(self, e):
-        for idx, pts in self.pieces:
-            if idx == e:
-                return pts
-        return None
-
 
 class PointSum(NamedTuple):
     """Formal rational sum of vertices and interior edge points."""
@@ -209,10 +203,20 @@ class PointSum(NamedTuple):
         return PointSum(items)
 
 
-def _validate_breakpoints(X, C: Curve, f: BreakpointFunction):
+def restrict_divisor(T: TropicalStructure, C: Curve, f: BreakpointFunction):
+    """Divisor of a PL function on the support of C: at each point, the sum
+    of outgoing slopes weighted by edge multiplicity.
+
+    One pass over the curve's edges checks each edge's breakpoints (they
+    span [0, 1] in increasing order, and edges agree at shared vertices) or
+    raises DiscontinuousInput, and adds its slopes.
+    """
+    X = T.complex
+    pieces = dict(f.pieces)
     vertex_values = {}
-    for e, _ in C.multiplicities:
-        pts = f.edge_data(e)
+    coeffs = {}
+    for e, m in C.multiplicities:
+        pts = pieces.get(e)
         if pts is None:
             raise DiscontinuousInput("no values on edge %d" % e)
         if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 1:
@@ -220,27 +224,13 @@ def _validate_breakpoints(X, C: Curve, f: BreakpointFunction):
         for (p1, _), (p2, _) in zip(pts, pts[1:]):
             if p2 <= p1:
                 raise DiscontinuousInput("edge %d has unordered breakpoints" % e)
-        # slot 0 sits at position 0, slot 1 at position 1
-        for v, val in ((X.faces[1][e][1], pts[0][1]),
-                       (X.faces[1][e][0], pts[-1][1])):
-            if v in vertex_values and vertex_values[v] != val:
+        v0 = X.faces[1][e][1]  # position 0
+        v1 = X.faces[1][e][0]  # position 1
+        for v, val in ((v0, pts[0][1]), (v1, pts[-1][1])):
+            if vertex_values.setdefault(v, val) != val:
                 raise DiscontinuousInput(
                     "conflicting values at vertex %d" % v
                 )
-            vertex_values.setdefault(v, val)
-    return vertex_values
-
-
-def restrict_divisor(T: TropicalStructure, C: Curve, f: BreakpointFunction):
-    """Divisor of a PL function on the support of C: at each point, the sum
-    of outgoing slopes weighted by edge multiplicity."""
-    X = T.complex
-    _validate_breakpoints(X, C, f)
-    coeffs = {}
-    for e, m in C.multiplicities:
-        pts = f.edge_data(e)
-        v0 = X.faces[1][e][1]  # position 0
-        v1 = X.faces[1][e][0]  # position 1
         slopes = [
             (val2 - val1) / (p2 - p1)
             for (p1, val1), (p2, val2) in zip(pts, pts[1:])

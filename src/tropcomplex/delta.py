@@ -7,11 +7,14 @@ multiplicity.  A link element of s is the pair (coface, slots): a coface
 and the strictly increasing slot tuple of the coface's parametrizing simplex
 that maps onto s.  The pair identifies the element, so it is its own key.
 
-Construction validates the faces (shape, simplicial identities, a connected
+The slot combinatorics of the standard m-simplex depend on m alone, so they
+live in one module-level table per dimension (`_slot_table`), built once per
+process and shared by every complex.  Construction validates the faces
+(shape, simplicial identities read straight from the face rows, a connected
 1-skeleton), then fills a second table one dimension at a time: the face of
 every simplex at every slot tuple, each entry read from the level below.
-`face_at`, the vertex lookups and the links all come from that table, so no
-chain of `face` calls is composed after validation.
+`face_at`, the vertex lookups and the links all come from that table, so
+construction composes no chain of faces.
 """
 
 from __future__ import annotations
@@ -32,6 +35,30 @@ class LinkElement(NamedTuple):
     slots: tuple
 
 
+_SLOTS = {}  # m -> slot table; construction fills m <= n, queries index it
+
+
+def _slot_table(m):
+    """The slot table of the standard m-simplex, built once per process.
+
+    It maps each strictly increasing slot tuple of sizes 1..m+1, in
+    combinations order, to (its position in that order, its faces): one
+    face per slot outside the tuple, in increasing order, as (that dropped
+    slot, the tuple re-indexed to the dropped face).  The full tuple comes
+    last and has no faces.
+    """
+    table = _SLOTS.get(m)
+    if table is None:
+        tuples = [slots for size in range(1, m + 2)
+                  for slots in combinations(range(m + 1), size)]
+        table = _SLOTS[m] = {
+            slots: (p, tuple((drop, tuple(x if x < drop else x - 1
+                                          for x in slots))
+                             for drop in range(m + 1) if drop not in slots))
+            for p, slots in enumerate(tuples)}
+    return table
+
+
 class DeltaComplex:
     """Immutable after construction; links are computed eagerly and cached."""
 
@@ -44,7 +71,6 @@ class DeltaComplex:
         self._validate()
         self._build_face_table()
         self._build_links()
-        self._build_slot_faces()
 
     # -- construction helpers ------------------------------------------------
 
@@ -75,14 +101,12 @@ class DeltaComplex:
                         )
         # simplicial identity d_i d_j = d_{j-1} d_i for i < j
         for k in range(2, self.n + 1):
-            for i_s in range(self.counts[k]):
-                s = (k, i_s)
+            lower = self.faces[k - 1]
+            for i_s, row in enumerate(self.faces[k]):
                 for j in range(1, k + 1):
                     for i in range(j):
-                        left = self.face(self.face(s, j), i)
-                        right = self.face(self.face(s, i), j - 1)
-                        if left != right:
-                            raise SimplicialIdentityViolation(s, i, j)
+                        if lower[row[j]][i] != lower[row[i]][j - 1]:
+                            raise SimplicialIdentityViolation((k, i_s), i, j)
         # connectedness of the 1-skeleton, by union-find over vertices: every
         # simplex is joined to its vertices through its edges
         parent = list(range(self.counts[0]))
@@ -103,33 +127,28 @@ class DeltaComplex:
         a time, with no face chains.
 
         Row j of level m lists the faces of (m, j) at its slot tuples of
-        sizes 1..m+1 in combinations order (`_slot_pos[m]` gives a tuple's
-        position), as indices of simplices of dimension size - 1.  The
-        first m+1 entries are its vertices and the last is j.  For a slot
-        tuple S, let `drop` be the largest slot not in S, the first slot
-        that `face` composition removes: the face is the face of
-        d_drop (m, j) at S re-indexed, read from row d_drop (m, j) of
-        level m-1 (for |S| = m, its last entry).  The plan for each m
-        depends only on n.
+        sizes 1..m+1 in the order of `_slot_table(m)`, as indices of
+        simplices of dimension size - 1.  The first m+1 entries are its
+        vertices and the last is j.  For a slot tuple S, let `drop` be the
+        largest slot not in S, the first slot that removing the complement
+        from the top drops: the face is the face of d_drop (m, j) at S
+        re-indexed, read from row d_drop (m, j) of level m-1 (for |S| = m,
+        its last entry).
         """
-        slot_pos = []
         table = [tuple((i,) for i in range(self.counts[0]))]
-        for m in range(self.n + 1):
-            tuples = [slots for size in range(1, m + 2)
-                      for slots in combinations(range(m + 1), size)]
-            slot_pos.append({slots: p for p, slots in enumerate(tuples)})
-            if m == 0:
-                continue
+        below = _slot_table(0)
+        for m in range(1, self.n + 1):
+            here = _slot_table(m)
             plan = []
-            for slots in tuples[:-1]:
-                drop = max(x for x in range(m + 1) if x not in slots)
-                below = tuple(x if x < drop else x - 1 for x in slots)
-                plan.append((drop, slot_pos[m - 1][below]))
+            for _, faces in here.values():
+                if faces:  # every tuple but the full one
+                    drop, sub = faces[-1]
+                    plan.append((drop, below[sub][0]))
+            below = here
             lower = table[m - 1]
             table.append(tuple(
                 tuple([lower[row[drop]][p] for drop, p in plan] + [j])
                 for j, row in enumerate(self.faces[m])))
-        self._slot_pos = tuple(slot_pos)
         self._face_table = tuple(table)
 
     def _build_links(self):
@@ -145,7 +164,7 @@ class DeltaComplex:
                   for _ in range(self.counts[k])] for k in range(self.n + 1)]
         for m in range(1, self.n + 1):
             targets = [(slots, links[len(slots) - 1], m - len(slots))
-                       for slots in self._slot_pos[m]][:-1]
+                       for slots in _slot_table(m)][:-1]
             for j, row in enumerate(self._face_table[m]):
                 coface = (m, j)
                 for (slots, level, d), i in zip(targets, row):
@@ -153,24 +172,7 @@ class DeltaComplex:
         self._links = tuple(tuple(tuple(tuple(lst) for lst in per_dim)
                                   for per_dim in level) for level in links)
 
-    def _build_slot_faces(self):
-        """For each coface dimension m and slot tuple of a
-        positive-dimensional link element, its faces as (coface slot
-        dropped, slots re-indexed), one per slot of the complement in
-        increasing order.  The table depends only on n."""
-        self._slot_faces = {}
-        for m in range(2, self.n + 1):
-            for size in range(1, m):
-                for slots in combinations(range(m + 1), size):
-                    self._slot_faces[m, slots] = tuple(
-                        (drop, tuple(x if x < drop else x - 1 for x in slots))
-                        for drop in range(m + 1) if drop not in slots)
-
     # -- queries -------------------------------------------------------------
-
-    def face(self, s, i):
-        k, idx = s
-        return (k - 1, self.faces[k][idx][i])
 
     def face_at(self, s, slots):
         """The face of s spanned by the given parametrizing-simplex slots.
@@ -180,7 +182,7 @@ class DeltaComplex:
         top, looked up in the face table built at construction.
         """
         k, i = s
-        return len(slots) - 1, self._face_table[k][i][self._slot_pos[k][slots]]
+        return len(slots) - 1, self._face_table[k][i][_SLOTS[k][slots][0]]
 
     def vertex_at(self, s, slot):
         return self._face_table[s[0]][s[1]][slot]
@@ -201,7 +203,7 @@ class DeltaComplex:
         of its coface that drops the i-th slot outside t.slots, with the
         slots re-indexed."""
         (m, j), slots = t
-        drop, slots = self._slot_faces[m, slots][i]
+        drop, slots = _SLOTS[m][slots][1][i]
         return LinkElement((m - 1, self.faces[m][j][drop]), slots)
 
     def opp_slot(self, t):

@@ -170,7 +170,7 @@ def div_two_piece(T: TropicalStructure, f: TwoPieceFunction):
     """
     X = T.complex
     n = X.n
-    if f.facet >= X.counts[n] or len(f.normal) != n:
+    if not 0 <= f.facet < X.counts[n] or len(f.normal) != n:
         raise IndexMismatch("facet %d / normal length %d" % (f.facet, len(f.normal)))
     lam = f.normal
     c = Fraction(f.offset)

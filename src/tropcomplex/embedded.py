@@ -73,6 +73,8 @@ class EmbeddedComplex:
         self._cofacets = {}
         self._unbounded_index = {}
         self._unbounded_on = {}
+        if self.N < 0:
+            raise IndexMismatch("N must be nonnegative, not %d" % self.N)
         for v in self.vertices:
             if len(v) != self.N + 1 or v[-1] != 1:
                 raise IndexMismatch(

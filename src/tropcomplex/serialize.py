@@ -214,14 +214,23 @@ def load_fixture(data):
 
 
 def _check_ranges(fx):
-    """Every curve edge, divisor ridge and facet of a facet piece names a
-    simplex of the fixture's complex, and every facet piece's normal has n
+    """Every alpha entry names a ridge of the fixture's complex and one of
+    its n slots, every curve edge, divisor ridge and facet of a facet piece
+    names a simplex of the complex, and every facet piece's normal has n
     entries, or IndexMismatch names the entry."""
     X = fx.complex
     n = X.n
+    ridges = X.counts[n - 1] if n >= 1 else 0
+    for (r, slot), a in (fx.alpha or {}).items():
+        if not (0 <= r < ridges and 0 <= slot < n):
+            cell, i, count = (("ridge", r, ridges) if not 0 <= r < ridges
+                              else ("slot", slot, n))
+            raise IndexMismatch(
+                "alpha entry [%d, %d, %d]: %s %d out of range (%d %ss)"
+                % (r, slot, a, cell, i, count, cell))
     checks = (("curve", "edge", X.counts[1] if n >= 1 else 0,
                {name: C.multiplicities for name, C in fx.curves.items()}),
-              ("divisor", "ridge", X.counts[n - 1] if n >= 1 else 0,
+              ("divisor", "ridge", ridges,
                {name: D.ridge_part for name, D in fx.divisors.items()}))
     for what, cell, count, named in checks:
         for name, pairs in named.items():

@@ -1,6 +1,7 @@
 """Shared fixtures: one loader per bundled example complex, and the
 generated complexes of `tcxbench/gen.py` as DeltaComplex objects."""
 
+import json
 import pathlib
 import random
 from itertools import combinations
@@ -20,6 +21,18 @@ ALL = ABSTRACT + EMBEDDED + DEGENERATION
 
 def fixture_path(name):
     return FIXDIR / (name + ".json")
+
+
+def checked_report(argv, code, stdout):
+    """The JSON report a `tcx` call printed, checked against its exit code:
+    0, 1 or 2, an error exactly at 2 and a failed verdict exactly at 1."""
+    report = json.loads(stdout)
+    assert report["command"] == argv[0], argv
+    assert code in (0, 1, 2), argv
+    assert ("error" in report) == (code == 2), argv
+    failed = any(status == "fail" for _, status, _ in report["verdicts"])
+    assert failed == (code == 1), argv
+    return report
 
 
 def torus(k, seed=None):

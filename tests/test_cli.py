@@ -428,6 +428,68 @@ def test_out_of_range_curve_edge_or_divisor_ridge_is_index_mismatch(
     assert "entry %s" % entry in report["error"]["message"]
 
 
+@pytest.mark.parametrize("entry, problem", [
+    ([0, 7, 1], "slot 7 out of range (2 slots)"),
+    ([99, 0, 1], "ridge 99 out of range (3 ridges)"),
+    ([-1, 0, 5], "ridge -1 out of range (3 ridges)"),
+])
+def test_out_of_range_alpha_entry_is_index_mismatch(capsys, tmp_path, entry,
+                                                    problem):
+    data = json.loads(fixture_path("triangle").read_text())
+    data["alpha"].append(entry)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, report, _ = invoke(capsys, "classify", bad)
+    assert code == 2
+    assert report["error"]["type"] == "IndexMismatch"
+    assert report["error"]["message"] == "alpha entry %s: %s" % (entry,
+                                                                  problem)
+
+
+def test_alpha_entry_at_n_0_is_index_mismatch(capsys, tmp_path):
+    # a point has no ridges, so every alpha entry names none
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"format": "tcx-1", "n": 0, "simplices": [1],
+                                 "alpha": [[0, 0, 1]]}))
+    code, report, _ = invoke(capsys, "validate", point)
+    assert code == 2
+    assert report["error"] == {
+        "type": "IndexMismatch",
+        "message": "alpha entry [0, 0, 1]: ridge 0 out of range (0 ridges)"}
+
+
+def test_negative_two_piece_facet_is_index_mismatch(capsys, tmp_path):
+    bad = tmp_path / "piece.json"
+    bad.write_text(json.dumps({"facet": -1, "normal": [1, 0],
+                               "offset": [1, 2]}))
+    code, report, _ = invoke(capsys, "div", fixture_path("triangle"),
+                             "--two-piece", bad)
+    assert code == 2
+    assert report["error"]["type"] == "IndexMismatch"
+    assert "facet -1" in report["error"]["message"]
+
+
+def test_negative_embedded_dimension_is_index_mismatch(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "tcx-1", "N": -1, "vertices": [[]]}))
+    code, report, _ = invoke(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"] == {"type": "IndexMismatch",
+                               "message": "N must be nonnegative, not -1"}
+
+
+@pytest.mark.parametrize("cell", ["0,\u0661", "0,1_0", "0,+1", "\uff10,1",
+                                  "0,1,2", "0", "0,"])
+def test_cell_takes_ascii_integers_only(capsys, cell):
+    # the integer rule of --phi: ASCII digits and an optional minus sign
+    code, report, _ = invoke(capsys, "robust", fixture_path("plane"),
+                             "--cell=" + cell)
+    assert code == 2
+    assert report["error"] == {
+        "type": "InputError",
+        "message": "cell must be given as 'dim,index', not %r" % (cell,)}
+
+
 @pytest.mark.parametrize("piece, problem", [
     ([99, [1, 0], 0, 1, 1], "facet 99 out of range (4 facets)"),
     ([4, [1, 0], 0, 1, 1], "facet 4 out of range (4 facets)"),

@@ -33,9 +33,10 @@ def test_counts_and_faces():
 
 def test_face_returns_simplex_pairs():
     # dropping slot j of the triangle gives the edge opposite vertex j
-    assert TRIANGLE.face((2, 0), 0) == (1, 2)
-    assert TRIANGLE.face((2, 0), 1) == (1, 1)
-    assert TRIANGLE.face((2, 0), 2) == (1, 0)
+    assert TRIANGLE.faces[2][0] == (2, 1, 0)
+    assert TRIANGLE.face_at((2, 0), (1, 2)) == (1, 2)
+    assert TRIANGLE.face_at((2, 0), (0, 2)) == (1, 1)
+    assert TRIANGLE.face_at((2, 0), (0, 1)) == (1, 0)
 
 
 def test_vertices_of_uses_slot_order():
@@ -92,6 +93,20 @@ def test_simplicial_identity_violation():
     with pytest.raises(SimplicialIdentityViolation) as exc:
         DeltaComplex(2, [3, 3, 1], {1: [[1, 0], [2, 0], [2, 1]], 2: [[0, 1, 2]]})
     assert exc.value.simplex[0] == 2
+
+
+def test_first_simplicial_identity_violation_is_reported():
+    # a valid tetrahedron, then one failing the identities at (i, j) =
+    # (0, 2), (1, 2), (0, 3), (1, 3), then one failing five of the six: the
+    # first simplex, its first j and first i < j is reported
+    faces = {k: [list(row) for row in full_simplex(3).faces[k]]
+             for k in (1, 2)}
+    faces[3] = [[3, 2, 1, 0], [2, 3, 1, 0], [0, 1, 2, 3]]
+    with pytest.raises(SimplicialIdentityViolation) as exc:
+        DeltaComplex(3, [4, 6, 4, 3], faces)
+    assert (exc.value.simplex, exc.value.i, exc.value.j) == ((3, 1), 0, 2)
+    assert str(exc.value) == ("simplicial identity fails at (3, 1): "
+                              "d_0 d_2 != d_1 d_0")
 
 
 def test_disconnected_rejected():
@@ -163,7 +178,7 @@ def compose(X, s, slots):
     """The face of s at the given slots by removing the complement one
     slot at a time from the top with d_i."""
     for i in reversed([i for i in range(s[0] + 1) if i not in slots]):
-        s = X.face(s, i)
+        s = (s[0] - 1, X.faces[s[0]][s[1]][i])
     return s
 
 
@@ -190,30 +205,24 @@ def test_link_order_matches_reference(fx):
                 assert X.link(s) == reference_link(X, s), s
 
 
-def test_construction_face_calls_grow_linearly(monkeypatch):
-    # building a 4x larger torus may cost about 4x the face lookups; a
-    # search over all cofaces of every simplex costs about 16x
+def test_construction_makes_no_face_at_call(monkeypatch):
+    # the face and link tables are filled from the face rows and the
+    # per-dimension slot tables, with no face lookup per simplex
     calls = 0
 
-    def counting(method):
-        def counted(self, s, i):
-            nonlocal calls
-            calls += 1
-            return method(self, s, i)
-        return counted
+    def counted(self, s, slots):
+        nonlocal calls
+        calls += 1
+        return face_at(self, s, slots)
 
-    for name in ("face", "face_at"):
-        monkeypatch.setattr(DeltaComplex, name,
-                            counting(getattr(DeltaComplex, name)))
-    sizes = {}
+    face_at = DeltaComplex.face_at
+    monkeypatch.setattr(DeltaComplex, "face_at", counted)
     for k in (8, 16):
-        calls = 0
         X = torus(k)
-        sizes[k] = (calls, sum(X.counts))
-    call_ratio = sizes[16][0] / sizes[8][0]
-    size_ratio = sizes[16][1] / sizes[8][1]
-    assert size_ratio == 4
-    assert call_ratio <= 1.25 * size_ratio
+        assert sum(X.counts) == 6 * k * k
+    assert calls == 0
+    assert X.face_at((2, 0), (0, 1))[0] == 1 and calls == 1
+    assert not hasattr(DeltaComplex, "face")
 
 
 def test_incidence_tables_match_face_composition(fx):
@@ -242,9 +251,10 @@ def test_incidence_tables_match_face_composition(fx):
                         continue
                     with pytest.raises(ValueError):
                         X.opp_slot(t)
+                    m, j = t.coface
                     for i, drop in enumerate(comp):
                         slots = tuple(x if x < drop else x - 1 for x in t.slots)
-                        assert X.link_face(t, i) == (X.face(t.coface, drop),
+                        assert X.link_face(t, i) == ((m - 1, X.faces[m][j][drop]),
                                                      slots)
 
 

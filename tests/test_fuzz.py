@@ -1,16 +1,18 @@
 """The input boundary under fuzzing: a shipped fixture with one keyed
-integer table mutated goes through every subcommand, and each call ends in
-a JSON report whose exit code agrees with its error and its verdicts."""
+integer table mutated goes through every subcommand, and so do argument
+strings for --cell, --phi and --function.  Each call ends in a JSON report
+whose exit code agrees with its error and its verdicts."""
 
 import contextlib
 import io
 import json
+import re
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tropcomplex.cli import main
-from tests.conftest import ALL, fixture_path
+from tests.conftest import ALL, checked_report, fixture_path
 
 # the keyed tables at the top level of a fixture or of its "complex"
 TABLES = (("alpha",), ("faces",), ("complex", "faces"),
@@ -80,6 +82,15 @@ def argvs(fixture, original, path):
             ["verify", f, "-D", d, "-C", c]]
 
 
+def run(argv):
+    """The exit code and checked JSON report of one call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, checked_report(argv, code, out.getvalue())
+
+
 @given(mutated_fixtures())
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -89,13 +100,61 @@ def test_mutated_keyed_table_gives_a_report_in_every_subcommand(
     fixture = tmp_path / (name + ".json")
     fixture.write_text(json.dumps(data))
     for argv in argvs(str(fixture), original, path):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        report = json.loads(out.getvalue())
-        assert report["command"] == argv[0]
-        assert code in (0, 1, 2), argv
-        assert ("error" in report) == (code == 2), argv
-        failed = any(status == "fail" for _, status, _ in report["verdicts"])
-        assert failed == (code == 1), argv
+        run(argv)
+
+
+# ASCII, Arabic-Indic and fullwidth digits, signs, underscores and spaces
+ARGUMENT = st.text(alphabet="019-+_ ,\t\u0661\uff11", max_size=8)
+
+
+def ascii_integers(text):
+    """The integers of a comma-separated argument under the documented
+    rule (ASCII digits, an optional minus, spaces around), or None."""
+    parts = [p.strip() for p in text.split(",")]
+    if all(re.fullmatch("-?[0-9]+", p) for p in parts):
+        return [int(p) for p in parts]
+    return None
+
+
+@given(ARGUMENT)
+@example("0,\u0661")
+@example("0,1_0")
+@example("0,+1")
+@example(" 2 ,5")
+@example("--")
+@settings(max_examples=150, deadline=None)
+def test_cell_argument_gives_a_report(text):
+    code, report = run(["robust", str(fixture_path("plane")),
+                        "--cell=" + text])
+    cell = ascii_integers(text)
+    if cell is None or len(cell) != 2:
+        assert report["error"] == {
+            "type": "InputError",
+            "message": "cell must be given as 'dim,index', not %r" % (text,)}
+    elif code != 2:
+        assert report["result"]["cell"] == cell
+    else:
+        assert report["error"]["type"] == "IndexMismatch"
+
+
+@given(st.sampled_from((("div", "triangle", "--phi=", 3),
+                        ("pushforward", "plane", "--function=", 7))),
+       ARGUMENT)
+@example(("div", "triangle", "--phi=", 3), "1,\u0661,0")
+@example(("pushforward", "plane", "--function=", 7), "0,0,0,0,0,0,+1")
+@settings(max_examples=150, deadline=None)
+def test_vertex_values_argument_gives_a_report(call, text):
+    command, name, flag, count = call
+    code, report = run([command, str(fixture_path(name)), flag + text])
+    values = ascii_integers(text)
+    if values is None:
+        assert report["error"] == {
+            "type": "UnknownName",
+            "message": "no vertex function named %r" % (text,)}
+    elif len(values) != count:
+        assert report["error"] == {
+            "type": "InputError",
+            "message": "expected %d vertex values, got %d" % (count,
+                                                             len(values))}
+    else:
+        assert "error" not in report

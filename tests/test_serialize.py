@@ -78,7 +78,7 @@ def test_point_sum_serialization():
 def test_breakpoints_parsing():
     f = breakpoints_from_json([[0, [[0, 1, 0, 1], [1, 1, 2, 1]]]])
     assert isinstance(f, BreakpointFunction)
-    assert f.edge_data(0) == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)))
+    assert dict(f.pieces)[0] == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)))
 
 
 def test_detect_kind():
