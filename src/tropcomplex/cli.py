@@ -228,7 +228,8 @@ def cmd_classgroup(fx, args):
     result = {
         "free_rank": pres.free_rank,
         "invariant_factors": list(pres.invariant_factors),
-        "matrix": [list(row) for row in pres.matrix],
+        "matrix": [[row.get(v, 0) for v in range(pres.smith.shape[1])]
+                   for row in pres.matrix],
         "snf_diagonal": list(pres.smith.diagonal),
     }
     return result, [["classgroup", "pass", "presentation computed"]], {}

@@ -97,18 +97,24 @@ class LocalGerm(NamedTuple):
 
 
 def chip_matrix(T: TropicalStructure):
-    """Integer matrix L with (L phi)[r] = divisor coefficient of phi at r."""
+    """The chip-firing matrix L, with (L phi)[r] = divisor coefficient of
+    phi at ridge r, as one {vertex: nonzero coefficient} dict per ridge."""
     X = T.complex
     if X.n == 0:
         return []
     rdim = X.n - 1
     rows = []
     for r in range(X.counts[rdim]):
-        row = [0] * X.counts[0]
-        for t in X.link0((rdim, r)):
-            row[X.opp_vertex(t)] += 1
+        ridge = (rdim, r)
+        row = {}
+        for t in X.link0(ridge):
+            v = X.opp_vertex(t)
+            row[v] = row.get(v, 0) + 1
         for slot in range(rdim + 1):
-            row[X.vertex_at((rdim, r), slot)] -= T.alpha_at(r, slot)
+            v = X.vertex_at(ridge, slot)
+            row[v] = row.get(v, 0) - T.alpha_at(r, slot)
+        if 0 in row.values():
+            row = {v: c for v, c in row.items() if c}
         rows.append(row)
     return rows
 
@@ -257,7 +263,7 @@ def weil_test(T: TropicalStructure, D: Divisor):
 class ClassGroupPresentation(NamedTuple):
     free_rank: int
     invariant_factors: tuple  # factors > 1 only
-    matrix: tuple  # the chip-firing matrix, ridges x vertices
+    matrix: list  # chip_matrix's rows, one {vertex: coefficient} per ridge
     smith: SmithForm  # U . matrix . V = S, with U and V as operation logs
 
     def class_residues(self, coeffs):
@@ -272,12 +278,12 @@ class ClassGroupPresentation(NamedTuple):
 def class_group(T: TropicalStructure):
     """Smith presentation of Z^ridges modulo divisors of vertex functions."""
     l = chip_matrix(T)
-    f = smith(l)
+    f = smith(l, T.complex.counts[0])
     factors = f.factors
     return ClassGroupPresentation(
         len(l) - len(factors),
         tuple(d for d in factors if d > 1),
-        tuple(tuple(row) for row in l),
+        l,
         f,
     )
 

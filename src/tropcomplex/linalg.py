@@ -9,13 +9,16 @@ elimination (`_echelon`) is kept apart from rref's Fraction output:
 `solvable` and the balancing test of `curves` only need the pivots, and
 build no Fraction; `solve` and `kernel_basis` build one Fraction per
 nonzero entry they return.  The Smith normal form (`smith`) eliminates on
-sparse integer rows, pivoting on an entry of smallest absolute value
-(ties by position) and reducing the pivot row and column modulo it, and
-keeps U and V as logs of row and column operations that are replayed on
-one vector at a time; `smith_normal_form` builds them dense on
-request.  The transforms are not reduced, so their entries can exceed
-Hadamard's bound.  No floating point enters any verdict anywhere in the
-package.
+sparse integer rows (dense lists, or `{column: entry}` dicts such as the
+chip-firing rows of `divisors.chip_matrix`), pivoting on an entry of
+smallest absolute value (ties by position) and reducing the pivot row and
+column modulo it.  The pivot search reads the rows in index order and
+stops after the first row that holds a unit, which is where the smallest
+entry lies whenever there is one.  U and V are kept as logs of row and
+column operations that are replayed on one vector at a time;
+`smith_normal_form` builds them dense on request.  The transforms are not
+reduced, so their entries can exceed Hadamard's bound.  No floating point
+enters any verdict anywhere in the package.
 """
 
 from __future__ import annotations
@@ -226,23 +229,48 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def smith(a):
+def _pivot(live):
+    """The smallest key (|v|, row, column) over the live entries of `smith`.
+
+    `live` maps row -> {column: nonzero entry} and iterates its rows in
+    increasing index: `smith` fills it in row order, changes rows in place
+    and only ever deletes them.  So the rows are read in order, a later row
+    wins only with a strictly smaller |v|, and the search stops at the end
+    of the first row that holds a unit, since no entry after it has a
+    smaller key.  With no unit anywhere every row is read.
+    """
+    best = row = None
+    for i, entries in live.items():
+        a = min(map(abs, entries.values()))
+        if best is None or a < best:
+            best, row = a, i
+            if a == 1:
+                break
+    entries = live[row]
+    return best, row, min(j for j, v in entries.items() if abs(v) == best)
+
+
+def smith(a, ncols=None):
     """Smith form of an integer matrix by sparse elimination, as a SmithForm.
 
-    Rows are dicts with a column -> rows index.  Each pivot is an entry of
-    smallest |value| in the remaining block, found by a scan of the live
-    entries, ties broken by (row, column).  The pivot column and then the
-    pivot row are reduced modulo the pivot with nearest quotients; while a
-    remainder is left the pivot is chosen again, so entries shrink towards
-    the gcd instead of growing as in Euclid-by-swapping.  The pivots are
-    finally put under the divisibility chain by gcd/lcm steps on pairs.
+    The rows of a are lists, or {column: nonzero int} dicts such as those
+    of `divisors.chip_matrix`; dict rows are copied as they are and need
+    the column count ncols, which list rows give by their length.  Rows
+    are kept as dicts with a column -> rows index.  Each pivot is an entry
+    of smallest |value| in the remaining block, ties broken by (row,
+    column), found by `_pivot`.  The pivot column and then the pivot row
+    are reduced modulo the pivot with nearest quotients; while a remainder
+    is left the pivot is chosen again, so entries shrink towards the gcd
+    instead of growing as in Euclid-by-swapping.  The pivots are finally
+    put under the divisibility chain by gcd/lcm steps on pairs.
     """
     m = len(a)
-    n = len(a[0]) if m else 0
+    n = ncols if ncols is not None else len(a[0]) if m else 0
     live = {}                       # row -> {column: nonzero entry}
     at = [set() for _ in range(n)]  # column -> live rows with an entry there
     for i, row in enumerate(a):
-        entries = {j: int(x) for j, x in enumerate(row) if x}
+        entries = (dict(row) if isinstance(row, dict) else
+                   {j: int(x) for j, x in enumerate(row) if x})
         if entries:
             live[i] = entries
             for j in entries:
@@ -266,8 +294,7 @@ def smith(a):
 
     pivots = []  # [row, column, value > 0]
     while live:
-        _, i, j = min((abs(v), i, j)
-                      for i, row in live.items() for j, v in row.items())
+        _, i, j = _pivot(live)
         p = live[i][j]
         again = False
         for k in sorted(at[j]):

@@ -47,6 +47,11 @@ def full_simplex(n):
     return build_complex(gen.regular_fixture(n, cells))
 
 
+def dense(rows, ncols):
+    """Sparse {column: entry} rows, such as `chip_matrix`'s, as lists."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 @pytest.fixture(scope="session")
 def fx():
     """Mapping of fixture name to parsed Fixture object."""

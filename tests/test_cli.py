@@ -229,6 +229,27 @@ def test_classgroup_command(capsys):
     assert report["result"]["invariant_factors"] == [2, 2]
 
 
+def test_classgroup_matrix_is_the_dense_chip_matrix(capsys, tmp_path):
+    # tetrahedron, alpha = 1: edge {a, b} in fixture order ab ac ad bc bd cd
+    # has +1 at the two other vertices and -1 at a and b
+    want = []
+    for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        row = [1, 1, 1, 1]
+        row[a] = row[b] = -1
+        want.append(row)
+    _, report, _ = invoke(capsys, "classgroup", fixture_path("tetrahedron"))
+    assert report["result"]["matrix"] == want
+    # lexicographic 3 x 3 torus: column v is gen's closed-form div(e_v)
+    t = gen.torus(3)
+    columns = [gen.torus_principal(t, [int(u == v) for u in range(t.nv)])
+               for v in range(t.nv)]
+    path = tmp_path / "torus3.json"
+    path.write_text(json.dumps(t.fixture))
+    _, report, _ = invoke(capsys, "classgroup", path)
+    assert report["result"]["matrix"] == [
+        [col.get(e, 0) for col in columns] for e in range(len(t.edges))]
+
+
 def test_non_integer_face_entry_is_schema_error(capsys, tmp_path):
     data = json.loads(fixture_path("triangle").read_text())
     data["faces"][0][3] = "x"
