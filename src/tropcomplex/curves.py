@@ -17,7 +17,8 @@ from typing import NamedTuple
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
 from .linalg import _echelon, kernel_basis, solve
-from .structure import TropicalStructure, local_matrix
+from .delta import _SLOTS
+from .structure import TropicalStructure, local_matrix, no_alpha
 from .divisors import Divisor
 
 
@@ -69,15 +70,6 @@ class GermSpace(NamedTuple):
     basis: tuple  # rational vectors of length 1 + len(coords)
 
 
-def _edge_coord_from(X, coface, slot_v, slot_w):
-    """Germ coordinate key at v for the vertex at slot_w of a coface
-    containing v at slot_v: the edge face through both slots, as the
-    (coface, slots) of a link element of v."""
-    lo, hi = min(slot_v, slot_w), max(slot_v, slot_w)
-    edge = X.face_at(coface, (lo, hi))
-    return edge, (0 if slot_v < slot_w else 1,)
-
-
 def _germ_relations(T: TropicalStructure, v):
     """(coords, rows, ncols): the linear relations that cut out the germs at
     vertex v.
@@ -85,36 +77,46 @@ def _germ_relations(T: TropicalStructure, v):
     Coordinates: value at v, then one value per 0-dimensional link element
     (the opposite vertex of each edge incidence).  One relation per ridge
     incidence at v: the opposite-vertex sum equals the alpha-weighted vertex
-    sum of the ridge.
+    sum of the ridge.  The coordinate of the vertex at slot w of a simplex
+    holding v at slot s is its edge at slots (s, w), read from the face
+    table, with v at slot 0 of that edge when s < w and at slot 1 otherwise.
     """
     X = T.complex
+    n = X.n
     coords = X.link0((0, v))
-    index = {t: i + 1 for i, t in enumerate(coords)}
+    index = {(e, b): i for i, ((_, e), (b,)) in enumerate(coords, 1)}
     ncols = 1 + len(coords)
+    alpha = T.alpha
     rows = []
-    if X.n == 1:
-        row = [0] * ncols
-        row[0] = -T.alpha_at(v, 0)
-        for i in range(len(coords)):
-            row[i + 1] += 1
+    if n == 1:
+        row = [1] * ncols
+        try:
+            row[0] = -alpha[v, 0]
+        except KeyError:
+            raise no_alpha((v, 0)) from None
         rows.append(row)
-    elif X.n >= 2:
-        link = X.link((0, v))
-        ridge_incidences = link[X.n - 2] if len(link) >= X.n - 1 else ()
-        for rho in ridge_incidences:
-            ridge = rho.coface
-            (slot_v,) = rho.slots
+    elif n >= 2:
+        facets, ridges = X._face_table[n], X._face_table[n - 1]
+        facet_pairs, ridge_pairs = _SLOTS[n], _SLOTS[n - 1]
+        top = n * (n + 1) // 2  # the sum of a facet's slots
+        links = X._links[n - 1]
+        for (_, r), (sv,) in X.link((0, v))[n - 2]:
             row = [0] * ncols
-            for t in X.link0(ridge):
-                slot_in_facet = t.slots[slot_v]
-                opp = X.opp_slot(t)
-                row[index[_edge_coord_from(X, t.coface, slot_in_facet, opp)]] += 1
-            for slot in range(X.n):
-                a = T.alpha_at(ridge[1], slot)
-                if slot == slot_v:
+            for (_, j), slots in links[r][0]:
+                s, w = slots[sv], top - sum(slots)
+                pair, b = ((s, w), 0) if s < w else ((w, s), 1)
+                row[index[facets[j][facet_pairs[pair][0]], b]] += 1
+            edges = ridges[r]
+            for w in range(n):
+                try:
+                    a = alpha[r, w]
+                except KeyError:
+                    raise no_alpha((r, w)) from None
+                if w == sv:
                     row[0] -= a
                 else:
-                    row[index[_edge_coord_from(X, ridge, slot_v, slot)]] -= a
+                    pair, b = ((sv, w), 0) if sv < w else ((w, sv), 1)
+                    row[index[edges[ridge_pairs[pair][0]], b]] -= a
             rows.append(row)
     return coords, rows, ncols
 

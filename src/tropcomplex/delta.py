@@ -198,14 +198,6 @@ class DeltaComplex:
         per_dim = self._links[s[0]][s[1]]
         return per_dim[0] if per_dim else ()
 
-    def link_face(self, t, i):
-        """The i-th face of a positive-dimensional link element: the face
-        of its coface that drops the i-th slot outside t.slots, with the
-        slots re-indexed."""
-        (m, j), slots = t
-        drop, slots = _SLOTS[m][slots][1][i]
-        return LinkElement((m - 1, self.faces[m][j][drop]), slots)
-
     def opp_slot(self, t):
         """Vertex slot of the coface outside the identified face.
 

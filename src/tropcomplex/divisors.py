@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateCut, IndexMismatch
 from .linalg import SmithForm, smith, smith_solve, solvable, solve
-from .structure import TropicalStructure, local_matrix
+from .structure import TropicalStructure, local_matrix, no_alpha
 
 
 class FacetPiece(NamedTuple):
@@ -98,21 +98,33 @@ class LocalGerm(NamedTuple):
 
 def chip_matrix(T: TropicalStructure):
     """The chip-firing matrix L, with (L phi)[r] = divisor coefficient of
-    phi at ridge r, as one {vertex: nonzero coefficient} dict per ridge."""
+    phi at ridge r, as one {vertex: nonzero coefficient} dict per ridge.
+
+    Row r reads the ridge's link and face-table row once: each facet
+    incidence adds 1 at the facet's vertex in the slot missing from the
+    incidence's slots, and each slot of r subtracts its alpha there.
+    """
     X = T.complex
-    if X.n == 0:
+    n = X.n
+    if n == 0:
         return []
-    rdim = X.n - 1
+    alpha = T.alpha
+    facets = X._face_table[n]
+    top = n * (n + 1) // 2  # the sum of a facet's slots
     rows = []
-    for r in range(X.counts[rdim]):
-        ridge = (rdim, r)
+    for r, (link, verts) in enumerate(zip(X._links[n - 1],
+                                           X._face_table[n - 1])):
         row = {}
-        for t in X.link0(ridge):
-            v = X.opp_vertex(t)
+        for (_, j), slots in link[0]:
+            v = facets[j][top - sum(slots)]
             row[v] = row.get(v, 0) + 1
-        for slot in range(rdim + 1):
-            v = X.vertex_at(ridge, slot)
-            row[v] = row.get(v, 0) - T.alpha_at(r, slot)
+        for slot in range(n):
+            try:
+                a = alpha[r, slot]
+            except KeyError:
+                raise no_alpha((r, slot)) from None
+            v = verts[slot]
+            row[v] = row.get(v, 0) - a
         if 0 in row.values():
             row = {v: c for v, c in row.items() if c}
         rows.append(row)
@@ -120,24 +132,35 @@ def chip_matrix(T: TropicalStructure):
 
 
 def div_vertex_function(T: TropicalStructure, phi):
-    """Divisor of a global simplexwise-linear function given by vertex values."""
+    """Divisor of a global simplexwise-linear function given by vertex values.
+
+    One pass over the facet rows adds phi at every vertex slot d of a
+    facet to its ridge d_d, whose opposite vertex that is; each link
+    incidence of a ridge, a loop's two included, is one such pair.  Then
+    every ridge subtracts its alpha-weighted vertex values, read from its
+    face-table row.
+    """
     X = T.complex
     if len(phi) != X.counts[0]:
         raise IndexMismatch(
             "expected %d vertex values, got %d" % (X.counts[0], len(phi))
         )
-    if X.n == 0:
+    n = X.n
+    if n == 0:
         return Divisor(())
-    rdim = X.n - 1
-    coeffs = {}
-    for r in range(X.counts[rdim]):
-        ridge = (rdim, r)
-        c = sum(phi[X.opp_vertex(t)] for t in X.link0(ridge))
-        for slot in range(rdim + 1):
-            c -= T.alpha_at(r, slot) * phi[X.vertex_at(ridge, slot)]
-        if c:
-            coeffs[r] = c
-    return Divisor.on_ridges(coeffs)
+    coeffs = [0] * X.counts[n - 1]
+    for ridges, verts in zip(X.faces[n], X._face_table[n]):
+        for r, v in zip(ridges, verts):
+            coeffs[r] += phi[v]
+    alpha = T.alpha
+    for r, verts in enumerate(X._face_table[n - 1]):
+        for slot in range(n):
+            try:
+                a = alpha[r, slot]
+            except KeyError:
+                raise no_alpha((r, slot)) from None
+            coeffs[r] -= a * phi[verts[slot]]
+    return Divisor(tuple((r, c) for r, c in enumerate(coeffs) if c))
 
 
 def ridge_multiplicity(T: TropicalStructure, r, base_values, opp_values):

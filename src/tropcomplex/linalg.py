@@ -2,9 +2,11 @@
 
 Everything here is deterministic and uses arbitrary-precision integers.
 Rational elimination (rref, solve, kernel_basis, solvable, inertia) runs
-fraction-free on integer rows and divides each row, or the active block,
-by the gcd of its entries after every step, so every working entry stays
-within Hadamard's bound for a minor of the input.  The integer
+fraction-free on integer rows.  The row eliminations divide each row by
+the gcd of its entries after every step; inertia divides its active block
+exactly by the previous pivot scale (Bareiss), so its working entries are
+minors of the input.  Either way every working entry stays within
+Hadamard's bound for a minor of the input.  The integer
 elimination (`_echelon`) is kept apart from rref's Fraction output:
 `solvable` and the balancing test of `curves` only need the pivots, and
 build no Fraction; `solve` and `kernel_basis` build one Fraction per
@@ -24,6 +26,7 @@ enters any verdict anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -39,7 +42,7 @@ def _integers(values):
     Integer input is used as it is; anything else goes through Fraction.
     """
     values = list(values)
-    if all(type(x) is int for x in values):
+    if set(map(type, values)) <= {int}:
         return values
     fracs = [Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in fracs))
@@ -393,67 +396,69 @@ def inertia(a):
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
     Symmetric congruence elimination on integers.  Rational input is scaled
-    once by a common denominator, so it stays symmetric.  The active block
-    is kept as a positive integer multiple of the rational Schur complement:
-    a 1x1 pivot d scales it by |d|, and when all remaining diagonal entries
-    vanish, a 2x2 block [[0,b],[b,0]] is eliminated, scales it by |b| and
-    contributes one positive and one negative eigenvalue.  Positive scaling
-    keeps the inertia (Sylvester's law), and the block is divided by the gcd
-    of its entries after every step.
+    once by a common denominator, so it stays symmetric.  The pivot is the
+    first nonzero diagonal entry d; when all remaining diagonal entries
+    vanish, the first nonzero off-diagonal entry b gives a 2x2 block
+    [[0,b],[b,0]], which contributes one positive and one negative
+    eigenvalue.  The active block is kept as |det| of the eliminated
+    principal block times the rational Schur complement, a positive
+    multiple, so the inertia is kept (Sylvester's law).  Each update
+    divides exactly by the previous scale (Bareiss): every working entry is
+    a minor of the input, within Hadamard's bound, and no gcd is taken.
     """
+    if list(map(tuple, a)) != list(zip(*a)):
+        raise ValueError("matrix not symmetric")
     n = len(a)
-    flat = _integers(a[i][j] for i in range(n) for j in range(n))
+    flat = _integers(chain.from_iterable(a))
     m = [flat[i * n:(i + 1) * n] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix not symmetric")
     pos = neg = zero = 0
+    prev = 1
     while m:
-        k = len(m)
-        piv = None
-        for i in range(k):
-            if m[i][i] != 0:
-                piv = i
+        for piv, row in enumerate(m):
+            if row[piv]:
                 break
+        else:
+            piv = None
         if piv is not None:
-            d = m[piv][piv]
+            # (|d| A - sign(d) c c^T) / prev, with c the pivot column; one
+            # comprehension over the whole block, cut into rows, runs
+            # faster than one per row
+            prow = m.pop(piv)
+            d = prow.pop(piv)
+            for row in m:
+                del row[piv]
             if d > 0:
                 pos += 1
+                outer = prow
             else:
                 neg += 1
-            scale, sign = abs(d), (1 if d > 0 else -1)
-            col = [row[piv] for row in m]
-            keep = [i for i in range(k) if i != piv]
-            # |d| (A - a a^T / d), with a the pivot column
-            m = [[scale * m[i][j] - sign * col[i] * col[j] for j in keep]
-                 for i in keep]
+                d = -d
+                outer = [-x for x in prow]
+            k = len(m)
+            flat = [(d * x - f * y) // prev
+                    for row, f in zip(m, outer) for x, y in zip(row, prow)]
+            m = [flat[i * k:(i + 1) * k] for i in range(k)]
+            prev = d
         else:
-            off = None
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if m[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off is not None:
-                    break
+            off = next(((i, j) for i, row in enumerate(m)
+                        for j in range(i + 1, len(m)) if row[j]), None)
             if off is None:
-                zero += k
+                zero += len(m)
                 break
             i0, j0 = off
             b = m[i0][j0]
             pos += 1
             neg += 1
             scale, sign = abs(b), (1 if b > 0 else -1)
-            c = [row[i0] for row in m]
-            e = [row[j0] for row in m]
-            keep = [i for i in range(k) if i not in off]
-            # |b| times the Schur complement against the block [[0,b],[b,0]]
-            m = [[scale * m[i][j] - sign * (c[i] * e[j] + e[i] * c[j])
-                  for j in keep] for i in keep]
-        g = gcd(*(x for row in m for x in row))
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
+            c = m[i0]
+            e = m[j0]
+            keep = [i for i in range(len(m)) if i not in off]
+            # |b| (|b| A - sign(b) (c e^T + e c^T)) / prev^2, against the
+            # block [[0,b],[b,0]]
+            q = prev * prev
+            m = [[scale * (scale * m[i][j] - sign * (c[i] * e[j] + e[i] * c[j]))
+                  // q for j in keep] for i in keep]
+            prev = b * b // prev
     return pos, neg, zero
 
 

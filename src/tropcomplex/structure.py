@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .delta import DeltaComplex
+from .delta import _SLOTS, DeltaComplex
 from .errors import MissingAlpha, WrongDimension
 from .linalg import inertia
 
@@ -64,8 +64,14 @@ class TropicalStructure:
     def alpha_at(self, ridge_index, slot):
         key = (ridge_index, slot)
         if key not in self.alpha:
-            raise MissingAlpha("no alpha for ridge %d slot %d" % key)
+            raise no_alpha(key)
         return self.alpha[key]
+
+
+def no_alpha(key):
+    """The error for a (ridge, slot) key that alpha lacks.  The per-cell
+    loops index alpha directly and raise it on a KeyError."""
+    return MissingAlpha("no alpha for ridge %d slot %d" % key)
 
 
 def check_weak(T: TropicalStructure):
@@ -73,12 +79,18 @@ def check_weak(T: TropicalStructure):
     X = T.complex
     if X.n == 0:
         return WeakReport(True, (), ())
-    rdim = X.n - 1
+    alpha = T.alpha
+    slots = range(X.n)
     violations = []
     isolated = []
-    for r in range(X.counts[rdim]):
-        total = sum(T.alpha_at(r, slot) for slot in range(rdim + 1))
-        deg = X.degree((rdim, r))
+    for r, link in enumerate(X._links[X.n - 1]):
+        total = 0
+        for slot in slots:
+            try:
+                total += alpha[r, slot]
+            except KeyError:
+                raise no_alpha((r, slot)) from None
+        deg = len(link[0])
         if deg == 0:
             isolated.append(r)
         if total != deg:
@@ -97,10 +109,21 @@ def link_graph(X: DeltaComplex, q):
     elements of q, and for each 1-dimensional one the positions (a, b) in
     elements of its two ends (a == b for a loop)."""
     elements = X.link0(q)
-    index = {t: i for i, t in enumerate(elements)}
     link = X.link(q)
-    edges = [(index[X.link_face(f, 0)], index[X.link_face(f, 1)])
-             for f in (link[1] if len(link) > 1 else ())]
+    if len(link) < 2:
+        return elements, []
+    # each end drops one slot outside the coface's slots: the coface's face
+    # there, with the slots re-indexed, read from the face row and the slot
+    # table; every element's coface has dimension m - 1, so its index and
+    # slots identify it
+    index = {(r, s): i for i, ((_, r), s) in enumerate(elements)}
+    m = q[0] + 2
+    table, rows = _SLOTS[m], X.faces[m]
+    edges = []
+    for (_, j), slots in link[1]:
+        (d0, s0), (d1, s1) = table[slots][1]
+        row = rows[j]
+        edges.append((index[row[d0], s0], index[row[d1], s1]))
     return elements, edges
 
 
@@ -108,7 +131,10 @@ def local_matrix(T: TropicalStructure, q):
     """Local intersection matrix at an (n-2)-simplex q.
 
     Off-diagonal (t,u): number of edges between t and u in link(q).
-    Diagonal (t,t): -alpha(opp(t), r(t)) + 2 * (loops at t).
+    Diagonal (t,t): -alpha(opp(t), r(t)) + 2 * (loops at t).  The edges
+    come from `link_graph`; the slot of opp(t) in its ridge r(t) is the
+    one missing from t.slots, so alpha is indexed directly, and a missing
+    entry raises MissingAlpha.
     """
     X = T.complex
     if X.n < 2 or q[0] != X.n - 2:
@@ -125,9 +151,15 @@ def local_matrix(T: TropicalStructure, q):
         else:
             m[a][b] += 1
             m[b][a] += 1
-    for i, t in enumerate(elems):
-        m[i][i] -= T.alpha_at(t.coface[1], X.opp_slot(t))
-    return LocalIntersectionMatrix(q, elems, tuple(tuple(row) for row in m))
+    alpha = T.alpha
+    top = (X.n - 1) * X.n // 2  # the sum of a ridge's slots
+    for i, ((_, r), slots) in enumerate(elems):
+        key = (r, top - sum(slots))
+        try:
+            m[i][i] -= alpha[key]
+        except KeyError:
+            raise no_alpha(key) from None
+    return LocalIntersectionMatrix(q, elems, tuple(map(tuple, m)))
 
 
 class ClassifyResult(NamedTuple):

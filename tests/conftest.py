@@ -9,7 +9,10 @@ from itertools import combinations
 import pytest
 
 from tcxbench import gen
-from tropcomplex import build_complex, load_fixture_file
+from tropcomplex import (DeltaComplex, TropicalStructure,
+                         build_structure_from_degeneration, build_complex,
+                         load_fixture, load_fixture_file)
+from tropcomplex.embedded import derive_structure
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -96,3 +99,39 @@ def twosheet(fx):
 @pytest.fixture(scope="session")
 def tet_degen(fx):
     return fx["tet-degen"]
+
+
+# a triangle with faces (d_0, d_1, d_2) = (loop, edge, edge): the link of
+# the loop's vertex is a graph with a loop
+CONE_OVER_LOOP = DeltaComplex(2, [2, 2, 1], {1: [[1, 0], [1, 1]],
+                                             2: [[1, 0, 0]]})
+# vertices 0, 1, 2: a double edge 0-1, a loop at 1, an edge 1-2, a loop at 2
+GRAPH_WITH_LOOPS = DeltaComplex(1, [3, 5], {1: [[1, 0], [0, 1], [1, 1],
+                                                [2, 1], [2, 2]]})
+
+
+@pytest.fixture(scope="session")
+def kernel_structures(fx):
+    """Structures the per-cell kernels are checked on against their
+    definitions: every shipped fixture (embedded ones through their derived
+    structure), strict degenerations of generated tori, shuffled tori
+    k = 3..6, the full 3- and 4-simplex, a cone over a loop and a graph
+    with loops and a double edge, the last five with random alpha."""
+    rng = random.Random(17)
+
+    def random_alpha(X):
+        return {(r, s): rng.randint(-2, 3)
+                for r in range(X.counts[X.n - 1]) for s in range(X.n)}
+
+    out = [fx[name].structure() for name in ABSTRACT]
+    out += [derive_structure(fx[name].embedded)[2] for name in EMBEDDED]
+    degenerations = [fx[name] for name in DEGENERATION]
+    degenerations += [load_fixture(gen.torus_degeneration(
+        gen.torus(k, random.Random(k)), random.Random(k))) for k in (3, 4)]
+    out += [build_structure_from_degeneration(d.complex, d.degeneration)
+            for d in degenerations]
+    complexes = [torus(k, seed=k) for k in (3, 4, 5, 6)]
+    complexes += [full_simplex(3), full_simplex(4), CONE_OVER_LOOP,
+                  GRAPH_WITH_LOOPS]
+    out += [TropicalStructure(X, random_alpha(X)) for X in complexes]
+    return out

@@ -29,6 +29,7 @@ from tropcomplex import (
     local_matrix,
     restrict_divisor,
 )
+from tropcomplex.curves import _germ_relations
 from tropcomplex.embedded import derive_structure
 from tropcomplex.linalg import kernel_basis
 from tcxbench import gen
@@ -54,6 +55,43 @@ def test_germ_dimensions(fx, plane):
     assert got == [1, 2, 2, 3, 1, 2, 1]
     # the interior vertex admits a three-dimensional space of germs
     assert got[3] == 3
+
+
+def reference_germ_relations(T, v):
+    """The germ relations at v by face composition: each edge coordinate by
+    `face_at` at the two slots it joins, each opposite slot by `opp_slot`."""
+    X = T.complex
+    coords = X.link0((0, v))
+    index = {t: i for i, t in enumerate(coords, 1)}
+    ncols = 1 + len(coords)
+
+    def coord(s, slot_v, slot_w):
+        edge = X.face_at(s, tuple(sorted((slot_v, slot_w))))
+        return index[edge, (0 if slot_v < slot_w else 1,)]
+
+    rows = []
+    if X.n == 1:
+        rows.append([-T.alpha_at(v, 0)] + [1] * len(coords))
+    for rho in (X.link((0, v))[X.n - 2] if X.n >= 2 else ()):
+        ridge = rho.coface
+        (slot_v,) = rho.slots
+        row = [0] * ncols
+        for t in X.link0(ridge):
+            row[coord(t.coface, t.slots[slot_v], X.opp_slot(t))] += 1
+        for slot in range(X.n):
+            a = T.alpha_at(ridge[1], slot)
+            if slot == slot_v:
+                row[0] -= a
+            else:
+                row[coord(ridge, slot_v, slot)] -= a
+        rows.append(row)
+    return coords, rows, ncols
+
+
+def test_germ_relations_match_face_at_reference(kernel_structures):
+    for T in kernel_structures:
+        for v in range(T.complex.counts[0]):
+            assert _germ_relations(T, v) == reference_germ_relations(T, v)
 
 
 def test_germ_space_coordinates_match_link(fx):

@@ -62,10 +62,16 @@ def test_link_of_vertex_in_triangle():
     assert [TRIANGLE.opp_vertex(t) for t in elems[0]] == [1, 2]
 
 
-def test_link_face_matches_slot_reindexing():
-    (tri_elem,) = TRIANGLE.link((0, 0))[1]
-    ends = {TRIANGLE.link_face(tri_elem, 0), TRIANGLE.link_face(tri_elem, 1)}
-    assert ends == set(TRIANGLE.link((0, 0))[0])
+def test_link_graph_edge_ends_match_slot_reindexing():
+    # the one edge of link(u) is the triangle; its ends drop slot 1 and
+    # slot 2, the edges uw and uv with u at slot 0
+    elements, edges = link_graph(TRIANGLE, (0, 0))
+    assert elements == TRIANGLE.link((0, 0))[0]
+    ((a, b),) = edges
+    assert {elements[a], elements[b]} == set(elements)
+    assert (elements[a], elements[b]) == (
+        (TRIANGLE.face_at((2, 0), (0, 2)), (0,)),
+        (TRIANGLE.face_at((2, 0), (0, 1)), (0,)))
 
 
 def test_loop_link_has_two_elements():
@@ -226,8 +232,8 @@ def test_construction_makes_no_face_at_call(monkeypatch):
 
 
 def test_incidence_tables_match_face_composition(fx):
-    # vertex tables, opposite slots and link-face keys against the face
-    # compositions they replace
+    # vertex tables, opposite slots and link-graph edge ends against the
+    # face compositions they replace
     complexes = [fx[name].complex for name in ABSTRACT + DEGENERATION]
     complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
     complexes += [torus(5, 3), full_simplex(3), full_simplex(4),
@@ -251,11 +257,19 @@ def test_incidence_tables_match_face_composition(fx):
                         continue
                     with pytest.raises(ValueError):
                         X.opp_slot(t)
-                    m, j = t.coface
-                    for i, drop in enumerate(comp):
+                # link_graph's edge ends: the face of the coface that drops
+                # each slot outside the edge's slots, re-indexed
+                if X.n - k < 2:
+                    continue
+                elements, edges = link_graph(X, s)
+                for t, ends in zip(X.link(s)[1], edges, strict=True):
+                    m = t.coface[0]
+                    comp = [x for x in range(m + 1) if x not in t.slots]
+                    for drop, end in zip(comp, ends, strict=True):
+                        rest = tuple(x for x in range(m + 1) if x != drop)
                         slots = tuple(x if x < drop else x - 1 for x in t.slots)
-                        assert X.link_face(t, i) == ((m - 1, X.faces[m][j][drop]),
-                                                     slots)
+                        assert elements[end] == (X.face_at(t.coface, rest),
+                                                 slots)
 
 
 def test_link_element_is_its_own_key():

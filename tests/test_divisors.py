@@ -11,7 +11,6 @@ from tropcomplex import (
     DegenerateCut,
     Divisor,
     IndexMismatch,
-    TropicalStructure,
     TwoPieceFunction,
     build_structure_from_degeneration,
     chip_matrix,
@@ -27,7 +26,7 @@ from tropcomplex import (
 from tropcomplex.divisors import local_system
 from tropcomplex.linalg import smith, smith_solve, solve
 from tcxbench import gen
-from tests.conftest import dense, torus
+from tests.conftest import dense
 from tests.test_linalg import symmetric_matrices
 
 ABSTRACT = ["triangle", "triangle-tropical", "tetrahedron", "path", "loop"]
@@ -76,17 +75,11 @@ def test_additivity_random(fx):
             )
 
 
-def test_vertex_function_divisor_matches_chip_matrix(fx):
-    # div_vertex_function reads each ridge's link; the dense chip matrix
-    # times phi is the reference
+def test_vertex_function_divisor_matches_chip_matrix(kernel_structures):
+    # div_vertex_function sweeps the facet rows, chip_matrix reads each
+    # ridge's link: the dense chip matrix times phi must give the divisor
     rng = random.Random(21)
-    structures = [fx[name].structure() for name in ABSTRACT]
-    for k in (3, 4, 5, 6):
-        X = torus(k, seed=k)
-        alpha = {(r, s): rng.randint(-2, 3)
-                 for r in range(X.counts[1]) for s in range(2)}
-        structures.append(TropicalStructure(X, alpha))
-    for T in structures:
+    for T in kernel_structures:
         nv = T.complex.counts[0]
         l = dense(chip_matrix(T), nv)
         for _ in range(5):
@@ -141,10 +134,11 @@ def test_ridge_multiplicity_matches_divisor(tetrahedron):
     assert got == 2
 
 
-def test_ridge_multiplicity_consistent_globally(fx):
+def test_ridge_multiplicity_consistent_globally(kernel_structures):
+    # div_vertex_function sweeps the facet rows once; the per-ridge
+    # definition through the link and opp_vertex is the reference
     rng = random.Random(33)
-    for name in ABSTRACT:
-        T = fx[name].structure()
+    for T in kernel_structures:
         X = T.complex
         nv = X.counts[0]
         phi = [rng.randint(-4, 4) for _ in range(nv)]

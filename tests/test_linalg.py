@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -601,9 +602,9 @@ def degenerate_matrices(draw, entries):
 
 @st.composite
 def symmetric_matrices(draw, entries):
-    """Symmetric matrices: generic, with a zero diagonal (2x2 pivots), or
-    of low rank as B^T D B."""
-    n = draw(st.integers(0, 6))
+    """Symmetric matrices up to 8 x 8: generic, with a zero diagonal (2x2
+    pivots), or of low rank as B^T D B."""
+    n = draw(st.integers(0, 8))
     shape = draw(st.sampled_from(("generic", "zero-diagonal", "low-rank")))
     if shape == "low-rank":
         k = draw(st.integers(0, n))
@@ -653,16 +654,54 @@ def test_inertia_rejects_asymmetric_rational_matrix():
         inertia([[1, Fraction(1, 2)], [Fraction(1, 3), 1]])
 
 
+def working_bits(f, *args):
+    """f(*args), and the largest bit length held by f's local matrix `m`
+    and scale `prev` at any line f ran."""
+    bits = 0
+    last = {}  # the value last scanned per name, kept alive
+
+    def local(frame, event, arg):
+        nonlocal bits
+        for name in ("m", "prev"):
+            value = frame.f_locals.get(name)
+            if value is None or last.get(name) is value:
+                continue
+            last[name] = value
+            entries = [value] if name == "prev" else (
+                x for row in value for x in row)
+            bits = max(bits, max((abs(x).bit_length() for x in entries),
+                                 default=0))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is f.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = f(*args)
+    finally:
+        sys.settrace(old)
+    return result, bits
+
+
 def test_elimination_entries_stay_bounded():
-    # 40 pivots: without the gcd reductions the bit length of the working
-    # entries doubles at every pivot and this does not finish
+    # 40 pivots: without a reduction after each step the bit length of the
+    # working entries doubles at every pivot and this does not finish.
+    # inertia's exact division keeps every working entry a minor of the
+    # input, so within Hadamard's bound
     rng = random.Random(40)
     n = 40
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             a[i][j] = a[j][i] = rng.randint(-9, 9)
-    assert inertia(a) == reference_inertia(a)
+    hollow = [[x if i != j else 0 for j, x in enumerate(row)]
+              for i, row in enumerate(a)]  # starts with a 2x2 block
+    for b in (a, hollow):
+        result, bits = working_bits(inertia, b)
+        assert result == reference_inertia(b)
+        assert 0 < bits <= hadamard_bits(b)
     assert rref(a) == reference_rref(a)
 
 

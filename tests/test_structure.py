@@ -1,18 +1,29 @@
 """Structure constants, the weak condition, local matrices, classification."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from tropcomplex import (
+    Curve,
     DeltaComplex,
     MissingAlpha,
     WrongDimension,
     TropicalStructure,
     check_weak,
+    chip_matrix,
     classify,
+    div_vertex_function,
+    germ_space,
+    intersect_degree,
+    is_balanced,
+    load_fixture,
     local_matrix,
+    weil_test,
 )
+from tropcomplex.structure import link_graph
+from tcxbench import gen
 
 TRIANGLE_MATRICES = {
     0: ((0, 1), (1, 0)),
@@ -82,8 +93,96 @@ def test_structure_equality_ignores_alpha(fx):
 
 def test_missing_alpha_entry_raises(fx):
     T = TropicalStructure(fx["triangle"].complex, {(0, 0): 1})
-    with pytest.raises(MissingAlpha):
+    with pytest.raises(MissingAlpha, match=r"^no alpha for ridge 0 slot 1$"):
         local_matrix(T, (0, 0))
+
+
+def test_every_kernel_names_the_missing_alpha_entry(fx):
+    X = fx["triangle"].complex
+    alpha = {(r, s): 1 for r in range(3) for s in range(2)}
+    del alpha[(1, 0)]
+    T = TropicalStructure(X, alpha)
+    message = r"^no alpha for ridge 1 slot 0$"
+    for call in (check_weak, chip_matrix,
+                 lambda T: div_vertex_function(T, [1, 2, 3])):
+        with pytest.raises(MissingAlpha, match=message):
+            call(T)
+    # the germs at either end of ridge 1, and the local matrix at the end
+    # in slot 1, whose link element there has its opposite vertex in slot 0
+    ends = X.vertices_of((1, 1))
+    for v in ends:
+        with pytest.raises(MissingAlpha, match=message):
+            germ_space(T, v)
+    with pytest.raises(MissingAlpha, match=message):
+        local_matrix(T, (0, ends[1]))
+
+
+def reference_local_matrix(T, q):
+    """The local matrix by face composition: each end of a link edge by
+    `face_at` at every slot of its coface but one outside the edge's
+    slots, and each diagonal alpha at the slot `opp_slot` names."""
+    X = T.complex
+    elems = X.link0(q)
+    m = [[0] * len(elems) for _ in elems]
+    link = X.link(q)
+    for f in (link[1] if len(link) > 1 else ()):
+        k = f.coface[0]
+        ends = []
+        for drop in (x for x in range(k + 1) if x not in f.slots):
+            rest = tuple(x for x in range(k + 1) if x != drop)
+            slots = tuple(x if x < drop else x - 1 for x in f.slots)
+            ends.append(elems.index((X.face_at(f.coface, rest), slots)))
+        a, b = ends
+        m[a][b] += 1
+        m[b][a] += 1
+    for i, t in enumerate(elems):
+        m[i][i] -= T.alpha_at(t.coface[1], X.opp_slot(t))
+    return tuple(map(tuple, m))
+
+
+def test_local_matrix_matches_face_at_reference(kernel_structures):
+    loops = 0
+    for T in kernel_structures:
+        X = T.complex
+        if X.n < 2:
+            continue
+        for q in ((X.n - 2, i) for i in range(X.counts[X.n - 2])):
+            got = local_matrix(T, q)
+            assert got.elements == X.link0(q)
+            assert got.matrix == reference_local_matrix(T, q), (X, q)
+            loops += sum(a == b for a, b in link_graph(X, q)[1])
+    assert loops > 0
+
+
+def test_local_systems_make_no_incidence_helper_call(monkeypatch):
+    # classify, weil_test, is_balanced and intersect_degree read the face
+    # table and alpha directly: no face composition or opposite-slot lookup
+    # per link element
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(DeltaComplex, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("face_at", "opp_slot", "opp_vertex"):
+        monkeypatch.setattr(DeltaComplex, name, counted(name))
+    t = gen.torus(6, random.Random(6))
+    T = load_fixture(t.fixture).structure()
+    rng = random.Random(6)
+    D = div_vertex_function(T, [rng.randint(-3, 3) for _ in range(t.nv)])
+    C = Curve.on_edges(gen.torus_curve(t, rng))
+    assert D.ridge_part and C.multiplicities
+    assert classify(T).verdict == "tropical"
+    assert weil_test(T, D) == (True, ())
+    assert is_balanced(T, C).balanced
+    assert intersect_degree(T, D, C).degree == 0
+    assert not calls
+    T.complex.face_at((2, 0), (0, 1))
+    assert calls == {"face_at": 1}
 
 
 def test_triangle_local_matrices(triangle):
