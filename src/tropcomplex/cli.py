@@ -31,10 +31,10 @@ from .curves import intersect_degree, is_balanced, restrict_divisor
 from .embedded import derive_structure, push_forward_and_compare, robustness_check
 from .degeneration import (build_structure_from_degeneration, specialize,
                            verify_theorem)
-from .serialize import (FORMAT, breakpoints_from_json, canonical_json,
-                        curve_to_json, divisor_to_json, germ_to_json,
-                        load_fixture_file, point_sum_to_json, rat, read_json,
-                        two_piece_from_json)
+from .serialize import (FORMAT, alpha_to_json, breakpoints_from_json,
+                        canonical_json, curve_to_json, divisor_to_json,
+                        germ_to_json, load_fixture_file, point_sum_to_json,
+                        rat, read_json, two_piece_from_json)
 
 
 class Subcommand(NamedTuple):
@@ -297,11 +297,10 @@ def cmd_import_embedded(fx, args):
     if fx.embedded is None:
         raise InputError("import-embedded needs an embedded fixture")
     X, pi, T, solutions = derive_structure(fx.embedded)
-    alpha = sorted((r, s, v) for (r, s), v in T.alpha.items())
     result = {
         "complex": X.to_json(),
         "pi": [list(level) for level in pi],
-        "alpha": [list(entry) for entry in alpha],
+        "alpha": alpha_to_json(T),
         "balancing": [
             [ridge, list(sol.coefficients), sol.d]
             for ridge, sol in sorted(solutions.items())
@@ -353,11 +352,7 @@ def cmd_degen_build(fx, args):
     if fx.degeneration is None:
         raise InputError("degen-build needs a degeneration fixture")
     T = build_structure_from_degeneration(fx.complex, fx.degeneration)
-    alpha = sorted((r, s, v) for (r, s), v in T.alpha.items())
-    result = {
-        "mode": fx.degeneration.mode,
-        "alpha": [list(entry) for entry in alpha],
-    }
+    result = {"mode": fx.degeneration.mode, "alpha": alpha_to_json(T)}
     return result, [["consistency", "pass",
                      "%s data consistent" % fx.degeneration.mode]], {}
 

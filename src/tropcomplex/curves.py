@@ -18,7 +18,7 @@ from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
 from .linalg import _echelon, kernel_basis, solve
 from .delta import _SLOTS
-from .structure import TropicalStructure, local_matrix, no_alpha
+from .structure import TropicalStructure, local_matrix
 from .divisors import Divisor
 
 
@@ -90,10 +90,7 @@ def _germ_relations(T: TropicalStructure, v):
     rows = []
     if n == 1:
         row = [1] * ncols
-        try:
-            row[0] = -alpha[v, 0]
-        except KeyError:
-            raise no_alpha((v, 0)) from None
+        row[0] = -alpha[v, 0]
         rows.append(row)
     elif n >= 2:
         facets, ridges = X._face_table[n], X._face_table[n - 1]
@@ -108,10 +105,7 @@ def _germ_relations(T: TropicalStructure, v):
                 row[index[facets[j][facet_pairs[pair][0]], b]] += 1
             edges = ridges[r]
             for w in range(n):
-                try:
-                    a = alpha[r, w]
-                except KeyError:
-                    raise no_alpha((r, w)) from None
+                a = alpha[r, w]
                 if w == sv:
                     row[0] -= a
                 else:

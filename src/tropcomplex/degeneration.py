@@ -17,7 +17,7 @@ from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
                      UnknownName, entry_list, int_entry, int_table, named)
 from .structure import TropicalStructure, check_weak, link_graph
-from .divisors import Divisor, weil_test
+from .divisors import Divisor, chip_matrix, weil_test
 from .curves import Curve, is_balanced, intersect_degree
 
 
@@ -60,21 +60,10 @@ def load_degeneration(data):
     return DegenerationData(mode, vr, si, divisors, curves, claimed)
 
 
-def _derived_degrees(T: TropicalStructure, ridge):
-    """deg(C_v . C_r) for every vertex v, from alpha and the link of r."""
-    X = T.complex
-    n = X.n
-    degs = {}
-    verts = X.vertices_of((n - 1, ridge))
-    for slot, v in enumerate(verts):
-        degs[v] = degs.get(v, 0) - T.alpha_at(ridge, slot)
-    for t in X.link0((n - 1, ridge)):
-        v = X.opp_vertex(t)
-        degs[v] = degs.get(v, 0) + 1
-    return degs
-
-
 def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
+    """The structure that the data determine, cross-checked against the
+    degrees it lists: deg(C_v . C_r) is the chip-firing coefficient of v
+    at r, read from one `chip_matrix` per build."""
     n = X.n
     if n < 1:
         raise InconsistentData("complex has no ridges")
@@ -103,9 +92,8 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
                     )
                 alpha[(r, slot)] = -on_r[v]
         T = TropicalStructure(X, alpha)
-        for r in range(X.counts[n - 1]):
+        for r, degs in enumerate(chip_matrix(T)):
             on_r = given.get(r, {})
-            degs = _derived_degrees(T, r)
             on_ridge = set(X.vertices_of((n - 1, r)))
             # a vertex named by neither side has degree 0 on both
             for v in sorted(on_r.keys() | degs.keys()):
@@ -172,13 +160,14 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
         raise InconsistentData(
             "degrees against C_%d do not sum to 0" % r, ridge=r
         )
+    rows = chip_matrix(T)
     for (v, r), given in data.vertex_ridge_degrees.items():
-        degs = _derived_degrees(T, r)
-        if given != degs.get(v, 0):
+        derived = rows[r].get(v, 0)
+        if given != derived:
             raise InconsistentData(
                 "deg(C_%d . C_%d) = %d is inconsistent with the "
                 "self-intersection data (expected %d)"
-                % (v, r, given, degs.get(v, 0)), ridge=r
+                % (v, r, given, derived), ridge=r
             )
     return T
 

@@ -184,9 +184,6 @@ class DeltaComplex:
         k, i = s
         return len(slots) - 1, self._face_table[k][i][_SLOTS[k][slots][0]]
 
-    def vertex_at(self, s, slot):
-        return self._face_table[s[0]][s[1]][slot]
-
     def vertices_of(self, s):
         return self._face_table[s[0]][s[1]][:s[0] + 1]
 

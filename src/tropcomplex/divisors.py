@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateCut, IndexMismatch
 from .linalg import SmithForm, smith, smith_solve, solvable, solve
-from .structure import TropicalStructure, local_matrix, no_alpha
+from .structure import TropicalStructure, local_matrix
 
 
 class FacetPiece(NamedTuple):
@@ -119,12 +119,8 @@ def chip_matrix(T: TropicalStructure):
             v = facets[j][top - sum(slots)]
             row[v] = row.get(v, 0) + 1
         for slot in range(n):
-            try:
-                a = alpha[r, slot]
-            except KeyError:
-                raise no_alpha((r, slot)) from None
             v = verts[slot]
-            row[v] = row.get(v, 0) - a
+            row[v] = row.get(v, 0) - alpha[r, slot]
         if 0 in row.values():
             row = {v: c for v, c in row.items() if c}
         rows.append(row)
@@ -155,11 +151,7 @@ def div_vertex_function(T: TropicalStructure, phi):
     alpha = T.alpha
     for r, verts in enumerate(X._face_table[n - 1]):
         for slot in range(n):
-            try:
-                a = alpha[r, slot]
-            except KeyError:
-                raise no_alpha((r, slot)) from None
-            coeffs[r] -= a * phi[verts[slot]]
+            coeffs[r] -= alpha[r, slot] * phi[verts[slot]]
     return Divisor(tuple((r, c) for r, c in enumerate(coeffs) if c))
 
 
@@ -173,8 +165,10 @@ def ridge_multiplicity(T: TropicalStructure, r, base_values, opp_values):
     """
     X = T.complex
     rdim = X.n - 1
-    ridge = (rdim, r)
-    elems = X.link0(ridge)
+    if not 0 <= r < X.counts[rdim]:
+        raise IndexMismatch("ridge %d out of range (%d ridges)"
+                            % (r, X.counts[rdim]))
+    elems = X.link0((rdim, r))
     if len(base_values) != rdim + 1:
         raise IndexMismatch(
             "expected %d base values, got %d" % (rdim + 1, len(base_values))
@@ -185,7 +179,7 @@ def ridge_multiplicity(T: TropicalStructure, r, base_values, opp_values):
         )
     total = sum(Fraction(v) for v in opp_values)
     for slot in range(rdim + 1):
-        total -= T.alpha_at(r, slot) * Fraction(base_values[slot])
+        total -= T.alpha[r, slot] * Fraction(base_values[slot])
     return total
 
 

@@ -288,8 +288,7 @@ def duplicate_sheets(E: EmbeddedComplex):
                 simplices[(k, idx, sheet)] = len(level)
                 level.append((idx, sheet))
         pi.append([idx for idx, _ in level])
-    counts = [len([1 for idx, _ in enumerate(E.bounded[k])
-                   for _ in range(E.sheets(k, idx))]) for k in range(nb + 1)]
+    counts = [len(level) for level in pi]
     faces = {}
     for k in range(1, nb + 1):
         rows = []

@@ -49,6 +49,11 @@ def divisor_to_json(D: Divisor):
     }
 
 
+def alpha_to_json(T: TropicalStructure):
+    """[[ridge, slot, alpha], ...] in key order."""
+    return [[r, s, a] for (r, s), a in sorted(T.alpha.items())]
+
+
 def divisor_from_json(data):
     """[[ridge, coefficient], ...] or {"ridge_part", "facet_pieces"}; the
     ridge part of either form is read by int_table."""
@@ -144,15 +149,16 @@ def breakpoints_from_json(data):
 
 
 class Fixture:
-    """A loaded fixture; `load_fixture` fills it in after construction."""
+    """A loaded fixture; `load_fixture` fills it in after construction, and
+    builds the structure of an abstract fixture that gives alpha."""
 
-    __slots__ = ("kind", "complex", "alpha", "embedded", "degeneration",
+    __slots__ = ("kind", "complex", "_structure", "embedded", "degeneration",
                  "divisors", "curves", "functions")
 
     def __init__(self, kind: str):
         self.kind = kind
         self.complex: DeltaComplex | None = None
-        self.alpha: dict | None = None
+        self._structure: TropicalStructure | None = None
         self.embedded: EmbeddedComplex | None = None
         self.degeneration: DegenerationData | None = None
         self.divisors: dict = {}
@@ -162,7 +168,9 @@ class Fixture:
     def structure(self):
         if self.complex is None:
             raise InputError("fixture has no abstract complex")
-        return TropicalStructure(self.complex, self.alpha)
+        if self._structure is not None:
+            return self._structure
+        return TropicalStructure(self.complex)
 
 
 def detect_kind(data):
@@ -186,10 +194,11 @@ def load_fixture(data):
         raise InputError("unsupported fixture format %r" % (data.get("format"),))
     kind = detect_kind(data)
     fx = Fixture(kind)
+    alpha = None
     if kind == "abstract":
         fx.complex = build_complex(data)
         if "alpha" in data:
-            fx.alpha = int_table(data["alpha"], 3, "alpha")
+            alpha = int_table(data["alpha"], 3, "alpha")
     elif kind == "embedded":
         fx.embedded = load_embedded(data)
     elif kind == "degeneration":
@@ -208,29 +217,23 @@ def load_fixture(data):
             fx.curves[name] = curve_from_json(c)
     for name, values in named(data, "functions"):
         fx.functions[name] = list(int_entry(values, None, "function"))
+    if alpha is not None:
+        fx._structure = TropicalStructure(fx.complex, alpha)
     if fx.complex is not None:
         _check_ranges(fx)
     return fx
 
 
 def _check_ranges(fx):
-    """Every alpha entry names a ridge of the fixture's complex and one of
-    its n slots, every curve edge, divisor ridge and facet of a facet piece
-    names a simplex of the complex, and every facet piece's normal has n
-    entries, or IndexMismatch names the entry."""
+    """Every curve edge, divisor ridge and facet of a facet piece names a
+    simplex of the fixture's complex, and every facet piece's normal has n
+    entries, or IndexMismatch names the entry.  The alpha table was checked
+    when the fixture's structure was made."""
     X = fx.complex
     n = X.n
-    ridges = X.counts[n - 1] if n >= 1 else 0
-    for (r, slot), a in (fx.alpha or {}).items():
-        if not (0 <= r < ridges and 0 <= slot < n):
-            cell, i, count = (("ridge", r, ridges) if not 0 <= r < ridges
-                              else ("slot", slot, n))
-            raise IndexMismatch(
-                "alpha entry [%d, %d, %d]: %s %d out of range (%d %ss)"
-                % (r, slot, a, cell, i, count, cell))
     checks = (("curve", "edge", X.counts[1] if n >= 1 else 0,
                {name: C.multiplicities for name, C in fx.curves.items()}),
-              ("divisor", "ridge", ridges,
+              ("divisor", "ridge", X.counts[n - 1] if n >= 1 else 0,
                {name: D.ridge_part for name, D in fx.divisors.items()}))
     for what, cell, count, named in checks:
         for name, pairs in named.items():

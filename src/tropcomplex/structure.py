@@ -1,9 +1,11 @@
 """Structure constants alpha(v, r) and the tropical-complex condition.
 
-alpha assigns an integer to every (ridge, vertex slot) pair.  The weak
-constraint demands the slot sum equal deg(r) at every ridge.  The complex is
-tropical when every local intersection matrix has exactly one positive
-eigenvalue, decided by exact inertia computation.
+alpha assigns an integer to every (ridge, vertex slot) pair: its keys are
+exactly those pairs, checked once when a TropicalStructure is made, so the
+kernels index it directly.  The weak constraint demands the slot sum equal
+deg(r) at every ridge.  The complex is tropical when every local
+intersection matrix has exactly one positive eigenvalue, decided by exact
+inertia computation.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .delta import _SLOTS, DeltaComplex
-from .errors import MissingAlpha, WrongDimension
+from .errors import IndexMismatch, MissingAlpha, WrongDimension
 from .linalg import inertia
 
 
@@ -33,16 +35,38 @@ class WeakReport(NamedTuple):
 class TropicalStructure:
     """A complex with its structure constants; equal and hashed by the
     complex alone, and immutable.  alpha maps (ridge, slot) to an integer;
-    when it is None, n = 1 takes alpha(v) = deg(v) and n = 0 none."""
+    when it is None, n = 1 takes alpha(v) = deg(v) and n = 0 none.
+
+    A given alpha has one entry per (ridge, slot) pair and no other key:
+    IndexMismatch names the first entry out of range, and MissingAlpha the
+    first absent pair in ridge-major order.
+    """
 
     __slots__ = ("complex", "alpha")
 
     def __init__(self, complex: DeltaComplex, alpha: dict = None):
+        n = complex.n
         if alpha is None:
-            if complex.n > 1:
-                raise MissingAlpha("alpha required for n = %d" % complex.n)
+            if n > 1:
+                raise MissingAlpha("alpha required for n = %d" % n)
             alpha = {(v, 0): complex.degree((0, v))
-                     for v in range(complex.counts[0])} if complex.n else {}
+                     for v in range(complex.counts[0])} if n else {}
+        else:
+            ridges = complex.counts[n - 1] if n else 0
+            for (r, slot), a in alpha.items():
+                if not (0 <= r < ridges and 0 <= slot < n):
+                    cell, i, count = (("ridge", r, ridges)
+                                      if not 0 <= r < ridges
+                                      else ("slot", slot, n))
+                    raise IndexMismatch(
+                        "alpha entry [%d, %d, %d]: %s %d out of range "
+                        "(%d %ss)" % (r, slot, a, cell, i, count, cell))
+            # every key is in range, so a full table has ridges * n keys
+            if len(alpha) != ridges * n:
+                r, slot = next((r, slot) for r in range(ridges)
+                               for slot in range(n) if (r, slot) not in alpha)
+                raise MissingAlpha("no alpha for ridge %d slot %d"
+                                   % (r, slot))
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "alpha", alpha)
 
@@ -61,18 +85,6 @@ class TropicalStructure:
         return "TropicalStructure(complex=%r, alpha=%r)" % (self.complex,
                                                            self.alpha)
 
-    def alpha_at(self, ridge_index, slot):
-        key = (ridge_index, slot)
-        if key not in self.alpha:
-            raise no_alpha(key)
-        return self.alpha[key]
-
-
-def no_alpha(key):
-    """The error for a (ridge, slot) key that alpha lacks.  The per-cell
-    loops index alpha directly and raise it on a KeyError."""
-    return MissingAlpha("no alpha for ridge %d slot %d" % key)
-
 
 def check_weak(T: TropicalStructure):
     """Weak constraint report: per ridge, slot sum of alpha vs deg(r)."""
@@ -86,10 +98,7 @@ def check_weak(T: TropicalStructure):
     for r, link in enumerate(X._links[X.n - 1]):
         total = 0
         for slot in slots:
-            try:
-                total += alpha[r, slot]
-            except KeyError:
-                raise no_alpha((r, slot)) from None
+            total += alpha[r, slot]
         deg = len(link[0])
         if deg == 0:
             isolated.append(r)
@@ -133,8 +142,7 @@ def local_matrix(T: TropicalStructure, q):
     Off-diagonal (t,u): number of edges between t and u in link(q).
     Diagonal (t,t): -alpha(opp(t), r(t)) + 2 * (loops at t).  The edges
     come from `link_graph`; the slot of opp(t) in its ridge r(t) is the
-    one missing from t.slots, so alpha is indexed directly, and a missing
-    entry raises MissingAlpha.
+    one missing from t.slots, so alpha is indexed directly.
     """
     X = T.complex
     if X.n < 2 or q[0] != X.n - 2:
@@ -154,11 +162,7 @@ def local_matrix(T: TropicalStructure, q):
     alpha = T.alpha
     top = (X.n - 1) * X.n // 2  # the sum of a ridge's slots
     for i, ((_, r), slots) in enumerate(elems):
-        key = (r, top - sum(slots))
-        try:
-            m[i][i] -= alpha[key]
-        except KeyError:
-            raise no_alpha(key) from None
+        m[i][i] -= alpha[r, top - sum(slots)]
     return LocalIntersectionMatrix(q, elems, tuple(map(tuple, m)))
 
 

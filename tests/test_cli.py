@@ -479,6 +479,28 @@ def test_alpha_entry_at_n_0_is_index_mismatch(capsys, tmp_path):
         "message": "alpha entry [0, 0, 1]: ridge 0 out of range (0 ridges)"}
 
 
+def test_short_alpha_table_is_missing_alpha_in_every_subcommand(capsys,
+                                                               tmp_path):
+    # the structure is made when the fixture loads, so validate and
+    # div --two-piece, which read no alpha, refuse the table too
+    data = json.loads(fixture_path("triangle").read_text())
+    data["alpha"].remove([2, 1, 1])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    piece = tmp_path / "piece.json"
+    piece.write_text(json.dumps({"facet": 0, "normal": [2, 0],
+                                 "offset": [0, 1]}))
+    for argv in (["validate"], ["classify"], ["div", "--phi", "1,0,0"],
+                 ["div", "--two-piece", piece], ["cartier", "-D", "Duv"],
+                 ["classgroup"], ["equiv", "-D", "Duv", "-E", "Dvw"],
+                 ["balance", "-C", "C1"], ["intersect", "-D", "P1", "-C", "C1"]):
+        code, report, _ = invoke(capsys, argv[0], bad, *argv[1:])
+        assert code == 2, argv
+        assert report["error"] == {
+            "type": "MissingAlpha",
+            "message": "no alpha for ridge 2 slot 1"}, argv
+
+
 def test_negative_two_piece_facet_is_index_mismatch(capsys, tmp_path):
     bad = tmp_path / "piece.json"
     bad.write_text(json.dumps({"facet": -1, "normal": [1, 0],

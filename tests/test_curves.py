@@ -71,7 +71,7 @@ def reference_germ_relations(T, v):
 
     rows = []
     if X.n == 1:
-        rows.append([-T.alpha_at(v, 0)] + [1] * len(coords))
+        rows.append([-T.alpha[v, 0]] + [1] * len(coords))
     for rho in (X.link((0, v))[X.n - 2] if X.n >= 2 else ()):
         ridge = rho.coface
         (slot_v,) = rho.slots
@@ -79,7 +79,7 @@ def reference_germ_relations(T, v):
         for t in X.link0(ridge):
             row[coord(t.coface, t.slots[slot_v], X.opp_slot(t))] += 1
         for slot in range(X.n):
-            a = T.alpha_at(ridge[1], slot)
+            a = T.alpha[ridge[1], slot]
             if slot == slot_v:
                 row[0] -= a
             else:

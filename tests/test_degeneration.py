@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tcxbench import gen
+from tests.conftest import CONE_OVER_LOOP
 from tropcomplex import (
     Curve,
     DeltaComplex,
@@ -15,6 +16,7 @@ from tropcomplex import (
     UnknownName,
     build_structure_from_degeneration,
     check_weak,
+    chip_matrix,
     load_degeneration,
     load_fixture,
     specialize,
@@ -34,6 +36,12 @@ TRIANGLE_DEGREES = [
     [2, 2, -1],
     [0, 2, 1],
 ]
+
+# non-strict self-intersections on the cone over a loop (tests/conftest.py)
+CONE_OVER_LOOP_DATA = {
+    "mode": "nonstrict",
+    "self_intersections": [[0, 0, -2], [1, 0, 2], [1, 1, 0], [1, 2, -1]],
+}
 
 
 def triangle_data(extra=None):
@@ -189,6 +197,60 @@ def test_strict_check_reads_grow_linearly():
     assert sizes[8][0] <= 1.25 * 4 * sizes[4][0]
 
 
+def reference_derived_degrees(T, ridge):
+    """deg(C_v . C_r) for every vertex v, from alpha and the link of r:
+    minus alpha at each vertex of r, plus one at the opposite vertex of
+    each facet through r."""
+    X = T.complex
+    n = X.n
+    degs = {}
+    verts = X.vertices_of((n - 1, ridge))
+    for slot, v in enumerate(verts):
+        degs[v] = degs.get(v, 0) - T.alpha[ridge, slot]
+    for t in X.link0((n - 1, ridge)):
+        v = X.opp_vertex(t)
+        degs[v] = degs.get(v, 0) + 1
+    return degs
+
+
+def degeneration_builds(tet_degen):
+    """(complex, data) of tet-degen, strict degenerations of shuffled tori
+    k = 3..6, and the non-strict cone over a loop."""
+    cases = [(tet_degen.complex, tet_degen.degeneration)]
+    for k in (3, 4, 5, 6):
+        rng = random.Random(k)
+        fx = load_fixture(gen.torus_degeneration(gen.torus(k, rng), rng))
+        cases.append((fx.complex, fx.degeneration))
+    cases.append((CONE_OVER_LOOP, load_degeneration(CONE_OVER_LOOP_DATA)))
+    return cases
+
+
+def test_derived_degrees_are_the_chip_matrix_rows(tet_degen):
+    modes = set()
+    for X, data in degeneration_builds(tet_degen):
+        T = build_structure_from_degeneration(X, data)
+        want = [{v: d for v, d in reference_derived_degrees(T, r).items()
+                 if d}
+                for r in range(X.counts[X.n - 1])]
+        assert chip_matrix(T) == want
+        modes.add(data.mode)
+    assert modes == {"strict", "nonstrict"}
+
+
+def test_each_build_makes_one_chip_matrix(tet_degen, monkeypatch):
+    from tropcomplex import degeneration
+    calls = []
+
+    def counted(T):
+        calls.append(T)
+        return chip_matrix(T)
+    monkeypatch.setattr(degeneration, "chip_matrix", counted)
+    for X, data in degeneration_builds(tet_degen):
+        calls.clear()
+        T = build_structure_from_degeneration(X, data)
+        assert len(calls) == 1 and calls[0] is T, data.mode
+
+
 # -- non-strict ingestion ---------------------------------------------------
 
 
@@ -217,14 +279,8 @@ def test_nonstrict_rejects_entry_naming_no_stratum_or_position(tet_degen,
 
 def test_nonstrict_cone_over_loop():
     # apex 0; vertex 1 carries a loop; the facet glues both loop slots
-    X = DeltaComplex(2, [2, 2, 1], {1: [[1, 0], [1, 1]], 2: [[1, 0, 0]]})
-    data = load_degeneration(
-        {
-            "mode": "nonstrict",
-            "self_intersections": [[0, 0, -2], [1, 0, 2], [1, 1, 0], [1, 2, -1]],
-        }
-    )
-    T = build_structure_from_degeneration(X, data)
+    T = build_structure_from_degeneration(
+        CONE_OVER_LOOP, load_degeneration(CONE_OVER_LOOP_DATA))
     assert T.alpha == {(0, 0): -2, (0, 1): 4, (1, 0): 1, (1, 1): 0}
 
 

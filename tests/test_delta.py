@@ -50,8 +50,7 @@ def test_edge_slot_convention():
     # faces[1][e] = (boundary_0, boundary_1); slot 0 holds faces[1][e][1]
     for e in range(3):
         d0, d1 = TRIANGLE.faces[1][e]
-        assert TRIANGLE.vertex_at((1, e), 0) == d1
-        assert TRIANGLE.vertex_at((1, e), 1) == d0
+        assert TRIANGLE.vertices_of((1, e)) == (d1, d0)
 
 
 def test_link_of_vertex_in_triangle():
@@ -169,7 +168,7 @@ def test_fixture_complexes_validate(fx):
                 verts = X.vertices_of((k, i))
                 assert len(verts) == k + 1
                 for slot in range(k + 1):
-                    assert X.vertex_at((k, i), slot) == verts[slot]
+                    assert X.face_at((k, i), (slot,)) == (0, verts[slot])
 
 
 def test_nonregular_gluing_two_sheets():

@@ -166,6 +166,10 @@ def test_ridge_multiplicity_index_mismatch(tetrahedron):
         ridge_multiplicity(T, 5, [0], [1, 1])
     with pytest.raises(IndexMismatch):
         ridge_multiplicity(T, 5, [0, 0], [1])
+    for r in (-1, 6):
+        with pytest.raises(IndexMismatch, match=r"^ridge %d out of range "
+                           r"\(6 ridges\)$" % r):
+            ridge_multiplicity(T, r, [0, 0], [1, 1])
 
 
 # -- two-piece functions ----------------------------------------------------

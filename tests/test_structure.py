@@ -8,14 +8,13 @@ import pytest
 from tropcomplex import (
     Curve,
     DeltaComplex,
+    IndexMismatch,
     MissingAlpha,
     WrongDimension,
     TropicalStructure,
     check_weak,
-    chip_matrix,
     classify,
     div_vertex_function,
-    germ_space,
     intersect_degree,
     is_balanced,
     load_fixture,
@@ -76,10 +75,9 @@ def test_structure_alpha_required_above_dimension_one(fx):
         TropicalStructure(fx["triangle"].complex)
 
 
-def test_check_weak_names_missing_alpha_slot(fx):
-    T = TropicalStructure(fx["path"].complex, {(0, 0): 1, (2, 0): 1})
+def test_structure_names_a_missing_alpha_entry(fx):
     with pytest.raises(MissingAlpha, match=r"^no alpha for ridge 1 slot 0$"):
-        check_weak(T)
+        TropicalStructure(fx["path"].complex, {(0, 0): 1, (2, 0): 1})
 
 
 def test_structure_equality_ignores_alpha(fx):
@@ -91,30 +89,52 @@ def test_structure_equality_ignores_alpha(fx):
     assert T != TropicalStructure(fx["loop"].complex) and T != X
 
 
-def test_missing_alpha_entry_raises(fx):
-    T = TropicalStructure(fx["triangle"].complex, {(0, 0): 1})
-    with pytest.raises(MissingAlpha, match=r"^no alpha for ridge 0 slot 1$"):
-        local_matrix(T, (0, 0))
-
-
-def test_every_kernel_names_the_missing_alpha_entry(fx):
+def test_structure_names_the_first_missing_entry_in_ridge_major_order(fx):
     X = fx["triangle"].complex
-    alpha = {(r, s): 1 for r in range(3) for s in range(2)}
-    del alpha[(1, 0)]
-    T = TropicalStructure(X, alpha)
-    message = r"^no alpha for ridge 1 slot 0$"
-    for call in (check_weak, chip_matrix,
-                 lambda T: div_vertex_function(T, [1, 2, 3])):
-        with pytest.raises(MissingAlpha, match=message):
-            call(T)
-    # the germs at either end of ridge 1, and the local matrix at the end
-    # in slot 1, whose link element there has its opposite vertex in slot 0
-    ends = X.vertices_of((1, 1))
-    for v in ends:
-        with pytest.raises(MissingAlpha, match=message):
-            germ_space(T, v)
-    with pytest.raises(MissingAlpha, match=message):
-        local_matrix(T, (0, ends[1]))
+    with pytest.raises(MissingAlpha, match=r"^no alpha for ridge 0 slot 1$"):
+        TropicalStructure(X, {(0, 0): 1})
+    # insertion order does not matter: ridge 1 slot 0 comes first
+    alpha = {(2, 0): 1, (0, 1): 1, (0, 0): 1}
+    with pytest.raises(MissingAlpha, match=r"^no alpha for ridge 1 slot 0$"):
+        TropicalStructure(X, alpha)
+
+
+def test_structure_refuses_every_one_entry_short_table(fx):
+    # check_weak, chip_matrix, div_vertex_function, local_matrix and both
+    # branches of the germ relations (n = 1 and n >= 2) index alpha with
+    # no guard, so no structure may lack a (ridge, slot) pair, at n = 1, 2
+    # or 3
+    for name in ("path", "loop", "triangle", "tetrahedron"):
+        X = fx[name].complex
+        n = X.n
+        full = {(r, s): 1 for r in range(X.counts[n - 1]) for s in range(n)}
+        assert TropicalStructure(X, full).alpha is full
+        for key in full:
+            alpha = dict(full)
+            del alpha[key]
+            with pytest.raises(MissingAlpha,
+                               match=r"^no alpha for ridge %d slot %d$" % key):
+                TropicalStructure(X, alpha)
+
+
+@pytest.mark.parametrize("key, message", [
+    ((3, 0), r"^alpha entry \[3, 0, 7\]: ridge 3 out of range \(3 ridges\)$"),
+    ((-1, 0), r"^alpha entry \[-1, 0, 7\]: ridge -1 out of range "
+              r"\(3 ridges\)$"),
+    ((0, 2), r"^alpha entry \[0, 2, 7\]: slot 2 out of range \(2 slots\)$"),
+])
+def test_structure_refuses_an_entry_out_of_range(fx, key, message):
+    X = fx["triangle"].complex
+    full = {(r, s): 1 for r in range(3) for s in range(2)}
+    # range is checked before completeness, with or without the gap
+    for alpha in (dict(full), {(0, 0): 1}):
+        alpha[key] = 7
+        with pytest.raises(IndexMismatch, match=message):
+            TropicalStructure(X, alpha)
+    point = DeltaComplex(0, [1], {})
+    assert TropicalStructure(point, {}).alpha == {}
+    with pytest.raises(IndexMismatch, match=r"ridge 0 out of range \(0 "):
+        TropicalStructure(point, {(0, 0): 1})
 
 
 def reference_local_matrix(T, q):
@@ -136,7 +156,7 @@ def reference_local_matrix(T, q):
         m[a][b] += 1
         m[b][a] += 1
     for i, t in enumerate(elems):
-        m[i][i] -= T.alpha_at(t.coface[1], X.opp_slot(t))
+        m[i][i] -= T.alpha[t.coface[1], X.opp_slot(t)]
     return tuple(map(tuple, m))
 
 
@@ -212,9 +232,9 @@ def test_local_matrix_row_sums(fx):
             m = local_matrix(T, (0, q))
             for i, t in enumerate(m.elements):
                 ridge = t.coface[1]
-                want = X.degree((X.n - 1, ridge)) - T.alpha_at(
+                want = X.degree((X.n - 1, ridge)) - T.alpha[
                     ridge, X.opp_slot(t)
-                )
+                ]
                 assert sum(m.matrix[i]) == want
 
 
@@ -273,12 +293,3 @@ def test_link_element_count_matches_matrix_size(fx):
         for q in range(X.counts[0]):
             m = local_matrix(T, (0, q))
             assert len(m.matrix) == len(m.elements) == len(X.link((0, q))[0])
-
-
-def test_alpha_at_accessor(tetrahedron):
-    T = tetrahedron.structure()
-    rng = random.Random(3)
-    for _ in range(10):
-        r = rng.randrange(6)
-        s = rng.randrange(2)
-        assert T.alpha_at(r, s) == 1
