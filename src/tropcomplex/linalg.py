@@ -2,11 +2,14 @@
 
 Everything here is deterministic and uses arbitrary-precision integers.
 Rational elimination (rref, solve, kernel_basis, solvable, inertia) runs
-fraction-free on integer rows.  The row eliminations divide each row by
-the gcd of its entries after every step; inertia divides its active block
-exactly by the previous pivot scale (Bareiss), so its working entries are
-minors of the input.  Either way every working entry stays within
-Hadamard's bound for a minor of the input.  The integer
+fraction-free on integer rows under one rule, Bareiss's: each update
+divides exactly by the previous pivot scale, so every working entry is a
+minor of the input, within Hadamard's bound, and no gcd is taken.  Both
+`_echelon` and `inertia` update in place.  When a pivot equals the
+previous scale, as every inertia pivot of the local matrices of the
+alpha = 1 tori does, a row with zero in the pivot column does not change
+and any other row changes only in the pivot row's nonzero columns;
+otherwise the whole remaining block is rescaled.  The integer
 elimination (`_echelon`) is kept apart from rref's Fraction output:
 `solvable` and the balancing test of `curves` only need the pivots, and
 build no Fraction; `solve` and `kernel_basis` build one Fraction per
@@ -49,45 +52,60 @@ def _integers(values):
     return [x.numerator * (den // x.denominator) for x in fracs]
 
 
-def _primitive(row):
-    """The row divided by the gcd of its entries (a zero row stays zero)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _echelon(rows, ncols=None, reduced=True):
     """Fraction-free Gauss-Jordan elimination: (integer rows, pivot columns).
 
     Pivots are chosen as the first nonzero entry when scanning columns left
     to right, which keeps the output (and everything derived from it)
-    deterministic.  Each returned row is a nonzero integer multiple of the
-    rational row that Gauss-Jordan elimination would hold at the same step
-    (row_i becomes p * row_i - row_i[c] * pivot_row, divided by its gcd),
-    so the zero patterns and the pivots are the same; only the first
-    len(pivots) rows are nonzero.  With reduced=False only the rows below
-    each pivot are cleared (row echelon form): the pivots do not change.
+    deterministic.  With p the pivot's absolute value, prev the one before
+    it and s the pivot's sign, every other row becomes
+    (p * row - s * row[c] * pivot_row) / prev (Bareiss), as if the pivot
+    row had been negated to a positive pivot.  The division is exact and
+    every working entry is a minor of the input, so each returned row is a
+    nonzero integer multiple of the rational row that Gauss-Jordan
+    elimination would hold at the same step: the zero patterns and the
+    pivots are the same, and only the first len(pivots) rows are nonzero.
+    Rows are updated in place.  When p equals prev a row with zero in
+    column c does not change, and any other row changes only in the pivot
+    row's nonzero columns; otherwise every row is rescaled.  With
+    reduced=False only the rows below each pivot are cleared (row echelon
+    form): the pivots do not change.
     """
-    m = [_integers(row) for row in rows]
+    m = [list(row) for row in rows]
+    # a sum of ints is an int; a Fraction or a float makes it one too
+    if type(sum(chain.from_iterable(m))) is not int:
+        m = [_integers(row) for row in m]
     if ncols is None:
         ncols = len(m[0]) if m else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = None
         for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
+            if m[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        m[r], m[i] = m[i], m[r]
         prow = m[r]
         p = prow[c]
-        for i in range(0 if reduced else r + 1, len(m)):
-            f = m[i][c]
-            if i != r and f != 0:
-                m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
+        s = 1 if p > 0 else -1
+        p *= s
+        others = m[:r] + m[r + 1:] if reduced else m[r + 1:]
+        if p == prev:
+            cols = [j for j in range(c, len(prow)) if prow[j]]
+            for row in others:
+                f = row[c]
+                if f:
+                    f *= s
+                    for j in cols:
+                        row[j] -= f * prow[j] // prev
+        else:
+            for row in others:
+                f = s * row[c]
+                row[:] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(c)
+        prev = p
         r += 1
         if r == len(m):
             break
@@ -405,12 +423,18 @@ def inertia(a):
     multiple, so the inertia is kept (Sylvester's law).  Each update
     divides exactly by the previous scale (Bareiss): every working entry is
     a minor of the input, within Hadamard's bound, and no gcd is taken.
+    The block is updated in place, as in `_echelon`: when the new scale
+    (|d|, or |b| for a 2x2 block) equals the previous one, only the rows
+    and columns where the pivot lines are nonzero change; otherwise the
+    whole block is rescaled.
     """
     if list(map(tuple, a)) != list(zip(*a)):
         raise ValueError("matrix not symmetric")
-    n = len(a)
-    flat = _integers(chain.from_iterable(a))
-    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    m = [list(row) for row in a]
+    if type(sum(chain.from_iterable(m))) is not int:
+        n = len(m)
+        flat = _integers(chain.from_iterable(m))
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
     pos = neg = zero = 0
     prev = 1
     while m:
@@ -420,24 +444,28 @@ def inertia(a):
         else:
             piv = None
         if piv is not None:
-            # (|d| A - sign(d) c c^T) / prev, with c the pivot column; one
-            # comprehension over the whole block, cut into rows, runs
-            # faster than one per row
-            prow = m.pop(piv)
-            d = prow.pop(piv)
+            # (|d| A - sign(d) c c^T) / prev, with c the pivot column
+            c = m.pop(piv)
+            d = c.pop(piv)
             for row in m:
                 del row[piv]
             if d > 0:
                 pos += 1
-                outer = prow
+                sign = 1
             else:
                 neg += 1
                 d = -d
-                outer = [-x for x in prow]
-            k = len(m)
-            flat = [(d * x - f * y) // prev
-                    for row, f in zip(m, outer) for x, y in zip(row, prow)]
-            m = [flat[i * k:(i + 1) * k] for i in range(k)]
+                sign = -1
+            if d == prev:
+                nz = [i for i, x in enumerate(c) if x]
+                for i in nz:
+                    row, f = m[i], sign * c[i]
+                    for j in nz:
+                        row[j] -= f * c[j] // prev
+            else:
+                for row, ci in zip(m, c):
+                    f = sign * ci
+                    row[:] = [(d * x - f * y) // prev for x, y in zip(row, c)]
             prev = d
         else:
             off = next(((i, j) for i, row in enumerate(m)
@@ -446,19 +474,30 @@ def inertia(a):
                 zero += len(m)
                 break
             i0, j0 = off
-            b = m[i0][j0]
+            e = m.pop(j0)
+            c = m.pop(i0)
+            b = c[j0]
+            for row in (c, e, *m):
+                del row[j0], row[i0]
             pos += 1
             neg += 1
-            scale, sign = abs(b), (1 if b > 0 else -1)
-            c = m[i0]
-            e = m[j0]
-            keep = [i for i in range(len(m)) if i not in off]
             # |b| (|b| A - sign(b) (c e^T + e c^T)) / prev^2, against the
-            # block [[0,b],[b,0]]
-            q = prev * prev
-            m = [[scale * (scale * m[i][j] - sign * (c[i] * e[j] + e[i] * c[j]))
-                  // q for j in keep] for i in keep]
-            prev = b * b // prev
+            # block [[0,b],[b,0]], with sign(b) folded into c
+            scale = abs(b)
+            if b < 0:
+                c = [-x for x in c]
+            if scale == prev:
+                nz = [i for i, (x, y) in enumerate(zip(c, e)) if x or y]
+                for i in nz:
+                    row, ci, ei = m[i], c[i], e[i]
+                    for j in nz:
+                        row[j] -= (ci * e[j] + ei * c[j]) // prev
+            else:
+                q = prev * prev
+                for row, ci, ei in zip(m, c, e):
+                    row[:] = [scale * (scale * x - ci * y - ei * z) // q
+                              for x, y, z in zip(row, e, c)]
+            prev = scale * scale // prev
     return pos, neg, zero
 
 
@@ -547,5 +586,8 @@ def feasible_strict(equalities, positives, dim):
 
 
 def primitive_integer(vec):
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    return tuple(_primitive(_integers(vec)))
+    """Scale a rational vector to a primitive integer vector (same ray); a
+    zero vector stays zero."""
+    row = _integers(vec)
+    g = gcd(*row) or 1
+    return tuple(x // g for x in row)

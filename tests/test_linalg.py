@@ -1,6 +1,7 @@
 """Exact linear algebra: solvers, Smith normal form, inertia, feasibility."""
 
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import tropcomplex.linalg
 from tcxbench import gen
-from tropcomplex import chip_matrix, load_fixture
+from tropcomplex import chip_matrix, load_fixture, local_matrix
 from tropcomplex.linalg import (
     _echelon,
     _pivot,
@@ -578,14 +579,47 @@ def reference_inertia(a):
 rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
+def link_matrix(n, edges, alpha):
+    """The local intersection matrix of a graph link on n vertices: one per
+    edge between two vertices off the diagonal, alpha[i] taken from and
+    2 per loop added to the diagonal."""
+    a = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        if i == j:
+            a[i][i] += 2
+        else:
+            a[i][j] += 1
+            a[j][i] += 1
+    for i, x in enumerate(alpha):
+        a[i][i] -= x
+    return a
+
+
+@st.composite
+def link_matrices(draw, entries, min_size=0):
+    """Sparse symmetric matrices shaped like local intersection matrices:
+    a cycle with chords, loops and double edges (a chord drawn twice or
+    alongside a cycle edge), and alpha drawn from entries."""
+    n = draw(st.integers(min_size, 8))
+    cycle = [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+    vertex = st.integers(0, max(n - 1, 0))
+    chords = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    alpha = draw(st.lists(entries, min_size=n, max_size=n))
+    return link_matrix(n, cycle + chords, alpha)
+
+
 @st.composite
 def degenerate_matrices(draw, entries):
-    """Tall or wide matrices, with zero rows, duplicate rows and rows that
-    are combinations of others mixed in."""
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
+    """Tall or wide matrices, or link-shaped square ones, with zero rows,
+    duplicate rows and rows that are combinations of others mixed in."""
+    if draw(st.booleans()):
+        rows = draw(link_matrices(entries, min_size=1))
+    else:
+        m = draw(st.integers(1, 6))
+        n = draw(st.integers(1, 6))
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    n = len(rows[0])
     for kind in draw(st.lists(st.sampled_from(("zero", "duplicate", "sum")),
                               max_size=4)):
         if kind == "zero":
@@ -603,9 +637,12 @@ def degenerate_matrices(draw, entries):
 @st.composite
 def symmetric_matrices(draw, entries):
     """Symmetric matrices up to 8 x 8: generic, with a zero diagonal (2x2
-    pivots), or of low rank as B^T D B."""
+    pivots), of low rank as B^T D B, or link-shaped and sparse."""
+    shape = draw(st.sampled_from(("generic", "zero-diagonal", "low-rank",
+                                  "link")))
+    if shape == "link":
+        return draw(link_matrices(entries))
     n = draw(st.integers(0, 8))
-    shape = draw(st.sampled_from(("generic", "zero-diagonal", "low-rank")))
     if shape == "low-rank":
         k = draw(st.integers(0, n))
         b = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
@@ -654,23 +691,51 @@ def test_inertia_rejects_asymmetric_rational_matrix():
         inertia([[1, Fraction(1, 2)], [Fraction(1, 3), 1]])
 
 
-def working_bits(f, *args):
+def test_inertia_and_solvable_match_references_on_local_matrices(
+        kernel_structures):
+    # every local matrix of the kernel structures; random alpha there makes
+    # pivots other than +-1, so the kernels rescale as well as update
+    # sparsely.  One right-hand side is in the image, one is random.
+    rng = random.Random(19)
+    for T in kernel_structures:
+        X = T.complex
+        for qi in range(X.counts[X.n - 2] if X.n >= 2 else 0):
+            a = local_matrix(T, (X.n - 2, qi)).matrix
+            assert inertia(a) == reference_inertia(a)
+            x0 = [rng.randint(-3, 3) for _ in a]
+            for b in (mat_apply(a, x0), [rng.randint(-3, 3) for _ in a]):
+                aug = [list(row) + [y] for row, y in zip(a, b)]
+                assert solvable(a, b) == (len(a) not in reference_rref(aug)[1])
+
+
+def working_bits(f, *args, limit):
     """f(*args), and the largest bit length held by f's local matrix `m`
-    and scale `prev` at any line f ran."""
+    and scale `prev`.  Both are read whenever they are rebound, and `m`
+    again at every line that assigns `prev`, so once per pivot step even
+    when the step updates `m` in place.  A value of more than `limit` bits
+    raises AssertionError at once, so an elimination whose entries grow
+    without bound fails instead of running on."""
     bits = 0
     last = {}  # the value last scanned per name, kept alive
+    lines, first = inspect.getsourcelines(f)
+    steps = {first + i for i, line in enumerate(lines)
+             if line.lstrip().startswith("prev = ")}
 
     def local(frame, event, arg):
         nonlocal bits
         for name in ("m", "prev"):
             value = frame.f_locals.get(name)
-            if value is None or last.get(name) is value:
+            if value is None or last.get(name) is value and not (
+                    name == "m" and frame.f_lineno in steps):
                 continue
             last[name] = value
             entries = [value] if name == "prev" else (
                 x for row in value for x in row)
             bits = max(bits, max((abs(x).bit_length() for x in entries),
                                  default=0))
+            if bits > limit:
+                raise AssertionError("%s holds %d bits, over %d"
+                                     % (name, bits, limit))
         return local
 
     def tracer(frame, event, arg):
@@ -687,9 +752,12 @@ def working_bits(f, *args):
 
 def test_elimination_entries_stay_bounded():
     # 40 pivots: without a reduction after each step the bit length of the
-    # working entries doubles at every pivot and this does not finish.
-    # inertia's exact division keeps every working entry a minor of the
-    # input, so within Hadamard's bound
+    # working entries doubles at every pivot.  The exact division keeps
+    # every working entry a minor of the input, so within Hadamard's bound:
+    # on a dense symmetric matrix, on the same with a zero diagonal (a 2x2
+    # block first), and on a link-shaped one, a 40-cycle with four chords
+    # and alpha = 1, where most pivots (33 or 34 of 40) equal the previous
+    # scale and change only the entries their lines touch
     rng = random.Random(40)
     n = 40
     a = [[0] * n for _ in range(n)]
@@ -697,11 +765,22 @@ def test_elimination_entries_stay_bounded():
         for j in range(i, n):
             a[i][j] = a[j][i] = rng.randint(-9, 9)
     hollow = [[x if i != j else 0 for j, x in enumerate(row)]
-              for i, row in enumerate(a)]  # starts with a 2x2 block
-    for b in (a, hollow):
-        result, bits = working_bits(inertia, b)
+              for i, row in enumerate(a)]
+    chords = [tuple(rng.sample(range(n), 2)) for _ in range(4)]
+    link = link_matrix(n, [(i, (i + 1) % n) for i in range(n)] + chords,
+                       [1] * n)
+    for b in (a, hollow, link):
+        h = hadamard_bits(b)
+        result, bits = working_bits(inertia, b, limit=h)
         assert result == reference_inertia(b)
-        assert 0 < bits <= hadamard_bits(b)
+        assert bits > 0
+    for b in (a, link):
+        h = hadamard_bits(b)
+        (rows, pivots), bits = working_bits(_echelon, b, limit=h)
+        assert bits > 0
+        assert ([[Fraction(x, row[c]) for x in row]
+                 for row, c in zip(rows, pivots)], pivots) == reference_rref(b)
+        assert working_bits(_echelon, b, None, False, limit=h)[0][1] == pivots
     assert rref(a) == reference_rref(a)
 
 
