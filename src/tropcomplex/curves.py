@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
-from .linalg import _echelon, kernel_basis, solve
+from .linalg import _echelon_in_place, _solution, kernel_basis
 from .delta import _SLOTS
-from .structure import TropicalStructure, local_matrix
-from .divisors import Divisor
+from .structure import TropicalStructure
+from .divisors import Divisor, _augmented_rows
 
 
 class Curve:
@@ -78,13 +78,14 @@ def _germ_relations(T: TropicalStructure, v):
     (the opposite vertex of each edge incidence).  One relation per ridge
     incidence at v: the opposite-vertex sum equals the alpha-weighted vertex
     sum of the ridge.  The coordinate of the vertex at slot w of a simplex
-    holding v at slot s is its edge at slots (s, w), read from the face
-    table, with v at slot 0 of that edge when s < w and at slot 1 otherwise.
+    holding v at slot s is its edge e at slots (s, w), read from the face
+    table.  v is at slot 0 of e when s < w and at slot 1 otherwise, so its
+    link element there misses the other slot d of e: it is coordinate
+    1 + `_cofacet_pos[1][e][d]`.
     """
     X = T.complex
     n = X.n
     coords = X.link0((0, v))
-    index = {(e, b): i for i, ((_, e), (b,)) in enumerate(coords, 1)}
     ncols = 1 + len(coords)
     alpha = T.alpha
     rows = []
@@ -96,21 +97,21 @@ def _germ_relations(T: TropicalStructure, v):
         facets, ridges = X._face_table[n], X._face_table[n - 1]
         facet_pairs, ridge_pairs = _SLOTS[n], _SLOTS[n - 1]
         top = n * (n + 1) // 2  # the sum of a facet's slots
-        links = X._links[n - 1]
+        links, pos = X._links[n - 1], X._cofacet_pos[1]
         for (_, r), (sv,) in X.link((0, v))[n - 2]:
             row = [0] * ncols
             for (_, j), slots in links[r][0]:
                 s, w = slots[sv], top - sum(slots)
-                pair, b = ((s, w), 0) if s < w else ((w, s), 1)
-                row[index[facets[j][facet_pairs[pair][0]], b]] += 1
+                pair, d = ((s, w), 1) if s < w else ((w, s), 0)
+                row[1 + pos[facets[j][facet_pairs[pair][0]]][d]] += 1
             edges = ridges[r]
             for w in range(n):
                 a = alpha[r, w]
                 if w == sv:
                     row[0] -= a
                 else:
-                    pair, b = ((sv, w), 0) if sv < w else ((w, sv), 1)
-                    row[index[edges[ridge_pairs[pair][0]], b]] -= a
+                    pair, d = ((sv, w), 1) if sv < w else ((w, sv), 0)
+                    row[1 + pos[edges[ridge_pairs[pair][0]]][d]] -= a
             rows.append(row)
     return coords, rows, ncols
 
@@ -148,8 +149,8 @@ def is_balanced(T: TropicalStructure, C: Curve):
         coords, rows, ncols = _germ_relations(T, v)
         w = [C.mult(t.coface[1]) for t in coords]
         w.insert(0, -sum(w))
-        _, pivots = _echelon(list(zip(*rows, w)), len(rows) + 1,
-                             reduced=False)
+        _, pivots = _echelon_in_place(list(map(list, zip(*rows, w))),
+                                      len(rows) + 1, reduced=False)
         fails = len(rows) in pivots  # w is not in the span of the relations
         dims.append((v, ncols - len(pivots) + (1 if fails else 0)))
         if fails and certificate is None:
@@ -258,10 +259,11 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
 
     Implemented for n in {1, 2}: the covering by stars of (n-2)-simplices
     and facet interiors reaches every curve vertex only in those dimensions.
-    For n = 2 the germ at a vertex is the rational solution of the local
-    system that `linalg.solve` returns; any other differs from it by a
-    kernel germ, which a balanced curve annihilates, so the vertex total is
-    the same.  balance is `is_balanced(T, C)` when the caller has it already.
+    For n = 2 the germ at a vertex is the rational solution that `solve`
+    would return, read off the local rows with [D]_v appended, eliminated
+    in place; any other differs from it by a kernel germ, which a balanced
+    curve annihilates, so the vertex total is the same.  balance is
+    `is_balanced(T, C)` when the caller has it already.
     """
     X = T.complex
     if D.facet_pieces:
@@ -286,15 +288,15 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
                 if m:
                     total += m * slope
         else:
-            local = local_matrix(T, (0, v))
-            germ = solve(local.matrix,
-                         [D.coeff(t.coface[1]) for t in local.elements])
+            elems, rows = _augmented_rows(T, D, (0, v))
+            size = len(elems)
+            germ = _solution(*_echelon_in_place(rows, size + 1), size)
             if germ is None:
                 raise NotQCartierNearCurve(
                     "divisor not Q-Cartier at vertex %d" % v
                 )
             total = Fraction(0)
-            for i, t in enumerate(local.elements):
+            for i, t in enumerate(elems):
                 m = C.mult(t.coface[1])
                 if m:
                     total += m * germ[i]

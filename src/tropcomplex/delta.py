@@ -8,13 +8,18 @@ and the strictly increasing slot tuple of the coface's parametrizing simplex
 that maps onto s.  The pair identifies the element, so it is its own key.
 
 The slot combinatorics of the standard m-simplex depend on m alone, so they
-live in one module-level table per dimension (`_slot_table`), built once per
-process and shared by every complex.  Construction validates the faces
-(shape, simplicial identities read straight from the face rows, a connected
+live in module-level tables per dimension, built once per process and shared
+by every complex: the slot table (`_slot_table`) and the construction plan
+read from it (`_plan`).  Construction validates the faces (shape,
+simplicial identities read straight from the face rows, a connected
 1-skeleton), then fills a second table one dimension at a time: the face of
 every simplex at every slot tuple, each entry read from the level below.
 `face_at`, the vertex lookups and the links all come from that table, so
-construction composes no chain of faces.
+construction composes no chain of faces.  The pass that fills the links
+also records, for each m-simplex (m >= 1) and each slot d, its position in
+link0 of its facet d_d (`_cofacet_pos[m][j][d]`, shaped like `faces`): the
+link graphs of `structure` and the germ coordinates of `curves` read
+positions there instead of searching link0.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ class LinkElement(NamedTuple):
 
 
 _SLOTS = {}  # m -> slot table; construction fills m <= n, queries index it
+_PLANS = {}  # m -> construction plan, read from the slot tables
 
 
 def _slot_table(m):
@@ -57,6 +63,31 @@ def _slot_table(m):
                              for drop in range(m + 1) if drop not in slots))
             for p, slots in enumerate(tuples)}
     return table
+
+
+def _plan(m):
+    """How construction fills the tables of an m-simplex (m >= 1), built
+    once per process from the slot tables: (faces, lower, cofacets).
+
+    faces lists, for each slot tuple S but the full one in combinations
+    order, (the largest slot not in S, the position in the slot table of
+    m - 1 of S re-indexed to that face).  lower lists each tuple of size
+    below m, in the same order, as (S, the dimension of the face it spans,
+    its link dimension); cofacets lists each tuple of size m as (the slot d
+    it misses, S), d decreasing, which is their combinations order.
+    """
+    plan = _PLANS.get(m)
+    if plan is None:
+        below = _slot_table(m - 1)
+        table = _slot_table(m)
+        tuples = list(table)[:-1]
+        plan = _PLANS[m] = (
+            [(faces[-1][0], below[faces[-1][1]][0])
+             for _, faces in list(table.values())[:-1]],
+            [(slots, len(slots) - 1, m - len(slots))
+             for slots in tuples[:-m - 1]],
+            list(enumerate(reversed(tuples[-m - 1:])))[::-1])
+    return plan
 
 
 class DeltaComplex:
@@ -136,15 +167,8 @@ class DeltaComplex:
         its last entry).
         """
         table = [tuple((i,) for i in range(self.counts[0]))]
-        below = _slot_table(0)
         for m in range(1, self.n + 1):
-            here = _slot_table(m)
-            plan = []
-            for _, faces in here.values():
-                if faces:  # every tuple but the full one
-                    drop, sub = faces[-1]
-                    plan.append((drop, below[sub][0]))
-            below = here
+            plan = _plan(m)[0]
             lower = table[m - 1]
             table.append(tuple(
                 tuple([lower[row[drop]][p] for drop, p in plan] + [j])
@@ -154,23 +178,44 @@ class DeltaComplex:
     def _build_links(self):
         """One pass over the cofaces: each (coface, slot tuple) pair is
         appended to the link of the face it spans, read from the face
-        table.
+        table, and the cofacet positions are recorded on the way.
 
         Visiting cofaces by dimension, then index, then slot tuple in
         combinations order gives every link its elements in exactly that
         order.  Local matrix rows and the canonical reports depend on it.
+        The slot tuples that miss one slot d of an m-simplex come last, d
+        decreasing, and land in link0 of its facet d_d: the length of that
+        list before the append is the element's position there, stored as
+        `_cofacet_pos[m][j][d]` for the m-simplex (m, j), a table shaped
+        like `faces` (level 0 is empty).
         """
-        links = [[tuple([] for _ in range(self.n - k))
-                  for _ in range(self.counts[k])] for k in range(self.n + 1)]
-        for m in range(1, self.n + 1):
-            targets = [(slots, links[len(slots) - 1], m - len(slots))
-                       for slots in _slot_table(m)][:-1]
-            for j, row in enumerate(self._face_table[m]):
+        n, counts = self.n, self.counts
+        new = tuple.__new__  # a LinkElement without its Python-level __new__
+        # lists[k][d][i]: the link elements of (k, i) of link dimension d
+        lists = [[[[] for _ in range(counts[k])] for _ in range(n - k)]
+                 for k in range(n + 1)]
+        positions = [()]
+        for m in range(1, n + 1):
+            _, plan, cofacets = _plan(m)
+            lower = [(slots, lists[k][d]) for slots, k, d in plan]
+            top = lists[m - 1][0]
+            here = []
+            for j, (row, faces) in enumerate(zip(self._face_table[m],
+                                                 self.faces[m])):
                 coface = (m, j)
-                for (slots, level, d), i in zip(targets, row):
-                    level[i][d].append(LinkElement(coface, slots))
-        self._links = tuple(tuple(tuple(tuple(lst) for lst in per_dim)
-                                  for per_dim in level) for level in links)
+                for (slots, level), i in zip(lower, row):
+                    level[i].append(new(LinkElement, (coface, slots)))
+                pos = [0] * (m + 1)
+                for d, slots in cofacets:
+                    link0 = top[faces[d]]
+                    pos[d] = len(link0)
+                    link0.append(new(LinkElement, (coface, slots)))
+                here.append(tuple(pos))
+            positions.append(tuple(here))
+        self._links = tuple(
+            tuple(zip(*[map(tuple, per_dim) for per_dim in lists[k]]))
+            if k < n else ((),) * counts[k] for k in range(n + 1))
+        self._cofacet_pos = tuple(positions)
 
     # -- queries -------------------------------------------------------------
 

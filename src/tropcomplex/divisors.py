@@ -13,8 +13,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DegenerateCut, IndexMismatch
-from .linalg import SmithForm, smith, smith_solve, solvable, solve
-from .structure import TropicalStructure, local_matrix
+from .linalg import SmithForm, _echelon_in_place, smith, smith_solve, solve
+from .structure import TropicalStructure, local_rows
 
 
 class FacetPiece(NamedTuple):
@@ -161,7 +161,8 @@ def ridge_multiplicity(T: TropicalStructure, r, base_values, opp_values):
 
     base_values: one rational per vertex slot of the ridge's parametrizing
     simplex; opp_values: one per 0-dimensional link element, in enumeration
-    order.
+    order.  The values are summed as given, which is exact for the ints
+    and Fractions that stand for rationals here.
     """
     X = T.complex
     rdim = X.n - 1
@@ -177,9 +178,10 @@ def ridge_multiplicity(T: TropicalStructure, r, base_values, opp_values):
         raise IndexMismatch(
             "expected %d opposite values, got %d" % (len(elems), len(opp_values))
         )
-    total = sum(Fraction(v) for v in opp_values)
+    alpha = T.alpha
+    total = sum(opp_values)
     for slot in range(rdim + 1):
-        total -= T.alpha[r, slot] * Fraction(base_values[slot])
+        total -= alpha[r, slot] * base_values[slot]
     return total
 
 
@@ -248,27 +250,39 @@ def local_cartier_test(T: TropicalStructure, D: Divisor, q):
     the scoped function class.  One Smith form of M_q decides the status
     (see `local_system`).
     """
-    m = local_matrix(T, q)
-    rhs = [D.coeff(t.coface[1]) for t in m.elements]
-    status, slopes = local_system(m.matrix, rhs)
-    germ = None if slopes is None else LocalGerm(q, m.elements, slopes)
+    elems, rows = local_rows(T, q)
+    status, slopes = local_system(rows, [D.coeff(t.coface[1]) for t in elems])
+    germ = None if slopes is None else LocalGerm(q, elems, slopes)
     return CartierVerdict(status, germ)
+
+
+def _augmented_rows(T: TropicalStructure, D: Divisor, q):
+    """(elements, rows): the fresh rows of `local_rows` at q with [D]_q
+    appended, the augmented local system that the Weil test and the
+    intersection product eliminate in place."""
+    elems, rows = local_rows(T, q)
+    coeff = D.coeff
+    for row, t in zip(rows, elems):
+        row.append(coeff(t.coface[1]))
+    return elems, rows
 
 
 def weil_test(T: TropicalStructure, D: Divisor):
     """Q-Cartier at every (n-2)-simplex; vacuously true for n <= 1.
 
     Returns (passed, indices of the failing (n-2)-simplices).  Only
-    rational solvability is decided, by one fraction-free elimination per
-    local system, with no Smith form.
+    rational solvability is decided, with no Smith form: each cell's
+    augmented local system gets one fraction-free elimination in place, and
+    is solvable unless the right-hand side column is a pivot.
     """
     X = T.complex
     if X.n < 2:
         return True, ()
     failures = []
     for qi in range(X.counts[X.n - 2]):
-        m = local_matrix(T, (X.n - 2, qi))
-        if not solvable(m.matrix, [D.coeff(t.coface[1]) for t in m.elements]):
+        elems, rows = _augmented_rows(T, D, (X.n - 2, qi))
+        size = len(elems)
+        if size in _echelon_in_place(rows, size + 1, reduced=False)[1]:
             failures.append(qi)
     return not failures, tuple(failures)
 

@@ -1,29 +1,32 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything here is deterministic and uses arbitrary-precision integers.
-Rational elimination (rref, solve, kernel_basis, solvable, inertia) runs
+Rational elimination (rref, solve, kernel_basis, inertia) runs
 fraction-free on integer rows under one rule, Bareiss's: each update
 divides exactly by the previous pivot scale, so every working entry is a
-minor of the input, within Hadamard's bound, and no gcd is taken.  Both
-`_echelon` and `inertia` update in place.  When a pivot equals the
-previous scale, as every inertia pivot of the local matrices of the
-alpha = 1 tori does, a row with zero in the pivot column does not change
-and any other row changes only in the pivot row's nonzero columns;
-otherwise the whole remaining block is rescaled.  The integer
-elimination (`_echelon`) is kept apart from rref's Fraction output:
-`solvable` and the balancing test of `curves` only need the pivots, and
-build no Fraction; `solve` and `kernel_basis` build one Fraction per
-nonzero entry they return.  The Smith normal form (`smith`) eliminates on
-sparse integer rows (dense lists, or `{column: entry}` dicts such as the
-chip-firing rows of `divisors.chip_matrix`), pivoting on an entry of
-smallest absolute value (ties by position) and reducing the pivot row and
-column modulo it.  The pivot search reads the rows in index order and
-stops after the first row that holds a unit, which is where the smallest
-entry lies whenever there is one.  U and V are kept as logs of row and
-column operations that are replayed on one vector at a time;
-`smith_normal_form` builds them dense on request.  The transforms are not
-reduced, so their entries can exceed Hadamard's bound.  No floating point
-enters any verdict anywhere in the package.
+minor of the input, within Hadamard's bound, and no gcd is taken.
+`_echelon` and `inertia` are front doors that copy their input (and
+`inertia` checks symmetry) before one in-place kernel each,
+`_echelon_in_place` and `_inertia_in_place`, which scale rational rows
+to integers once; the local systems feed those kernels fresh rows
+directly.  When a pivot equals the previous scale, as every inertia
+pivot of the local matrices of the alpha = 1 tori does, a row with zero
+in the pivot column does not change and any other row changes only in
+the pivot row's nonzero columns; otherwise the whole remaining block is
+rescaled.  The integer elimination is kept apart from rref's Fraction
+output: the Weil test and the balancing test of `curves` only need the
+pivots, and build no Fraction; `solve` and `kernel_basis` build one
+Fraction per nonzero entry they return.  The Smith normal form (`smith`)
+eliminates on sparse integer rows (dense lists, or `{column: entry}`
+dicts such as the chip-firing rows of `divisors.chip_matrix`), pivoting
+on an entry of smallest absolute value (ties by position) and reducing
+the pivot row and column modulo it.  The pivot search reads the rows in
+index order and stops after the first row that holds a unit, which is
+where the smallest entry lies whenever there is one.  U and V are kept
+as logs of row and column operations that are replayed on one vector at
+a time; `smith_normal_form` builds them dense on request.  The
+transforms are not reduced, so their entries can exceed Hadamard's
+bound.  No floating point enters any verdict anywhere in the package.
 """
 
 from __future__ import annotations
@@ -53,10 +56,21 @@ def _integers(values):
 
 
 def _echelon(rows, ncols=None, reduced=True):
-    """Fraction-free Gauss-Jordan elimination: (integer rows, pivot columns).
+    """Fraction-free Gauss-Jordan elimination of a copy of rows, as integer
+    rows: (rows, pivot columns) of `_echelon_in_place`."""
+    return _echelon_in_place([list(row) for row in rows], ncols, reduced)
 
-    Pivots are chosen as the first nonzero entry when scanning columns left
-    to right, which keeps the output (and everything derived from it)
+
+def _echelon_in_place(m, ncols=None, reduced=True):
+    """Fraction-free Gauss-Jordan elimination of the rows m, which the
+    caller owns: (integer rows, pivot columns).
+
+    Int rows are updated in place.  Rational rows (a sum of ints is an int;
+    a Fraction or a float makes it one too) are first replaced by integer
+    multiples of themselves, each row scaled by `_integers`, which changes
+    neither the pivots nor the solutions of an augmented system.  Pivots
+    are chosen as the first nonzero entry when scanning columns left to
+    right, which keeps the output (and everything derived from it)
     deterministic.  With p the pivot's absolute value, prev the one before
     it and s the pivot's sign, every other row becomes
     (p * row - s * row[c] * pivot_row) / prev (Bareiss), as if the pivot
@@ -65,14 +79,15 @@ def _echelon(rows, ncols=None, reduced=True):
     nonzero integer multiple of the rational row that Gauss-Jordan
     elimination would hold at the same step: the zero patterns and the
     pivots are the same, and only the first len(pivots) rows are nonzero.
-    Rows are updated in place.  When p equals prev a row with zero in
-    column c does not change, and any other row changes only in the pivot
-    row's nonzero columns; otherwise every row is rescaled.  With
-    reduced=False only the rows below each pivot are cleared (row echelon
-    form): the pivots do not change.
+    When p equals prev a row with zero in column c does not change, and
+    any other row changes only in the pivot row's nonzero columns;
+    otherwise every row is rescaled.  With reduced=False only the rows
+    below each pivot are cleared (row echelon form): the pivots do not
+    change.  `_echelon` and `solve` build the rows fresh from their input,
+    the Weil test and the intersection product pass the rows of
+    `divisors._augmented_rows`, and the balancing test the transposed germ
+    relations.
     """
-    m = [list(row) for row in rows]
-    # a sum of ints is an int; a Fraction or a float makes it one too
     if type(sum(chain.from_iterable(m))) is not int:
         m = [_integers(row) for row in m]
     if ncols is None:
@@ -146,15 +161,21 @@ def kernel_basis(rows, ncols):
 
 
 def solve(rows, rhs):
-    """One rational solution of rows . x = rhs, or None if inconsistent.
+    """One rational solution of rows . x = rhs, or None if inconsistent:
+    `_solution` of the eliminated augmented rows."""
+    ncols = len(rows[0]) if rows else 0
+    return _solution(*_echelon_in_place(
+        [list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1), ncols)
+
+
+def _solution(m, pivots, ncols):
+    """The solution of a system whose augmented rows (right-hand side in
+    column ncols) `_echelon_in_place` reduced to (m, pivots), or None if
+    inconsistent.
 
     Free variables are set to 0 (deterministic particular solution), so
-    each pivot variable is the last entry of its `_echelon` row divided by
-    the pivot.
+    each pivot variable is the last entry of its row divided by the pivot.
     """
-    ncols = len(rows[0]) if rows else 0
-    m, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)],
-                         ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
     x = [_ZERO] * ncols
@@ -162,16 +183,6 @@ def solve(rows, rhs):
         if row[ncols]:
             x[p] = Fraction(row[ncols], row[p])
     return tuple(x)
-
-
-def solvable(rows, rhs):
-    """Whether rows . x = rhs has a rational solution, decided by one
-    fraction-free elimination of the augmented rows; no Fraction is
-    built."""
-    ncols = len(rows[0]) if rows else 0
-    _, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)],
-                         ncols + 1, reduced=False)
-    return ncols not in pivots
 
 
 # ---------------------------------------------------------------------------
@@ -413,24 +424,34 @@ def smith_solve(f, b):
 def inertia(a):
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
-    Symmetric congruence elimination on integers.  Rational input is scaled
-    once by a common denominator, so it stays symmetric.  The pivot is the
-    first nonzero diagonal entry d; when all remaining diagonal entries
-    vanish, the first nonzero off-diagonal entry b gives a 2x2 block
-    [[0,b],[b,0]], which contributes one positive and one negative
-    eigenvalue.  The active block is kept as |det| of the eliminated
-    principal block times the rational Schur complement, a positive
-    multiple, so the inertia is kept (Sylvester's law).  Each update
-    divides exactly by the previous scale (Bareiss): every working entry is
-    a minor of the input, within Hadamard's bound, and no gcd is taken.
-    The block is updated in place, as in `_echelon`: when the new scale
-    (|d|, or |b| for a 2x2 block) equals the previous one, only the rows
-    and columns where the pivot lines are nonzero change; otherwise the
-    whole block is rescaled.
+    A copy of a goes to `_inertia_in_place`.  An asymmetric matrix raises
+    ValueError.
     """
     if list(map(tuple, a)) != list(zip(*a)):
         raise ValueError("matrix not symmetric")
-    m = [list(row) for row in a]
+    return _inertia_in_place([list(row) for row in a])
+
+
+def _inertia_in_place(m):
+    """(positive, negative, zero) eigenvalue counts of the symmetric matrix
+    m, which the caller owns and which is consumed.
+
+    Symmetric congruence elimination on integers.  Rational input is first
+    scaled by one common denominator, so it stays symmetric.  The pivot is the first
+    nonzero diagonal entry d; when all remaining diagonal entries vanish,
+    the first nonzero off-diagonal entry b gives a 2x2 block [[0,b],[b,0]],
+    which contributes one positive and one negative eigenvalue.  The
+    active block is kept as |det| of the eliminated principal block times
+    the rational Schur complement, a positive multiple, so the inertia is
+    kept (Sylvester's law).  Each update divides exactly by the previous
+    scale (Bareiss): every working entry is a minor of the input, within
+    Hadamard's bound, and no gcd is taken.  The block is updated in place,
+    as in `_echelon_in_place`: when the new scale (|d|, or |b| for a 2x2
+    block) equals the previous one, only the rows and columns where the
+    pivot lines are nonzero change; otherwise the whole block is rescaled.
+    `inertia` copies its input, and `structure.classify` passes copies of
+    the rows of the local matrices.
+    """
     if type(sum(chain.from_iterable(m))) is not int:
         n = len(m)
         flat = _integers(chain.from_iterable(m))

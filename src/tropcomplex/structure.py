@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .delta import _SLOTS, DeltaComplex
 from .errors import IndexMismatch, MissingAlpha, WrongDimension
-from .linalg import inertia
+from .linalg import _inertia_in_place
 
 
 class Inertia(NamedTuple):
@@ -121,23 +121,25 @@ def link_graph(X: DeltaComplex, q):
     link = X.link(q)
     if len(link) < 2:
         return elements, []
-    # each end drops one slot outside the coface's slots: the coface's face
-    # there, with the slots re-indexed, read from the face row and the slot
-    # table; every element's coface has dimension m - 1, so its index and
-    # slots identify it
-    index = {(r, s): i for i, ((_, r), s) in enumerate(elements)}
+    # an edge ((m, j), slots) misses two slots d0 < d1 of its coface, read
+    # from the slot table.  Its end at d0 is the facet r = d_d0 (m, j),
+    # whose element in link0(q) misses slot d1 - 1 of r, so it sits at the
+    # cofacet position of r at d1 - 1; likewise the end at d1 sits at the
+    # position of d_d1 (m, j) at d0.
     m = q[0] + 2
-    table, rows = _SLOTS[m], X.faces[m]
+    table, rows, pos = _SLOTS[m], X.faces[m], X._cofacet_pos[m - 1]
     edges = []
     for (_, j), slots in link[1]:
-        (d0, s0), (d1, s1) = table[slots][1]
+        (d0, _), (d1, _) = table[slots][1]
         row = rows[j]
-        edges.append((index[row[d0], s0], index[row[d1], s1]))
+        edges.append((pos[row[d0]][d1 - 1], pos[row[d1]][d0]))
     return elements, edges
 
 
-def local_matrix(T: TropicalStructure, q):
-    """Local intersection matrix at an (n-2)-simplex q.
+def local_rows(T: TropicalStructure, q):
+    """(elements, rows): the 0-dimensional link elements of an
+    (n-2)-simplex q and the rows of its local intersection matrix as
+    fresh lists, which a caller may extend and eliminate in place.
 
     Off-diagonal (t,u): number of edges between t and u in link(q).
     Diagonal (t,t): -alpha(opp(t), r(t)) + 2 * (loops at t).  The edges
@@ -163,7 +165,14 @@ def local_matrix(T: TropicalStructure, q):
     top = (X.n - 1) * X.n // 2  # the sum of a ridge's slots
     for i, ((_, r), slots) in enumerate(elems):
         m[i][i] -= alpha[r, top - sum(slots)]
-    return LocalIntersectionMatrix(q, elems, tuple(map(tuple, m)))
+    return elems, m
+
+
+def local_matrix(T: TropicalStructure, q):
+    """Local intersection matrix at an (n-2)-simplex q: the rows of
+    `local_rows` as a LocalIntersectionMatrix."""
+    elems, rows = local_rows(T, q)
+    return LocalIntersectionMatrix(q, elems, tuple(map(tuple, rows)))
 
 
 class ClassifyResult(NamedTuple):
@@ -188,7 +197,11 @@ def classify(T: TropicalStructure):
         return ClassifyResult("tropical", (), weak)
     matrices = tuple((qi, local_matrix(T, (X.n - 2, qi)))
                      for qi in range(X.counts[X.n - 2]))
-    inertias = tuple((qi, Inertia(*inertia(m.matrix))) for qi, m in matrices)
+    # a local matrix is symmetric by construction: the kernel takes list
+    # copies of its rows, with no symmetry check
+    inertias = tuple(
+        (qi, Inertia(*_inertia_in_place(list(map(list, m.matrix)))))
+        for qi, m in matrices)
     ok = all(ine.positive == 1 for _, ine in inertias)
     return ClassifyResult("tropical" if ok else "weak-only", inertias, weak,
                           matrices)

@@ -629,9 +629,11 @@ def torus_fixture(tmp_path, k):
 
 def test_cartier_and_classify_build_each_local_matrix_once(
         capsys, monkeypatch, tmp_path):
+    # every local system comes from one call of the row builder per cell
+    # and per call: no memo, so a second classify builds them again
     from tropcomplex import structure
 
-    original = structure.local_matrix
+    original = structure.local_rows
     calls = []
 
     def counting(T, q):
@@ -640,8 +642,8 @@ def test_cartier_and_classify_build_each_local_matrix_once(
 
     for name, module in list(sys.modules.items()):
         if name.startswith("tropcomplex") \
-                and getattr(module, "local_matrix", None) is original:
-            monkeypatch.setattr(module, "local_matrix", counting)
+                and getattr(module, "local_rows", None) is original:
+            monkeypatch.setattr(module, "local_rows", counting)
     runs = [(*torus_fixture(tmp_path, 4), "D")]
     for name, divisor in (("triangle", "Duv"), ("triangle-tropical", "Duv"),
                           ("tetrahedron", "Dcd")):
@@ -654,6 +656,23 @@ def test_cartier_and_classify_build_each_local_matrix_once(
             code = main([str(a) for a in argv])
             capsys.readouterr()
             assert code in (0, 1) and calls == cells, argv
+    t = gen.torus(4, random.Random(4))
+    T = tropcomplex.load_fixture(t.fixture).structure()
+    cells = [(0, v) for v in range(t.nv)]
+    rng = random.Random(4)
+    D = tropcomplex.div_vertex_function(
+        T, [rng.randint(-3, 3) for _ in range(t.nv)])
+    C = tropcomplex.Curve.on_edges(gen.torus_curve(t, rng))
+    balance = tropcomplex.is_balanced(T, C)
+    assert D.ridge_part and balance.balanced
+    for call in (tropcomplex.classify, tropcomplex.classify,
+                 lambda T: tropcomplex.weil_test(T, D)):
+        calls.clear()
+        call(T)
+        assert calls == cells, call
+    calls.clear()
+    assert tropcomplex.intersect_degree(T, D, C, balance).degree == 0
+    assert calls == [(0, v) for v in C.support_vertices(T.complex)]
 
 
 def test_cartier_weil_verdict_matches_statuses(capsys, tmp_path):

@@ -179,6 +179,40 @@ def reference_balance(T, C):
     return certificate is None, certificate, tuple(dims)
 
 
+def test_intersection_and_balance_exact_on_rational_coefficients(fx):
+    # both are linear in the divisor and the curve: halving either halves
+    # the degree, and a rational vertex function still gives degree 0
+    rng = random.Random(29)
+    seen = 0
+    for name in ["triangle", "tetrahedron", "path", "loop"]:
+        f = fx[name]
+        T = f.structure()
+        for C in f.curves.values():
+            half_C = Curve.on_edges({e: Fraction(m, 2)
+                                     for e, m in C.multiplicities})
+            balance = is_balanced(T, C)
+            assert is_balanced(T, half_C)[:3] == balance[:3]
+            phi = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                   for _ in range(T.complex.counts[0])]
+            assert intersect_degree(
+                T, div_vertex_function(T, phi), C).degree == 0
+            for D in f.divisors.values():
+                if D.facet_pieces:
+                    continue
+                half_D = Divisor.on_ridges({r: Fraction(x, 2)
+                                            for r, x in D.ridge_part})
+                try:
+                    degree = intersect_degree(T, D, C).degree
+                except NotQCartierNearCurve:
+                    with pytest.raises(NotQCartierNearCurve):
+                        intersect_degree(T, half_D, C)
+                    continue
+                assert intersect_degree(T, half_D, C).degree == degree / 2
+                assert intersect_degree(T, D, half_C).degree == degree / 2
+                seen += 1
+    assert seen > 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_balance_matches_germ_basis_scan(data):

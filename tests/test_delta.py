@@ -14,6 +14,7 @@ from tropcomplex import (
     build_complex,
     duplicate_sheets,
 )
+from tropcomplex.delta import _SLOTS
 from tropcomplex.structure import link_graph
 from tests.conftest import (ABSTRACT, DEGENERATION, EMBEDDED, full_simplex,
                             torus)
@@ -269,6 +270,74 @@ def test_incidence_tables_match_face_composition(fx):
                         slots = tuple(x if x < drop else x - 1 for x in t.slots)
                         assert elements[end] == (X.face_at(t.coface, rest),
                                                  slots)
+
+
+def test_cofacet_positions_index_link0(kernel_structures):
+    # every m-simplex sits at _cofacet_pos[m][j][d] in link0 of its facet
+    # d_d, as the element whose slots miss d; loops, double edges and
+    # repeated faces included
+    repeated = 0
+    for X in (T.complex for T in kernel_structures):
+        assert len(X._cofacet_pos) == X.n + 1 and X._cofacet_pos[0] == ()
+        for m in range(1, X.n + 1):
+            assert len(X._cofacet_pos[m]) == X.counts[m]
+            for j, faces in enumerate(X.faces[m]):
+                assert len(X._cofacet_pos[m][j]) == m + 1
+                repeated += len(set(faces)) < len(faces)
+                for d, face in enumerate(faces):
+                    slots = tuple(x for x in range(m + 1) if x != d)
+                    assert X._cofacet_pos[m][j][d] == X.link0(
+                        (m - 1, face)).index(((m, j), slots)), (X, m, j, d)
+    assert repeated > 0
+
+
+def dict_link_graph(X, q):
+    """The graph of `link_graph`, each edge end looked up in a
+    (ridge, slots) -> position dict of link0(q): the oracle for the
+    cofacet-position lookup."""
+    elements = X.link0(q)
+    link = X.link(q)
+    if len(link) < 2:
+        return elements, []
+    index = {(r, s): i for i, ((_, r), s) in enumerate(elements)}
+    m = q[0] + 2
+    table, rows = _SLOTS[m], X.faces[m]
+    edges = []
+    for (_, j), slots in link[1]:
+        (d0, s0), (d1, s1) = table[slots][1]
+        row = rows[j]
+        edges.append((index[row[d0], s0], index[row[d1], s1]))
+    return elements, edges
+
+
+def test_link_graph_matches_dict_lookup(kernel_structures):
+    loops = 0
+    for X in (T.complex for T in kernel_structures):
+        for k in range(X.n - 1):
+            for q in ((k, i) for i in range(X.counts[k])):
+                got = link_graph(X, q)
+                assert got == dict_link_graph(X, q), (X, q)
+                loops += sum(a == b for a, b in got[1])
+    assert loops > 0
+
+
+def test_link_elements_built_without_new_are_link_elements(fx):
+    # construction makes elements by tuple.__new__, past the named tuple's
+    # own __new__: they must still be LinkElements, equal and hashed as
+    # the plain pair
+    count = 0
+    for X in [fx[name].complex for name in ABSTRACT] + [full_simplex(3)]:
+        for level in X._links:
+            for per_dim in level:
+                for t in (t for elements in per_dim for t in elements):
+                    coface, slots = tuple(t)
+                    assert type(t) is LinkElement
+                    assert t == (coface, slots) and hash(t) == hash(
+                        (coface, slots))
+                    assert t.coface == coface and t.slots == slots
+                    assert t == LinkElement(coface, slots)
+                    count += 1
+    assert count > 0
 
 
 def test_link_element_is_its_own_key():

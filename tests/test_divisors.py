@@ -335,6 +335,26 @@ def test_weil_verdict_is_no_cell_neither(fx):
     assert seen == {"cartier", "qcartier", "neither"}
 
 
+def scaled(D, c):
+    return Divisor.on_ridges({r: c * x for r, x in D.ridge_part})
+
+
+def test_weil_test_exact_on_rational_coefficients(fx):
+    # Q-Cartier is kept by a nonzero rational multiple, and a rational
+    # right-hand side must not be floored by the integer elimination
+    rng = random.Random(23)
+    for T, divisors in weil_cases(fx):
+        X = T.complex
+        for D in divisors:
+            for c in (Fraction(1, 2), Fraction(-2, 3)):
+                assert weil_test(T, scaled(D, c)) == weil_test(T, D)
+        if X.n >= 2:
+            # the divisor of a rational vertex function is principal
+            phi = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                   for _ in range(X.counts[0])]
+            assert weil_test(T, div_vertex_function(T, phi)) == (True, ())
+
+
 def test_weil_test_makes_no_smith_call(fx, monkeypatch):
     import tropcomplex.divisors
     import tropcomplex.linalg

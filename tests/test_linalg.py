@@ -19,6 +19,8 @@ from tcxbench import gen
 from tropcomplex import chip_matrix, load_fixture, local_matrix
 from tropcomplex.linalg import (
     _echelon,
+    _echelon_in_place,
+    _inertia_in_place,
     _pivot,
     feasible_strict,
     inertia,
@@ -28,7 +30,6 @@ from tropcomplex.linalg import (
     smith,
     smith_normal_form,
     smith_solve,
-    solvable,
     solve,
 )
 from tests.conftest import dense
@@ -671,13 +672,19 @@ def test_rref_matches_fraction_reference(a, data):
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_rank_and_solvable_match_fraction_reference(a, data):
-    # both stop at row echelon form and build no Fraction
+    # rank, and the Weil test's solvability rule (the right-hand side
+    # column is no pivot of the augmented rows), both stop at row echelon
+    # form and build no Fraction; a rational right-hand side is scaled,
+    # never floored
     _, pivots = reference_rref(a)
     assert len(_echelon(a, reduced=False)[1]) == len(pivots)
-    b = data.draw(st.lists(small_int, min_size=len(a), max_size=len(a)))
+    b = data.draw(st.lists(st.one_of(small_int, rational), min_size=len(a),
+                           max_size=len(a)))
     aug = [list(row) + [x] for row, x in zip(a, b)]
-    assert solvable(a, b) == (len(a[0]) not in reference_rref(aug)[1])
-    assert solvable(a, b) == (solve(a, b) is not None)
+    ncols = len(a[0])
+    solvable = ncols not in _echelon(aug, ncols + 1, reduced=False)[1]
+    assert solvable == (ncols not in reference_rref(aug)[1])
+    assert solvable == (solve(a, b) is not None)
 
 
 @given(st.one_of(symmetric_matrices(small_int), symmetric_matrices(rational)))
@@ -705,7 +712,8 @@ def test_inertia_and_solvable_match_references_on_local_matrices(
             x0 = [rng.randint(-3, 3) for _ in a]
             for b in (mat_apply(a, x0), [rng.randint(-3, 3) for _ in a]):
                 aug = [list(row) + [y] for row, y in zip(a, b)]
-                assert solvable(a, b) == (len(a) not in reference_rref(aug)[1])
+                assert (len(a) in _echelon(aug, len(a) + 1, reduced=False)[1]
+                        ) == (len(a) in reference_rref(aug)[1])
 
 
 def working_bits(f, *args, limit):
@@ -769,19 +777,28 @@ def test_elimination_entries_stay_bounded():
     chords = [tuple(rng.sample(range(n), 2)) for _ in range(4)]
     link = link_matrix(n, [(i, (i + 1) % n) for i in range(n)] + chords,
                        [1] * n)
+    # the loops live in the in-place kernels, which the front doors feed
+    # with a copy
     for b in (a, hollow, link):
         h = hadamard_bits(b)
-        result, bits = working_bits(inertia, b, limit=h)
-        assert result == reference_inertia(b)
+        result, bits = working_bits(_inertia_in_place, copy(b), limit=h)
+        assert result == reference_inertia(b) == inertia(b)
         assert bits > 0
     for b in (a, link):
         h = hadamard_bits(b)
-        (rows, pivots), bits = working_bits(_echelon, b, limit=h)
+        (rows, pivots), bits = working_bits(_echelon_in_place, copy(b),
+                                            limit=h)
         assert bits > 0
         assert ([[Fraction(x, row[c]) for x in row]
                  for row, c in zip(rows, pivots)], pivots) == reference_rref(b)
-        assert working_bits(_echelon, b, None, False, limit=h)[0][1] == pivots
+        assert (rows, pivots) == _echelon(b)
+        assert working_bits(_echelon_in_place, copy(b), None, False,
+                            limit=h)[0][1] == pivots
     assert rref(a) == reference_rref(a)
+
+
+def copy(rows):
+    return [list(row) for row in rows]
 
 
 # -- strict feasibility and primitive vectors -------------------------------
