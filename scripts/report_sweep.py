@@ -17,7 +17,8 @@ given (the shipped fixtures relative to the working directory), so run
 each tree's sweep from its own root.
 
 Before the fixture calls come the parser-level calls: no argument, -h, an
-unknown subcommand, `<subcommand> -h` for every subcommand, cartier
+unknown subcommand, `<subcommand> -h` for every subcommand of
+`cli.SUBCOMMANDS`, in the order `tcx -h` lists them, cartier
 without -D, and div with an extra argument.  A call that argparse rejects
 also records its stderr.  COLUMNS is pinned to 80 so that help text does
 not depend on the terminal.
@@ -38,11 +39,6 @@ sys.path.insert(0, str(ROOT / "src"))
 os.environ["COLUMNS"] = "80"
 
 from tropcomplex import cli  # noqa: E402
-
-# every subcommand, in the order `tcx -h` lists them
-COMMANDS = ("validate", "classify", "div", "cartier", "classgroup", "equiv",
-            "balance", "intersect", "import-embedded", "robust",
-            "pushforward", "degen-build", "specialize", "verify")
 
 
 def vertex_count(data):
@@ -82,7 +78,7 @@ def calls(path, data):
 def parser_calls(fixture):
     """The argv lists that argparse answers before any fixture is read."""
     f = str(fixture)
-    return ([[], ["-h"], ["bogus", f]] + [[c, "-h"] for c in COMMANDS]
+    return ([[], ["-h"], ["bogus", f]] + [[c, "-h"] for c in cli.SUBCOMMANDS]
             + [["cartier", f], ["div", f, "--phi=0,0,0,0", "extra"]])
 
 

@@ -279,9 +279,8 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
     coeffs = {}
     for v in C.support_vertices(X):
         if X.n == 1:
-            deg = X.degree((0, v))
-            c = D.coeff(v)
-            slope = Fraction(c, deg) if deg else Fraction(0)
+            # v ends a curve edge, so its degree is at least 1
+            slope = Fraction(D.coeff(v), X.degree((0, v)))
             total = Fraction(0)
             for t in X.link0((0, v)):
                 m = C.mult(t.coface[1])

@@ -2,10 +2,14 @@
 
 Strict data lists deg(C_v . C_r) for components C_v against one-dimensional
 strata C_r; non-strict data lists self-intersections of curves indexed by
-codimension-two strata together with their link positions.  Both modes
-recover alpha and cross-check the redundancies in the input.  Named divisors
-and curves specialize to the dual complex, and claimed intersection numbers
-are verified against the computed ones.
+codimension-two strata together with their link positions.  Strict data
+read alpha off the degrees at each ridge's own vertices and cross-check
+the rest against the chip-firing matrix.  In non-strict data each
+self-intersection fixes exactly one alpha(v, r), so they hold no
+redundancy among themselves; the weak constraint and any listed degrees
+are cross-checked.  Named divisors and curves specialize to the dual
+complex, and claimed intersection numbers are verified against the
+computed ones.
 """
 
 from __future__ import annotations
@@ -94,10 +98,10 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
         T = TropicalStructure(X, alpha)
         for r, degs in enumerate(chip_matrix(T)):
             on_r = given.get(r, {})
-            on_ridge = set(X.vertices_of((n - 1, r)))
-            # a vertex named by neither side has degree 0 on both
+            # a vertex named by neither side has degree 0 on both; a vertex
+            # of r reads -alpha on both (regular: no facet's opposite is on r)
             for v in sorted(on_r.keys() | degs.keys()):
-                if v not in on_ridge and on_r.get(v, 0) != degs.get(v, 0):
+                if on_r.get(v, 0) != degs.get(v, 0):
                     raise InconsistentData(
                         "deg(C_%d . C_%d) = %d does not match the %d "
                         "transverse intersections"
@@ -136,23 +140,9 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
                     "missing self-intersection at stratum %d position %d"
                     % (qi, ti)
                 )
-            c2 = data.self_intersections[(qi, ti)]
-            ridge = t.coface[1]
-            slot = X.opp_slot(t)
-            value = -c2 + 2 * loops[ti]
-            if (ridge, slot) in alpha and alpha[(ridge, slot)] != value:
-                raise InconsistentData(
-                    "self-intersections disagree on alpha(%d, %d)"
-                    % (ridge, slot), ridge=ridge
-                )
-            alpha[(ridge, slot)] = value
-    for r in range(X.counts[n - 1]):
-        for slot in range(n):
-            if (r, slot) not in alpha:
-                raise InconsistentData(
-                    "no self-intersection determines alpha(%d, %d)"
-                    % (r, slot), ridge=r
-                )
+            # one element names (r, s), in link0 of d_s r: each set once
+            alpha[t.coface[1], X.opp_slot(t)] = (
+                2 * loops[ti] - data.self_intersections[(qi, ti)])
     T = TropicalStructure(X, alpha)
     weak = check_weak(T)
     if not weak.passed:

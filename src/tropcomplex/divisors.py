@@ -327,10 +327,12 @@ class WitnessResult(NamedTuple):
 def lin_equiv_witness(T: TropicalStructure, D: Divisor, Dp: Divisor):
     """Integral phi with div(phi) = D - D', or a non-existence certificate.
 
-    The witness is normalized to have minimum value 0.  The certificate
-    gives the class of D - D' in Smith coordinates: kind "torsion" when the
-    difference is a nonzero torsion class (every free residue is zero),
-    "non-membership" otherwise.
+    D - D' must be ridge-supported with integer coefficients, or
+    IndexMismatch names the first entry that is not.  The witness is
+    normalized to have minimum value 0.  The certificate gives the class of
+    D - D' in Smith coordinates: kind "torsion" when the difference is a
+    nonzero torsion class (every free residue is zero), "non-membership"
+    otherwise.  At n = 0 the presentation is empty and phi is zero.
     """
     diff = D - Dp
     if diff.facet_pieces:
@@ -341,9 +343,10 @@ def lin_equiv_witness(T: TropicalStructure, D: Divisor, Dp: Divisor):
     for r, c in diff.ridge_part:
         if not 0 <= r < nr:
             raise IndexMismatch("ridge %d out of range (%d ridges)" % (r, nr))
-        b[r] = c
-    if X.n == 0:
-        return WitnessResult((0,) * X.counts[0], None)
+        b[r] = int(c)
+        if b[r] != c:
+            raise IndexMismatch("witness queries need integral divisors: "
+                                "ridge %d has coefficient %s" % (r, c))
     pres = class_group(T)
     phi = smith_solve(pres.smith, b)
     if phi is not None:

@@ -319,7 +319,10 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
 
     phi(w_1) + ... + phi(w_d) + u_1 + ... + u_m = sum c_i phi(v_i), where the
     w_i run over extra vertices of adjacent bounded facets counted with
-    sheets and the u_j over rays of adjacent unbounded facets.
+    sheets and the u_j over rays of adjacent unbounded facets.  The ridge's
+    vectors were checked unimodular at construction, so a solution, when
+    there is one, is integral; and the height coordinate (1 at vertices, 0
+    on rays) makes the c_i sum to d.  NoSolution when there is none.
     """
     n = E.n
     if not E.has_bounded(n - 1, ridge_index):
@@ -341,14 +344,8 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
     sol = solve(rows, rhs)
     if sol is None:
         raise NoSolution("balancing relation inconsistent at ridge %s" % (ridge,))
-    if any(x.denominator != 1 for x in sol):
-        raise NoSolution("balancing coefficients not integral at ridge %s"
-                         % (ridge,))
-    coeffs = tuple(int(x) for x in sol)
-    if sum(coeffs) != d:
-        raise NoSolution("balancing coefficients sum to %d, not %d, at ridge %s"
-                         % (sum(coeffs), d, ridge))
-    return BalancingSolution(ridge_index, coeffs, d)
+    # integral (the ridge is unimodular), summing to d (the height row)
+    return BalancingSolution(ridge_index, tuple(int(x) for x in sol), d)
 
 
 def derive_structure(E: EmbeddedComplex):

@@ -199,6 +199,7 @@ class SmithForm(NamedTuple):
     log replayed in order, then column cols[t] moved to position t.  A log
     entry (i, k, q) adds q times line i to line k, (i,) negates line i, and
     (i, k, a, b, c, d) replaces lines i and k by a*i + b*k and c*i + d*k.
+    `smith` writes the sign operations (i,) to the row log only.
     """
 
     shape: tuple
@@ -214,8 +215,9 @@ class SmithForm(NamedTuple):
         return self.diagonal[:len(self.diagonal) - self.diagonal.count(0)]
 
     def apply_u(self, b):
-        """U . b, replaying the row log on one vector."""
-        x = [int(v) for v in b]
+        """U . b, replaying the row log on one vector of values as given:
+        ints stay ints, and Fractions stay exact."""
+        x = list(b)
         for op in self.row_log:
             if len(op) == 3:
                 i, k, q = op
@@ -234,11 +236,10 @@ class SmithForm(NamedTuple):
         for j, v in zip(self.cols, y):
             z[j] = v
         for op in reversed(self.col_log):
+            # no sign operation: `smith` logs those on rows only
             if len(op) == 3:
                 i, k, q = op
                 z[i] += q * z[k]
-            elif len(op) == 1:
-                z[op[0]] = -z[op[0]]
             else:
                 i, k, a, b, c, d = op
                 z[i], z[k] = a * z[i] + c * z[k], b * z[i] + d * z[k]
@@ -553,17 +554,15 @@ def feasible_strict(equalities, positives, dim):
     Strictness is normalized to p . y >= 1 (scale invariance), solved by
     exact Fourier-Motzkin elimination with deterministic back-substitution.
     """
-    eqs = [[Fraction(x) for x in e] for e in equalities]
-    kern = kernel_basis(eqs, dim) if eqs else [
-        tuple(Fraction(i == j) for j in range(dim)) for i in range(dim)
-    ]
+    # kernel_basis([], dim) is the identity, and it scales rational rows
+    kern = kernel_basis(equalities, dim)
     if not kern:
         return None if positives else tuple(Fraction(0) for _ in range(dim))
     k = len(kern)
     ineqs = []
     for p in positives:
         coeffs = tuple(
-            sum(Fraction(p[j]) * kern[i][j] for j in range(dim)) for i in range(k)
+            sum(p[j] * kern[i][j] for j in range(dim)) for i in range(k)
         )
         ineqs.append((coeffs, Fraction(1)))
     stack = []

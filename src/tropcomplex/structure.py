@@ -114,13 +114,12 @@ class LocalIntersectionMatrix(NamedTuple):
 
 
 def link_graph(X: DeltaComplex, q):
-    """(elements, edges) of the graph link(q): the 0-dimensional link
-    elements of q, and for each 1-dimensional one the positions (a, b) in
-    elements of its two ends (a == b for a loop)."""
-    elements = X.link0(q)
-    link = X.link(q)
-    if len(link) < 2:
-        return elements, []
+    """(elements, edges) of the graph link(q) of a simplex q of
+    codimension at least 2: the 0-dimensional link elements of q, and for
+    each 1-dimensional one the positions (a, b) in elements of its two ends
+    (a == b for a loop)."""
+    # codimension >= 2, so the link has levels 0 and 1
+    elements, link1 = X.link(q)[:2]
     # an edge ((m, j), slots) misses two slots d0 < d1 of its coface, read
     # from the slot table.  Its end at d0 is the facet r = d_d0 (m, j),
     # whose element in link0(q) misses slot d1 - 1 of r, so it sits at the
@@ -129,7 +128,7 @@ def link_graph(X: DeltaComplex, q):
     m = q[0] + 2
     table, rows, pos = _SLOTS[m], X.faces[m], X._cofacet_pos[m - 1]
     edges = []
-    for (_, j), slots in link[1]:
+    for (_, j), slots in link1:
         (d0, _), (d1, _) = table[slots][1]
         row = rows[j]
         edges.append((pos[row[d0]][d1 - 1], pos[row[d1]][d0]))

@@ -10,7 +10,8 @@ import pytest
 import tropcomplex
 from tcxbench import gen
 from tropcomplex.cli import SUBCOMMANDS, main
-from tests.conftest import fixture_path
+from tests.conftest import checked_report, fixture_path
+from tests.test_degeneration import TRIANGLE_DEGREES
 
 
 def invoke(capsys, *argv):
@@ -886,3 +887,187 @@ def test_intersect_runs_no_smith_form(capsys, monkeypatch):
         code, _, _ = invoke(capsys, *argv)
         assert code == 0, argv
     assert calls == []
+
+
+def edit(*path, value=None, append=None, delete=None):
+    """A fixture edit: at the object or list under path, set value, append
+    an entry, or delete an index or key."""
+    def apply(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        if append is not None:
+            data[last].append(append)
+        elif delete is not None:
+            del data[last][delete]
+        else:
+            data[last] = value
+    return apply
+
+
+def replace_all(value):
+    def apply(data):
+        data.clear()
+        data.update(value)
+    return apply
+
+
+def triangle_degeneration(data):
+    """The triangle fixture as strict degeneration data, with a claim on
+    its divisor Duv, which fails the summable test."""
+    complex_data = {key: data[key] for key in ("format", "n", "simplices",
+                                               "faces")}
+    replace_all({"format": "tcx-1", "kind": "degeneration", "mode": "strict",
+                 "complex": complex_data,
+                 "vertex_ridge_degrees": TRIANGLE_DEGREES,
+                 "divisors": {"Duv": data["divisors"]["Duv"]},
+                 "curves": {"C1": data["curves"]["C1"]},
+                 "claimed": [["Duv", "C1", 0, 1]]})(data)
+
+
+# one small edit per input-error raise, with the call that reaches it and
+# the error type it reports; SIDE in the arguments names a side file
+TYPED_ERRORS = {
+    # build_complex and DeltaComplex
+    "complex-not-an-object": (
+        "tet-degen", edit("complex", value=[1]), ["degen-build"], None,
+        "SchemaError"),
+    "counts-of-wrong-length": (
+        "triangle", edit("simplices", value=[3, 3]), ["validate"], None,
+        "DimensionExceeded"),
+    "face-entry-dimension": (
+        "triangle", edit("faces", append=[3, 0, 0, 0]), ["validate"], None,
+        "DimensionExceeded"),
+    "face-entry-simplex": (
+        "triangle", edit("faces", append=[1, 9, 0, 0]), ["validate"], None,
+        "DimensionExceeded"),
+    "face-entry-slot": (
+        "triangle", edit("faces", append=[1, 0, 2, 0]), ["validate"], None,
+        "DimensionExceeded"),
+    "face-entries-missing": (
+        "triangle", edit("faces", delete=-1), ["validate"], None,
+        "DimensionExceeded"),
+    "no-vertices": (
+        "path", replace_all({"format": "tcx-1", "kind": "abstract", "n": 0,
+                             "simplices": [0], "faces": []}),
+        ["validate"], None, "Disconnected"),
+    # EmbeddedComplex
+    "bounded-cell-repeats-a-vertex": (
+        "plane", edit("bounded_cells", 1, 0, value=[0, 0]), ["validate"],
+        None, "IndexMismatch"),
+    "unbounded-cell-without-rays": (
+        "plane", edit("unbounded_cells",
+                      append={"vertices": [0], "rays": []}),
+        ["validate"], None, "IndexMismatch"),
+    "zero-ray": (
+        "plane", edit("unbounded_cells", 0, "rays", value=[[0, 0]]),
+        ["validate"], None, "IndexMismatch"),
+    "ray-not-primitive": (
+        "plane", edit("unbounded_cells", 0, "rays", value=[[-2, 0]]),
+        ["validate"], None, "IndexMismatch"),
+    "unbounded-cell-not-unimodular": (
+        "plane", edit("unbounded_cells", 0, "rays", value=[[-2, 1]]),
+        ["validate"], None, "NonUnimodular"),
+    "unbounded-cell-twice": (
+        "plane", edit("unbounded_cells",
+                      append={"vertices": [0, 1], "rays": [[-1, 0]]}),
+        ["validate"], None, "IndexMismatch"),
+    # the face of a two-ray cell that drops a ray, the face of an edge's
+    # cell that drops a vertex, and a bounded face
+    "unbounded-ray-face-missing": (
+        "plane", edit("unbounded_cells", delete=13), ["validate"], None,
+        "IndexMismatch"),
+    "unbounded-vertex-face-missing": (
+        "plane", edit("unbounded_cells", delete=12), ["validate"], None,
+        "IndexMismatch"),
+    "bounded-face-missing": (
+        "plane", edit("unbounded_cells",
+                      append={"vertices": [1, 3], "rays": [[0, 1]]}),
+        ["validate"], None, "IndexMismatch"),
+    "sheet-count-zero": (
+        "twosheet", edit("sheets", "counts", 0, value=[1, 0, 0]),
+        ["validate"], None, "InconsistentSheets"),
+    "unbounded-entry-without-vertices": (
+        "plane", edit("unbounded_cells", append={"rays": [[1, 0]]}),
+        ["validate"], None, "SchemaError"),
+    "face-sheet-map-malformed": (
+        "twosheet", edit("sheets", "face_sheet_maps", append=[1, 0, 0]),
+        ["validate"], None, "SchemaError"),
+    # vertex 0 gets two sheets, and edge [0, 1] sends it to the second
+    # while edge [0, 2] sends it to the first: d_1 d_2 != d_1 d_1
+    "sheet-maps-do-not-commute": (
+        "plane", edit("sheets", value={"counts": [[0, 0, 2]],
+                                       "face_sheet_maps": [[1, 0, 1, [1]]]}),
+        ["import-embedded"], None, "InconsistentSheets"),
+    "no-top-dimensional-bounded-cell": (
+        "plane", edit("bounded_cells", delete=2), ["import-embedded"], None,
+        "NoSolution"),
+    # readers
+    "facet-piece-malformed": (
+        "triangle", edit("divisors", "F", value={
+            "facet_pieces": [[0, [1, 0], 0, 1]]}), ["validate"], None,
+        "SchemaError"),
+    "facet-piece-denominator-0": (
+        "triangle", edit("divisors", "F", value={
+            "facet_pieces": [[0, [1, 0], 0, 0, 1]]}), ["validate"], None,
+        "SchemaError"),
+    "two-piece-denominator-0": (
+        "tetrahedron", None, ["div", "--two-piece", "SIDE"],
+        {"facet": 0, "normal": [1, 0], "offset": [0, 0]}, "SchemaError"),
+    "breakpoint-denominator-0": (
+        "tetrahedron", None,
+        ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
+        [[0, [[0, 0, 0, 1], [1, 1, 0, 1]]]], "SchemaError"),
+    "breakpoints-not-a-list": (
+        "tetrahedron", None,
+        ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
+        {}, "SchemaError"),
+    "breakpoint-entry-malformed": (
+        "tetrahedron", None,
+        ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
+        [[0]], "SchemaError"),
+    "kind-undetectable": (
+        "triangle", replace_all({"format": "tcx-1"}), ["validate"], None,
+        "InputError"),
+    "kind-unknown": (
+        "triangle", edit("kind", value="weird"), ["validate"], None,
+        "InputError"),
+    "degeneration-mode-unknown": (
+        "tet-degen", edit("mode", value="loose"), ["degen-build"], None,
+        "InconsistentData"),
+    # handlers
+    "div-without-option": (
+        "tetrahedron", None, ["div"], None, "InputError"),
+    "pushforward-without-option": (
+        "plane", None, ["pushforward"], None, "InputError"),
+    "curve-name-unknown": (
+        "triangle", None, ["balance", "-C", "nope"], None, "UnknownName"),
+    # a failed precondition is a report with a failed verdict, not an error
+    "verify-precondition": (
+        "triangle", triangle_degeneration,
+        ["verify", "-D", "Duv", "-C", "C1"], None, None),
+}
+
+
+@pytest.mark.parametrize("name, change, argv, side, error",
+                         list(TYPED_ERRORS.values()), ids=list(TYPED_ERRORS))
+def test_input_error_is_a_typed_report(capsys, tmp_path, name, change, argv,
+                                       side, error):
+    path = fixture_path(name)
+    if change is not None:
+        data = json.loads(path.read_text())
+        change(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+    if side is not None:
+        (tmp_path / "side.json").write_text(json.dumps(side))
+    argv = [argv[0], str(path)] + [str(tmp_path / "side.json") if a == "SIDE"
+                                   else a for a in argv[1:]]
+    code = main(argv)
+    report = checked_report(argv, code, capsys.readouterr().out)
+    if error is None:
+        assert code == 1
+        assert report["result"]["precondition"] == "weil"
+    else:
+        assert code == 2
+        assert report["error"]["type"] == error

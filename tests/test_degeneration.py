@@ -19,6 +19,7 @@ from tropcomplex import (
     chip_matrix,
     load_degeneration,
     load_fixture,
+    local_matrix,
     specialize,
     verify_theorem,
 )
@@ -376,6 +377,43 @@ def test_out_of_range_degree_entry_is_rejected(tet_degen, mode, entry):
     with pytest.raises(InconsistentData, match=r"entry \[%d, %d, %d\]"
                        % tuple(entry)):
         build_structure_from_degeneration(X, load_degeneration(raw))
+
+
+def test_each_alpha_pair_is_named_by_one_link_element(kernel_structures):
+    # the non-strict build sets alpha(r, s) from the one element of one
+    # (n-2)-cell's link0 that names (r, s), with no check for a repeat or a
+    # gap: (r, s) is named by ((n-1, r), every slot but s), in link0 of d_s r
+    checked = 0
+    for T in kernel_structures:
+        X = T.complex
+        if X.n < 2:
+            continue
+        named = sorted((t.coface[1], X.opp_slot(t))
+                       for q in range(X.counts[X.n - 2])
+                       for t in X.link0((X.n - 2, q)))
+        assert named == [(r, s) for r in range(X.counts[X.n - 1])
+                         for s in range(X.n)], X
+        checked += 1
+    assert checked >= 10
+
+
+def test_local_matrix_diagonals_rebuild_alpha(kernel_structures):
+    # a diagonal entry is -alpha + 2 * loops, so non-strict data made of the
+    # diagonals give back alpha wherever the weak check lets them through
+    rebuilt = 0
+    for T in kernel_structures:
+        X = T.complex
+        if X.n < 2 or not check_weak(T).passed:
+            continue
+        rows = []
+        for q in range(X.counts[X.n - 2]):
+            m = local_matrix(T, (X.n - 2, q)).matrix
+            rows += [[q, ti, m[ti][ti]] for ti in range(len(m))]
+        data = load_degeneration({"mode": "nonstrict",
+                                  "self_intersections": rows})
+        assert build_structure_from_degeneration(X, data).alpha == T.alpha
+        rebuilt += 1
+    assert rebuilt >= 5
 
 
 # -- specialization and verification ----------------------------------------

@@ -20,6 +20,7 @@ from tropcomplex import (
     lin_equiv_witness,
     load_fixture,
     local_cartier_test,
+    local_matrix,
     ridge_multiplicity,
     weil_test,
 )
@@ -247,6 +248,49 @@ def test_triangle_zero_germ(triangle):
     v = local_cartier_test(T, named(triangle, "Duv"), (0, 2))
     assert v.status == "cartier"
     assert all(s == 0 for s in v.germ.slopes)
+
+
+def germ_solves_local_system(T, D, verdict):
+    """M_q x = [D]_q for the germ of a local Cartier verdict."""
+    germ = verdict.germ
+    rhs = [D.coeff(t.coface[1]) for t in germ.elements]
+    return [sum(a * x for a, x in zip(row, germ.slopes))
+            for row in local_matrix(T, germ.base).matrix] == rhs
+
+
+def test_cartier_test_exact_on_rational_coefficients(tetrahedron):
+    # U is replayed on [D]_q as given, not floored: half of ridge 0 is
+    # Q-Cartier, not Cartier with the zero germ, at the two cells on it
+    T = tetrahedron.structure()
+    D = Divisor.on_ridges({0: Fraction(1, 2)})
+    verdicts = [local_cartier_test(T, D, (0, q)) for q in range(4)]
+    assert [v.status for v in verdicts] == ["qcartier", "qcartier",
+                                            "cartier", "cartier"]
+    assert all(germ_solves_local_system(T, D, v) for v in verdicts)
+
+
+def test_cartier_statuses_exact_on_rational_coefficients(kernel_structures):
+    # on rational divisors every germ solves its local system, a "cartier"
+    # germ is integral, and "neither" is exactly where the Weil test fails
+    rng = random.Random(31)
+    seen = set()
+    for T in kernel_structures:
+        X = T.complex
+        if X.n != 2:
+            continue
+        D = Divisor.on_ridges({
+            r: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for r in rng.sample(range(X.counts[1]), min(3, X.counts[1]))})
+        failures = weil_test(T, D)[1]
+        for q in range(X.counts[0]):
+            v = local_cartier_test(T, D, (0, q))
+            seen.add(v.status)
+            assert (v.status == "neither") == (q in failures), (T, D, q)
+            if v.germ is not None:
+                assert germ_solves_local_system(T, D, v), (T, D, q)
+            if v.status == "cartier":
+                assert all(x.denominator == 1 for x in v.germ.slopes)
+    assert seen == {"cartier", "qcartier", "neither"}
 
 
 def test_weil_test_passes_on_torsion_divisor(tetrahedron):
@@ -551,6 +595,20 @@ def test_class_residues_invariant_under_principal_shift(presentations, data):
     shifted = [bi + sum(a * xi for a, xi in zip(row, x))
                for bi, row in zip(b, dense(g.matrix, nv))]
     assert g.class_residues(shifted) == g.class_residues(b)
+
+
+def test_witness_rejects_non_integral_difference(tetrahedron):
+    # the Smith form replays the coefficients as given, so 1/2 is refused
+    # rather than floored to a witness of the zero class
+    T = tetrahedron.structure()
+    half = Divisor.on_ridges({0: Fraction(1, 2)})
+    with pytest.raises(IndexMismatch, match="ridge 0 has coefficient 1/2"):
+        lin_equiv_witness(T, half, Divisor.on_ridges({}))
+    # an integral difference of rational divisors is the integral query
+    for c in (2, 1):
+        whole = Divisor.on_ridges({0: c, 5: 2})
+        assert lin_equiv_witness(T, half, half - whole) \
+            == lin_equiv_witness(T, whole, Divisor.on_ridges({}))
 
 
 def test_witness_rejects_ridge_out_of_range(tetrahedron):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcxbench import gen
 from tropcomplex.embedded import UnboundedCell
 from tropcomplex.linalg import smith
 from tropcomplex import (
@@ -22,6 +23,7 @@ from tropcomplex import (
     div_vertex_function,
     duplicate_sheets,
     embedded_weights,
+    load_fixture,
     push_forward_and_compare,
     robustness_check,
 )
@@ -177,6 +179,44 @@ def test_balancing_coefficient_sum_rule(plane, twosheet):
         for ridge in range(len(E.bounded[n - 1])):
             sol = alpha_from_balancing(E, ridge)
             assert sum(sol.coefficients) == sol.d
+
+
+def balancing_holds(E, ridge_index, sol):
+    """The weight-1 balancing relation at a ridge with the solution's
+    coefficients, summed over the cells that contain the ridge."""
+    n = E.n
+    ridge = E.bounded[n - 1][ridge_index]
+    lhs = [0] * (E.N + 1)
+    for f, cell in enumerate(E.bounded[n]):
+        if set(ridge) < set(cell):
+            (extra,) = set(cell) - set(ridge)
+            lhs = [a + E.sheets(n, f) * b
+                   for a, b in zip(lhs, E.vertices[extra])]
+    for u in E.unbounded:
+        if u.vertices == ridge and u.dim == n:
+            for r in u.rays:
+                lhs = [a + b for a, b in zip(lhs, r + (0,))]
+    return lhs == [sum(c * E.vertices[v][j]
+                       for c, v in zip(sol.coefficients, ridge))
+                   for j in range(E.N + 1)]
+
+
+def test_balancing_solutions_are_integral_and_sum_to_d(plane, twosheet):
+    # alpha_from_balancing checks neither: its ridge is unimodular, and the
+    # height row's right-hand side is d.  Integer coefficients that satisfy
+    # the relation are its one rational solution.
+    embedded = [plane.embedded, twosheet.embedded]
+    embedded += [load_fixture(gen.embedded_square(k, random.Random(k))
+                              .fixture).embedded for k in range(1, 5)]
+    ridges = 0
+    for E in embedded:
+        for ridge in range(len(E.bounded[E.n - 1])):
+            sol = alpha_from_balancing(E, ridge)
+            assert all(type(c) is int for c in sol.coefficients)
+            assert balancing_holds(E, ridge, sol), (E, ridge)
+            assert sum(sol.coefficients) == sol.d
+            ridges += 1
+    assert ridges == 12 + 2 + sum(3 * k * k + 2 * k for k in range(1, 5))
 
 
 def test_derive_structure_is_weak(plane, twosheet):

@@ -463,6 +463,23 @@ def test_solve_integral_round_trip(a, data):
     assert mat_apply(a, x) == b
 
 
+def test_smith_solve_exact_on_rational_right_hand_sides():
+    # U is replayed on the values as given: 1/2 is not floored to 0
+    assert smith_solve(smith([[1]]), [Fraction(1, 2)]) is None
+    assert smith([[2, 0], [0, 1]]).apply_u([Fraction(1, 3), 1]) \
+        == [1, Fraction(1, 3)]
+    a = [[1, 2], [3, 4]]
+    assert smith_solve(smith(a), [Fraction(6, 2), Fraction(14, 2)]) \
+        == smith_solve(smith(a), [3, 7])
+
+
+@given(st.one_of(int_matrix(6, 6), st.sampled_from(seeded_matrices())))
+@settings(max_examples=80, deadline=None)
+def test_smith_logs_sign_operations_on_rows_only(a):
+    # SmithForm.apply_v replays no sign operation
+    assert not any(len(op) == 1 for op in smith(a).col_log)
+
+
 # -- inertia ----------------------------------------------------------------
 
 
