@@ -77,16 +77,25 @@ def _side_file(path, extra, key):
     return read_json(path, raw)
 
 
-def _named_divisor(fx, name):
-    if name not in fx.divisors:
-        raise UnknownName("no divisor named %r in the fixture" % (name,))
-    return fx.divisors[name]
+def _named(table, kind, name):
+    """The fixture's divisor or curve (kind) called name."""
+    if name not in table:
+        raise UnknownName("no %s named %r in the fixture" % (kind, name))
+    return table[name]
 
 
-def _named_curve(fx, name):
-    if name not in fx.curves:
-        raise UnknownName("no curve named %r in the fixture" % (name,))
-    return fx.curves[name]
+def _embedded(fx, args):
+    """The embedded complex of the subcommand's fixture."""
+    if fx.embedded is None:
+        raise InputError("%s needs an embedded fixture" % args.command)
+    return fx.embedded
+
+
+def _degeneration_structure(fx, args):
+    """The structure that the subcommand's degeneration fixture determines."""
+    if fx.degeneration is None:
+        raise InputError("%s needs a degeneration fixture" % args.command)
+    return build_structure_from_degeneration(fx.complex, fx.degeneration)
 
 
 def _integers(spec_str):
@@ -199,7 +208,7 @@ def cmd_div(fx, args):
 def cmd_cartier(fx, args):
     T = fx.structure()
     X = T.complex
-    D = _named_divisor(fx, args.divisor)
+    D = _named(fx.divisors, "divisor", args.divisor)
     statuses = []
     germs = []
     if X.n >= 2:
@@ -237,8 +246,8 @@ def cmd_classgroup(fx, args):
 
 def cmd_equiv(fx, args):
     T = fx.structure()
-    D = _named_divisor(fx, args.divisor)
-    Dp = _named_divisor(fx, args.other)
+    D = _named(fx.divisors, "divisor", args.divisor)
+    Dp = _named(fx.divisors, "divisor", args.other)
     res = lin_equiv_witness(T, D, Dp)
     result = {
         "phi": list(res.phi) if res.phi is not None else None,
@@ -258,7 +267,7 @@ def cmd_equiv(fx, args):
 
 def cmd_balance(fx, args):
     T = fx.structure()
-    C = _named_curve(fx, args.curve)
+    C = _named(fx.curves, "curve", args.curve)
     res = is_balanced(T, C)
     result = {
         "balanced": res.balanced,
@@ -275,8 +284,8 @@ def cmd_balance(fx, args):
 
 def cmd_intersect(fx, args):
     T = fx.structure()
-    D = _named_divisor(fx, args.divisor)
-    C = _named_curve(fx, args.curve)
+    D = _named(fx.divisors, "divisor", args.divisor)
+    C = _named(fx.curves, "curve", args.curve)
     res = intersect_degree(T, D, C)
     result = {
         "point_sum": point_sum_to_json(res.point_sum),
@@ -294,9 +303,7 @@ def cmd_intersect(fx, args):
 
 
 def cmd_import_embedded(fx, args):
-    if fx.embedded is None:
-        raise InputError("import-embedded needs an embedded fixture")
-    X, pi, T, solutions = derive_structure(fx.embedded)
+    X, pi, T, solutions = derive_structure(_embedded(fx, args))
     result = {
         "complex": X.to_json(),
         "pi": [list(level) for level in pi],
@@ -310,10 +317,9 @@ def cmd_import_embedded(fx, args):
 
 
 def cmd_robust(fx, args):
-    if fx.embedded is None:
-        raise InputError("robust needs an embedded fixture")
+    E = _embedded(fx, args)
     k, idx = _cell(args.cell)
-    res = robustness_check(fx.embedded, k, idx)
+    res = robustness_check(E, k, idx)
     result = {
         "cell": [k, idx],
         "robust": res.robust,
@@ -326,9 +332,7 @@ def cmd_robust(fx, args):
 
 
 def cmd_pushforward(fx, args):
-    if fx.embedded is None:
-        raise InputError("pushforward needs an embedded fixture")
-    E = fx.embedded
+    E = _embedded(fx, args)
     if args.function is not None:
         f = _values(args.function, fx, len(E.vertices))
         res = push_forward_and_compare(E, f=f)
@@ -341,7 +345,7 @@ def cmd_pushforward(fx, args):
         return result, [["pushforward-oracle", "pass" if ok else "fail",
                          "divisor push-forward matches embedded weights"]], {}
     if args.divisor is not None:
-        D = _named_divisor(fx, args.divisor)
+        D = _named(fx.divisors, "divisor", args.divisor)
         res = push_forward_and_compare(E, D=D)
         result = {"pushed": [[r, m] for r, m in sorted(res.pushed.items())]}
         return result, [["pushforward", "pass", "multiplicities summed"]], {}
@@ -349,18 +353,14 @@ def cmd_pushforward(fx, args):
 
 
 def cmd_degen_build(fx, args):
-    if fx.degeneration is None:
-        raise InputError("degen-build needs a degeneration fixture")
-    T = build_structure_from_degeneration(fx.complex, fx.degeneration)
+    T = _degeneration_structure(fx, args)
     result = {"mode": fx.degeneration.mode, "alpha": alpha_to_json(T)}
     return result, [["consistency", "pass",
                      "%s data consistent" % fx.degeneration.mode]], {}
 
 
 def cmd_specialize(fx, args):
-    if fx.degeneration is None:
-        raise InputError("specialize needs a degeneration fixture")
-    T = build_structure_from_degeneration(fx.complex, fx.degeneration)
+    T = _degeneration_structure(fx, args)
     res = specialize(T, fx.degeneration, args.name)
     if res.kind == "divisor":
         result = {
@@ -385,9 +385,7 @@ def cmd_specialize(fx, args):
 
 
 def cmd_verify(fx, args):
-    if fx.degeneration is None:
-        raise InputError("verify needs a degeneration fixture")
-    T = build_structure_from_degeneration(fx.complex, fx.degeneration)
+    T = _degeneration_structure(fx, args)
     try:
         res = verify_theorem(T, fx.degeneration, args.divisor, args.curve)
     except PreconditionFailed as exc:

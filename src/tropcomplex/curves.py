@@ -18,11 +18,11 @@ from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
 from .linalg import _echelon_in_place, _solution, kernel_basis
 from .delta import _SLOTS
-from .structure import TropicalStructure
+from .structure import TropicalStructure, Value
 from .divisors import Divisor, _augmented_rows
 
 
-class Curve:
+class Curve(Value):
     """An immutable value: equal and hashed by its multiplicities.  Not a
     tuple, so it has no length, iteration, or tuple + and *."""
 
@@ -33,19 +33,8 @@ class Curve:
         object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "_mults", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Curve is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.multiplicities == other.multiplicities
-
-    def __hash__(self):
-        return hash(self.multiplicities)
-
-    def __repr__(self):
-        return "Curve(multiplicities=%r)" % (self.multiplicities,)
+    def _key(self):
+        return self.multiplicities
 
     @staticmethod
     def on_edges(coeffs):

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
-                     UnknownName, entry_list, int_entry, int_table, named)
+                     UnknownName, entry_list, fraction_entry, int_entry,
+                     int_table, named)
 from .structure import TropicalStructure, check_weak, link_graph
 from .divisors import Divisor, chip_matrix, weil_test
 from .curves import Curve, is_balanced, intersect_degree
@@ -42,9 +43,7 @@ def _claimed(entry):
         raise SchemaError("claimed entry %r is not [divisor name, curve "
                           "name, numerator, denominator]" % (entry,))
     num, den = int_entry(entry[2:], 2, "claimed")
-    if den == 0:
-        raise SchemaError("claimed entry %r has denominator 0" % (entry,))
-    return (entry[0], entry[1]), Fraction(num, den)
+    return tuple(entry[:2]), fraction_entry(num, den, "claimed entry", entry)
 
 
 def load_degeneration(data):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateCut, IndexMismatch
 from .linalg import SmithForm, _echelon_in_place, smith, smith_solve, solve
-from .structure import TropicalStructure, local_rows
+from .structure import TropicalStructure, Value, local_rows
 
 
 class FacetPiece(NamedTuple):
@@ -24,7 +24,7 @@ class FacetPiece(NamedTuple):
     multiplicity: int
 
 
-class Divisor:
+class Divisor(Value):
     """An immutable value: equal and hashed by its two parts.  Not a tuple,
     so it has no length, iteration, or tuple + and *."""
 
@@ -36,21 +36,8 @@ class Divisor:
         object.__setattr__(self, "facet_pieces", facet_pieces)
         object.__setattr__(self, "_coeffs", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ridge_part == other.ridge_part
-                and self.facet_pieces == other.facet_pieces)
-
-    def __hash__(self):
-        return hash((self.ridge_part, self.facet_pieces))
-
-    def __repr__(self):
-        return "Divisor(ridge_part=%r, facet_pieces=%r)" % (self.ridge_part,
-                                                            self.facet_pieces)
+    def _key(self):
+        return self.ridge_part, self.facet_pieces
 
     @staticmethod
     def on_ridges(coeffs):

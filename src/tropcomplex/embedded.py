@@ -62,12 +62,13 @@ class EmbeddedComplex:
     def _validate(self):
         """Check the cells and build the lookups over them.
 
-        _bounded_index and _unbounded_index map a cell to the index of its
-        first occurrence; _cofacets maps a bounded cell to the bounded cells
-        one level up that contain it, and _unbounded_on a sorted vertex
-        tuple to the unbounded cells on exactly those vertices, both in
-        cell order.  A bounded cell's length fixes its level, and a level
-        is complete before the next level's faces are looked up.
+        _bounded_index and _unbounded_index map a cell to its index, and a
+        repeated cell of either kind raises IndexMismatch; _cofacets maps a
+        bounded cell to the bounded cells one level up that contain it, and
+        _unbounded_on a sorted vertex tuple to the unbounded cells on
+        exactly those vertices, both in cell order.  A bounded cell's
+        length fixes its level, and a level is complete before the next
+        level's faces are looked up.
         """
         self._bounded_index = {}
         self._cofacets = {}
@@ -97,7 +98,8 @@ class EmbeddedComplex:
                                 % (face, cell)
                             )
                         self._cofacets.setdefault(face, []).append(idx)
-                self._bounded_index.setdefault(cell, idx)
+                if self._bounded_index.setdefault(cell, idx) != idx:
+                    raise IndexMismatch("duplicate bounded cell %s" % (cell,))
         for ci, cell in enumerate(self.unbounded):
             self._unbounded_index.setdefault((cell.vertices, cell.rays), ci)
             self._unbounded_on.setdefault(
@@ -117,26 +119,21 @@ class EmbeddedComplex:
                 raise NonUnimodular("unbounded cell %s" % (cell,))
             if self._unbounded_index[(cell.vertices, cell.rays)] != ci:
                 raise IndexMismatch("duplicate unbounded cell %s" % (cell,))
-            # face closure: drop one ray, or one vertex when several remain
-            for i in range(len(cell.rays)):
-                rest = cell.rays[:i] + cell.rays[i + 1:]
-                if rest:
-                    if self._find_unbounded(cell.vertices, rest) is None:
-                        raise IndexMismatch(
-                            "missing unbounded face of %s" % (cell,)
-                        )
-                else:
-                    if cell.vertices not in self._bounded_index:
-                        raise IndexMismatch(
-                            "missing bounded face %s" % (cell.vertices,)
-                        )
-            if len(cell.vertices) > 1:
-                for i in range(len(cell.vertices)):
-                    rest = cell.vertices[:i] + cell.vertices[i + 1:]
-                    if self._find_unbounded(rest, cell.rays) is None:
-                        raise IndexMismatch(
-                            "missing unbounded face of %s" % (cell,)
-                        )
+            # face closure: drop one ray, or one vertex when several remain;
+            # a face with no ray left is a bounded cell
+            verts, rays = cell
+            faces = [(verts, rays[:i] + rays[i + 1:])
+                     for i in range(len(rays))]
+            if len(verts) > 1:
+                faces += [(verts[:i] + verts[i + 1:], rays)
+                          for i in range(len(verts))]
+            for vs, rs in faces:
+                if not rs:
+                    if vs not in self._bounded_index:
+                        raise IndexMismatch("missing bounded face %s" % (vs,))
+                elif self._find_unbounded(vs, rs) is None:
+                    raise IndexMismatch(
+                        "missing unbounded face of %s" % (cell,))
         for (k, idx), count in self.sheet_counts.items():
             if count < 1:
                 raise InconsistentSheets("sheet count entry %r is not positive"

@@ -5,6 +5,8 @@ Every error raised on invalid mathematical input derives from InputError so
 the command line driver can map them to exit code 2 uniformly.
 """
 
+from fractions import Fraction
+
 
 class InputError(ValueError):
     """Base class for errors caused by invalid input data."""
@@ -24,6 +26,14 @@ def int_entry(entry, size, what):
         raise SchemaError("%s entry %r is not %s integers"
                           % (what, entry, "a list of" if size is None else size))
     return tuple(entry)
+
+
+def fraction_entry(num, den, what, entry):
+    """The Fraction num/den of two integers read from a fixture entry, or
+    SchemaError naming the entry when den is 0."""
+    if den == 0:
+        raise SchemaError("%s %r has denominator 0" % (what, entry))
+    return Fraction(num, den)
 
 
 def entry_list(value, what):

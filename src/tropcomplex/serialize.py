@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .delta import DeltaComplex, build_complex
 from .errors import (IndexMismatch, InputError, SchemaError, entry_list,
-                     int_entry, int_table, named)
+                     fraction_entry, int_entry, int_table, named)
 from .structure import TropicalStructure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
@@ -75,10 +75,9 @@ def _facet_piece(entry):
         raise SchemaError("facet piece entry %r is not [facet, normal, "
                           "numerator, denominator, multiplicity]" % (entry,))
     f, num, den, mult = int_entry(entry[:1] + entry[2:], 4, "facet piece")
-    if den == 0:
-        raise SchemaError("facet piece entry %r has denominator 0" % (entry,))
+    offset = fraction_entry(num, den, "facet piece entry", entry)
     normal = int_entry(entry[1], None, "facet piece normal")
-    return FacetPiece(f, normal, Fraction(num, den), mult)
+    return FacetPiece(f, normal, offset, mult)
 
 
 def two_piece_from_json(data):
@@ -89,11 +88,9 @@ def two_piece_from_json(data):
                           "normal and offset, not %r" % (data,))
     (facet,) = int_entry([data["facet"]], 1, "two-piece facet")
     num, den = int_entry(data["offset"], 2, "two-piece offset")
-    if den == 0:
-        raise SchemaError("two-piece offset %r has denominator 0"
-                          % (data["offset"],))
+    offset = fraction_entry(num, den, "two-piece offset", data["offset"])
     normal = int_entry(data["normal"], None, "two-piece normal")
-    return TwoPieceFunction(facet, normal, Fraction(num, den))
+    return TwoPieceFunction(facet, normal, offset)
 
 
 def curve_to_json(C: Curve):
@@ -135,11 +132,11 @@ def breakpoints_from_json(data):
             raise SchemaError("breakpoint entry %r is not [edge, points]"
                               % (entry,))
         (e,) = int_entry(entry[:1], 1, "breakpoint edge")
+        # every point's integers are read before any denominator, so a
+        # malformed point is named before a zero denominator
         points = [int_entry(pt, 4, "breakpoint") for pt in entry[1]]
-        if any(pd == 0 or vd == 0 for _, pd, _, vd in points):
-            raise SchemaError("breakpoint entry %r has denominator 0"
-                              % (entry,))
-        pieces[e] = [(Fraction(pn, pd), Fraction(vn, vd))
+        pieces[e] = [(fraction_entry(pn, pd, "breakpoint entry", entry),
+                      fraction_entry(vn, vd, "breakpoint entry", entry))
                      for pn, pd, vn, vd in points]
     return BreakpointFunction.on_edges(pieces)
 

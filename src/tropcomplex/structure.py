@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .delta import _SLOTS, DeltaComplex
-from .errors import IndexMismatch, MissingAlpha, WrongDimension
+from .errors import IndexMismatch, MissingAlpha, SchemaError, WrongDimension
 from .linalg import _inertia_in_place
 
 
@@ -32,13 +32,39 @@ class WeakReport(NamedTuple):
     isolated_ridges: tuple  # ridges lying in no facet
 
 
-class TropicalStructure:
-    """A complex with its structure constants; equal and hashed by the
-    complex alone, and immutable.  alpha maps (ridge, slot) to an integer;
-    when it is None, n = 1 takes alpha(v) = deg(v) and n = 0 none.
+class Value:
+    """Base of the immutable values: a subclass sets its slots once, through
+    object.__setattr__, and supplies _key().  Equal only to an instance of
+    the same class with an equal key, and hashed by the key; printed with
+    its public slots in slot order."""
 
-    A given alpha has one entry per (ridge, slot) pair and no other key:
-    IndexMismatch names the first entry out of range, and MissingAlpha the
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name))
+            for name in self.__slots__ if not name.startswith("_")))
+
+
+class TropicalStructure(Value):
+    """A complex with its structure constants; equal and hashed by the
+    complex alone.  alpha maps (ridge, slot) to an integer; when it is
+    None, n = 1 takes alpha(v) = deg(v) and n = 0 none.
+
+    A given alpha has one entry per (ridge, slot) pair and no other key,
+    and every value is an int: SchemaError names the first entry that is
+    not, IndexMismatch the first entry out of range, and MissingAlpha the
     first absent pair in ridge-major order.
     """
 
@@ -54,6 +80,10 @@ class TropicalStructure:
         else:
             ridges = complex.counts[n - 1] if n else 0
             for (r, slot), a in alpha.items():
+                # a bool or a rational too: smith reads its rows by int()
+                if type(a) is not int:
+                    raise SchemaError("alpha entry [%d, %d, %r] is not an "
+                                      "integer" % (r, slot, a))
                 if not (0 <= r < ridges and 0 <= slot < n):
                     cell, i, count = (("ridge", r, ridges)
                                       if not 0 <= r < ridges
@@ -70,20 +100,8 @@ class TropicalStructure:
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "alpha", alpha)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TropicalStructure is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.complex == other.complex
-
-    def __hash__(self):
-        return hash(self.complex)
-
-    def __repr__(self):
-        return "TropicalStructure(complex=%r, alpha=%r)" % (self.complex,
-                                                           self.alpha)
+    def _key(self):
+        return self.complex
 
 
 def check_weak(T: TropicalStructure):

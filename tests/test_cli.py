@@ -925,134 +925,206 @@ def triangle_degeneration(data):
                  "claimed": [["Duv", "C1", 0, 1]]})(data)
 
 
-# one small edit per input-error raise, with the call that reaches it and
-# the error type it reports; SIDE in the arguments names a side file
+# one small edit per input-error raise, with the call that reaches it, and
+# the error type and message it reports; SIDE in the arguments names a
+# side file
 TYPED_ERRORS = {
     # build_complex and DeltaComplex
     "complex-not-an-object": (
         "tet-degen", edit("complex", value=[1]), ["degen-build"], None,
-        "SchemaError"),
+        "SchemaError",
+        "a complex is a JSON object, not list"),
     "counts-of-wrong-length": (
         "triangle", edit("simplices", value=[3, 3]), ["validate"], None,
-        "DimensionExceeded"),
+        "DimensionExceeded",
+        "expected 3 per-dimension counts, got 2"),
     "face-entry-dimension": (
         "triangle", edit("faces", append=[3, 0, 0, 0]), ["validate"], None,
-        "DimensionExceeded"),
+        "DimensionExceeded",
+        "face entry at dimension 3"),
     "face-entry-simplex": (
         "triangle", edit("faces", append=[1, 9, 0, 0]), ["validate"], None,
-        "DimensionExceeded"),
+        "DimensionExceeded",
+        "face entry for missing simplex (1,9)"),
     "face-entry-slot": (
         "triangle", edit("faces", append=[1, 0, 2, 0]), ["validate"], None,
-        "DimensionExceeded"),
+        "DimensionExceeded",
+        "face slot 2 out of range"),
     "face-entries-missing": (
         "triangle", edit("faces", delete=-1), ["validate"], None,
-        "DimensionExceeded"),
+        "DimensionExceeded",
+        "missing face entries for (2,0)"),
     "no-vertices": (
         "path", replace_all({"format": "tcx-1", "kind": "abstract", "n": 0,
                              "simplices": [0], "faces": []}),
-        ["validate"], None, "Disconnected"),
+        ["validate"], None, "Disconnected",
+        "complex has no vertices"),
     # EmbeddedComplex
     "bounded-cell-repeats-a-vertex": (
         "plane", edit("bounded_cells", 1, 0, value=[0, 0]), ["validate"],
-        None, "IndexMismatch"),
+        None, "IndexMismatch",
+        "bounded 1-cell needs 2 distinct vertices"),
     "unbounded-cell-without-rays": (
         "plane", edit("unbounded_cells",
                       append={"vertices": [0], "rays": []}),
-        ["validate"], None, "IndexMismatch"),
+        ["validate"], None, "IndexMismatch",
+        "unbounded cells need vertices and rays"),
     "zero-ray": (
         "plane", edit("unbounded_cells", 0, "rays", value=[[0, 0]]),
-        ["validate"], None, "IndexMismatch"),
+        ["validate"], None, "IndexMismatch",
+        "bad ray (0, 0)"),
     "ray-not-primitive": (
         "plane", edit("unbounded_cells", 0, "rays", value=[[-2, 0]]),
-        ["validate"], None, "IndexMismatch"),
+        ["validate"], None, "IndexMismatch",
+        "ray (-2, 0) not primitive"),
     "unbounded-cell-not-unimodular": (
         "plane", edit("unbounded_cells", 0, "rays", value=[[-2, 1]]),
-        ["validate"], None, "NonUnimodular"),
+        ["validate"], None, "NonUnimodular",
+        "unbounded cell UnboundedCell(vertices=(0, 1), rays=((-2, 1),))"),
     "unbounded-cell-twice": (
         "plane", edit("unbounded_cells",
                       append={"vertices": [0, 1], "rays": [[-1, 0]]}),
-        ["validate"], None, "IndexMismatch"),
+        ["validate"], None, "IndexMismatch",
+        "duplicate unbounded cell UnboundedCell(vertices=(0, 1), "
+        "rays=((-1, 0),))"),
+    "bounded-cell-twice": (
+        "plane", edit("bounded_cells", 2, append=[0, 1, 2]), ["validate"],
+        None, "IndexMismatch",
+        "duplicate bounded cell (0, 1, 2)"),
     # the face of a two-ray cell that drops a ray, the face of an edge's
     # cell that drops a vertex, and a bounded face
     "unbounded-ray-face-missing": (
         "plane", edit("unbounded_cells", delete=13), ["validate"], None,
-        "IndexMismatch"),
+        "IndexMismatch",
+        "missing unbounded face of UnboundedCell(vertices=(0,), "
+        "rays=((-1, -1), (-1, 0)))"),
     "unbounded-vertex-face-missing": (
         "plane", edit("unbounded_cells", delete=12), ["validate"], None,
-        "IndexMismatch"),
+        "IndexMismatch",
+        "missing unbounded face of UnboundedCell(vertices=(0, 1), "
+        "rays=((-1, 0),))"),
     "bounded-face-missing": (
         "plane", edit("unbounded_cells",
                       append={"vertices": [1, 3], "rays": [[0, 1]]}),
-        ["validate"], None, "IndexMismatch"),
+        ["validate"], None, "IndexMismatch",
+        "missing bounded face (1, 3)"),
     "sheet-count-zero": (
         "twosheet", edit("sheets", "counts", 0, value=[1, 0, 0]),
-        ["validate"], None, "InconsistentSheets"),
+        ["validate"], None, "InconsistentSheets",
+        "sheet count entry [1, 0, 0] is not positive"),
     "unbounded-entry-without-vertices": (
         "plane", edit("unbounded_cells", append={"rays": [[1, 0]]}),
-        ["validate"], None, "SchemaError"),
+        ["validate"], None, "SchemaError",
+        "unbounded cell entry {'rays': [[1, 0]]} has no vertices"),
     "face-sheet-map-malformed": (
         "twosheet", edit("sheets", "face_sheet_maps", append=[1, 0, 0]),
-        ["validate"], None, "SchemaError"),
+        ["validate"], None, "SchemaError",
+        "face sheet map entry [1, 0, 0] is not [k, index, slot, images]"),
     # vertex 0 gets two sheets, and edge [0, 1] sends it to the second
     # while edge [0, 2] sends it to the first: d_1 d_2 != d_1 d_1
     "sheet-maps-do-not-commute": (
         "plane", edit("sheets", value={"counts": [[0, 0, 2]],
                                        "face_sheet_maps": [[1, 0, 1, [1]]]}),
-        ["import-embedded"], None, "InconsistentSheets"),
+        ["import-embedded"], None, "InconsistentSheets",
+        "sheet maps do not commute with face relations: simplicial "
+        "identity fails at (2, 0): d_1 d_2 != d_1 d_1"),
     "no-top-dimensional-bounded-cell": (
         "plane", edit("bounded_cells", delete=2), ["import-embedded"], None,
-        "NoSolution"),
+        "NoSolution",
+        "no bounded cells of top dimension 2"),
     # readers
     "facet-piece-malformed": (
         "triangle", edit("divisors", "F", value={
             "facet_pieces": [[0, [1, 0], 0, 1]]}), ["validate"], None,
-        "SchemaError"),
+        "SchemaError",
+        "facet piece entry [0, [1, 0], 0, 1] is not [facet, normal, "
+        "numerator, denominator, multiplicity]"),
     "facet-piece-denominator-0": (
         "triangle", edit("divisors", "F", value={
             "facet_pieces": [[0, [1, 0], 0, 0, 1]]}), ["validate"], None,
-        "SchemaError"),
+        "SchemaError",
+        "facet piece entry [0, [1, 0], 0, 0, 1] has denominator 0"),
     "two-piece-denominator-0": (
         "tetrahedron", None, ["div", "--two-piece", "SIDE"],
-        {"facet": 0, "normal": [1, 0], "offset": [0, 0]}, "SchemaError"),
+        {"facet": 0, "normal": [1, 0], "offset": [0, 0]}, "SchemaError",
+        "two-piece offset [0, 0] has denominator 0"),
     "breakpoint-denominator-0": (
         "tetrahedron", None,
         ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
-        [[0, [[0, 0, 0, 1], [1, 1, 0, 1]]]], "SchemaError"),
+        [[0, [[0, 0, 0, 1], [1, 1, 0, 1]]]], "SchemaError",
+        "breakpoint entry [0, [[0, 0, 0, 1], [1, 1, 0, 1]]] has "
+        "denominator 0"),
     "breakpoints-not-a-list": (
         "tetrahedron", None,
         ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
-        {}, "SchemaError"),
+        {}, "SchemaError",
+        "breakpoints are a list of [edge, points], not {}"),
     "breakpoint-entry-malformed": (
         "tetrahedron", None,
         ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
-        [[0]], "SchemaError"),
+        [[0]], "SchemaError",
+        "breakpoint entry [0] is not [edge, points]"),
     "kind-undetectable": (
         "triangle", replace_all({"format": "tcx-1"}), ["validate"], None,
-        "InputError"),
+        "InputError",
+        "cannot determine fixture kind"),
     "kind-unknown": (
         "triangle", edit("kind", value="weird"), ["validate"], None,
-        "InputError"),
+        "InputError",
+        "unknown fixture kind 'weird'"),
     "degeneration-mode-unknown": (
         "tet-degen", edit("mode", value="loose"), ["degen-build"], None,
-        "InconsistentData"),
+        "InconsistentData",
+        "unknown mode 'loose'"),
+    "claimed-denominator-0": (
+        "tet-degen", edit("claimed", 0, value=["D", "C", 2, 0]),
+        ["degen-build"], None, "SchemaError",
+        "claimed entry ['D', 'C', 2, 0] has denominator 0"),
     # handlers
     "div-without-option": (
-        "tetrahedron", None, ["div"], None, "InputError"),
+        "tetrahedron", None, ["div"], None, "InputError",
+        "div needs --phi or --two-piece"),
     "pushforward-without-option": (
-        "plane", None, ["pushforward"], None, "InputError"),
+        "plane", None, ["pushforward"], None, "InputError",
+        "pushforward needs --function or --divisor"),
     "curve-name-unknown": (
-        "triangle", None, ["balance", "-C", "nope"], None, "UnknownName"),
+        "triangle", None, ["balance", "-C", "nope"], None, "UnknownName",
+        "no curve named 'nope' in the fixture"),
+    "divisor-name-unknown": (
+        "triangle", None, ["cartier", "-D", "nope"], None, "UnknownName",
+        "no divisor named 'nope' in the fixture"),
+    # each subcommand on a fixture of a kind it does not read
+    "import-embedded-on-abstract": (
+        "triangle", None, ["import-embedded"], None, "InputError",
+        "import-embedded needs an embedded fixture"),
+    "robust-on-abstract": (
+        "triangle", None, ["robust", "--cell", "0,0"], None, "InputError",
+        "robust needs an embedded fixture"),
+    "pushforward-on-degeneration": (
+        "tet-degen", None, ["pushforward", "-D", "D"], None, "InputError",
+        "pushforward needs an embedded fixture"),
+    "degen-build-on-embedded": (
+        "plane", None, ["degen-build"], None, "InputError",
+        "degen-build needs a degeneration fixture"),
+    "specialize-on-abstract": (
+        "triangle", None, ["specialize", "Duv"], None, "InputError",
+        "specialize needs a degeneration fixture"),
+    "verify-on-abstract": (
+        "triangle", None, ["verify", "-D", "Duv", "-C", "C1"], None,
+        "InputError",
+        "verify needs a degeneration fixture"),
     # a failed precondition is a report with a failed verdict, not an error
     "verify-precondition": (
         "triangle", triangle_degeneration,
-        ["verify", "-D", "Duv", "-C", "C1"], None, None),
+        ["verify", "-D", "Duv", "-C", "C1"], None, None,
+        "weil: divisor 'Duv' fails the summable test"),
 }
 
 
-@pytest.mark.parametrize("name, change, argv, side, error",
+@pytest.mark.parametrize("name, change, argv, side, error, message",
                          list(TYPED_ERRORS.values()), ids=list(TYPED_ERRORS))
 def test_input_error_is_a_typed_report(capsys, tmp_path, name, change, argv,
-                                       side, error):
+                                       side, error, message):
     path = fixture_path(name)
     if change is not None:
         data = json.loads(path.read_text())
@@ -1068,6 +1140,8 @@ def test_input_error_is_a_typed_report(capsys, tmp_path, name, change, argv,
     if error is None:
         assert code == 1
         assert report["result"]["precondition"] == "weil"
+        assert report["result"]["message"] == message
     else:
         assert code == 2
         assert report["error"]["type"] == error
+        assert report["error"]["message"] == message

@@ -241,10 +241,13 @@ def test_curve_is_a_hashable_value_not_a_tuple(triangle):
     assert same == C and hash(same) == hash(C) and same is not C
     assert {C: "C"}[same] == "C" and same.mult(1) == 2
     assert C != Curve(((1, 2),)) and C != C.multiplicities
+    # equal only within its class: not a divisor with the same pairs
+    assert C != Divisor(C.multiplicities) and Divisor(C.multiplicities) != C
+    assert repr(C) == "Curve(multiplicities=((0, 1), (1, 2), (2, -1)))"
     for op in (len, iter, lambda x: x * 2):
         with pytest.raises(TypeError):
             op(C)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Curve is immutable$"):
         C.multiplicities = ()
 
 

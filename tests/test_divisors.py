@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tropcomplex import (
+    Curve,
     DegenerateCut,
     Divisor,
     IndexMismatch,
@@ -106,10 +107,13 @@ def test_divisor_is_a_hashable_value_not_a_tuple(tetrahedron):
     assert same == d and hash(same) == hash(d) and same is not d
     assert {d: "d"}[same] == "d" and same.coeff(5) == 1
     assert d != Divisor(((5, 2),)) and d != d.ridge_part
+    # equal only within its class: not a curve with the same pairs
+    assert d != Curve(d.ridge_part) and Curve(d.ridge_part) != d
+    assert repr(d) == "Divisor(ridge_part=((5, 1),), facet_pieces=())"
     for op in (len, iter, lambda x: x * 2):
         with pytest.raises(TypeError):
             op(d)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Divisor is immutable$"):
         d.ridge_part = ()
 
 

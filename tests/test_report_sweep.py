@@ -11,6 +11,8 @@ import pytest
 
 from tcxbench import gen
 from tests.conftest import FIXDIR, checked_report
+from tests.test_degeneration import tetra_nonstrict_rows
+from tropcomplex import build_complex
 
 SCRIPT = FIXDIR.parent / "scripts" / "report_sweep.py"
 
@@ -25,6 +27,12 @@ SHIPPED_REPORTS_SHA256 = (
 # file written `torus.json`.
 GENERATED_REPORTS_SHA256 = (
     "1455fb3aff2a1eb48f05bc6e9f4498af3ac9971166d49fbc6697fed30f1d111e")
+
+# sha256 of every sweep call's report on `generated_families()`, in file
+# and sweep order, built as SHIPPED_REPORTS_SHA256 is, with each file
+# written by its name.
+FAMILY_REPORTS_SHA256 = (
+    "115f2566484048f19e6d240b8b3a302b6502ceb7d16c81e221499c53eb2d17eb")
 
 
 @pytest.fixture
@@ -113,3 +121,55 @@ def test_generated_reports_are_pinned(sweep, tmp_path):
     assert len(inertias) > 1
     assert statuses == {"cartier", "qcartier", "neither"}
     assert digest.hexdigest() == GENERATED_REPORTS_SHA256
+
+
+def graph_fixture(g, rng):
+    """A generated graph with a principal and a random divisor, a random
+    and an all-ones curve, and a stored vertex function."""
+    phi = [rng.randint(-2, 2) for _ in range(g.nv)]
+    principal = [[v, c] for v, c in enumerate(g.laplacian_apply(phi)) if c]
+    edges = range(len(g.edges))
+    return dict(g.fixture,
+                divisors={"P": principal,
+                          "D": sorted([v, rng.choice((-2, -1, 1, 2))]
+                                      for v in rng.sample(range(g.nv), 3))},
+                curves={"L": sorted([e, rng.randint(1, 2)]
+                                    for e in rng.sample(edges, 3)),
+                        "All": [[e, 1] for e in edges]},
+                functions={"f": [rng.randint(-3, 3) for _ in range(g.nv)]})
+
+
+def generated_families():
+    """(file name, fixture data) of the generated families beyond the
+    shipped fixtures: three graphs (n = 1 balance, intersect and equiv),
+    strict degeneration data on the 3 x 3 torus, non-strict data on the
+    tetrahedron made of local-matrix diagonals, and the embedded 2 x 2
+    square."""
+    rng = random.Random(7)
+    out = [(g.name + ".json", graph_fixture(g, rng))
+           for g in (gen.cycle_graph(8), gen.complete_graph(5),
+                     gen.grid_graph(3))]
+    out.append(("degen3.json",
+                gen.torus_degeneration(gen.torus(3, rng), rng)))
+    tet = json.loads((FIXDIR / "tet-degen.json").read_text())
+    X = build_complex(tet["complex"])
+    out.append(("nonstrict.json", dict(
+        tet, mode="nonstrict", self_intersections=tetra_nonstrict_rows(X))))
+    out.append(("square2.json", gen.embedded_square(2, rng).fixture))
+    return out
+
+
+def test_generated_family_reports_are_pinned(sweep, tmp_path):
+    digest = hashlib.sha256()
+    codes = set()
+    for name, data in generated_families():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        for argv in sweep.calls(path, data):
+            result = sweep.run(argv)
+            checked_report(argv, result["exit"], result["stdout"])
+            codes.add(result["exit"])
+            stdout = result["stdout"].replace(str(path), name)
+            digest.update(json.dumps([result["exit"], stdout]).encode())
+    assert codes == {0, 1, 2}
+    assert digest.hexdigest() == FAMILY_REPORTS_SHA256

@@ -1,7 +1,9 @@
 """Structure constants, the weak condition, local matrices, classification."""
 
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from tropcomplex import (
     DeltaComplex,
     IndexMismatch,
     MissingAlpha,
+    SchemaError,
     WrongDimension,
     TropicalStructure,
     check_weak,
@@ -87,6 +90,11 @@ def test_structure_equality_ignores_alpha(fx):
     assert T.alpha != U.alpha
     assert T == U and hash(T) == hash(U) and {T: "T"}[U] == "T"
     assert T != TropicalStructure(fx["loop"].complex) and T != X
+    assert repr(U) == ("TropicalStructure(complex=%r, alpha={(0, 0): 5, "
+                       "(1, 0): 5, (2, 0): 5})" % (X,))
+    with pytest.raises(AttributeError, match="^TropicalStructure is "
+                                             "immutable$"):
+        T.alpha = {}
 
 
 def test_structure_names_the_first_missing_entry_in_ridge_major_order(fx):
@@ -135,6 +143,20 @@ def test_structure_refuses_an_entry_out_of_range(fx, key, message):
     assert TropicalStructure(point, {}).alpha == {}
     with pytest.raises(IndexMismatch, match=r"ridge 0 out of range \(0 "):
         TropicalStructure(point, {(0, 0): 1})
+
+
+@pytest.mark.parametrize("value", [Fraction(4, 3), Fraction(1), 0.5, 1.0,
+                                   True, False])
+def test_structure_refuses_a_non_integer_entry(fx, value):
+    # smith reads dense rows through int(): a rational entry would give a
+    # wrong local system (-2/3 read as -1) or a zero pivot (1/2 read as 0)
+    T = fx["tetrahedron"].structure()
+    alpha = dict(T.alpha)
+    alpha[4, 0] = value
+    message = r"^alpha entry \[4, 0, %s\] is not an integer$" % re.escape(
+        repr(value))
+    with pytest.raises(SchemaError, match=message):
+        TropicalStructure(T.complex, alpha)
 
 
 def reference_local_matrix(T, q):
