@@ -18,8 +18,8 @@ from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
 from .linalg import _echelon_in_place, _solution, kernel_basis
 from .delta import _SLOTS
-from .structure import TropicalStructure, Value
-from .divisors import Divisor, _augmented_rows
+from .structure import TropicalStructure, Value, local_rows
+from .divisors import Divisor, _check_ridges
 
 
 class Curve(Value):
@@ -261,6 +261,7 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
         raise UnsupportedDimension(
             "intersection products are implemented for n = 1 and n = 2"
         )
+    _check_ridges(X, D)
     if balance is None:
         balance = is_balanced(T, C)
     if not balance.balanced:
@@ -276,7 +277,9 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
                 if m:
                     total += m * slope
         else:
-            elems, rows = _augmented_rows(T, D, (0, v))
+            elems, rows = local_rows(T, (0, v))
+            for row, t in zip(rows, elems):
+                row.append(D.coeff(t.coface[1]))
             size = len(elems)
             germ = _solution(*_echelon_in_place(rows, size + 1), size)
             if germ is None:

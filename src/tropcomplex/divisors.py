@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateCut, IndexMismatch
 from .linalg import SmithForm, _echelon_in_place, smith, smith_solve, solve
-from .structure import TropicalStructure, Value, local_rows
+from .structure import (TropicalStructure, Value, _check_local_base,
+                        local_rows, local_systems)
 
 
 class FacetPiece(NamedTuple):
@@ -229,45 +230,66 @@ def local_system(matrix, rhs):
     return "qcartier", solve(matrix, rhs)
 
 
+def _check_ridges(X, D: Divisor):
+    """The ridge count of X, after IndexMismatch naming the first ridge of
+    D's ridge part outside 0 .. count - 1 (every ridge, at n = 0).  The
+    ridge part is sorted, so its two ends decide, and a per-cell caller
+    pays no scan of the support."""
+    nr = X.counts[X.n - 1] if X.n else 0
+    part = D.ridge_part
+    if part and not (0 <= part[0][0] and part[-1][0] < nr):
+        r = next(r for r, _ in part if not 0 <= r < nr)
+        raise IndexMismatch("ridge %d out of range (%d ridges)" % (r, nr))
+    return nr
+
+
 def local_cartier_test(T: TropicalStructure, D: Divisor, q):
     """Solve M_q x = [D]_q for a germ vanishing on q.
 
     A rational solution makes D Q-Cartier at q; an integral one (decided via
     Smith normal form over the whole solution set) makes it Cartier within
     the scoped function class.  One Smith form of M_q decides the status
-    (see `local_system`).
+    (see `local_system`).  When [D]_q is zero, which it is at every cell
+    that no ridge of supp D contains, the answer is "cartier" with the zero
+    germ, which is what `smith_solve` returns for it (V . 0 = 0), and no
+    rows or Smith form are built.
     """
-    elems, rows = local_rows(T, q)
-    status, slopes = local_system(rows, [D.coeff(t.coface[1]) for t in elems])
+    X = T.complex
+    _check_local_base(X, q)
+    _check_ridges(X, D)
+    elems = X.link0(q)
+    rhs = [D.coeff(t.coface[1]) for t in elems]
+    if not any(rhs):
+        return CartierVerdict("cartier",
+                              LocalGerm(q, elems, (Fraction(0),) * len(elems)))
+    status, slopes = local_system(local_rows(T, q)[1], rhs)
     germ = None if slopes is None else LocalGerm(q, elems, slopes)
     return CartierVerdict(status, germ)
-
-
-def _augmented_rows(T: TropicalStructure, D: Divisor, q):
-    """(elements, rows): the fresh rows of `local_rows` at q with [D]_q
-    appended, the augmented local system that the Weil test and the
-    intersection product eliminate in place."""
-    elems, rows = local_rows(T, q)
-    coeff = D.coeff
-    for row, t in zip(rows, elems):
-        row.append(coeff(t.coface[1]))
-    return elems, rows
 
 
 def weil_test(T: TropicalStructure, D: Divisor):
     """Q-Cartier at every (n-2)-simplex; vacuously true for n <= 1.
 
     Returns (passed, indices of the failing (n-2)-simplices).  Only
-    rational solvability is decided, with no Smith form: each cell's
-    augmented local system gets one fraction-free elimination in place, and
-    is solvable unless the right-hand side column is a pivot.
+    rational solvability is decided, with no Smith form.  One
+    `local_systems` pass builds every cell's local system with [D]_q
+    appended; a cell that no ridge of supp D contains has a zero
+    right-hand side, which is never a pivot, so it passes and is not
+    eliminated.  Each other cell gets one fraction-free elimination in
+    place, and is solvable unless the right-hand side column is a pivot.
     """
     X = T.complex
+    rhs = [0] * _check_ridges(X, D)
     if X.n < 2:
         return True, ()
+    for r, c in D.ridge_part:
+        rhs[r] = c
+    cells = X.faces[X.n - 1]
+    touched = sorted({q for r, _ in D.ridge_part for q in cells[r]})
+    systems = local_systems(T, rhs)
     failures = []
-    for qi in range(X.counts[X.n - 2]):
-        elems, rows = _augmented_rows(T, D, (X.n - 2, qi))
+    for qi in touched:
+        elems, rows = systems[qi]
         size = len(elems)
         if size in _echelon_in_place(rows, size + 1, reduced=False)[1]:
             failures.append(qi)
@@ -325,11 +347,8 @@ def lin_equiv_witness(T: TropicalStructure, D: Divisor, Dp: Divisor):
     if diff.facet_pieces:
         raise IndexMismatch("witness queries need ridge-supported divisors")
     X = T.complex
-    nr = X.counts[X.n - 1] if X.n else 0
-    b = [0] * nr
+    b = [0] * _check_ridges(X, diff)
     for r, c in diff.ridge_part:
-        if not 0 <= r < nr:
-            raise IndexMismatch("ridge %d out of range (%d ridges)" % (r, nr))
         b[r] = int(c)
         if b[r] != c:
             raise IndexMismatch("witness queries need integral divisors: "

@@ -84,9 +84,10 @@ def _echelon_in_place(m, ncols=None, reduced=True):
     otherwise every row is rescaled.  With reduced=False only the rows
     below each pivot are cleared (row echelon form): the pivots do not
     change.  `_echelon` and `solve` build the rows fresh from their input,
-    the Weil test and the intersection product pass the rows of
-    `divisors._augmented_rows`, and the balancing test the transposed germ
-    relations.
+    the Weil test passes the augmented rows of `structure.local_systems` at
+    each cell that supp D touches, the intersection product those of
+    `structure.local_rows` with [D]_v appended, and the balancing test the
+    transposed germ relations.
     """
     if type(sum(chain.from_iterable(m))) is not int:
         m = [_integers(row) for row in m]
@@ -450,8 +451,8 @@ def _inertia_in_place(m):
     as in `_echelon_in_place`: when the new scale (|d|, or |b| for a 2x2
     block) equals the previous one, only the rows and columns where the
     pivot lines are nonzero change; otherwise the whole block is rescaled.
-    `inertia` copies its input, and `structure.classify` passes copies of
-    the rows of the local matrices.
+    `inertia` copies its input, and `structure.classify` passes the rows
+    of `structure.local_systems` after packing them into its records.
     """
     if type(sum(chain.from_iterable(m))) is not int:
         n = len(m)

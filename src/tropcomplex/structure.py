@@ -153,6 +153,15 @@ def link_graph(X: DeltaComplex, q):
     return elements, edges
 
 
+def _check_local_base(X: DeltaComplex, q):
+    """WrongDimension unless q is an (n-2)-simplex."""
+    if X.n < 2 or q[0] != X.n - 2:
+        raise WrongDimension(
+            "local matrix needs an (n-2)-simplex, got dimension %d with n=%d"
+            % (q[0], X.n)
+        )
+
+
 def local_rows(T: TropicalStructure, q):
     """(elements, rows): the 0-dimensional link elements of an
     (n-2)-simplex q and the rows of its local intersection matrix as
@@ -161,14 +170,11 @@ def local_rows(T: TropicalStructure, q):
     Off-diagonal (t,u): number of edges between t and u in link(q).
     Diagonal (t,t): -alpha(opp(t), r(t)) + 2 * (loops at t).  The edges
     come from `link_graph`; the slot of opp(t) in its ridge r(t) is the
-    one missing from t.slots, so alpha is indexed directly.
+    one missing from t.slots, so alpha is indexed directly.  The builder
+    for one cell; `local_systems` builds every cell's in one pass.
     """
     X = T.complex
-    if X.n < 2 or q[0] != X.n - 2:
-        raise WrongDimension(
-            "local matrix needs an (n-2)-simplex, got dimension %d with n=%d"
-            % (q[0], X.n)
-        )
+    _check_local_base(X, q)
     elems, edges = link_graph(X, q)
     size = len(elems)
     m = [[0] * size for _ in range(size)]
@@ -183,6 +189,47 @@ def local_rows(T: TropicalStructure, q):
     for i, ((_, r), slots) in enumerate(elems):
         m[i][i] -= alpha[r, top - sum(slots)]
     return elems, m
+
+
+def local_systems(T: TropicalStructure, rhs=None):
+    """`local_rows` at every (n-2)-simplex, in q order, built in one pass
+    over the facet rows: a list of (elements, rows) pairs, the rows fresh
+    lists in link order.  When rhs (one value per ridge) is given, row t
+    gets rhs[r(t)] appended, the augmented local system.  Needs n >= 2.
+
+    A facet row with slots d0 < d1 holds one link edge of the cell
+    q = d_(d1-1) d_d0 of the facet, the rule of `link_graph` read
+    facet-major: its ends sit at the cofacet positions of the ridge d_d0
+    at d1 - 1 and of the ridge d_d1 at d0, which are the same element for
+    a loop.  Then each ridge r and slot s subtract alpha(r, s) on the
+    diagonal at r's element in the cell d_s r, whose slots miss s.
+    """
+    X = T.complex
+    n = X.n
+    cells, pos = X.faces[n - 1], X._cofacet_pos[n - 1]
+    elements = [link[0] for link in X._links[n - 2]]
+    systems = [[[0] * size for _ in range(size)]
+               for size in map(len, elements)]
+    pairs = [(d0, d1 - 1, d1) for d1 in range(1, n + 1) for d0 in range(d1)]
+    for row in X.faces[n]:
+        for d0, e, d1 in pairs:
+            r = row[d0]
+            m = systems[cells[r][e]]
+            a = pos[r][e]
+            b = pos[row[d1]][d0]
+            if a == b:
+                m[a][a] += 2
+            else:
+                m[a][b] += 1
+                m[b][a] += 1
+    alpha = T.alpha
+    for r, (qs, ps) in enumerate(zip(cells, pos)):
+        for s in range(n):
+            row = systems[qs[s]][ps[s]]
+            row[ps[s]] -= alpha[r, s]
+            if rhs is not None:
+                row.append(rhs[r])
+    return list(zip(elements, systems))
 
 
 def local_matrix(T: TropicalStructure, q):
@@ -203,8 +250,10 @@ def classify(T: TropicalStructure):
     """Tropical iff every local matrix has exactly one positive eigenvalue.
 
     For n <= 1 there are no (n-2)-simplices and the verdict is tropical
-    vacuously.  When the weak constraint holds, the local matrices built
-    for the inertias are returned with them, in q order.
+    vacuously.  When the weak constraint holds, every local matrix comes
+    from one `local_systems` pass per call (no memo): its rows are packed
+    into the returned LocalIntersectionMatrix records, in q order, and the
+    same lists, symmetric by construction, then go to the inertia kernel.
     """
     X = T.complex
     weak = check_weak(T)
@@ -212,13 +261,13 @@ def classify(T: TropicalStructure):
         return ClassifyResult("weak-only", (), weak)
     if X.n < 2:
         return ClassifyResult("tropical", (), weak)
-    matrices = tuple((qi, local_matrix(T, (X.n - 2, qi)))
-                     for qi in range(X.counts[X.n - 2]))
-    # a local matrix is symmetric by construction: the kernel takes list
-    # copies of its rows, with no symmetry check
-    inertias = tuple(
-        (qi, Inertia(*_inertia_in_place(list(map(list, m.matrix)))))
-        for qi, m in matrices)
+    dim = X.n - 2
+    matrices = []
+    inertias = []
+    for qi, (elems, rows) in enumerate(local_systems(T)):
+        matrices.append((qi, LocalIntersectionMatrix(
+            (dim, qi), elems, tuple(map(tuple, rows)))))
+        inertias.append((qi, Inertia(*_inertia_in_place(rows))))
     ok = all(ine.positive == 1 for _, ine in inertias)
-    return ClassifyResult("tropical" if ok else "weak-only", inertias, weak,
-                          matrices)
+    return ClassifyResult("tropical" if ok else "weak-only", tuple(inertias),
+                          weak, tuple(matrices))

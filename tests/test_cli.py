@@ -628,38 +628,61 @@ def torus_fixture(tmp_path, k):
     return path, tropcomplex.build_complex(data)
 
 
-def test_cartier_and_classify_build_each_local_matrix_once(
-        capsys, monkeypatch, tmp_path):
-    # every local system comes from one call of the row builder per cell
-    # and per call: no memo, so a second classify builds them again
+def count_row_builds(monkeypatch):
+    """Patch `local_rows` and `local_systems` wherever the package binds
+    them, and return the call log: ("rows", q) or ("systems",) per call."""
     from tropcomplex import structure
 
-    original = structure.local_rows
     calls = []
+    original_rows, original_systems = structure.local_rows, structure.local_systems
 
-    def counting(T, q):
-        calls.append(tuple(q))
-        return original(T, q)
+    def rows(T, q):
+        calls.append(("rows", q))
+        return original_rows(T, q)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tropcomplex") \
-                and getattr(module, "local_rows", None) is original:
-            monkeypatch.setattr(module, "local_rows", counting)
+    def systems(T, rhs=None):
+        calls.append(("systems",))
+        return original_systems(T, rhs)
+
+    for original, wrapper in ((original_rows, rows),
+                              (original_systems, systems)):
+        attr = original.__name__
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tropcomplex") \
+                    and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def touched_cells(X, D):
+    """The (n-2)-cells that a ridge of supp D contains, in q order."""
+    return sorted({q for r, _ in D.ridge_part for q in X.faces[X.n - 1][r]})
+
+
+def test_cartier_and_classify_build_each_local_matrix_once(
+        capsys, monkeypatch, tmp_path):
+    # classify and the Weil test build every local system in one pass per
+    # call: no memo, so a second classify makes a second pass.  tcx cartier
+    # builds rows only where its divisor touches, and intersect_degree at
+    # each support vertex
+    calls = count_row_builds(monkeypatch)
     runs = [(*torus_fixture(tmp_path, 4), "D")]
     for name, divisor in (("triangle", "Duv"), ("triangle-tropical", "Duv"),
                           ("tetrahedron", "Dcd")):
         path = fixture_path(name)
         runs.append((path, tropcomplex.load_fixture_file(path).complex, divisor))
     for path, X, divisor in runs:
-        cells = [(X.n - 2, q) for q in range(X.counts[X.n - 2])]
-        for argv in (["classify", path], ["cartier", path, "-D", divisor]):
+        D = tropcomplex.load_fixture_file(path).divisors[divisor]
+        cells = [("rows", (X.n - 2, q)) for q in touched_cells(X, D)]
+        assert 0 < len(cells) < X.counts[X.n - 2], path
+        for argv, expected in ((["classify", path], [("systems",)]),
+                               (["cartier", path, "-D", divisor], cells)):
             calls.clear()
             code = main([str(a) for a in argv])
             capsys.readouterr()
-            assert code in (0, 1) and calls == cells, argv
+            assert code in (0, 1) and calls == expected, argv
     t = gen.torus(4, random.Random(4))
     T = tropcomplex.load_fixture(t.fixture).structure()
-    cells = [(0, v) for v in range(t.nv)]
     rng = random.Random(4)
     D = tropcomplex.div_vertex_function(
         T, [rng.randint(-3, 3) for _ in range(t.nv)])
@@ -670,10 +693,49 @@ def test_cartier_and_classify_build_each_local_matrix_once(
                  lambda T: tropcomplex.weil_test(T, D)):
         calls.clear()
         call(T)
-        assert calls == cells, call
+        assert calls == [("systems",)], call
     calls.clear()
     assert tropcomplex.intersect_degree(T, D, C, balance).degree == 0
-    assert calls == [(0, v) for v in C.support_vertices(T.complex)]
+    assert calls == [("rows", (0, v)) for v in C.support_vertices(T.complex)]
+
+
+def test_weil_and_cartier_eliminate_only_where_the_divisor_touches(
+        capsys, monkeypatch, tmp_path):
+    # on the 32 x 32 torus a two-ridge divisor touches at most 4 of 1024
+    # cells: one elimination each in the Weil test, one Smith form each in
+    # tcx cartier, and nothing at the other cells
+    from tropcomplex import divisors
+
+    path, X = torus_fixture(tmp_path, 32)
+    fx = tropcomplex.load_fixture_file(path)
+    D = fx.divisors["D"]
+    touched = touched_cells(X, D)
+    assert len(D.ridge_part) == 2 and 2 < len(touched) <= 4
+    assert X.counts[0] == 1024
+    eliminations = []
+    smiths = []
+    echelon, smith = divisors._echelon_in_place, divisors.smith
+
+    def counting_echelon(rows, *args, **kwargs):
+        eliminations.append(len(rows))
+        return echelon(rows, *args, **kwargs)
+
+    def counting_smith(matrix, *args):
+        smiths.append(len(matrix))
+        return smith(matrix, *args)
+
+    monkeypatch.setattr(divisors, "_echelon_in_place", counting_echelon)
+    monkeypatch.setattr(divisors, "smith", counting_smith)
+    sizes = [X.degree((0, q)) for q in touched]
+    passed, failures = tropcomplex.weil_test(fx.structure(), D)
+    assert eliminations == sizes and smiths == []
+    assert set(failures) <= set(touched)
+    eliminations.clear()
+    code, report, _ = invoke(capsys, "cartier", path, "-D", "D")
+    assert eliminations == [] and smiths == sizes
+    assert report["result"]["weil"] == {"passed": passed,
+                                        "failures": list(failures)}
+    assert len(report["result"]["statuses"]) == 1024
 
 
 def test_cartier_weil_verdict_matches_statuses(capsys, tmp_path):

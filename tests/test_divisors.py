@@ -18,6 +18,8 @@ from tropcomplex import (
     class_group,
     div_two_piece,
     div_vertex_function,
+    intersect_degree,
+    is_balanced,
     lin_equiv_witness,
     load_fixture,
     local_cartier_test,
@@ -25,7 +27,8 @@ from tropcomplex import (
     ridge_multiplicity,
     weil_test,
 )
-from tropcomplex.divisors import local_system
+from tropcomplex.divisors import LocalGerm, local_system
+from tropcomplex.structure import local_rows
 from tropcomplex.linalg import smith, smith_solve, solve
 from tcxbench import gen
 from tests.conftest import dense
@@ -420,9 +423,31 @@ def test_weil_test_makes_no_smith_call(fx, monkeypatch):
         for D in divisors:
             weil_test(T, D)
     assert calls == []
+    # Dcd lies on ridge 5, from vertex 3 to vertex 2: one Smith form at
+    # vertex 2, none at vertex 0, which Dcd does not touch
     T = fx["tetrahedron"].structure()
-    local_cartier_test(T, named(fx["tetrahedron"], "Dcd"), (0, 0))
+    Dcd = named(fx["tetrahedron"], "Dcd")
+    assert Dcd.ridge_part == ((5, 1),) and T.complex.faces[1][5] == (3, 2)
+    local_cartier_test(T, Dcd, (0, 0))
+    assert calls == []
+    local_cartier_test(T, Dcd, (0, 2))
     assert len(calls) == 1
+
+
+def test_cartier_zero_shortcut_matches_local_system(kernel_structures):
+    # where [D]_q is zero the verdict is the one local_system gives for a
+    # zero right-hand side: "cartier" with the zero germ, as Fractions
+    for T in kernel_structures:
+        X = T.complex
+        if X.n < 2:
+            continue
+        for qi in range(X.counts[X.n - 2]):
+            q = (X.n - 2, qi)
+            elems, rows = local_rows(T, q)
+            status, slopes = local_system(rows, [0] * len(elems))
+            got = local_cartier_test(T, Divisor(()), q)
+            assert got == (status, LocalGerm(q, elems, slopes)), (X, q)
+            assert all(type(x) is Fraction for x in got.germ.slopes)
 
 
 # -- class groups and witnesses ---------------------------------------------
@@ -621,3 +646,20 @@ def test_witness_rejects_ridge_out_of_range(tetrahedron):
     for r in (nr, -1):
         with pytest.raises(IndexMismatch):
             lin_equiv_witness(T, Divisor(((r, 1),)), Divisor.on_ridges({}))
+
+
+@pytest.mark.parametrize("r", [99, -1])
+def test_every_divisor_query_refuses_a_ridge_out_of_range(tetrahedron, r):
+    # a dense right-hand side would read ridge -1 as the last ridge, and
+    # 99 used to be ignored: all four queries name the ridge instead
+    T = tetrahedron.structure()
+    D = Divisor.on_ridges({r: 1})
+    C = tetrahedron.curves["C"]
+    assert is_balanced(T, C).balanced
+    message = r"^ridge %d out of range \(6 ridges\)$" % r
+    for query in (lambda: weil_test(T, D),
+                  lambda: local_cartier_test(T, D, (0, 0)),
+                  lambda: intersect_degree(T, D, C),
+                  lambda: lin_equiv_witness(T, D, Divisor.on_ridges({}))):
+        with pytest.raises(IndexMismatch, match=message):
+            query()

@@ -10,6 +10,7 @@ import pytest
 from tropcomplex import (
     Curve,
     DeltaComplex,
+    Divisor,
     IndexMismatch,
     MissingAlpha,
     SchemaError,
@@ -24,7 +25,7 @@ from tropcomplex import (
     local_matrix,
     weil_test,
 )
-from tropcomplex.structure import link_graph
+from tropcomplex.structure import link_graph, local_rows, local_systems
 from tcxbench import gen
 
 TRIANGLE_MATRICES = {
@@ -194,6 +195,32 @@ def test_local_matrix_matches_face_at_reference(kernel_structures):
             assert got.matrix == reference_local_matrix(T, q), (X, q)
             loops += sum(a == b for a, b in link_graph(X, q)[1])
     assert loops > 0
+
+
+def test_local_systems_match_local_rows_at_every_cell(kernel_structures):
+    # the one-pass builder against the single-cell one, element order and
+    # row order included; with a right-hand side, each row ends in the
+    # divisor's coefficient at its ridge, Fractions as given
+    rng = random.Random(23)
+    seen = set()
+    for T in kernel_structures:
+        X = T.complex
+        if X.n < 2:
+            continue
+        cells = [local_rows(T, (X.n - 2, q)) for q in range(X.counts[X.n - 2])]
+        assert local_systems(T) == cells, X
+        nr = X.counts[X.n - 1]
+        D = Divisor.on_ridges({
+            r: rng.choice((rng.randint(-3, 3),
+                           Fraction(rng.randint(-3, 3), rng.randint(2, 3))))
+            for r in rng.sample(range(nr), min(nr, 4))})
+        augmented = local_systems(T, [D.coeff(r) for r in range(nr)])
+        assert [elems for elems, _ in augmented] == [e for e, _ in cells]
+        for (elems, rows), (_, plain) in zip(augmented, cells):
+            assert rows == [row + [D.coeff(t.coface[1])]
+                            for row, t in zip(plain, elems)], X
+            seen.update(type(row[-1]) for row in rows)
+    assert seen == {int, Fraction}
 
 
 def test_local_systems_make_no_incidence_helper_call(monkeypatch):
