@@ -18,8 +18,8 @@ from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
 from .linalg import _echelon_in_place, _solution, kernel_basis
 from .delta import _SLOTS
-from .structure import TropicalStructure, Value, local_rows
-from .divisors import Divisor, _check_ridges
+from .structure import TropicalStructure, Value, local_systems
+from .divisors import Divisor, _check_edges, _check_ridges
 
 
 class Curve(Value):
@@ -132,6 +132,7 @@ def is_balanced(T: TropicalStructure, C: Curve):
     violating germ as the certificate.
     """
     X = T.complex
+    _check_edges(X, C)
     dims = []
     certificate = None
     for v in C.support_vertices(X):
@@ -198,6 +199,7 @@ def restrict_divisor(T: TropicalStructure, C: Curve, f: BreakpointFunction):
     raises DiscontinuousInput, and adds its slopes.
     """
     X = T.complex
+    _check_edges(X, C)
     pieces = dict(f.pieces)
     vertex_values = {}
     coeffs = {}
@@ -248,11 +250,12 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
 
     Implemented for n in {1, 2}: the covering by stars of (n-2)-simplices
     and facet interiors reaches every curve vertex only in those dimensions.
-    For n = 2 the germ at a vertex is the rational solution that `solve`
-    would return, read off the local rows with [D]_v appended, eliminated
-    in place; any other differs from it by a kernel germ, which a balanced
-    curve annihilates, so the vertex total is the same.  balance is
-    `is_balanced(T, C)` when the caller has it already.
+    For n = 2 one `local_systems` call builds the local rows at every
+    support vertex with [D]_v appended, and the germ at a vertex is the
+    rational solution that `solve` would return, read off its rows
+    eliminated in place; any other differs from it by a kernel germ, which
+    a balanced curve annihilates, so the vertex total is the same.  balance
+    is `is_balanced(T, C)` when the caller has it already.
     """
     X = T.complex
     if D.facet_pieces:
@@ -261,36 +264,40 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
         raise UnsupportedDimension(
             "intersection products are implemented for n = 1 and n = 2"
         )
-    _check_ridges(X, D)
+    rhs = [0] * _check_ridges(X, D)
+    _check_edges(X, C)
     if balance is None:
         balance = is_balanced(T, C)
     if not balance.balanced:
         raise NotBalanced("curve unbalanced at vertex %d" % balance.certificate[0])
-    coeffs = {}
-    for v in C.support_vertices(X):
-        if X.n == 1:
-            # v ends a curve edge, so its degree is at least 1
-            slope = Fraction(D.coeff(v), X.degree((0, v)))
-            total = Fraction(0)
-            for t in X.link0((0, v)):
-                m = C.mult(t.coface[1])
-                if m:
-                    total += m * slope
-        else:
-            elems, rows = local_rows(T, (0, v))
-            for row, t in zip(rows, elems):
-                row.append(D.coeff(t.coface[1]))
+    vertices = C.support_vertices(X)
+    germs = []
+    if X.n == 1:
+        # v ends a curve edge, so its degree is at least 1: the germ has
+        # slope [D]_v / deg(v) along every edge at v
+        for v in vertices:
+            elems = X.link0((0, v))
+            germs.append((elems,
+                          (Fraction(D.coeff(v), len(elems)),) * len(elems)))
+    else:
+        for r, c in D.ridge_part:
+            rhs[r] = c
+        for v, (elems, rows) in zip(vertices,
+                                    local_systems(T, vertices, rhs)):
             size = len(elems)
             germ = _solution(*_echelon_in_place(rows, size + 1), size)
             if germ is None:
                 raise NotQCartierNearCurve(
                     "divisor not Q-Cartier at vertex %d" % v
                 )
-            total = Fraction(0)
-            for i, t in enumerate(elems):
-                m = C.mult(t.coface[1])
-                if m:
-                    total += m * germ[i]
+            germs.append((elems, germ))
+    coeffs = {}
+    for v, (elems, germ) in zip(vertices, germs):
+        total = Fraction(0)
+        for t, x in zip(elems, germ):
+            m = C.mult(t.coface[1])
+            if m:
+                total += m * x
         if total:
             coeffs[("v", v)] = total
     ps = PointSum.of(coeffs)

@@ -21,7 +21,7 @@ from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
                      UnknownName, entry_list, fraction_entry, int_entry,
                      int_table, named)
-from .structure import TropicalStructure, check_weak, link_graph
+from .structure import TropicalStructure, check_weak, local_systems
 from .divisors import Divisor, chip_matrix, weil_test
 from .curves import Curve, is_balanced, intersect_degree
 
@@ -125,14 +125,11 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
             raise InconsistentData(
                 "self_intersections entry [%d, %d, %d] names no stratum and "
                 "link position (%d strata)" % (qi, ti, c2, strata))
+    # with zero alpha, the diagonal of a local matrix is 2 * (loops at t)
+    zero = TropicalStructure(X, dict.fromkeys(
+        ((r, s) for r in range(X.counts[n - 1]) for s in range(n)), 0))
     alpha = {}
-    for qi in range(strata):
-        q = (n - 2, qi)
-        elements, edges = link_graph(X, q)
-        loops = [0] * len(elements)
-        for a, b in edges:
-            if a == b:
-                loops[a] += 1
+    for qi, (elements, rows) in enumerate(local_systems(zero, range(strata))):
         for ti, t in enumerate(elements):
             if (qi, ti) not in data.self_intersections:
                 raise InconsistentData(
@@ -141,7 +138,7 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
                 )
             # one element names (r, s), in link0 of d_s r: each set once
             alpha[t.coface[1], X.opp_slot(t)] = (
-                2 * loops[ti] - data.self_intersections[(qi, ti)])
+                rows[ti][ti] - data.self_intersections[(qi, ti)])
     T = TropicalStructure(X, alpha)
     weak = check_weak(T)
     if not weak.passed:

@@ -18,7 +18,7 @@ every simplex at every slot tuple, each entry read from the level below.
 construction composes no chain of faces.  The pass that fills the links
 also records, for each m-simplex (m >= 1) and each slot d, its position in
 link0 of its facet d_d (`_cofacet_pos[m][j][d]`, shaped like `faces`): the
-link graphs of `structure` and the germ coordinates of `curves` read
+local systems of `structure` and the germ coordinates of `curves` read
 positions there instead of searching link0.
 """
 

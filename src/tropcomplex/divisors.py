@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .errors import DegenerateCut, IndexMismatch
 from .linalg import SmithForm, _echelon_in_place, smith, smith_solve, solve
 from .structure import (TropicalStructure, Value, _check_local_base,
-                        local_rows, local_systems)
+                        local_systems)
 
 
 class FacetPiece(NamedTuple):
@@ -230,17 +230,28 @@ def local_system(matrix, rhs):
     return "qcartier", solve(matrix, rhs)
 
 
+def _check_range(part, count, cell):
+    """IndexMismatch naming the first index of a sorted (index, value)
+    part outside 0 .. count - 1.  The part is sorted, so its two ends
+    decide, and a per-cell caller pays no scan of the support."""
+    if part and not (0 <= part[0][0] and part[-1][0] < count):
+        i = next(i for i, _ in part if not 0 <= i < count)
+        raise IndexMismatch("%s %d out of range (%d %ss)"
+                            % (cell, i, count, cell))
+
+
 def _check_ridges(X, D: Divisor):
     """The ridge count of X, after IndexMismatch naming the first ridge of
-    D's ridge part outside 0 .. count - 1 (every ridge, at n = 0).  The
-    ridge part is sorted, so its two ends decide, and a per-cell caller
-    pays no scan of the support."""
+    D's ridge part out of range (every ridge, at n = 0)."""
     nr = X.counts[X.n - 1] if X.n else 0
-    part = D.ridge_part
-    if part and not (0 <= part[0][0] and part[-1][0] < nr):
-        r = next(r for r, _ in part if not 0 <= r < nr)
-        raise IndexMismatch("ridge %d out of range (%d ridges)" % (r, nr))
+    _check_range(D.ridge_part, nr, "ridge")
     return nr
+
+
+def _check_edges(X, C):
+    """IndexMismatch naming the first edge of a curve C out of range
+    (every edge, at n = 0)."""
+    _check_range(C.multiplicities, X.counts[1] if X.n else 0, "edge")
 
 
 def local_cartier_test(T: TropicalStructure, D: Divisor, q):
@@ -262,7 +273,8 @@ def local_cartier_test(T: TropicalStructure, D: Divisor, q):
     if not any(rhs):
         return CartierVerdict("cartier",
                               LocalGerm(q, elems, (Fraction(0),) * len(elems)))
-    status, slopes = local_system(local_rows(T, q)[1], rhs)
+    ((_, rows),) = local_systems(T, (q[1],))
+    status, slopes = local_system(rows, rhs)
     germ = None if slopes is None else LocalGerm(q, elems, slopes)
     return CartierVerdict(status, germ)
 
@@ -271,12 +283,12 @@ def weil_test(T: TropicalStructure, D: Divisor):
     """Q-Cartier at every (n-2)-simplex; vacuously true for n <= 1.
 
     Returns (passed, indices of the failing (n-2)-simplices).  Only
-    rational solvability is decided, with no Smith form.  One
-    `local_systems` pass builds every cell's local system with [D]_q
-    appended; a cell that no ridge of supp D contains has a zero
-    right-hand side, which is never a pivot, so it passes and is not
-    eliminated.  Each other cell gets one fraction-free elimination in
-    place, and is solvable unless the right-hand side column is a pivot.
+    rational solvability is decided, with no Smith form.  A cell that no
+    ridge of supp D contains has a zero right-hand side, which is never a
+    pivot, so it passes and is not built.  One `local_systems` call builds
+    the local system of every other cell with [D]_q appended, and each gets
+    one fraction-free elimination in place: it is solvable unless the
+    right-hand side column is a pivot.
     """
     X = T.complex
     rhs = [0] * _check_ridges(X, D)
@@ -286,10 +298,8 @@ def weil_test(T: TropicalStructure, D: Divisor):
         rhs[r] = c
     cells = X.faces[X.n - 1]
     touched = sorted({q for r, _ in D.ridge_part for q in cells[r]})
-    systems = local_systems(T, rhs)
     failures = []
-    for qi in touched:
-        elems, rows = systems[qi]
+    for qi, (elems, rows) in zip(touched, local_systems(T, touched, rhs)):
         size = len(elems)
         if size in _echelon_in_place(rows, size + 1, reduced=False)[1]:
             failures.append(qi)

@@ -8,8 +8,8 @@ minor of the input, within Hadamard's bound, and no gcd is taken.
 `_echelon` and `inertia` are front doors that copy their input (and
 `inertia` checks symmetry) before one in-place kernel each,
 `_echelon_in_place` and `_inertia_in_place`, which scale rational rows
-to integers once; the local systems feed those kernels fresh rows
-directly.  When a pivot equals the previous scale, as every inertia
+to integers once; the rows of `structure.local_systems`, the one builder
+of local intersection matrices, go to those kernels directly.  When a pivot equals the previous scale, as every inertia
 pivot of the local matrices of the alpha = 1 tori does, a row with zero
 in the pivot column does not change and any other row changes only in
 the pivot row's nonzero columns; otherwise the whole remaining block is
@@ -84,10 +84,10 @@ def _echelon_in_place(m, ncols=None, reduced=True):
     otherwise every row is rescaled.  With reduced=False only the rows
     below each pivot are cleared (row echelon form): the pivots do not
     change.  `_echelon` and `solve` build the rows fresh from their input,
-    the Weil test passes the augmented rows of `structure.local_systems` at
-    each cell that supp D touches, the intersection product those of
-    `structure.local_rows` with [D]_v appended, and the balancing test the
-    transposed germ relations.
+    the Weil test and the intersection product pass the augmented rows of
+    `structure.local_systems`, at each cell that supp D touches and at each
+    support vertex of the curve, and the balancing test the transposed
+    germ relations.
     """
     if type(sum(chain.from_iterable(m))) is not int:
         m = [_integers(row) for row in m]
@@ -452,7 +452,8 @@ def _inertia_in_place(m):
     block) equals the previous one, only the rows and columns where the
     pivot lines are nonzero change; otherwise the whole block is rescaled.
     `inertia` copies its input, and `structure.classify` passes the rows
-    of `structure.local_systems` after packing them into its records.
+    that `structure.local_systems` builds at every cell, after packing
+    them into its records.
     """
     if type(sum(chain.from_iterable(m))) is not int:
         n = len(m)

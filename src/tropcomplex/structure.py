@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .delta import _SLOTS, DeltaComplex
+from .delta import DeltaComplex
 from .errors import IndexMismatch, MissingAlpha, SchemaError, WrongDimension
 from .linalg import _inertia_in_place
 
@@ -131,111 +131,88 @@ class LocalIntersectionMatrix(NamedTuple):
     matrix: tuple  # tuple of tuples, symmetric integers
 
 
-def link_graph(X: DeltaComplex, q):
-    """(elements, edges) of the graph link(q) of a simplex q of
-    codimension at least 2: the 0-dimensional link elements of q, and for
-    each 1-dimensional one the positions (a, b) in elements of its two ends
-    (a == b for a loop)."""
-    # codimension >= 2, so the link has levels 0 and 1
-    elements, link1 = X.link(q)[:2]
-    # an edge ((m, j), slots) misses two slots d0 < d1 of its coface, read
-    # from the slot table.  Its end at d0 is the facet r = d_d0 (m, j),
-    # whose element in link0(q) misses slot d1 - 1 of r, so it sits at the
-    # cofacet position of r at d1 - 1; likewise the end at d1 sits at the
-    # position of d_d1 (m, j) at d0.
-    m = q[0] + 2
-    table, rows, pos = _SLOTS[m], X.faces[m], X._cofacet_pos[m - 1]
-    edges = []
-    for (_, j), slots in link1:
-        (d0, _), (d1, _) = table[slots][1]
-        row = rows[j]
-        edges.append((pos[row[d0]][d1 - 1], pos[row[d1]][d0]))
-    return elements, edges
-
-
 def _check_local_base(X: DeltaComplex, q):
-    """WrongDimension unless q is an (n-2)-simplex."""
+    """WrongDimension unless q is an (n-2)-simplex, and IndexMismatch
+    naming q unless its index is in range."""
     if X.n < 2 or q[0] != X.n - 2:
         raise WrongDimension(
             "local matrix needs an (n-2)-simplex, got dimension %d with n=%d"
             % (q[0], X.n)
         )
+    count = X.counts[q[0]]
+    if not 0 <= q[1] < count:
+        raise IndexMismatch("cell %d out of range (%d cells)" % (q[1], count))
 
 
-def local_rows(T: TropicalStructure, q):
-    """(elements, rows): the 0-dimensional link elements of an
-    (n-2)-simplex q and the rows of its local intersection matrix as
-    fresh lists, which a caller may extend and eliminate in place.
+_LOCAL = {}  # n -> (edge ends, opposite slots), built once per process
 
-    Off-diagonal (t,u): number of edges between t and u in link(q).
-    Diagonal (t,t): -alpha(opp(t), r(t)) + 2 * (loops at t).  The edges
-    come from `link_graph`; the slot of opp(t) in its ridge r(t) is the
-    one missing from t.slots, so alpha is indexed directly.  The builder
-    for one cell; `local_systems` builds every cell's in one pass.
+
+def _local_tables(n):
+    """The slot rules of the local systems of an n-complex (n >= 2).
+
+    An edge of link(q) at an (n-2)-cell q is a facet with the slot tuple
+    that misses two slots d0 < d1; it maps to (d0, d1 - 1, d1).  A link0
+    element of q is a ridge with the slot tuple that misses one slot s of
+    the ridge, the slot of the opposite vertex; it maps to s.
     """
-    X = T.complex
-    _check_local_base(X, q)
-    elems, edges = link_graph(X, q)
-    size = len(elems)
-    m = [[0] * size for _ in range(size)]
-    for a, b in edges:
-        if a == b:
-            m[a][a] += 2
-        else:
-            m[a][b] += 1
-            m[b][a] += 1
-    alpha = T.alpha
-    top = (X.n - 1) * X.n // 2  # the sum of a ridge's slots
-    for i, ((_, r), slots) in enumerate(elems):
-        m[i][i] -= alpha[r, top - sum(slots)]
-    return elems, m
+    tables = _LOCAL.get(n)
+    if tables is None:
+        tables = _LOCAL[n] = (
+            {tuple(x for x in range(n + 1) if x != d0 and x != d1):
+             (d0, d1 - 1, d1) for d1 in range(1, n + 1) for d0 in range(d1)},
+            {tuple(x for x in range(n) if x != s): s for s in range(n)})
+    return tables
 
 
-def local_systems(T: TropicalStructure, rhs=None):
-    """`local_rows` at every (n-2)-simplex, in q order, built in one pass
-    over the facet rows: a list of (elements, rows) pairs, the rows fresh
-    lists in link order.  When rhs (one value per ridge) is given, row t
-    gets rhs[r(t)] appended, the augmented local system.  Needs n >= 2.
+def local_systems(T: TropicalStructure, cells, rhs=None):
+    """The local intersection matrices at the given (n-2)-simplex indices,
+    in the order given: one (elements, rows) pair per index, the
+    0-dimensional link elements of the cell and the matrix rows as fresh
+    lists in link order, which a caller may extend and eliminate in place.
+    When rhs (one value per ridge) is given, row t gets rhs[r(t)]
+    appended, the augmented local system.  Needs n >= 2 and indices in
+    range.
 
-    A facet row with slots d0 < d1 holds one link edge of the cell
-    q = d_(d1-1) d_d0 of the facet, the rule of `link_graph` read
-    facet-major: its ends sit at the cofacet positions of the ridge d_d0
-    at d1 - 1 and of the ridge d_d1 at d0, which are the same element for
-    a loop.  Then each ridge r and slot s subtract alpha(r, s) on the
-    diagonal at r's element in the cell d_s r, whose slots miss s.
+    Off-diagonal (t,u): the number of edges between t and u in link(q).
+    Diagonal (t,t): 2 * (loops at t) - alpha(r(t), opp(t)).  An edge
+    ((n, j), slots) of link(q) misses slots d0 < d1 of its facet row; its
+    end at d0 is the ridge d_d0 (n, j), whose element in link0(q) misses
+    slot d1 - 1 of the ridge, so it sits at the cofacet position of that
+    ridge at d1 - 1, and likewise its end at d1 sits at the position of
+    d_d1 (n, j) at d0.  The two are the same element for a loop.
     """
     X = T.complex
     n = X.n
-    cells, pos = X.faces[n - 1], X._cofacet_pos[n - 1]
-    elements = [link[0] for link in X._links[n - 2]]
-    systems = [[[0] * size for _ in range(size)]
-               for size in map(len, elements)]
-    pairs = [(d0, d1 - 1, d1) for d1 in range(1, n + 1) for d0 in range(d1)]
-    for row in X.faces[n]:
-        for d0, e, d1 in pairs:
-            r = row[d0]
-            m = systems[cells[r][e]]
-            a = pos[r][e]
-            b = pos[row[d1]][d0]
-            if a == b:
-                m[a][a] += 2
-            else:
-                m[a][b] += 1
-                m[b][a] += 1
+    ends, opposite = _local_tables(n)
+    links, facets, pos = X._links[n - 2], X.faces[n], X._cofacet_pos[n - 1]
     alpha = T.alpha
-    for r, (qs, ps) in enumerate(zip(cells, pos)):
-        for s in range(n):
-            row = systems[qs[s]][ps[s]]
-            row[ps[s]] -= alpha[r, s]
+    systems = []
+    for q in cells:
+        elements, edges = links[q]
+        size = len(elements)
+        m = []
+        for i, ((_, r), slots) in enumerate(elements):
+            row = [0] * size
+            row[i] = -alpha[r, opposite[slots]]
             if rhs is not None:
                 row.append(rhs[r])
-    return list(zip(elements, systems))
+            m.append(row)
+        for (_, j), slots in edges:
+            d0, e, d1 = ends[slots]
+            row = facets[j]
+            a = pos[row[d0]][e]
+            b = pos[row[d1]][d0]
+            m[a][b] += 1  # a loop, a == b, adds 2 on the diagonal
+            m[b][a] += 1
+        systems.append((elements, m))
+    return systems
 
 
 def local_matrix(T: TropicalStructure, q):
     """Local intersection matrix at an (n-2)-simplex q: the rows of
-    `local_rows` as a LocalIntersectionMatrix."""
-    elems, rows = local_rows(T, q)
+    `local_systems` as a LocalIntersectionMatrix."""
+    _check_local_base(T.complex, q)
+    ((elems, rows),) = local_systems(T, (q[1],))
     return LocalIntersectionMatrix(q, elems, tuple(map(tuple, rows)))
 
 
@@ -251,9 +228,10 @@ def classify(T: TropicalStructure):
 
     For n <= 1 there are no (n-2)-simplices and the verdict is tropical
     vacuously.  When the weak constraint holds, every local matrix comes
-    from one `local_systems` pass per call (no memo): its rows are packed
-    into the returned LocalIntersectionMatrix records, in q order, and the
-    same lists, symmetric by construction, then go to the inertia kernel.
+    from one `local_systems` call over every cell (no memo): its rows are
+    packed into the returned LocalIntersectionMatrix records, in q order,
+    and the same lists, symmetric by construction, then go to the inertia
+    kernel.
     """
     X = T.complex
     weak = check_weak(T)
@@ -264,7 +242,8 @@ def classify(T: TropicalStructure):
     dim = X.n - 2
     matrices = []
     inertias = []
-    for qi, (elems, rows) in enumerate(local_systems(T)):
+    cells = range(X.counts[dim])
+    for qi, (elems, rows) in zip(cells, local_systems(T, cells)):
         matrices.append((qi, LocalIntersectionMatrix(
             (dim, qi), elems, tuple(map(tuple, rows)))))
         inertias.append((qi, Inertia(*_inertia_in_place(rows))))

@@ -272,6 +272,29 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_every_private_function_has_a_caller_in_the_package():
+    # a helper named with a leading underscore is the package's own: once
+    # no code in src reads its name (a call, or a reference passed on), it
+    # is dead, whatever the tests still call.  Imports and docstrings do
+    # not count as readers
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropcomplex"
+    defined = {}
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.startswith("_") \
+                    and not node.name.endswith("__"):
+                defined["%s:%d" % (path.name, node.lineno)] = node.name
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 10
+    assert [where for where, name in defined.items()
+            if name not in read] == []
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every `tcx` call is a fresh process that pays for each module the
     # package imports; dataclasses alone pulls in inspect, ast and dis

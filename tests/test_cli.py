@@ -629,28 +629,22 @@ def torus_fixture(tmp_path, k):
 
 
 def count_row_builds(monkeypatch):
-    """Patch `local_rows` and `local_systems` wherever the package binds
-    them, and return the call log: ("rows", q) or ("systems",) per call."""
+    """Patch `local_systems` wherever the package binds it, and return the
+    call log: the list of cells each call gets."""
     from tropcomplex import structure
 
     calls = []
-    original_rows, original_systems = structure.local_rows, structure.local_systems
+    original = structure.local_systems
 
-    def rows(T, q):
-        calls.append(("rows", q))
-        return original_rows(T, q)
+    def systems(T, cells, rhs=None):
+        cells = list(cells)
+        calls.append(cells)
+        return original(T, cells, rhs)
 
-    def systems(T, rhs=None):
-        calls.append(("systems",))
-        return original_systems(T, rhs)
-
-    for original, wrapper in ((original_rows, rows),
-                              (original_systems, systems)):
-        attr = original.__name__
-        for name, module in list(sys.modules.items()):
-            if name.startswith("tropcomplex") \
-                    and getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, wrapper)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropcomplex") \
+                and getattr(module, "local_systems", None) is original:
+            monkeypatch.setattr(module, "local_systems", systems)
     return calls
 
 
@@ -661,10 +655,11 @@ def touched_cells(X, D):
 
 def test_cartier_and_classify_build_each_local_matrix_once(
         capsys, monkeypatch, tmp_path):
-    # classify and the Weil test build every local system in one pass per
-    # call: no memo, so a second classify makes a second pass.  tcx cartier
-    # builds rows only where its divisor touches, and intersect_degree at
-    # each support vertex
+    # local_systems is the one builder of local rows, and no call builds a
+    # cell it does not need: classify gets every cell, in one call per
+    # classify (no memo, so a second classify builds them again), the Weil
+    # test the cells supp D touches, tcx cartier one call per touched
+    # cell, and intersect_degree the curve's support vertices
     calls = count_row_builds(monkeypatch)
     runs = [(*torus_fixture(tmp_path, 4), "D")]
     for name, divisor in (("triangle", "Duv"), ("triangle-tropical", "Duv"),
@@ -673,10 +668,11 @@ def test_cartier_and_classify_build_each_local_matrix_once(
         runs.append((path, tropcomplex.load_fixture_file(path).complex, divisor))
     for path, X, divisor in runs:
         D = tropcomplex.load_fixture_file(path).divisors[divisor]
-        cells = [("rows", (X.n - 2, q)) for q in touched_cells(X, D)]
-        assert 0 < len(cells) < X.counts[X.n - 2], path
-        for argv, expected in ((["classify", path], [("systems",)]),
-                               (["cartier", path, "-D", divisor], cells)):
+        touched = touched_cells(X, D)
+        assert 0 < len(touched) < X.counts[X.n - 2], path
+        for argv, expected in (
+                (["classify", path], [list(range(X.counts[X.n - 2]))]),
+                (["cartier", path, "-D", divisor], [[q] for q in touched])):
             calls.clear()
             code = main([str(a) for a in argv])
             capsys.readouterr()
@@ -688,22 +684,26 @@ def test_cartier_and_classify_build_each_local_matrix_once(
         T, [rng.randint(-3, 3) for _ in range(t.nv)])
     C = tropcomplex.Curve.on_edges(gen.torus_curve(t, rng))
     balance = tropcomplex.is_balanced(T, C)
+    touched = touched_cells(T.complex, D)
     assert D.ridge_part and balance.balanced
-    for call in (tropcomplex.classify, tropcomplex.classify,
-                 lambda T: tropcomplex.weil_test(T, D)):
+    for call, expected in ((tropcomplex.classify, [list(range(t.nv))]),
+                           (tropcomplex.classify, [list(range(t.nv))]),
+                           (lambda T: tropcomplex.weil_test(T, D),
+                            [touched])):
         calls.clear()
         call(T)
-        assert calls == [("systems",)], call
+        assert calls == expected, call
     calls.clear()
     assert tropcomplex.intersect_degree(T, D, C, balance).degree == 0
-    assert calls == [("rows", (0, v)) for v in C.support_vertices(T.complex)]
+    assert calls == [C.support_vertices(T.complex)]
 
 
 def test_weil_and_cartier_eliminate_only_where_the_divisor_touches(
         capsys, monkeypatch, tmp_path):
     # on the 32 x 32 torus a two-ridge divisor touches at most 4 of 1024
-    # cells: one elimination each in the Weil test, one Smith form each in
-    # tcx cartier, and nothing at the other cells
+    # cells: those are the only local systems built, with one elimination
+    # each in the Weil test, one Smith form each in tcx cartier, and
+    # nothing at the other cells
     from tropcomplex import divisors
 
     path, X = torus_fixture(tmp_path, 32)
@@ -726,13 +726,17 @@ def test_weil_and_cartier_eliminate_only_where_the_divisor_touches(
 
     monkeypatch.setattr(divisors, "_echelon_in_place", counting_echelon)
     monkeypatch.setattr(divisors, "smith", counting_smith)
+    builds = count_row_builds(monkeypatch)
     sizes = [X.degree((0, q)) for q in touched]
     passed, failures = tropcomplex.weil_test(fx.structure(), D)
     assert eliminations == sizes and smiths == []
+    assert builds == [touched]
     assert set(failures) <= set(touched)
     eliminations.clear()
+    builds.clear()
     code, report, _ = invoke(capsys, "cartier", path, "-D", "D")
     assert eliminations == [] and smiths == sizes
+    assert builds == [[q] for q in touched]
     assert report["result"]["weil"] == {"passed": passed,
                                         "failures": list(failures)}
     assert len(report["result"]["statuses"]) == 1024

@@ -11,11 +11,12 @@ from tropcomplex import (
     LinkElement,
     SchemaError,
     SimplicialIdentityViolation,
+    TropicalStructure,
     build_complex,
     duplicate_sheets,
 )
 from tropcomplex.delta import _SLOTS
-from tropcomplex.structure import link_graph
+from tropcomplex.structure import local_systems
 from tests.conftest import (ABSTRACT, DEGENERATION, EMBEDDED, full_simplex,
                             torus)
 
@@ -62,16 +63,43 @@ def test_link_of_vertex_in_triangle():
     assert [TRIANGLE.opp_vertex(t) for t in elems[0]] == [1, 2]
 
 
+def link_graph(X, q):
+    """(elements, off-diagonal rows, loops) of the graph link(q) at an
+    (n-2)-cell q, read off `local_systems` under zero alpha: an
+    off-diagonal entry counts the edges between two elements, and the
+    diagonal is 2 * (loops at the element)."""
+    zero = TropicalStructure(X, {(r, s): 0 for r in range(X.counts[X.n - 1])
+                                 for s in range(X.n)})
+    ((elements, rows),) = local_systems(zero, (q[1],))
+    loops = []
+    for i, row in enumerate(rows):
+        assert row[i] % 2 == 0
+        loops.append(row[i] // 2)
+        row[i] = 0
+    return elements, rows, loops
+
+
+def graph_of(elements, edges):
+    """(elements, off-diagonal rows, loops) of a list of edge ends."""
+    rows = [[0] * len(elements) for _ in elements]
+    loops = [0] * len(elements)
+    for a, b in edges:
+        if a == b:
+            loops[a] += 1
+        else:
+            rows[a][b] += 1
+            rows[b][a] += 1
+    return elements, rows, loops
+
+
 def test_link_graph_edge_ends_match_slot_reindexing():
     # the one edge of link(u) is the triangle; its ends drop slot 1 and
     # slot 2, the edges uw and uv with u at slot 0
-    elements, edges = link_graph(TRIANGLE, (0, 0))
+    elements, rows, loops = link_graph(TRIANGLE, (0, 0))
     assert elements == TRIANGLE.link((0, 0))[0]
-    ((a, b),) = edges
-    assert {elements[a], elements[b]} == set(elements)
-    assert (elements[a], elements[b]) == (
-        (TRIANGLE.face_at((2, 0), (0, 2)), (0,)),
-        (TRIANGLE.face_at((2, 0), (0, 1)), (0,)))
+    assert set(elements) == {(TRIANGLE.face_at((2, 0), (0, 2)), (0,)),
+                             (TRIANGLE.face_at((2, 0), (0, 1)), (0,))}
+    assert (rows, loops) == ([[0, 1], [1, 0]], [0, 0])
 
 
 def test_loop_link_has_two_elements():
@@ -257,19 +285,22 @@ def test_incidence_tables_match_face_composition(fx):
                         continue
                     with pytest.raises(ValueError):
                         X.opp_slot(t)
-                # link_graph's edge ends: the face of the coface that drops
-                # each slot outside the edge's slots, re-indexed
-                if X.n - k < 2:
+                # the link graph at an (n-2)-cell: each edge joins the
+                # faces of its coface that drop one slot outside its slots,
+                # re-indexed
+                if k != X.n - 2:
                     continue
-                elements, edges = link_graph(X, s)
-                for t, ends in zip(X.link(s)[1], edges, strict=True):
+                elements = X.link0(s)
+                edges = []
+                for t in X.link(s)[1]:
                     m = t.coface[0]
                     comp = [x for x in range(m + 1) if x not in t.slots]
-                    for drop, end in zip(comp, ends, strict=True):
-                        rest = tuple(x for x in range(m + 1) if x != drop)
-                        slots = tuple(x if x < drop else x - 1 for x in t.slots)
-                        assert elements[end] == (X.face_at(t.coface, rest),
-                                                 slots)
+                    edges.append(tuple(elements.index((
+                        X.face_at(t.coface, tuple(x for x in range(m + 1)
+                                                  if x != drop)),
+                        tuple(x if x < drop else x - 1 for x in t.slots)))
+                        for drop in comp))
+                assert link_graph(X, s) == graph_of(elements, edges), (X, s)
 
 
 def test_cofacet_positions_index_link0(kernel_structures):
@@ -292,9 +323,9 @@ def test_cofacet_positions_index_link0(kernel_structures):
 
 
 def dict_link_graph(X, q):
-    """The graph of `link_graph`, each edge end looked up in a
+    """The graph link(q) as edge ends, each looked up in a
     (ridge, slots) -> position dict of link0(q): the oracle for the
-    cofacet-position lookup."""
+    cofacet-position lookup of `local_systems`."""
     elements = X.link0(q)
     link = X.link(q)
     if len(link) < 2:
@@ -311,13 +342,16 @@ def dict_link_graph(X, q):
 
 
 def test_link_graph_matches_dict_lookup(kernel_structures):
+    # the off-diagonals and loops of every local system against the
+    # dict lookup of each edge end
     loops = 0
     for X in (T.complex for T in kernel_structures):
-        for k in range(X.n - 1):
-            for q in ((k, i) for i in range(X.counts[k])):
-                got = link_graph(X, q)
-                assert got == dict_link_graph(X, q), (X, q)
-                loops += sum(a == b for a, b in got[1])
+        if X.n < 2:
+            continue
+        for q in ((X.n - 2, i) for i in range(X.counts[X.n - 2])):
+            got = link_graph(X, q)
+            assert got == graph_of(*dict_link_graph(X, q)), (X, q)
+            loops += sum(got[2])
     assert loops > 0
 
 
@@ -350,7 +384,9 @@ def test_link_element_is_its_own_key():
 
 def test_link_graph_edges_match_face_composition(fx):
     # each edge of link(q) joins the positions in link0(q) of the two
-    # elements that drop one slot outside its slots, by face composition
+    # elements that drop one slot outside its slots, by face composition:
+    # the local systems count those edges off the diagonal and twice each
+    # loop on it
     complexes = [fx[name].complex for name in ABSTRACT + DEGENERATION]
     complexes += [duplicate_sheets(fx[name].embedded)[0] for name in EMBEDDED]
     complexes += [torus(k, seed) for k in (3, 4, 5) for seed in (0, 1, 2)]
@@ -359,21 +395,21 @@ def test_link_graph_edges_match_face_composition(fx):
                                               2: [[1, 0, 0]]})]
     loops = 0
     for X in complexes:
-        for k in range(X.n - 1):
-            for q in ((k, i) for i in range(X.counts[k])):
-                elements, edges = link_graph(X, q)
-                assert elements == X.link0(q)
-                expected = []
-                for f in X.link(q)[1]:
-                    m = f.coface[0]
-                    ends = []
-                    for drop in (x for x in range(m + 1) if x not in f.slots):
-                        rest = tuple(x for x in range(m + 1) if x != drop)
-                        slots = tuple(x if x < drop else x - 1
-                                      for x in f.slots)
-                        end = (compose(X, f.coface, rest), slots)
-                        ends.append(list(elements).index(end))
-                    expected.append(tuple(ends))
-                assert edges == expected, (X, q)
-                loops += sum(a == b for a, b in edges)
+        if X.n < 2:
+            continue
+        for q in ((X.n - 2, i) for i in range(X.counts[X.n - 2])):
+            elements = X.link0(q)
+            expected = []
+            for f in X.link(q)[1]:
+                m = f.coface[0]
+                ends = []
+                for drop in (x for x in range(m + 1) if x not in f.slots):
+                    rest = tuple(x for x in range(m + 1) if x != drop)
+                    slots = tuple(x if x < drop else x - 1 for x in f.slots)
+                    end = (compose(X, f.coface, rest), slots)
+                    ends.append(list(elements).index(end))
+                expected.append(tuple(ends))
+            got = link_graph(X, q)
+            assert got == graph_of(elements, expected), (X, q)
+            loops += sum(got[2])
     assert loops > 0

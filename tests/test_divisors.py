@@ -8,8 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tropcomplex import (
+    BreakpointFunction,
     Curve,
     DegenerateCut,
+    DiscontinuousInput,
     Divisor,
     IndexMismatch,
     TwoPieceFunction,
@@ -24,11 +26,12 @@ from tropcomplex import (
     load_fixture,
     local_cartier_test,
     local_matrix,
+    restrict_divisor,
     ridge_multiplicity,
     weil_test,
 )
 from tropcomplex.divisors import LocalGerm, local_system
-from tropcomplex.structure import local_rows
+from tropcomplex import structure
 from tropcomplex.linalg import smith, smith_solve, solve
 from tcxbench import gen
 from tests.conftest import dense
@@ -443,7 +446,7 @@ def test_cartier_zero_shortcut_matches_local_system(kernel_structures):
             continue
         for qi in range(X.counts[X.n - 2]):
             q = (X.n - 2, qi)
-            elems, rows = local_rows(T, q)
+            ((elems, rows),) = structure.local_systems(T, (qi,))
             status, slopes = local_system(rows, [0] * len(elems))
             got = local_cartier_test(T, Divisor(()), q)
             assert got == (status, LocalGerm(q, elems, slopes)), (X, q)
@@ -663,3 +666,27 @@ def test_every_divisor_query_refuses_a_ridge_out_of_range(tetrahedron, r):
                   lambda: lin_equiv_witness(T, D, Divisor.on_ridges({}))):
         with pytest.raises(IndexMismatch, match=message):
             query()
+
+
+@pytest.mark.parametrize("e", [-1, 6])
+def test_every_curve_query_refuses_an_edge_out_of_range(tetrahedron, e):
+    # edge -1 used to read as the last edge, so that the curve was
+    # balanced with degree 0, and edge 6 raised a raw IndexError: all
+    # three queries name the edge instead, and the two ends still answer
+    T = tetrahedron.structure()
+    D = tetrahedron.divisors["Dcd"]
+    f = BreakpointFunction.on_edges({})
+    C = Curve.on_edges({e: 1})
+    message = r"^edge %d out of range \(6 edges\)$" % e
+    for query in (lambda: is_balanced(T, C),
+                  lambda: intersect_degree(T, D, C),
+                  lambda: restrict_divisor(T, C, f)):
+        with pytest.raises(IndexMismatch, match=message):
+            query()
+    for end in (0, 5):
+        C = Curve.on_edges({end: 1})
+        dims = is_balanced(T, C).dims
+        assert [v for v, _ in dims] == sorted(T.complex.faces[1][end])
+        with pytest.raises(DiscontinuousInput, match="no values on edge %d"
+                           % end):
+            restrict_divisor(T, C, f)

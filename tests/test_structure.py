@@ -22,10 +22,11 @@ from tropcomplex import (
     intersect_degree,
     is_balanced,
     load_fixture,
+    local_cartier_test,
     local_matrix,
     weil_test,
 )
-from tropcomplex.structure import link_graph, local_rows, local_systems
+from tropcomplex.structure import local_systems
 from tcxbench import gen
 
 TRIANGLE_MATRICES = {
@@ -193,33 +194,47 @@ def test_local_matrix_matches_face_at_reference(kernel_structures):
             got = local_matrix(T, q)
             assert got.elements == X.link0(q)
             assert got.matrix == reference_local_matrix(T, q), (X, q)
-            loops += sum(a == b for a, b in link_graph(X, q)[1])
+            # the diagonal is 2 * (loops at t) - alpha
+            loops += sum(got.matrix[i][i] + T.alpha[t.coface[1],
+                                                     X.opp_slot(t)]
+                         for i, t in enumerate(got.elements))
     assert loops > 0
 
 
-def test_local_systems_match_local_rows_at_every_cell(kernel_structures):
-    # the one-pass builder against the single-cell one, element order and
-    # row order included; with a right-hand side, each row ends in the
-    # divisor's coefficient at its ridge, Fractions as given
+def test_local_systems_match_reference_on_any_cell_list(kernel_structures):
+    # the builder against face composition on every cell, in a shuffled
+    # order with repeats, element order and row order included; with a
+    # right-hand side, each row ends in the divisor's coefficient at its
+    # ridge, Fractions as given.  A repeated cell gets fresh lists
     rng = random.Random(23)
     seen = set()
     for T in kernel_structures:
         X = T.complex
         if X.n < 2:
             continue
-        cells = [local_rows(T, (X.n - 2, q)) for q in range(X.counts[X.n - 2])]
-        assert local_systems(T) == cells, X
+        count = X.counts[X.n - 2]
+        cells = list(range(count)) + rng.choices(range(count), k=3)
+        rng.shuffle(cells)
         nr = X.counts[X.n - 1]
         D = Divisor.on_ridges({
             r: rng.choice((rng.randint(-3, 3),
                            Fraction(rng.randint(-3, 3), rng.randint(2, 3))))
             for r in rng.sample(range(nr), min(nr, 4))})
-        augmented = local_systems(T, [D.coeff(r) for r in range(nr)])
-        assert [elems for elems, _ in augmented] == [e for e, _ in cells]
-        for (elems, rows), (_, plain) in zip(augmented, cells):
-            assert rows == [row + [D.coeff(t.coface[1])]
-                            for row, t in zip(plain, elems)], X
-            seen.update(type(row[-1]) for row in rows)
+        plain = local_systems(T, cells)
+        augmented = local_systems(T, cells, [D.coeff(r) for r in range(nr)])
+        assert len(plain) == len(augmented) == len(cells)
+        for qi, (elems, rows), (more, extended) in zip(cells, plain,
+                                                        augmented):
+            q = (X.n - 2, qi)
+            assert elems == more == X.link0(q)
+            assert tuple(map(tuple, rows)) == reference_local_matrix(T, q), (
+                X, q)
+            assert extended == [row + [D.coeff(t.coface[1])]
+                                for row, t in zip(rows, elems)], (X, q)
+            seen.update(type(row[-1]) for row in extended)
+        rows = [row for _, rows in plain + augmented for row in rows]
+        assert len(set(map(id, rows))) == len(rows)
+        assert local_systems(T, []) == []
     assert seen == {int, Fraction}
 
 
@@ -291,6 +306,23 @@ def test_wrong_dimension_rejected(triangle):
     T = triangle.structure()
     with pytest.raises(WrongDimension):
         local_matrix(T, (1, 0))
+
+
+@pytest.mark.parametrize("q", [-1, 4])
+def test_local_queries_refuse_a_cell_out_of_range(tetrahedron, q):
+    # -1 used to read the last cell under the label (0, -1), and 4 to
+    # raise a raw IndexError: both name the cell instead, and the two
+    # ends of the range still answer
+    T = tetrahedron.structure()
+    D = tetrahedron.divisors["Dcd"]
+    message = r"^cell %d out of range \(4 cells\)$" % q
+    for query in (lambda: local_matrix(T, (0, q)),
+                  lambda: local_cartier_test(T, D, (0, q))):
+        with pytest.raises(IndexMismatch, match=message):
+            query()
+    for end in (0, 3):
+        assert local_matrix(T, (0, end)).base == (0, end)
+        assert local_cartier_test(T, D, (0, end)).germ.base == (0, end)
 
 
 def test_classify_triangle_weak_only(triangle):
