@@ -8,15 +8,16 @@ sorted keys and lowest-terms rationals so identical inputs give
 byte-identical output.
 
 `SUBCOMMANDS` is the one table of subcommands: each entry holds the
-handler, its help text and its arguments after the fixture.  A call
-builds the argument parser of its own subcommand only, and reads its
-fixture file once: the report's sha256 and the parsed fixture come from
-the same bytes.
+handler, its help text and its arguments after the fixture.  There is
+one argument parser per subcommand per process; a fresh `tcx` process
+builds only its own.  A call reads its fixture file once: the report's
+sha256 and the parsed fixture come from the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import re
 import sys
@@ -455,20 +456,28 @@ SUBCOMMANDS = {
 def build_parser(argv=()):
     """The `tcx` parser, with the one subparser that argv[0] names, or with
     all of them when it names none (no argument, -h, an unknown name), so
-    that help and argument errors read as with every subparser."""
+    that help and argument errors read as with every subparser.  Each is
+    built on its first use in a process and reused after."""
+    return _parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+
+
+@functools.cache
+def _parser(name):
+    """The `tcx` parser with the subparser of name, or of every subcommand
+    when name is None.  Parsing leaves a parser as it was, and help is
+    wrapped to the terminal width of the call that prints it."""
     parser = argparse.ArgumentParser(
         prog="tcx",
         description="Tropical complexes: structure constants, divisors, "
                     "curves, and intersection numbers.",
     )
-    named = [name for name in argv[:1] if name in SUBCOMMANDS]
     # one subparser keeps the full usage line through its metavar
     sub = parser.add_subparsers(
         dest="command", required=True,
-        metavar="{%s}" % ",".join(SUBCOMMANDS) if named else None)
-    for name, spec in SUBCOMMANDS.items():
-        if name in named or not named:
-            p = sub.add_parser(name, help=spec.help)
+        metavar=None if name is None else "{%s}" % ",".join(SUBCOMMANDS))
+    for each, spec in SUBCOMMANDS.items():
+        if name in (None, each):
+            p = sub.add_parser(each, help=spec.help)
             p.add_argument("fixture", help="fixture file (JSON, format tcx-1)")
             for flags, kwargs in spec.arguments:
                 p.add_argument(*flags, **kwargs)

@@ -18,8 +18,8 @@ from typing import NamedTuple
 from .delta import DeltaComplex
 from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
                      NoSolution, NonUnimodular, SchemaError,
-                     SimplicialIdentityViolation, entry_list, int_entry,
-                     int_table)
+                     SimplicialIdentityViolation, brief, entry_list,
+                     int_entry, int_table)
 from .linalg import feasible_strict, primitive_integer, solve
 from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
@@ -222,7 +222,8 @@ class EmbeddedComplex:
 def _object(value, what):
     """A fixture value that must be a JSON object, or SchemaError naming it."""
     if not isinstance(value, dict):
-        raise SchemaError("%s entry %r is not an object" % (what, value))
+        raise SchemaError("%s entry %s is not an object"
+                          % (what, brief(value)))
     return value
 
 

@@ -16,6 +16,18 @@ class SchemaError(InputError):
     """A fixture value has the wrong JSON type or shape."""
 
 
+# longest repr of a wrong-typed value that a message quotes whole
+REPR_LIMIT = 80
+
+
+def brief(value):
+    """repr(value) for an error message: whole when it has at most
+    REPR_LIMIT characters, else its first REPR_LIMIT and '...', so that a
+    whole fixture given where a small value belongs is not quoted whole."""
+    text = repr(value)
+    return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
+
+
 def int_entry(entry, size, what):
     """A fixture entry (a JSON list) as a tuple of `size` ints (any number
     when size is None), or SchemaError naming it.  Only JSON integers are
@@ -39,7 +51,8 @@ def fraction_entry(num, den, what, entry):
 def entry_list(value, what):
     """A fixture value that must be a JSON list, or SchemaError naming it."""
     if not isinstance(value, list):
-        raise SchemaError("%s entries must be a list, not %r" % (what, value))
+        raise SchemaError("%s entries must be a list, not %s"
+                          % (what, brief(value)))
     return value
 
 
@@ -69,8 +82,8 @@ def named(data, key):
     """The (name, value) pairs of the JSON object under key, if any."""
     value = data.get(key, {})
     if not isinstance(value, dict):
-        raise SchemaError("%s must be an object of named entries, not %r"
-                          % (key, value))
+        raise SchemaError("%s must be an object of named entries, not %s"
+                          % (key, brief(value)))
     return value.items()
 
 

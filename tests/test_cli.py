@@ -9,6 +9,7 @@ import pytest
 
 import tropcomplex
 from tcxbench import gen
+from tropcomplex import cli
 from tropcomplex.cli import SUBCOMMANDS, main
 from tests.conftest import checked_report, fixture_path
 from tests.test_degeneration import TRIANGLE_DEGREES
@@ -397,6 +398,34 @@ def test_malformed_breakpoints_file_is_schema_error(capsys, tmp_path):
                              "-D", "Dab", "-C", "C", "--breakpoints", bad)
     assert code == 2
     assert report["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["div", "tetrahedron", "--two-piece"],
+     "a two-piece function is an object with facet, normal and offset, not "),
+    (["intersect", "tetrahedron", "-D", "Dab", "-C", "C", "--breakpoints"],
+     "breakpoints are a list of [edge, points], not "),
+])
+def test_wrong_typed_side_file_is_quoted_to_a_bounded_prefix(
+        capsys, tmp_path, argv, message):
+    # a whole fixture of tens of kilobytes given as the side file: the
+    # message, in the report and on stderr, quotes only its first
+    # REPR_LIMIT characters
+    from tropcomplex.errors import REPR_LIMIT
+
+    data = gen.torus(12, random.Random(1)).fixture
+    if argv[0] == "div":
+        data = data["faces"]
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(data))
+    assert side.stat().st_size > 20_000
+    code, report, err = invoke(capsys, argv[0], fixture_path(argv[1]),
+                               *argv[2:], side)
+    assert code == 2
+    assert report["error"] == {
+        "type": "SchemaError",
+        "message": message + repr(data)[:REPR_LIMIT] + "..."}
+    assert err == "%s: error: %s\n" % (argv[0], report["error"]["message"])
 
 
 def test_intersect_records_breakpoints_file(capsys, tmp_path):
@@ -801,14 +830,22 @@ def test_div_call_builds_two_parsers_and_reads_fixture_once(
         opened.append(str(file))
         return real_open(file, *args, **kwargs)
 
+    # the first div call in a process builds the tcx parser and div's
+    # subparser; a second reuses both.  Each call reads its fixture once.
+    cli._parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(builtins, "open", counting_open)
-    code = main(["div", str(path), "--phi", "1,1,0,0"])
+    built = []
+    for _ in range(2):
+        parsers.clear()
+        opened.clear()
+        code = main(["div", str(path), "--phi", "1,1,0,0"])
+        built.append(len(parsers))
+        assert code == 0
+        assert opened.count(str(path)) == 1
     monkeypatch.undo()
     capsys.readouterr()
-    assert code == 0
-    assert len(parsers) == 2
-    assert opened.count(str(path)) == 1
+    assert built == [2, 0]
 
 
 # one argv per subcommand, with every argument it takes

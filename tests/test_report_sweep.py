@@ -1,8 +1,10 @@
 """`scripts/report_sweep.py`, the tool that compares the reports of two
 trees, run in-process over the shipped fixtures."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import sys
@@ -63,14 +65,71 @@ def test_every_sweep_call_gives_a_report(sweep):
     assert codes == {0, 1, 2}
 
 
-def test_shipped_reports_are_pinned(sweep):
-    # parser-level and -h calls stay out: argparse's text changes across
-    # Python versions
+def shipped_digest(sweep):
+    """The sha256 that SHIPPED_REPORTS_SHA256 pins, of one sweep now.
+    Parser-level and -h calls stay out: argparse's text changes across
+    Python versions."""
     digest = hashlib.sha256()
     for _, result in fixture_reports(sweep):
         stdout = result["stdout"].replace(str(FIXDIR) + "/", "fixtures/")
         digest.update(json.dumps([result["exit"], stdout]).encode())
-    assert digest.hexdigest() == SHIPPED_REPORTS_SHA256
+    return digest.hexdigest()
+
+
+def test_shipped_reports_are_pinned(sweep):
+    assert shipped_digest(sweep) == SHIPPED_REPORTS_SHA256
+
+
+def answer(cli, argv):
+    """(exit code, stdout, stderr) of one in-process tcx call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse answered: help or an error
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_one_process_answers_every_call_as_a_fresh_parser_does(
+        sweep, monkeypatch):
+    # the sweep's parser-level calls (rejections, -h, an unknown name)
+    # spread among its fixture calls, all in one process with the parsers
+    # cached, answer as with the cache cleared before each call
+    cli = sweep.cli
+    paths = sorted(FIXDIR.glob("*.json"))
+    fixture_calls = [argv for path in paths
+                     for argv in sweep.calls(path, json.loads(path.read_text()))]
+    parser_calls = sweep.parser_calls(paths[0])
+    step = len(fixture_calls) // len(parser_calls)
+    order = []
+    for i, argv in enumerate(parser_calls):
+        order += fixture_calls[i * step:(i + 1) * step] + [argv]
+    order += fixture_calls[len(parser_calls) * step:]
+    assert len(order) == len(fixture_calls) + len(parser_calls)
+
+    def fresh(argv):
+        cli._parser.cache_clear()
+        return answer(cli, argv)
+
+    expected = [fresh(argv) for argv in order]
+    cli._parser.cache_clear()
+    assert [answer(cli, argv) for argv in order] == expected
+    assert {code for code, _, _ in expected} == {0, 1, 2}
+    assert cli._parser.cache_info().currsize == len(cli.SUBCOMMANDS) + 1
+    # help is wrapped to the COLUMNS of the call that prints it
+    for argv in (["-h"], ["cartier", "-h"]):
+        wide = answer(cli, argv)
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = answer(cli, argv)
+        assert narrow == fresh(argv)
+        assert narrow[1] != wide[1]
+        monkeypatch.setenv("COLUMNS", "80")
+        assert answer(cli, argv) == wide
+    # the shipped sweep twice over in one process
+    assert shipped_digest(sweep) == shipped_digest(sweep) \
+        == SHIPPED_REPORTS_SHA256
 
 
 def skewed_torus():

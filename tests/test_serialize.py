@@ -1,9 +1,13 @@
 """JSON round-trips, fixture detection, canonical form."""
 
 import json
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcomplex import (Divisor, InputError, canonical_json,
                          div_vertex_function, lin_equiv_witness, load_fixture,
@@ -104,6 +108,45 @@ def test_fixture_kinds(fx):
 def test_canonical_json_is_sorted_and_indented():
     text = canonical_json({"b": 1, "a": [1, 2]})
     assert text == json.dumps({"a": [1, 2], "b": 1}, sort_keys=True, indent=2)
+
+
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
+# text with the characters json escapes: non-ASCII, lone surrogates,
+# control characters, quotes and backslashes
+TEXT = st.text(st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0xd800, max_codepoint=0xdfff,
+                  exclude_categories=()),
+    st.characters(max_codepoint=0x1f),
+    st.sampled_from('"\\/\x7f\u2028')))
+BIG = st.integers(-2**200, 2**200)
+SCALARS = st.one_of(st.none(), st.booleans(), BIG, st.floats(),
+                    st.sampled_from((math.nan, math.inf, -math.inf)), TEXT,
+                    st.lists(st.one_of(st.booleans(), BIG)))
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.builds(Pair, inner, inner),
+    st.dictionaries(TEXT, inner), st.dictionaries(BIG, inner)), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES)
+def test_canonical_json_writes_the_bytes_of_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {1, 2}, [0, {"a": Fraction(1)}], {"k": [{3}]},
+    {(1, 2): 0}])
+def test_canonical_json_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        canonical_json(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, sort_keys=True, indent=2)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_fixture_files_declare_format():
