@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, PreconditionFailed, SchemaError,
-                     UnknownName, entry_list, fraction_entry, int_entry,
-                     int_table, named)
+                     UnknownName, brief, entry_list, fraction_entry,
+                     int_entry, int_table, named)
 from .structure import TropicalStructure, check_weak, local_systems
 from .divisors import Divisor, chip_matrix, weil_test
 from .curves import Curve, is_balanced, intersect_degree
@@ -40,8 +40,8 @@ def _claimed(entry):
     Fraction."""
     if not isinstance(entry, list) or len(entry) != 4 \
             or not all(isinstance(x, str) for x in entry[:2]):
-        raise SchemaError("claimed entry %r is not [divisor name, curve "
-                          "name, numerator, denominator]" % (entry,))
+        raise SchemaError("claimed entry %s is not [divisor name, curve "
+                          "name, numerator, denominator]" % brief(entry))
     num, den = int_entry(entry[2:], 2, "claimed")
     return tuple(entry[:2]), fraction_entry(num, den, "claimed entry", entry)
 

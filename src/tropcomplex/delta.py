@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (Disconnected, DimensionExceeded, SchemaError,
-                     SimplicialIdentityViolation, entry_list, int_entry)
+                     SimplicialIdentityViolation, brief, entry_list, int_entry)
 
 Simplex = tuple  # (dimension, index)
 
@@ -320,7 +320,7 @@ def build_complex(data):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 4
                 and type(entry[0]) is int and type(entry[1]) is int
                 and type(entry[2]) is int and type(entry[3]) is int):
-            raise SchemaError("face entry %r is not 4 integers" % (entry,))
+            raise SchemaError("face entry %s is not 4 integers" % brief(entry))
         k, i, slot, target = entry
         if not 1 <= k <= n:
             raise DimensionExceeded("face entry at dimension %d" % k)

@@ -144,8 +144,8 @@ class EmbeddedComplex:
         for (k, idx, slot), images in self.sheet_maps.items():
             if not (k > 0 and self.has_bounded(k, idx) and 0 <= slot <= k):
                 raise InconsistentSheets(
-                    "face sheet map entry %r names no face of a bounded cell"
-                    % ([k, idx, slot, list(images)],))
+                    "face sheet map entry %s names no face of a bounded cell"
+                    % brief([k, idx, slot, list(images)]))
             if len(images) != self.sheets(k, idx):
                 raise InconsistentSheets(
                     "sheet map of cell (%d,%d) slot %d has length %d"
@@ -245,8 +245,8 @@ def load_embedded(data):
     for cell in entry_list(data.get("unbounded_cells", []), "unbounded cell"):
         cell = _object(cell, "unbounded cell")
         if "vertices" not in cell:
-            raise SchemaError("unbounded cell entry %r has no vertices"
-                              % (cell,))
+            raise SchemaError("unbounded cell entry %s has no vertices"
+                              % brief(cell))
         rays = entry_list(cell.get("rays", []), "ray")
         unbounded.append(UnboundedCell(
             tuple(sorted(int_entry(cell["vertices"], None,
@@ -258,8 +258,8 @@ def load_embedded(data):
     maps = {}
     for entry in entry_list(sheets.get("face_sheet_maps", []), "face sheet map"):
         if not isinstance(entry, list) or len(entry) != 4:
-            raise SchemaError("face sheet map entry %r is not [k, index, slot, "
-                              "images]" % (entry,))
+            raise SchemaError("face sheet map entry %s is not [k, index, slot, "
+                              "images]" % brief(entry))
         key = int_entry(entry[:3], 3, "face sheet map")
         maps[key] = int_entry(entry[3], None, "face sheet map images")
     return EmbeddedComplex(N, vertices, bounded, unbounded, counts, maps)

@@ -23,7 +23,8 @@ REPR_LIMIT = 80
 def brief(value):
     """repr(value) for an error message: whole when it has at most
     REPR_LIMIT characters, else its first REPR_LIMIT and '...', so that a
-    whole fixture given where a small value belongs is not quoted whole."""
+    whole fixture given where a small value belongs, or a long entry with
+    one bad element, is not quoted whole."""
     text = repr(value)
     return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
 
@@ -35,8 +36,9 @@ def int_entry(entry, size, what):
     if not (isinstance(entry, (list, tuple))
             and all(type(x) is int for x in entry)
             and (size is None or len(entry) == size)):
-        raise SchemaError("%s entry %r is not %s integers"
-                          % (what, entry, "a list of" if size is None else size))
+        raise SchemaError("%s entry %s is not %s integers"
+                          % (what, brief(entry),
+                             "a list of" if size is None else size))
     return tuple(entry)
 
 
@@ -44,7 +46,7 @@ def fraction_entry(num, den, what, entry):
     """The Fraction num/den of two integers read from a fixture entry, or
     SchemaError naming the entry when den is 0."""
     if den == 0:
-        raise SchemaError("%s %r has denominator 0" % (what, entry))
+        raise SchemaError("%s %s has denominator 0" % (what, brief(entry)))
     return Fraction(num, den)
 
 
@@ -73,8 +75,8 @@ def int_table(value, width, what):
             else:
                 table[entry[0] if width == 2 else tuple(entry[:-1])] = entry[-1]
                 continue
-        raise SchemaError("%s entry %r is not %d integers"
-                          % (what, entry, width))
+        raise SchemaError("%s entry %s is not %d integers"
+                          % (what, brief(entry), width))
     return table
 
 

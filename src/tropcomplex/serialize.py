@@ -160,8 +160,9 @@ def divisor_from_json(data):
 def _facet_piece(entry):
     """[facet, normal, offset numerator, offset denominator, multiplicity]."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 5:
-        raise SchemaError("facet piece entry %r is not [facet, normal, "
-                          "numerator, denominator, multiplicity]" % (entry,))
+        raise SchemaError("facet piece entry %s is not [facet, normal, "
+                          "numerator, denominator, multiplicity]"
+                          % brief(entry))
     f, num, den, mult = int_entry(entry[:1] + entry[2:], 4, "facet piece")
     offset = fraction_entry(num, den, "facet piece entry", entry)
     normal = int_entry(entry[1], None, "facet piece normal")
@@ -333,12 +334,12 @@ def _check_ranges(fx):
             facet, normal = entry[:2]
             if not 0 <= facet < X.counts[n]:
                 raise IndexMismatch(
-                    "divisor %r facet piece %r: facet %d out of range "
-                    "(%d facets)" % (name, entry, facet, X.counts[n]))
+                    "divisor %r facet piece %s: facet %d out of range "
+                    "(%d facets)" % (name, brief(entry), facet, X.counts[n]))
             if len(normal) != n:
                 raise IndexMismatch(
-                    "divisor %r facet piece %r: normal has %d entries, not "
-                    "n = %d" % (name, entry, len(normal), n))
+                    "divisor %r facet piece %s: normal has %d entries, not "
+                    "n = %d" % (name, brief(entry), len(normal), n))
 
 
 def read_json(path, raw=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .delta import DeltaComplex
+from .delta import DeltaComplex, _slot_table
 from .errors import IndexMismatch, MissingAlpha, SchemaError, WrongDimension
 from .linalg import _inertia_in_place
 
@@ -144,26 +144,6 @@ def _check_local_base(X: DeltaComplex, q):
         raise IndexMismatch("cell %d out of range (%d cells)" % (q[1], count))
 
 
-_LOCAL = {}  # n -> (edge ends, opposite slots), built once per process
-
-
-def _local_tables(n):
-    """The slot rules of the local systems of an n-complex (n >= 2).
-
-    An edge of link(q) at an (n-2)-cell q is a facet with the slot tuple
-    that misses two slots d0 < d1; it maps to (d0, d1 - 1, d1).  A link0
-    element of q is a ridge with the slot tuple that misses one slot s of
-    the ridge, the slot of the opposite vertex; it maps to s.
-    """
-    tables = _LOCAL.get(n)
-    if tables is None:
-        tables = _LOCAL[n] = (
-            {tuple(x for x in range(n + 1) if x != d0 and x != d1):
-             (d0, d1 - 1, d1) for d1 in range(1, n + 1) for d0 in range(d1)},
-            {tuple(x for x in range(n) if x != s): s for s in range(n)})
-    return tables
-
-
 def local_systems(T: TropicalStructure, cells, rhs=None):
     """The local intersection matrices at the given (n-2)-simplex indices,
     in the order given: one (elements, rows) pair per index, the
@@ -174,16 +154,20 @@ def local_systems(T: TropicalStructure, cells, rhs=None):
     range.
 
     Off-diagonal (t,u): the number of edges between t and u in link(q).
-    Diagonal (t,t): 2 * (loops at t) - alpha(r(t), opp(t)).  An edge
-    ((n, j), slots) of link(q) misses slots d0 < d1 of its facet row; its
-    end at d0 is the ridge d_d0 (n, j), whose element in link0(q) misses
-    slot d1 - 1 of the ridge, so it sits at the cofacet position of that
-    ridge at d1 - 1, and likewise its end at d1 sits at the position of
-    d_d1 (n, j) at d0.  The two are the same element for a loop.
+    Diagonal (t,t): 2 * (loops at t) - alpha(r(t), opp(t)), where the
+    slot opp(t) of the ridge r(t) is the one its slot tuple misses: the
+    slot that the one face of its entry in `delta._slot_table(n - 1)`
+    drops.  An edge ((n, j), slots) of link(q) misses slots d0 < d1 of its
+    facet row, the slots that the two faces of its entry in
+    `delta._slot_table(n)` drop; its end at d0 is the ridge d_d0 (n, j),
+    whose element in link0(q) misses slot d1 - 1 of the ridge, so it sits
+    at the cofacet position of that ridge at d1 - 1, and likewise its end
+    at d1 sits at the position of d_d1 (n, j) at d0.  The two are the same
+    element for a loop.
     """
     X = T.complex
     n = X.n
-    ends, opposite = _local_tables(n)
+    facet_slots, ridge_slots = _slot_table(n), _slot_table(n - 1)
     links, facets, pos = X._links[n - 2], X.faces[n], X._cofacet_pos[n - 1]
     alpha = T.alpha
     systems = []
@@ -193,14 +177,14 @@ def local_systems(T: TropicalStructure, cells, rhs=None):
         m = []
         for i, ((_, r), slots) in enumerate(elements):
             row = [0] * size
-            row[i] = -alpha[r, opposite[slots]]
+            row[i] = -alpha[r, ridge_slots[slots][1][0][0]]
             if rhs is not None:
                 row.append(rhs[r])
             m.append(row)
         for (_, j), slots in edges:
-            d0, e, d1 = ends[slots]
+            _, ((d0, _), (d1, _)) = facet_slots[slots]
             row = facets[j]
-            a = pos[row[d0]][e]
+            a = pos[row[d0]][d1 - 1]
             b = pos[row[d1]][d0]
             m[a][b] += 1  # a loop, a == b, adds 2 on the diagonal
             m[b][a] += 1

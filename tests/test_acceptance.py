@@ -8,8 +8,10 @@ import ast
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 
 from tropcomplex import (
@@ -293,6 +295,25 @@ def test_every_private_function_has_a_caller_in_the_package():
     assert len(defined) > 10
     assert [where for where, name in defined.items()
             if name not in read] == []
+
+
+def test_every_private_name_in_the_readme_is_in_the_package():
+    # README names private helpers in backticks; once a helper is deleted
+    # or renamed, its name must leave the README too.  Fenced blocks go
+    # first, so that their backticks do not pair with inline ones
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = re.sub(r"^```.*?^```[^\n]*$", "", (root / "README.md").read_text(),
+                  flags=re.S | re.M)
+    documented = {name for span in re.findall(r"`([^`]*)`", text)
+                  for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)}
+    identifiers = set()
+    for path in sorted((root / "src" / "tropcomplex").glob("*.py")):
+        with path.open() as source:
+            identifiers.update(tok.string for tok in
+                               tokenize.generate_tokens(source.readline)
+                               if tok.type == tokenize.NAME)
+    assert len(documented) > 10
+    assert sorted(documented - identifiers) == []
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -400,34 +400,6 @@ def test_malformed_breakpoints_file_is_schema_error(capsys, tmp_path):
     assert report["error"]["type"] == "SchemaError"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["div", "tetrahedron", "--two-piece"],
-     "a two-piece function is an object with facet, normal and offset, not "),
-    (["intersect", "tetrahedron", "-D", "Dab", "-C", "C", "--breakpoints"],
-     "breakpoints are a list of [edge, points], not "),
-])
-def test_wrong_typed_side_file_is_quoted_to_a_bounded_prefix(
-        capsys, tmp_path, argv, message):
-    # a whole fixture of tens of kilobytes given as the side file: the
-    # message, in the report and on stderr, quotes only its first
-    # REPR_LIMIT characters
-    from tropcomplex.errors import REPR_LIMIT
-
-    data = gen.torus(12, random.Random(1)).fixture
-    if argv[0] == "div":
-        data = data["faces"]
-    side = tmp_path / "side.json"
-    side.write_text(json.dumps(data))
-    assert side.stat().st_size > 20_000
-    code, report, err = invoke(capsys, argv[0], fixture_path(argv[1]),
-                               *argv[2:], side)
-    assert code == 2
-    assert report["error"] == {
-        "type": "SchemaError",
-        "message": message + repr(data)[:REPR_LIMIT] + "..."}
-    assert err == "%s: error: %s\n" % (argv[0], report["error"]["message"])
-
-
 def test_intersect_records_breakpoints_file(capsys, tmp_path):
     good = tmp_path / "breakpoints.json"
     good.write_text(json.dumps([[0, [[0, 1, 0, 1], [1, 2, 1, 1], [1, 1, 0, 1]]],
@@ -1248,3 +1220,109 @@ def test_input_error_is_a_typed_report(capsys, tmp_path, name, change, argv,
         assert code == 2
         assert report["error"]["type"] == error
         assert report["error"]["message"] == message
+
+
+# an entry of the right container type with one bad element at the end
+LONG = list(range(5000)) + ["x"]
+NORMAL = list(range(3000))
+
+
+# the two side-file cases keep the ids that pytest derives from an argv
+# list and a message prefix
+@pytest.mark.parametrize("argv, change, quoted, error, message", [
+    pytest.param(
+        ["div", "tetrahedron", "--two-piece"], None, None, "SchemaError",
+        "a two-piece function is an object with facet, normal and offset, "
+        "not %s",
+        id="argv0-a two-piece function is an object with facet, normal and "
+           "offset, not "),
+    pytest.param(
+        ["intersect", "tetrahedron", "-D", "Dab", "-C", "C", "--breakpoints"],
+        None, None, "SchemaError",
+        "breakpoints are a list of [edge, points], not %s",
+        id="argv1-breakpoints are a list of [edge, points], not "),
+    pytest.param(
+        ["validate", "tetrahedron"], edit("functions", "f", value=LONG), LONG,
+        "SchemaError", "function entry %s is not a list of integers",
+        id="function"),
+    pytest.param(
+        ["validate", "tetrahedron"], edit("simplices", value=LONG), LONG,
+        "SchemaError", "simplices entry %s is not a list of integers",
+        id="simplices"),
+    pytest.param(
+        ["validate", "tetrahedron"], edit("alpha", append=LONG), LONG,
+        "SchemaError", "alpha entry %s is not 3 integers", id="alpha"),
+    pytest.param(
+        ["validate", "tetrahedron"], edit("divisors", "Dab", append=LONG),
+        LONG, "SchemaError", "divisor entry %s is not 2 integers",
+        id="divisor"),
+    pytest.param(
+        ["validate", "tetrahedron"], edit("faces", append=LONG), LONG,
+        "SchemaError", "face entry %s is not 4 integers", id="face"),
+    pytest.param(
+        ["validate", "tetrahedron"],
+        edit("divisors", "F", value={"facet_pieces": [LONG]}), LONG,
+        "SchemaError", "facet piece entry %s is not [facet, normal, "
+        "numerator, denominator, multiplicity]", id="facet-piece"),
+    pytest.param(
+        ["validate", "tetrahedron"],
+        edit("divisors", "F", value={"facet_pieces": [[0, NORMAL, 0, 0, 1]]}),
+        [0, NORMAL, 0, 0, 1], "SchemaError",
+        "facet piece entry %s has denominator 0", id="facet-piece-fraction"),
+    pytest.param(
+        ["validate", "tetrahedron"],
+        edit("divisors", "F", value={"facet_pieces": [[0, NORMAL, 0, 1, 1]]}),
+        [0, NORMAL, 0, 1, 1], "IndexMismatch",
+        "divisor 'F' facet piece %s: normal has 3000 entries, not n = 2",
+        id="facet-piece-normal"),
+    pytest.param(
+        ["validate", "plane"],
+        edit("unbounded_cells", append={"rays": [[1, 0]] * 3000}),
+        {"rays": [[1, 0]] * 3000}, "SchemaError",
+        "unbounded cell entry %s has no vertices", id="unbounded-cell"),
+    pytest.param(
+        ["validate", "twosheet"],
+        edit("sheets", "face_sheet_maps", append=LONG), LONG, "SchemaError",
+        "face sheet map entry %s is not [k, index, slot, images]",
+        id="face-sheet-map"),
+    pytest.param(
+        ["validate", "twosheet"],
+        edit("sheets", "face_sheet_maps", append=[5, 0, 0, NORMAL]),
+        [5, 0, 0, NORMAL], "InconsistentSheets",
+        "face sheet map entry %s names no face of a bounded cell",
+        id="face-sheet-map-cell"),
+    pytest.param(
+        ["validate", "tet-degen"], edit("claimed", append=LONG), LONG,
+        "SchemaError", "claimed entry %s is not [divisor name, curve name, "
+        "numerator, denominator]", id="claimed"),
+])
+def test_wrong_typed_side_file_is_quoted_to_a_bounded_prefix(
+        capsys, tmp_path, argv, change, quoted, error, message):
+    # a value quoted in a message, in the report and on stderr, is cut to
+    # its first REPR_LIMIT characters: a whole fixture of tens of kilobytes
+    # given as the side file (change None), or a long fixture entry with
+    # one bad element
+    from tropcomplex.errors import REPR_LIMIT
+
+    path = fixture_path(argv[1])
+    rest = argv[2:]
+    if change is None:
+        quoted = gen.torus(12, random.Random(1)).fixture
+        if argv[0] == "div":
+            quoted = quoted["faces"]
+        side = tmp_path / "side.json"
+        side.write_text(json.dumps(quoted))
+        assert side.stat().st_size > 20_000
+        rest = rest + [side]
+    else:
+        data = json.loads(path.read_text())
+        change(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+    code, report, err = invoke(capsys, argv[0], path, *rest)
+    assert code == 2
+    assert len(repr(quoted)) > REPR_LIMIT
+    assert report["error"] == {
+        "type": error,
+        "message": message % (repr(quoted)[:REPR_LIMIT] + "...")}
+    assert err == "%s: error: %s\n" % (argv[0], report["error"]["message"])

@@ -1,5 +1,6 @@
 """Embedded subdivisions: balancing import, sheets, robustness, push-forward."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from tropcomplex import (
     push_forward_and_compare,
     robustness_check,
 )
+from tests.conftest import fixture_path
 
 PLANE_COEFFS = {
     0: ((1, 0), 1),
@@ -350,6 +352,29 @@ def test_pushforward_random_functions_match_oracle(plane):
         res = push_forward_and_compare(plane.embedded, f=f)
         assert res.verdict == "pass"
         assert res.pushed == embedded_weights(plane.embedded, f)
+
+
+def test_pushforward_gauges_through_a_ray(plane):
+    # the bounded edge [2, 7] added to the plane lies in no bounded
+    # triangle, only in two unbounded cells with opposite rays, so its
+    # weight is gauged through the first ray; balancing gives alpha 0 there
+    # and the weight is 0 for every f
+    data = json.loads(fixture_path("plane").read_text())
+    data["vertices"].append([2, 0, 1])
+    data["bounded_cells"][0].append([7])
+    data["bounded_cells"][1].append([2, 7])
+    for ray in ([0, 1], [0, -1]):
+        data["unbounded_cells"] += [{"vertices": vs, "rays": [ray]}
+                                    for vs in ([2, 7], [2], [7])]
+    E = load_fixture(data).embedded
+    ridge = E.bounded[1].index((2, 7))
+    assert alpha_from_balancing(E, ridge).coefficients == (0, 0)
+    rng = random.Random(26)
+    for f in [plane.functions["f1"] + [1]] + [
+            [rng.randint(-5, 5) for _ in range(8)] for _ in range(5)]:
+        res = push_forward_and_compare(E, f=f)
+        assert res.verdict == "pass"
+        assert res.pushed[ridge] == res.oracle[ridge] == 0
 
 
 def test_pushforward_on_twosheet(twosheet):

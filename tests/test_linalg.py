@@ -655,11 +655,26 @@ def degenerate_matrices(draw, entries):
 @st.composite
 def symmetric_matrices(draw, entries):
     """Symmetric matrices up to 8 x 8: generic, with a zero diagonal (2x2
-    pivots), of low rank as B^T D B, or link-shaped and sparse."""
+    pivots), of low rank as B^T D B, link-shaped and sparse, or bordered
+    hollow, [[p, c^T], [c, H + c c^T / p]] with p not in {0, 1, -1}, c a
+    multiple of p and H with a zero diagonal: after the first pivot the
+    block left is |p| H, so the 2x2 pivots run with the scale moved off 1."""
     shape = draw(st.sampled_from(("generic", "zero-diagonal", "low-rank",
-                                  "link")))
+                                  "link", "bordered-hollow")))
     if shape == "link":
         return draw(link_matrices(entries))
+    if shape == "bordered-hollow":
+        p = draw(entries.filter(lambda x: x not in (0, 1, -1)))
+        k = draw(st.lists(entries, max_size=7))
+        c = [p * x for x in k]
+        # c_i c_j / p = c_i k_j
+        a = [[p] + c] + [[ci] + [ci * kj for kj in k] for ci in c]
+        for i in range(1, len(a)):
+            for j in range(i + 1, len(a)):
+                h = draw(entries)
+                a[i][j] += h
+                a[j][i] += h
+        return a
     n = draw(st.integers(0, 8))
     if shape == "low-rank":
         k = draw(st.integers(0, n))
