@@ -49,7 +49,7 @@ def _claimed(entry):
 def load_degeneration(data):
     mode = data.get("mode", "strict")
     if mode not in ("strict", "nonstrict"):
-        raise InconsistentData("unknown mode %r" % (mode,))
+        raise InconsistentData("unknown mode %s" % brief(mode))
     vr = int_table(data.get("vertex_ridge_degrees", []), 3,
                    "vertex_ridge_degrees")
     si = int_table(data.get("self_intersections", []), 3,

@@ -24,11 +24,11 @@ positions there instead of searching link0.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .errors import (Disconnected, DimensionExceeded, SchemaError,
-                     SimplicialIdentityViolation, brief, entry_list, int_entry)
+                     SimplicialIdentityViolation, entry_list, int_entry)
 
 Simplex = tuple  # (dimension, index)
 
@@ -313,15 +313,38 @@ def build_complex(data):
         raise DimensionExceeded(
             "expected %d per-dimension counts, got %d" % (n + 1, len(counts))
         )
+    faces = _face_rows(entry_list(data.get("faces", []), "face"), n, counts)
+    return DeltaComplex(n, counts, faces)
+
+
+def _face_rows(entries, n, counts):
+    """{k: the face rows of the k-simplices, 1 <= k <= n} read from face
+    entries [dimension, index, slot, target], or the error that names the
+    first bad entry.  A later entry for the same slot wins.
+
+    One pass tests and writes each entry inline, with no call per entry,
+    and one membership test finds a slot left empty.  Only when the pass
+    stops at an entry, or a slot is empty, does the loop that reads each
+    entry through int_entry run, to name the first bad one.
+    """
     faces = {k: [[None] * (k + 1) for _ in range(counts[k])]
              for k in range(1, n + 1)}
-    for entry in entry_list(data.get("faces", []), "face"):
-        # int_entry's test, inline: this loop runs once per face entry
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 4
-                and type(entry[0]) is int and type(entry[1]) is int
-                and type(entry[2]) is int and type(entry[3]) is int):
-            raise SchemaError("face entry %s is not 4 integers" % brief(entry))
-        k, i, slot, target = entry
+    for entry in entries:
+        if type(entry) is list and len(entry) == 4:
+            k, i, slot, target = entry
+            if (type(k) is int and type(i) is int and type(slot) is int
+                    and type(target) is int and 1 <= k <= n
+                    and 0 <= i < counts[k] and 0 <= slot <= k):
+                faces[k][i][slot] = target
+                continue
+        break
+    else:
+        if None not in chain.from_iterable(
+                chain.from_iterable(faces.values())):
+            return faces
+    # every write of the pass above is repeated here, in the same order
+    for entry in entries:
+        k, i, slot, target = int_entry(entry, 4, "face")
         if not 1 <= k <= n:
             raise DimensionExceeded("face entry at dimension %d" % k)
         if not 0 <= i < counts[k]:
@@ -333,5 +356,4 @@ def build_complex(data):
         for i in range(counts[k]):
             if any(t is None for t in faces[k][i]):
                 raise DimensionExceeded("missing face entries for (%d,%d)" % (k, i))
-    return DeltaComplex(n, counts, faces)
-
+    return faces

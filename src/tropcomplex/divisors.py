@@ -41,8 +41,11 @@ class Divisor(Value):
         return self.ridge_part, self.facet_pieces
 
     @staticmethod
-    def on_ridges(coeffs):
-        return Divisor(tuple(sorted((r, c) for r, c in coeffs.items() if c)))
+    def on_ridges(coeffs, facet_pieces=()):
+        """The divisor with the given {ridge: coefficient} ridge part
+        (zero coefficients dropped) and facet pieces."""
+        return Divisor(tuple(sorted(rc for rc in coeffs.items() if rc[1])),
+                       facet_pieces)
 
     def coeff(self, r):
         if self._coeffs is None:

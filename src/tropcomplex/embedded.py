@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 from .delta import DeltaComplex
 from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
-                     NoSolution, NonUnimodular, SchemaError,
+                     InputError, NoSolution, NonUnimodular, SchemaError,
                      SimplicialIdentityViolation, brief, entry_list,
-                     int_entry, int_table)
+                     int_entries, int_entry, int_table)
 from .linalg import feasible_strict, primitive_integer, solve
 from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
@@ -69,71 +69,30 @@ class EmbeddedComplex:
         exactly those vertices, both in cell order.  A bounded cell's
         length fixes its level, and a level is complete before the next
         level's faces are looked up.
+
+        Unimodularity is tested last, and only on the cells that are no
+        face of another cell: a face's vectors are a subset of its
+        coface's, and a subset of vectors that extend to a lattice basis
+        extends to one too.  The error reported is still the first in cell
+        order.  Each cell's test is due where its vertices and rays have
+        been checked, before its faces and its repeats are looked up; when
+        a check fails, or a cell with no coface fails the test, every cell
+        whose test was due by then is tested in that order, and the first
+        to fail is reported as NonUnimodular.
         """
         self._bounded_index = {}
         self._cofacets = {}
         self._unbounded_index = {}
         self._unbounded_on = {}
-        if self.N < 0:
-            raise IndexMismatch("N must be nonnegative, not %d" % self.N)
-        for v in self.vertices:
-            if len(v) != self.N + 1 or v[-1] != 1:
-                raise IndexMismatch(
-                    "vertices must lie in Z^%d at height 1" % (self.N + 1)
-                )
-        for k, level in enumerate(self.bounded):
-            for idx, cell in enumerate(level):
-                if len(cell) != k + 1 or len(set(cell)) != k + 1:
-                    raise IndexMismatch("bounded %d-cell needs %d distinct vertices"
-                                        % (k, k + 1))
-                self._check_vertices(cell, "bounded cell")
-                if not self._unimodular([self.vertices[i] for i in cell]):
-                    raise NonUnimodular("bounded cell %s" % (cell,))
-                if k > 0:
-                    for drop in range(k + 1):
-                        face = cell[:drop] + cell[drop + 1:]
-                        if face not in self._bounded_index:
-                            raise IndexMismatch(
-                                "missing face %s of bounded cell %s"
-                                % (face, cell)
-                            )
-                        self._cofacets.setdefault(face, []).append(idx)
-                if self._bounded_index.setdefault(cell, idx) != idx:
-                    raise IndexMismatch("duplicate bounded cell %s" % (cell,))
-        for ci, cell in enumerate(self.unbounded):
-            self._unbounded_index.setdefault((cell.vertices, cell.rays), ci)
-            self._unbounded_on.setdefault(
-                tuple(sorted(cell.vertices)), []).append(ci)
-        for ci, cell in enumerate(self.unbounded):
-            if not cell.rays or not cell.vertices:
-                raise IndexMismatch("unbounded cells need vertices and rays")
-            for r in cell.rays:
-                if len(r) != self.N or all(x == 0 for x in r):
-                    raise IndexMismatch("bad ray %s" % (r,))
-                if gcd(*r) != 1:
-                    raise IndexMismatch("ray %s not primitive" % (r,))
-            self._check_vertices(cell.vertices, "unbounded cell")
-            vecs = [self.vertices[i] for i in cell.vertices]
-            vecs += [tuple(r) + (0,) for r in cell.rays]
-            if not self._unimodular(vecs):
-                raise NonUnimodular("unbounded cell %s" % (cell,))
-            if self._unbounded_index[(cell.vertices, cell.rays)] != ci:
-                raise IndexMismatch("duplicate unbounded cell %s" % (cell,))
-            # face closure: drop one ray, or one vertex when several remain;
-            # a face with no ray left is a bounded cell
-            verts, rays = cell
-            faces = [(verts, rays[:i] + rays[i + 1:])
-                     for i in range(len(rays))]
-            if len(verts) > 1:
-                faces += [(verts[:i] + verts[i + 1:], rays)
-                          for i in range(len(verts))]
-            for vs, rs in faces:
-                if not rs:
-                    if vs not in self._bounded_index:
-                        raise IndexMismatch("missing bounded face %s" % (vs,))
-                elif self._find_unbounded(vs, rs) is None:
-                    raise IndexMismatch(
-                        "missing unbounded face of %s" % (cell,))
+        due = []  # the cells whose unimodularity test is due, in cell order
+        try:
+            covered = self._check_cells(due)
+        except InputError:
+            self._first_non_unimodular(due)
+            raise
+        if not all(self._unimodular(self._vectors(cell)) for cell in due
+                   if cell not in covered and cell not in self._cofacets):
+            self._first_non_unimodular(due)
         for (k, idx), count in self.sheet_counts.items():
             if count < 1:
                 raise InconsistentSheets("sheet count entry %r is not positive"
@@ -158,7 +117,96 @@ class EmbeddedComplex:
                         "cell (%d,%d) slot %d sends sheet %d to missing "
                         "sheet %d of its face" % (k, idx, slot, sheet, fsheet))
 
+    def _check_cells(self, due):
+        """Every check on the cells but unimodularity, in cell order: each
+        cell is appended to `due` where its unimodularity test would run.
+        Returns the cells that are a face of an unbounded cell (a bounded
+        one as its vertex tuple)."""
+        if self.N < 0:
+            raise IndexMismatch("N must be nonnegative, not %d" % self.N)
+        for v in self.vertices:
+            if len(v) != self.N + 1 or v[-1] != 1:
+                raise IndexMismatch(
+                    "vertices must lie in Z^%d at height 1" % (self.N + 1)
+                )
+        nv = len(self.vertices)
+        for k, level in enumerate(self.bounded):
+            for idx, cell in enumerate(level):
+                if len(cell) != k + 1 or len(set(cell)) != k + 1:
+                    raise IndexMismatch("bounded %d-cell needs %d distinct vertices"
+                                        % (k, k + 1))
+                if min(cell) < 0 or max(cell) >= nv:
+                    self._check_vertices(cell, "bounded cell")
+                due.append(cell)
+                if k > 0:
+                    for drop in range(k + 1):
+                        face = cell[:drop] + cell[drop + 1:]
+                        if face not in self._bounded_index:
+                            raise IndexMismatch(
+                                "missing face %s of bounded cell %s"
+                                % (face, cell)
+                            )
+                        self._cofacets.setdefault(face, []).append(idx)
+                if self._bounded_index.setdefault(cell, idx) != idx:
+                    raise IndexMismatch("duplicate bounded cell %s" % (cell,))
+        for ci, cell in enumerate(self.unbounded):
+            self._unbounded_index.setdefault((cell.vertices, cell.rays), ci)
+            self._unbounded_on.setdefault(
+                tuple(sorted(cell.vertices)), []).append(ci)
+        covered = set()
+        for ci, cell in enumerate(self.unbounded):
+            if not cell.rays or not cell.vertices:
+                raise IndexMismatch("unbounded cells need vertices and rays")
+            for r in cell.rays:
+                if len(r) != self.N or not any(r):
+                    raise IndexMismatch("bad ray %s" % (r,))
+                if gcd(*r) != 1:
+                    raise IndexMismatch("ray %s not primitive" % (r,))
+            if min(cell.vertices) < 0 or max(cell.vertices) >= nv:
+                self._check_vertices(cell.vertices, "unbounded cell")
+            due.append(cell)
+            if self._unbounded_index[(cell.vertices, cell.rays)] != ci:
+                raise IndexMismatch("duplicate unbounded cell %s" % (cell,))
+            # face closure: drop one ray, or one vertex when several remain;
+            # a face with no ray left is a bounded cell
+            verts, rays = cell
+            faces = [(verts, rays[:i] + rays[i + 1:])
+                     for i in range(len(rays))]
+            if len(verts) > 1:
+                faces += [(verts[:i] + verts[i + 1:], rays)
+                          for i in range(len(verts))]
+            for vs, rs in faces:
+                if not rs:
+                    if vs not in self._bounded_index:
+                        raise IndexMismatch("missing bounded face %s" % (vs,))
+                    covered.add(vs)
+                elif self._find_unbounded(vs, rs) is None:
+                    raise IndexMismatch(
+                        "missing unbounded face of %s" % (cell,))
+                else:
+                    # equal to the UnboundedCell, a tuple, that it names
+                    covered.add((vs, rs))
+        return covered
+
+    def _vectors(self, cell):
+        """A cell's vectors in Z^{N+1}: its vertices, then its rays at
+        height 0."""
+        if isinstance(cell, UnboundedCell):
+            return ([self.vertices[i] for i in cell.vertices]
+                    + [r + (0,) for r in cell.rays])
+        return [self.vertices[i] for i in cell]
+
+    def _first_non_unimodular(self, cells):
+        """Raise NonUnimodular for the first of the cells, in order, whose
+        vectors do not extend to a lattice basis; return when none fails."""
+        for cell in cells:
+            if not self._unimodular(self._vectors(cell)):
+                raise NonUnimodular("%s cell %s" % (
+                    "unbounded" if isinstance(cell, UnboundedCell)
+                    else "bounded", cell))
+
     def _check_vertices(self, cell, what):
+        """IndexMismatch naming the first vertex of the cell out of range."""
         for i in cell:
             if not 0 <= i < len(self.vertices):
                 raise IndexMismatch("%s %s names missing vertex %d"
@@ -169,11 +217,21 @@ class EmbeddedComplex:
         """Whether every invariant factor of the vectors (as rows) is 1, so
         that they extend to a lattice basis.
 
-        Column Euclid steps reduce each row in turn to a single entry on the
-        columns no earlier row has taken; the vectors are unimodular exactly
-        when that entry is always +-1, and the test stops at the first row
-        where it is not (its gcd then divides every maximal minor).
+        Three vectors in Z^3, such as a cell of full dimension at N = 2
+        (every maximal cell of a subdivision of the plane), are unimodular
+        exactly when their determinant, expanded along the first row, is
+        +-1.  Otherwise column Euclid steps reduce each row in turn to a
+        single entry on the columns no earlier row has taken; the vectors
+        are unimodular exactly when that entry is always +-1, and the test
+        stops at the first row where it is not (its gcd then divides every
+        maximal minor).  A general fraction-free determinant took longer
+        on the 3 x 3 cells of the plane fixture than these Euclid steps
+        do, so only the closed form is used.
         """
+        if len(vectors) == 3 and len(vectors[0]) == 3:
+            (a, b, c), (d, e, f), (g, h, i) = vectors
+            return abs(a * (e * i - f * h) - b * (d * i - f * g)
+                       + c * (d * h - e * g)) == 1
         cols = [list(c) for c in zip(*vectors)]
         free = list(range(len(cols)))
         for r in range(len(vectors)):
@@ -234,11 +292,10 @@ def load_embedded(data):
         if key not in data:
             raise SchemaError("embedded fixture is missing key %r" % key)
     (N,) = int_entry([data["N"]], 1, "N")
-    vertices = [int_entry(v, None, "vertex")
-                for v in entry_list(data["vertices"], "vertex")]
+    vertices = int_entries(entry_list(data["vertices"], "vertex"), None,
+                           "vertex")
     bounded = [
-        [int_entry(cell, None, "bounded cell")
-         for cell in entry_list(level, "bounded level")]
+        int_entries(entry_list(level, "bounded level"), None, "bounded cell")
         for level in entry_list(data.get("bounded_cells", []), "bounded level")
     ]
     unbounded = []
@@ -251,7 +308,7 @@ def load_embedded(data):
         unbounded.append(UnboundedCell(
             tuple(sorted(int_entry(cell["vertices"], None,
                                    "unbounded cell vertices"))),
-            tuple(sorted(int_entry(r, None, "ray") for r in rays)),
+            tuple(sorted(int_entries(rays, None, "ray"))),
         ))
     sheets = _object(data.get("sheets", {}), "sheets")
     counts = int_table(sheets.get("counts", []), 3, "sheet count")

@@ -20,13 +20,23 @@ class SchemaError(InputError):
 REPR_LIMIT = 80
 
 
-def brief(value):
+def brief(value, ints=False):
     """repr(value) for an error message: whole when it has at most
     REPR_LIMIT characters, else its first REPR_LIMIT and '...', so that a
     whole fixture given where a small value belongs, or a long entry with
-    one bad element, is not quoted whole."""
+    one bad element, is not quoted whole.  With ints set, a cut list that
+    holds an element other than a JSON integer also names the first such
+    element and its index, which the cut may have hidden."""
     text = repr(value)
-    return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
+    if len(text) <= REPR_LIMIT:
+        return text
+    text = text[:REPR_LIMIT] + "..."
+    if ints and isinstance(value, (list, tuple)):
+        for i, x in enumerate(value):
+            if type(x) is not int:
+                return "%s (first bad element %s at index %d)" % (
+                    text, brief(x), i)
+    return text
 
 
 def int_entry(entry, size, what):
@@ -37,9 +47,29 @@ def int_entry(entry, size, what):
             and all(type(x) is int for x in entry)
             and (size is None or len(entry) == size)):
         raise SchemaError("%s entry %s is not %s integers"
-                          % (what, brief(entry),
+                          % (what, brief(entry, ints=True),
                              "a list of" if size is None else size))
     return tuple(entry)
+
+
+def int_entries(entries, size, what):
+    """The entries of a fixture list, each as int_entry reads it.  One
+    pass tests each entry inline, with no call per entry; only when it
+    stops at an entry does int_entry read them one by one, to name the
+    first bad entry (or to read a tuple)."""
+    rows = []
+    for entry in entries:
+        if type(entry) is list and (size is None or len(entry) == size):
+            for x in entry:
+                if type(x) is not int:
+                    break
+            else:
+                rows.append(tuple(entry))
+                continue
+        break
+    else:
+        return rows
+    return [int_entry(entry, size, what) for entry in entries]
 
 
 def fraction_entry(num, den, what, entry):
@@ -59,25 +89,40 @@ def entry_list(value, what):
 
 
 def int_table(value, width, what):
-    """A fixture value that must be a JSON list of `width`-integer entries,
-    as a dict from each entry's leading integers (a plain int when width
-    is 2) to its last integer.  As with a repeated key in a JSON object,
-    the last entry for a key wins.  An entry that is not `width` JSON
-    integers raises SchemaError naming it, as int_entry does."""
+    """A fixture value that must be a JSON list of `width`-integer entries
+    (width 2 or 3), as a dict from each entry's leading integers (a plain
+    int when width is 2) to its last integer.  As with a repeated key in a
+    JSON object, the last entry for a key wins.
+
+    One pass unpacks and tests each entry inline, with no call per entry.
+    Only when it stops at an entry does int_entry read the entries one by
+    one: it raises SchemaError naming the first that is not `width` JSON
+    integers, and reads a tuple as a list.
+    """
+    entries = entry_list(value, what)
     table = {}
-    for entry in entry_list(value, what):
-        # int_entry's test, inline and without a generator: this loop runs
-        # once per entry, and tables run to thousands of entries
-        if isinstance(entry, (list, tuple)) and len(entry) == width:
-            for x in entry:
-                if type(x) is not int:
-                    break
-            else:
-                table[entry[0] if width == 2 else tuple(entry[:-1])] = entry[-1]
-                continue
-        raise SchemaError("%s entry %s is not %d integers"
-                          % (what, brief(entry), width))
-    return table
+    if width == 2:
+        for entry in entries:
+            if type(entry) is list and len(entry) == 2:
+                a, b = entry
+                if type(a) is int and type(b) is int:
+                    table[a] = b
+                    continue
+            break
+        else:
+            return table
+    else:
+        for entry in entries:
+            if type(entry) is list and len(entry) == 3:
+                a, b, c = entry
+                if type(a) is int and type(b) is int and type(c) is int:
+                    table[a, b] = c
+                    continue
+            break
+        else:
+            return table
+    rows = [int_entry(entry, width, what) for entry in entries]
+    return {row[0] if width == 2 else row[:-1]: row[-1] for row in rows}
 
 
 def named(data, key):

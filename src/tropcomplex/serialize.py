@@ -17,6 +17,7 @@ in-process `tcx` call; the direct writer is about twice as fast.
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -154,7 +155,7 @@ def divisor_from_json(data):
     table = int_table(data.get("ridge_part", []), 2, "divisor")
     pieces = tuple(_facet_piece(e) for e in
                    entry_list(data.get("facet_pieces", []), "facet piece"))
-    return Divisor.on_ridges(table) + Divisor((), pieces)
+    return Divisor.on_ridges(table, pieces)
 
 
 def _facet_piece(entry):
@@ -315,7 +316,10 @@ def _check_ranges(fx):
     """Every curve edge, divisor ridge and facet of a facet piece names a
     simplex of the fixture's complex, and every facet piece's normal has n
     entries, or IndexMismatch names the entry.  The alpha table was checked
-    when the fixture's structure was made."""
+    when the fixture's structure was made.  Ridge parts and curve
+    multiplicities are sorted by index, so their first and last entries
+    bound the rest, and only a table out of range is read entry by
+    entry, to name the first bad entry."""
     X = fx.complex
     n = X.n
     checks = (("curve", "edge", X.counts[1] if n >= 1 else 0,
@@ -324,22 +328,27 @@ def _check_ranges(fx):
                {name: D.ridge_part for name, D in fx.divisors.items()}))
     for what, cell, count, named in checks:
         for name, pairs in named.items():
-            for i, c in pairs:
-                if not 0 <= i < count:
-                    raise IndexMismatch(
-                        "%s %r entry [%d, %d]: %s %d out of range (%d %ss)"
-                        % (what, name, i, c, cell, i, count, cell))
+            if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < count):
+                for i, c in pairs:
+                    if not 0 <= i < count:
+                        raise IndexMismatch(
+                            "%s %s entry [%d, %d]: %s %d out of range (%d %ss)"
+                            % (what, brief(name), i, c, cell, i, count, cell))
+    facets = X.counts[n]
     for name, D in fx.divisors.items():
-        for entry in divisor_to_json(D)["facet_pieces"]:
-            facet, normal = entry[:2]
-            if not 0 <= facet < X.counts[n]:
+        for p in D.facet_pieces:
+            if 0 <= p.facet < facets and len(p.normal) == n:
+                continue
+            # the piece as its fixture entry
+            entry = brief([p.facet, list(p.normal), p.offset.numerator,
+                           p.offset.denominator, p.multiplicity])
+            if not 0 <= p.facet < facets:
                 raise IndexMismatch(
-                    "divisor %r facet piece %s: facet %d out of range "
-                    "(%d facets)" % (name, brief(entry), facet, X.counts[n]))
-            if len(normal) != n:
-                raise IndexMismatch(
-                    "divisor %r facet piece %s: normal has %d entries, not "
-                    "n = %d" % (name, brief(entry), len(normal), n))
+                    "divisor %s facet piece %s: facet %d out of range "
+                    "(%d facets)" % (brief(name), entry, p.facet, facets))
+            raise IndexMismatch(
+                "divisor %s facet piece %s: normal has %d entries, not "
+                "n = %d" % (brief(name), entry, len(p.normal), n))
 
 
 def read_json(path, raw=None):
@@ -363,5 +372,18 @@ def read_json(path, raw=None):
 
 
 def load_fixture_file(path, raw=None):
-    """The Fixture in a file; raw as for read_json."""
-    return load_fixture(read_json(path, raw))
+    """The Fixture in a file; raw as for read_json.
+
+    The cyclic garbage collector is off while the file is read and built:
+    a load allocates thousands of tuples and lists that stay alive in the
+    fixture, so the collections those allocations would trigger traverse
+    them and free next to nothing.  The caller's setting is restored on
+    return and on every error.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return load_fixture(read_json(path, raw))
+    finally:
+        if enabled:
+            gc.enable()

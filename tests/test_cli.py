@@ -1222,8 +1222,12 @@ def test_input_error_is_a_typed_report(capsys, tmp_path, name, change, argv,
         assert report["error"]["message"] == message
 
 
-# an entry of the right container type with one bad element at the end
+# an entry of the right container type with one bad element at the end;
+# a message that cuts a list of integers short names that element
 LONG = list(range(5000)) + ["x"]
+BAD = " (first bad element 'x' at index 5000)"
+# a fixture name of 5 076 bytes when quoted whole
+NAME = "D" * 5000
 NORMAL = list(range(3000))
 
 
@@ -1243,22 +1247,24 @@ NORMAL = list(range(3000))
         id="argv1-breakpoints are a list of [edge, points], not "),
     pytest.param(
         ["validate", "tetrahedron"], edit("functions", "f", value=LONG), LONG,
-        "SchemaError", "function entry %s is not a list of integers",
+        "SchemaError", "function entry %s" + BAD + " is not a list of integers",
         id="function"),
     pytest.param(
         ["validate", "tetrahedron"], edit("simplices", value=LONG), LONG,
-        "SchemaError", "simplices entry %s is not a list of integers",
+        "SchemaError", "simplices entry %s" + BAD + " is not a list of integers",
         id="simplices"),
     pytest.param(
         ["validate", "tetrahedron"], edit("alpha", append=LONG), LONG,
-        "SchemaError", "alpha entry %s is not 3 integers", id="alpha"),
+        "SchemaError", "alpha entry %s" + BAD + " is not 3 integers",
+        id="alpha"),
     pytest.param(
         ["validate", "tetrahedron"], edit("divisors", "Dab", append=LONG),
-        LONG, "SchemaError", "divisor entry %s is not 2 integers",
+        LONG, "SchemaError", "divisor entry %s" + BAD + " is not 2 integers",
         id="divisor"),
     pytest.param(
         ["validate", "tetrahedron"], edit("faces", append=LONG), LONG,
-        "SchemaError", "face entry %s is not 4 integers", id="face"),
+        "SchemaError", "face entry %s" + BAD + " is not 4 integers",
+        id="face"),
     pytest.param(
         ["validate", "tetrahedron"],
         edit("divisors", "F", value={"facet_pieces": [LONG]}), LONG,
@@ -1295,6 +1301,31 @@ NORMAL = list(range(3000))
         ["validate", "tet-degen"], edit("claimed", append=LONG), LONG,
         "SchemaError", "claimed entry %s is not [divisor name, curve name, "
         "numerator, denominator]", id="claimed"),
+    pytest.param(
+        ["validate", "tetrahedron"], edit("divisors", value={NAME: [[99, 1]]}),
+        NAME, "IndexMismatch",
+        "divisor %s entry [99, 1]: ridge 99 out of range (6 ridges)",
+        id="divisor-name"),
+    pytest.param(
+        ["validate", "tetrahedron"], edit("curves", value={NAME: [[99, 1]]}),
+        NAME, "IndexMismatch",
+        "curve %s entry [99, 1]: edge 99 out of range (6 edges)",
+        id="curve-name"),
+    pytest.param(
+        ["validate", "tetrahedron"],
+        edit("divisors", value={NAME: {"facet_pieces": [[9, [1, 0], 0, 1, 1]]}}),
+        NAME, "IndexMismatch",
+        "divisor %s facet piece [9, [1, 0], 0, 1, 1]: facet 9 out of range "
+        "(4 facets)", id="facet-piece-name"),
+    pytest.param(
+        ["validate", "tetrahedron"],
+        edit("divisors", value={NAME: {"facet_pieces": [[0, [1], 0, 1, 1]]}}),
+        NAME, "IndexMismatch",
+        "divisor %s facet piece [0, [1], 0, 1, 1]: normal has 1 entries, not "
+        "n = 2", id="facet-piece-normal-name"),
+    pytest.param(
+        ["validate", "tet-degen"], edit("mode", value=NAME), NAME,
+        "InconsistentData", "unknown mode %s", id="mode"),
 ])
 def test_wrong_typed_side_file_is_quoted_to_a_bounded_prefix(
         capsys, tmp_path, argv, change, quoted, error, message):

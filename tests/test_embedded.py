@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -104,14 +105,165 @@ def test_complex_without_cells_rejected():
         EmbeddedComplex(1, [[0, 1]], [], [])
 
 
-@given(st.integers(0, 5).flatmap(lambda m: st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                       min_size=m, max_size=m))))
-@settings(max_examples=500, deadline=None)
+@st.composite
+def unimodular_3x3(draw):
+    """A 3 x 3 integer matrix of determinant +-1, as row operations applied
+    to a signed permutation matrix, with one entry then moved by up to 1 in
+    half of the draws."""
+    rows = [[0] * 3 for _ in range(3)]
+    for i, j in enumerate(draw(st.permutations(range(3)))):
+        rows[i][j] = draw(st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.permutations(range(3)))[:2]
+        q = draw(st.integers(-3, 3))
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, 2))][draw(st.integers(0, 2))] += draw(
+            st.integers(-1, 1))
+    return rows
+
+
+# the determinant decides three vectors in Z^3; column Euclid steps every
+# other shape
+@given(st.one_of(
+    st.integers(0, 5).flatmap(lambda m: st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                    max_size=n), min_size=m, max_size=m))),
+    st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+             min_size=3, max_size=3),
+    unimodular_3x3()))
+@settings(max_examples=800, deadline=None)
 def test_unimodular_matches_invariant_factors(vectors):
     facs = smith(vectors).factors
     want = len(facs) == len(vectors) and all(f == 1 for f in facs)
     assert EmbeddedComplex._unimodular(vectors) == want
+
+
+def cell_vectors(data):
+    """The cells of an embedded fixture in validation order, bounded levels
+    then unbounded cells, each as (its NonUnimodular message, its vectors
+    in Z^{N+1})."""
+    verts = [tuple(v) for v in data["vertices"]]
+    cells = [("bounded cell %s" % (tuple(sorted(c)),),
+              [verts[i] for i in c])
+             for level in data["bounded_cells"] for c in level]
+    for u in data["unbounded_cells"]:
+        cell = UnboundedCell(tuple(sorted(u["vertices"])),
+                             tuple(sorted(map(tuple, u["rays"]))))
+        cells.append(("unbounded cell %s" % (cell,),
+                      [verts[i] for i in cell.vertices]
+                      + [r + (0,) for r in cell.rays]))
+    return cells
+
+
+def count_unimodular_tests(monkeypatch):
+    """The vector sets that EmbeddedComplex._unimodular is called on."""
+    calls = []
+    test = EmbeddedComplex._unimodular
+
+    def counted(vectors):
+        calls.append(frozenset(map(tuple, vectors)))
+        return test(vectors)
+    monkeypatch.setattr(EmbeddedComplex, "_unimodular", staticmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("name, tested, cells", [
+    ("plane", 18, 49), ("square3", 34, 99)])
+def test_load_tests_unimodularity_only_on_cells_with_no_coface(
+        monkeypatch, name, tested, cells):
+    # a face's vectors are a subset of its coface's, so only the cells
+    # that lie in no other cell are tested, each once
+    if name == "plane":
+        data = json.loads(fixture_path("plane").read_text())
+    else:
+        data = gen.embedded_square(3, random.Random(3)).fixture
+    vectors = [frozenset(v) for _, v in cell_vectors(data)]
+    maximal = [v for v in vectors if not any(v < w for w in vectors)]
+    assert (len(maximal), len(vectors)) == (tested, cells)
+    calls = count_unimodular_tests(monkeypatch)
+    load_fixture(data)
+    assert sorted(calls, key=sorted) == sorted(maximal, key=sorted)
+
+
+def reference_first_non_unimodular(data):
+    """The message of the first cell in validation order whose vectors
+    have an invariant factor other than 1, by the Smith form, or None."""
+    for message, vectors in cell_vectors(data):
+        facs = smith(vectors).factors
+        if len(facs) != len(vectors) or any(f != 1 for f in facs):
+            return message
+    return None
+
+
+def mutations(data):
+    """Copies of an embedded fixture with one vertex moved (by a unit step,
+    or doubled away from the first vertex), or with one ray changed in
+    every cell that holds it: sheared, or turned and stretched by 2 + i,
+    when that leaves it primitive."""
+    verts = data["vertices"]
+    for v in range(len(verts)):
+        x, y, _ = verts[v]
+        x0, y0, _ = verts[0]
+        for moved in ((x + 1, y), (x, y - 1), (2 * x - x0, 2 * y - y0)):
+            out = json.loads(json.dumps(data))
+            out["vertices"][v] = [*moved, 1]
+            yield out
+    rays = sorted({tuple(r) for u in data["unbounded_cells"]
+                   for r in u["rays"]})
+    for r in rays:
+        for new in ((r[0] + r[1], r[1]), (2 * r[0] - r[1], r[0] + 2 * r[1])):
+            if gcd(*new) != 1:
+                continue
+            out = json.loads(json.dumps(data))
+            for u in out["unbounded_cells"]:
+                u["rays"] = [list(new) if tuple(x) == r else x
+                             for x in u["rays"]]
+            yield out
+
+
+@pytest.mark.parametrize("name", ["plane", "square3"])
+def test_a_mutated_load_names_the_first_non_unimodular_cell(name):
+    # the reference scans every cell in order; the load tests only cells
+    # with no coface, then scans in order when one fails, so a failing face
+    # is still named before its coface
+    if name == "plane":
+        data = json.loads(fixture_path("plane").read_text())
+    else:
+        data = gen.embedded_square(3, random.Random(3)).fixture
+    seen = set()
+    for mutated in mutations(data):
+        want = reference_first_non_unimodular(mutated)
+        try:
+            load_fixture(mutated)
+        except NonUnimodular as exc:
+            got = str(exc)
+        else:
+            got = None
+        assert got == want
+        seen.add(None if want is None else want.split(" cell ")[0])
+    # passing loads, and failures at bounded and unbounded cells
+    assert seen == {None, "bounded", "unbounded"}
+
+
+def test_a_non_unimodular_cell_is_named_before_a_later_error():
+    # the first vertex doubled away from the second makes the edges at it
+    # non-unimodular; a repeated unbounded cell, checked later, does not
+    # hide them, while a cell naming a missing vertex, checked earlier, does
+    data = json.loads(fixture_path("plane").read_text())
+    x, y, _ = data["vertices"][1]
+    x0, y0, _ = data["vertices"][0]
+    data["vertices"][0] = [2 * x0 - x, 2 * y0 - y, 1]
+    want = reference_first_non_unimodular(data)
+    assert want.startswith("bounded cell (0, ")
+    data["unbounded_cells"].append(data["unbounded_cells"][-1])
+    with pytest.raises(NonUnimodular) as exc:
+        load_fixture(data)
+    assert str(exc.value) == want
+    data["bounded_cells"][0].append([99])
+    with pytest.raises(IndexMismatch, match="bounded cell .99,. names "
+                                            "missing vertex 99"):
+        load_fixture(data)
 
 
 # -- sheet duplication ------------------------------------------------------

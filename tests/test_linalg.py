@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tropcomplex.linalg
@@ -666,15 +666,9 @@ def symmetric_matrices(draw, entries):
     if shape == "bordered-hollow":
         p = draw(entries.filter(lambda x: x not in (0, 1, -1)))
         k = draw(st.lists(entries, max_size=7))
-        c = [p * x for x in k]
-        # c_i c_j / p = c_i k_j
-        a = [[p] + c] + [[ci] + [ci * kj for kj in k] for ci in c]
-        for i in range(1, len(a)):
-            for j in range(i + 1, len(a)):
-                h = draw(entries)
-                a[i][j] += h
-                a[j][i] += h
-        return a
+        pairs = len(k) * (len(k) - 1) // 2
+        return bordered(p, k, draw(st.lists(entries, min_size=pairs,
+                                            max_size=pairs)))
     n = draw(st.integers(0, 8))
     if shape == "low-rank":
         k = draw(st.integers(0, n))
@@ -831,6 +825,99 @@ def test_elimination_entries_stay_bounded():
 
 def copy(rows):
     return [list(row) for row in rows]
+
+
+def schur_scaled(a, eliminated):
+    """(|det a[P]|, |det a[P]| times the Schur complement of a[P] in a, on
+    the other lines in order), over Fraction, for the lines P."""
+    rest = [i for i in range(len(a)) if i not in eliminated]
+    m = [[Fraction(a[i][j]) for j in eliminated + rest]
+         for i in eliminated + rest]
+    det = Fraction(1)
+    for t in range(len(eliminated)):
+        piv = next(i for i in range(t, len(m)) if m[i][t])
+        if piv != t:
+            m[t], m[piv] = m[piv], m[t]
+            det = -det
+        det *= m[t][t]
+        for i in range(t + 1, len(m)):
+            f = m[i][t] / m[t][t]
+            m[i] = [x - f * y for x, y in zip(m[i], m[t])]
+    k = len(eliminated)
+    return abs(det), [[abs(det) * x for x in row[k:]] for row in m[k:]]
+
+
+def exact_steps(a):
+    """_inertia_in_place on a copy of the integer symmetric matrix a, and
+    the number of pivot steps checked.  At the head of the loop, before
+    each step and after the last, with P the lines eliminated so far (the
+    rows keep their identity as the kernel updates them in place), the
+    scale `prev` must be |det a[P]| and the block `m` that scale times the
+    Schur complement of a[P] (Bareiss).  Each step divides by the previous
+    scale, and the exact quotient is that invariant, an integer; so a
+    floor that dropped a remainder, or a wrong scale, breaks it at once."""
+    lines, first = inspect.getsourcelines(_inertia_in_place)
+    head = first + [line.strip() for line in lines].index("while m:")
+    b = copy(a)
+    ids = [id(row) for row in b]
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == head:
+            m, prev = frame.f_locals["m"], frame.f_locals["prev"]
+            left = [ids.index(id(row)) for row in m]
+            scale, block = schur_scaled(
+                a, [i for i in range(len(a)) if i not in left])
+            if (prev, m) != (scale, block):
+                raise AssertionError("after %d steps the scale is %d and the "
+                                     "block %s, not %s and %s"
+                                     % (steps, prev, m, scale, block))
+            steps += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is _inertia_in_place.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = _inertia_in_place(b)
+    finally:
+        sys.settrace(old)
+    return result, steps
+
+
+def bordered(p, k, h):
+    """The bordered-hollow matrix [[p, c^T], [c, H + c c^T / p]] with
+    c = p k and H the symmetric matrix with zero diagonal and upper
+    triangle h, row by row: after the first pivot the block is |p| H, so
+    every later pivot is a 2 x 2 block with the scale off 1, updated
+    sparsely when its entry of H is +-1 and densely otherwise."""
+    n = len(k)
+    c = [p * x for x in k]
+    # c_i c_j / p = c_i k_j
+    a = [[p] + c] + [[ci] + [ci * kj for kj in k] for ci in c]
+    upper = iter(h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = next(upper)
+            a[i + 1][j + 1] += x
+            a[j + 1][i + 1] += x
+    return a
+
+
+@example(bordered(2, [1, 1, 1, 1], [1, 1, 1, 1, 1, 1]))  # sparse 2 x 2
+@example(bordered(2, [1, 1, 1, 1], [3, 1, 1, 1, 1, 1]))  # dense 2 x 2
+@example(bordered(-3, [1, -1, 0, 2], [1, 2, 0, -1, 1, 1]))
+@given(symmetric_matrices(small_int))
+@settings(max_examples=200, deadline=None)
+def test_inertia_divides_exactly_at_every_step(a):
+    # inertia depends only on signs, so a wrong positive scale still gives
+    # the reference inertia; the Bareiss invariant does not hold for it
+    result, steps = exact_steps(a)
+    assert result == reference_inertia(a)
+    assert steps >= 1
 
 
 # -- strict feasibility and primitive vectors -------------------------------

@@ -1,5 +1,6 @@
 """JSON round-trips, fixture detection, canonical form."""
 
+import gc
 import json
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from tropcomplex import (Divisor, InputError, canonical_json,
                          div_vertex_function, lin_equiv_witness, load_fixture,
                          local_cartier_test, weil_test)
 from tropcomplex.curves import BreakpointFunction, PointSum
+import tropcomplex.serialize
 from tropcomplex.serialize import (
     FORMAT,
     breakpoints_from_json,
@@ -21,6 +23,7 @@ from tropcomplex.serialize import (
     detect_kind,
     divisor_from_json,
     divisor_to_json,
+    load_fixture_file,
     point_sum_to_json,
     rat,
 )
@@ -175,3 +178,34 @@ def test_make_fixtures_writes_the_committed_files(tmp_path, capsys):
     committed = {p.name: p.read_bytes() for p in FIXDIR.iterdir()}
     assert written.keys() == make_fixtures.FIXTURES.keys()
     assert written == committed
+
+
+def test_a_file_load_leaves_the_collector_as_it_found_it(monkeypatch,
+                                                         tmp_path):
+    # the collector is off during the load, and the caller's setting comes
+    # back after a load, after one that raises, and when it was off already
+    during = []
+    load = tropcomplex.serialize.load_fixture
+
+    def recording(data):
+        during.append(gc.isenabled())
+        return load(data)
+    monkeypatch.setattr(tropcomplex.serialize, "load_fixture", recording)
+    bad_entry = tmp_path / "bad-entry.json"
+    bad_entry.write_text(json.dumps({"format": FORMAT, "n": 0,
+                                     "simplices": ["x"]}))
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{")
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_fixture_file(fixture_path("plane"))
+            assert gc.isenabled() is enabled
+            for bad in (bad_entry, bad_json):
+                with pytest.raises(InputError):
+                    load_fixture_file(bad)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False] * 4
