@@ -23,7 +23,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .errors import InputError, PreconditionFailed, UnknownName
+from .errors import InputError, PreconditionFailed, UnknownName, brief
 from .structure import classify
 from .divisors import (class_group, div_two_piece, div_vertex_function,
                        lin_equiv_witness, local_cartier_test,
@@ -81,7 +81,8 @@ def _side_file(path, extra, key):
 def _named(table, kind, name):
     """The fixture's divisor or curve (kind) called name."""
     if name not in table:
-        raise UnknownName("no %s named %r in the fixture" % (kind, name))
+        raise UnknownName("no %s named %s in the fixture"
+                          % (kind, brief(name)))
     return table[name]
 
 
@@ -115,7 +116,8 @@ def _values(spec_str, fx, count):
     values = _integers(spec_str)
     if values is None:
         if spec_str not in fx.functions:
-            raise UnknownName("no vertex function named %r" % (spec_str,))
+            raise UnknownName("no vertex function named %s"
+                              % brief(spec_str))
         values = list(fx.functions[spec_str])
     if len(values) != count:
         raise InputError(
@@ -127,8 +129,8 @@ def _values(spec_str, fx, count):
 def _cell(spec_str):
     values = _integers(spec_str)
     if values is None or len(values) != 2:
-        raise InputError("cell must be given as 'dim,index', not %r"
-                         % (spec_str,))
+        raise InputError("cell must be given as 'dim,index', not %s"
+                         % brief(spec_str))
     return tuple(values)
 
 

@@ -6,7 +6,10 @@ vertex's germ relations, decided by one fraction-free elimination; a germ
 basis is built only to name the violating germ of an unbalanced curve.  The
 divisor-curve product restricts local defining germs of the divisor to the
 curve and sums outgoing slopes; its degree is a linear-equivalence
-invariant.
+invariant.  On a surface a curve vertex is an (n-2)-cell, whose germ
+relations are its local intersection matrix bordered by one column, so
+balancing and the product both read one `local_systems` call with one
+elimination per support vertex (`_vertex_systems`).
 """
 
 from __future__ import annotations
@@ -118,36 +121,98 @@ class BalanceResult(NamedTuple):
     dims: tuple = ()  # (vertex, germ dimension) per support vertex, in order
 
 
+def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
+    """At n = 2, per support vertex v in order: (elements, rows, pivots,
+    fails, dim), from one `local_systems` call and one elimination per
+    vertex (two for the intersection off the weak constraint).
+
+    The germ relations at v are M_v bordered by the column c, with
+    c_t = -alpha(r_t, slot of v), and w'_t is the multiplicity of ridge
+    r_t.  As M_v is symmetric, C is balanced at v iff some y has
+    M_v y = w' and c . y = w_0 = -sum(w').  Where every row of M_v sums to
+    -c_t (the weak constraint at v's ridges), c . y = -1 . M_v y = w_0 for
+    every solution, so [M_v | [D]_v | w'] is eliminated over M_v's
+    columns, fails (C unbalanced at v) is w' outside the column space of
+    M_v, read off the rows past the pivots, and the germ dimension is
+    1 + size - rank(M_v).  At any other vertex [M_v | w'] with [c | w_0]
+    appended is eliminated instead: the transposed germ relations with the
+    slope functional appended, whose pivots decide both; [M_v | [D]_v] is
+    then eliminated on its own only when rhs is given.  With rhs given,
+    rows and pivots are the reduced elimination that `_solution` reads;
+    without it they mean nothing.
+    """
+    alpha = T.alpha
+    reduced = rhs is not None
+    for elems, rows in local_systems(T, vertices, rhs):
+        size = len(elems)
+        w = []
+        weak = True
+        for row, ((_, r), (s,)) in zip(rows, elems):
+            w.append(C.mult(r))
+            weak = weak and sum(row[:size]) == alpha[r, s]
+        pivots = None
+        if weak:
+            for row, x in zip(rows, w):
+                row.append(x)
+            rows, pivots = _echelon_in_place(rows, size, reduced)
+            fails = any(row[-1] for row in rows[len(pivots):])
+            dim = 1 + size - len(pivots)
+        else:
+            check = [row[:size] for row in rows] if reduced else rows
+            for row, x in zip(check, w):
+                row.append(x)
+            check.append([-alpha[r, s] for (_, r), (s,) in elems] + [-sum(w)])
+            _, relations = _echelon_in_place(check, size + 1, reduced=False)
+            fails = size in relations
+            dim = 1 + size - len(relations) + fails
+            if reduced:
+                rows, pivots = _echelon_in_place(rows, size)
+        yield elems, rows, pivots, fails, dim
+
+
 def is_balanced(T: TropicalStructure, C: Curve):
     """Balanced iff at each support vertex v every linear germ has zero
     multiplicity-weighted slope sum.
 
     That sum is w . g for the germ g, with w[i + 1] the multiplicity of the
     i-th link coordinate and w[0] minus their sum, so C is balanced at v
-    exactly when w lies in the row space of v's germ relations.  One
-    fraction-free elimination of the relation columns with w appended
-    decides it: w is in the span unless its column is a pivot, and the
-    germ dimension is ncols minus the rank of the relations.  Only at the
-    first failing vertex is the germ basis built, to report its first
-    violating germ as the certificate.
+    exactly when w lies in the row space of v's germ relations.  At n = 2
+    `_vertex_systems` decides it from the local matrices; otherwise one
+    fraction-free elimination of the transposed relations with w appended
+    does: w is in the span unless its column is a pivot, and the germ
+    dimension is ncols minus the rank of the relations.  Only at the first
+    failing vertex is the germ basis built, to report its first violating
+    germ as the certificate.
     """
     X = T.complex
     _check_edges(X, C)
+    vertices = C.support_vertices(X)
     dims = []
-    certificate = None
-    for v in C.support_vertices(X):
-        coords, rows, ncols = _germ_relations(T, v)
-        w = [C.mult(t.coface[1]) for t in coords]
-        w.insert(0, -sum(w))
-        _, pivots = _echelon_in_place(list(map(list, zip(*rows, w))),
-                                      len(rows) + 1, reduced=False)
-        fails = len(rows) in pivots  # w is not in the span of the relations
-        dims.append((v, ncols - len(pivots) + (1 if fails else 0)))
-        if fails and certificate is None:
-            germ = next(g for g in germ_space(T, v).basis
-                        if sum(a * b for a, b in zip(w, g)))
-            certificate = (v, germ)
-    return BalanceResult(certificate is None, certificate, tuple(dims))
+    failing = None
+    if X.n == 2:
+        for v, (*_, fails, dim) in zip(vertices,
+                                       _vertex_systems(T, C, vertices)):
+            dims.append((v, dim))
+            if fails and failing is None:
+                failing = v
+    else:
+        for v in vertices:
+            coords, rows, ncols = _germ_relations(T, v)
+            w = [C.mult(t.coface[1]) for t in coords]
+            w.insert(0, -sum(w))
+            _, pivots = _echelon_in_place(list(map(list, zip(*rows, w))),
+                                          len(rows) + 1, reduced=False)
+            fails = len(rows) in pivots  # w is not in the span
+            dims.append((v, ncols - len(pivots) + (1 if fails else 0)))
+            if fails and failing is None:
+                failing = v
+    if failing is None:
+        return BalanceResult(True, None, tuple(dims))
+    space = germ_space(T, failing)
+    w = [C.mult(t.coface[1]) for t in space.coords]
+    w.insert(0, -sum(w))
+    germ = next(g for g in space.basis if sum(a * b for a, b in zip(w, g)))
+    return BalanceResult(False, (failing, germ), tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +308,19 @@ class IntersectResult(NamedTuple):
     degree: Fraction
 
 
-def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
-                     balance=None):
+def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve):
     """Intersection product of a ridge-supported divisor with a balanced
     curve, assembled from local defining germs.
 
     Implemented for n in {1, 2}: the covering by stars of (n-2)-simplices
     and facet interiors reaches every curve vertex only in those dimensions.
-    For n = 2 one `local_systems` call builds the local rows at every
-    support vertex with [D]_v appended, and the germ at a vertex is the
-    rational solution that `solve` would return, read off its rows
-    eliminated in place; any other differs from it by a kernel germ, which
-    a balanced curve annihilates, so the vertex total is the same.  balance
-    is `is_balanced(T, C)` when the caller has it already.
+    For n = 2 `_vertex_systems` builds and eliminates [M_v | [D]_v | w'] at
+    every support vertex, which decides balance and the germ together: the
+    germ at a vertex is the rational solution that `solve` would return,
+    read off its rows; any other differs from it by a kernel germ, which a
+    balanced curve annihilates, so the vertex total is the same.  n = 1
+    calls `is_balanced`.  NotBalanced (first failing vertex) comes before
+    NotQCartierNearCurve.
     """
     X = T.complex
     if D.facet_pieces:
@@ -266,13 +331,13 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
         )
     rhs = [0] * _check_ridges(X, D)
     _check_edges(X, C)
-    if balance is None:
-        balance = is_balanced(T, C)
-    if not balance.balanced:
-        raise NotBalanced("curve unbalanced at vertex %d" % balance.certificate[0])
     vertices = C.support_vertices(X)
     germs = []
     if X.n == 1:
+        balance = is_balanced(T, C)
+        if not balance.balanced:
+            raise NotBalanced("curve unbalanced at vertex %d"
+                              % balance.certificate[0])
         # v ends a curve edge, so its degree is at least 1: the germ has
         # slope [D]_v / deg(v) along every edge at v
         for v in vertices:
@@ -282,15 +347,19 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve,
     else:
         for r, c in D.ridge_part:
             rhs[r] = c
-        for v, (elems, rows) in zip(vertices,
-                                    local_systems(T, vertices, rhs)):
-            size = len(elems)
-            germ = _solution(*_echelon_in_place(rows, size + 1), size)
+        failing = None
+        for v, (elems, rows, pivots, fails, _) in zip(
+                vertices, _vertex_systems(T, C, vertices, rhs)):
+            if fails and failing is None:
+                failing = v
+            germs.append((elems, _solution(rows, pivots, len(elems))))
+        if failing is not None:
+            raise NotBalanced("curve unbalanced at vertex %d" % failing)
+        for v, (_, germ) in zip(vertices, germs):
             if germ is None:
                 raise NotQCartierNearCurve(
                     "divisor not Q-Cartier at vertex %d" % v
                 )
-            germs.append((elems, germ))
     coeffs = {}
     for v, (elems, germ) in zip(vertices, germs):
         total = Fraction(0)

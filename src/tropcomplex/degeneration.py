@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .delta import DeltaComplex
-from .errors import (InconsistentData, PreconditionFailed, SchemaError,
-                     UnknownName, brief, entry_list, fraction_entry,
-                     int_entry, int_table, named)
+from .errors import (InconsistentData, NotBalanced, PreconditionFailed,
+                     SchemaError, UnknownName, brief, entry_list,
+                     fraction_entry, int_entry, int_table, named)
 from .structure import TropicalStructure, check_weak, local_systems
 from .divisors import Divisor, chip_matrix, weil_test
 from .curves import Curve, is_balanced, intersect_degree
@@ -180,7 +180,7 @@ def specialize(T: TropicalStructure, data: DegenerationData, name):
         result = is_balanced(T, C)
         return SpecializeResult("curve", None, C,
                                 "balanced" if result.balanced else "warning")
-    raise UnknownName("no divisor or curve named %r" % (name,))
+    raise UnknownName("no divisor or curve named %s" % brief(name))
 
 
 class VerifyResult(NamedTuple):
@@ -196,29 +196,35 @@ def verify_theorem(T: TropicalStructure, data: DegenerationData, dname, cname):
 
     Preconditions: the specialized divisor passes the summable test, which
     makes it Q-Cartier at every (n-2)-simplex and so, for n = 2, at every
-    vertex of the curve; and the curve is balanced.  Dimensions other than
-    1 and 2 raise UnsupportedDimension from intersect_degree.
+    vertex of the curve; and the curve is balanced, which intersect_degree
+    decides with the product (its NotBalanced is the `unbalanced`
+    precondition).  Dimensions other than 1 and 2 raise
+    UnsupportedDimension from intersect_degree, after `is_balanced`.
     """
     if dname not in data.divisors:
-        raise UnknownName("no divisor named %r" % (dname,))
+        raise UnknownName("no divisor named %s" % brief(dname))
     if cname not in data.curves:
-        raise UnknownName("no curve named %r" % (cname,))
+        raise UnknownName("no curve named %s" % brief(cname))
     if (dname, cname) not in data.claimed:
         raise UnknownName(
-            "no claimed intersection number for (%r, %r)" % (dname, cname)
+            "no claimed intersection number for (%s, %s)"
+            % (brief(dname), brief(cname))
         )
     D = data.divisors[dname]
     C = data.curves[cname]
     passed, _ = weil_test(T, D)
     if not passed:
         raise PreconditionFailed(
-            "weil", "divisor %r fails the summable test" % (dname,)
+            "weil", "divisor %s fails the summable test" % brief(dname)
         )
-    balance = is_balanced(T, C)
-    if not balance.balanced:
-        raise PreconditionFailed(
-            "unbalanced", "curve %r is not balanced" % (cname,)
-        )
-    computed = intersect_degree(T, D, C, balance=balance).degree
+    unbalanced = PreconditionFailed(
+        "unbalanced", "curve %s is not balanced" % brief(cname)
+    )
+    if T.complex.n not in (1, 2) and not is_balanced(T, C).balanced:
+        raise unbalanced
+    try:
+        computed = intersect_degree(T, D, C).degree
+    except NotBalanced:
+        raise unbalanced from None
     claimed = data.claimed[(dname, cname)]
     return VerifyResult(dname, cname, computed, claimed, computed == claimed)

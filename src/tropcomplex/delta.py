@@ -138,20 +138,24 @@ class DeltaComplex:
                     for i in range(j):
                         if lower[row[j]][i] != lower[row[i]][j - 1]:
                             raise SimplicialIdentityViolation((k, i_s), i, j)
-        # connectedness of the 1-skeleton, by union-find over vertices: every
-        # simplex is joined to its vertices through its edges
-        parent = list(range(self.counts[0]))
+        # connectedness of the 1-skeleton, by union-find over the vertices
+        # that an edge touches: every simplex is joined to its vertices
+        # through its edges, and every other vertex is a component of its
+        # own, so nothing is allocated per vertex count
+        edges = self.faces[1] if self.n >= 1 else ()
+        parent = {v: v for edge in edges for v in edge}
 
         def find(x):
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
             return x
 
-        for a, b in (self.faces[1] if self.n >= 1 else ()):
+        for a, b in edges:
             parent[find(a)] = find(b)
-        roots = {find(v) for v in range(self.counts[0])}
-        if len(roots) > 1:
-            raise Disconnected("complex has %d components" % len(roots))
+        components = (len({find(v) for v in parent})
+                      + self.counts[0] - len(parent))
+        if components > 1:
+            raise Disconnected("complex has %d components" % components)
 
     def _build_face_table(self):
         """The face of every simplex at every slot tuple, one dimension at
@@ -325,24 +329,30 @@ def _face_rows(entries, n, counts):
     One pass tests and writes each entry inline, with no call per entry,
     and one membership test finds a slot left empty.  Only when the pass
     stops at an entry, or a slot is empty, does the loop that reads each
-    entry through int_entry run, to name the first bad one.
+    entry through int_entry run, to name the first bad one.  Each entry
+    fills at most one slot, so when the counts ask for more slots than
+    there are entries that loop runs at once, with rows only for the
+    simplices that some entry names: no table larger than the entries is
+    allocated.
     """
-    faces = {k: [[None] * (k + 1) for _ in range(counts[k])]
-             for k in range(1, n + 1)}
-    for entry in entries:
-        if type(entry) is list and len(entry) == 4:
-            k, i, slot, target = entry
-            if (type(k) is int and type(i) is int and type(slot) is int
-                    and type(target) is int and 1 <= k <= n
-                    and 0 <= i < counts[k] and 0 <= slot <= k):
-                faces[k][i][slot] = target
-                continue
-        break
-    else:
-        if None not in chain.from_iterable(
-                chain.from_iterable(faces.values())):
-            return faces
+    if sum((k + 1) * counts[k] for k in range(1, n + 1)) <= len(entries):
+        faces = {k: [[None] * (k + 1) for _ in range(counts[k])]
+                 for k in range(1, n + 1)}
+        for entry in entries:
+            if type(entry) is list and len(entry) == 4:
+                k, i, slot, target = entry
+                if (type(k) is int and type(i) is int and type(slot) is int
+                        and type(target) is int and 1 <= k <= n
+                        and 0 <= i < counts[k] and 0 <= slot <= k):
+                    faces[k][i][slot] = target
+                    continue
+            break
+        else:
+            if None not in chain.from_iterable(
+                    chain.from_iterable(faces.values())):
+                return faces
     # every write of the pass above is repeated here, in the same order
+    rows = {}
     for entry in entries:
         k, i, slot, target = int_entry(entry, 4, "face")
         if not 1 <= k <= n:
@@ -351,9 +361,12 @@ def _face_rows(entries, n, counts):
             raise DimensionExceeded("face entry for missing simplex (%d,%d)" % (k, i))
         if not 0 <= slot <= k:
             raise DimensionExceeded("face slot %d out of range" % slot)
-        faces[k][i][slot] = target
+        rows.setdefault((k, i), [None] * (k + 1))[slot] = target
+    # the first simplex with an empty slot lies within the first
+    # len(rows) + 1 of its dimension
     for k in range(1, n + 1):
         for i in range(counts[k]):
-            if any(t is None for t in faces[k][i]):
+            row = rows.get((k, i))
+            if row is None or None in row:
                 raise DimensionExceeded("missing face entries for (%d,%d)" % (k, i))
-    return faces
+    return {k: [rows[k, i] for i in range(counts[k])] for k in range(1, n + 1)}

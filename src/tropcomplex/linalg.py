@@ -83,11 +83,13 @@ def _echelon_in_place(m, ncols=None, reduced=True):
     any other row changes only in the pivot row's nonzero columns;
     otherwise every row is rescaled.  With reduced=False only the rows
     below each pivot are cleared (row echelon form): the pivots do not
-    change.  `_echelon` and `solve` build the rows fresh from their input,
-    the Weil test and the intersection product pass the augmented rows of
-    `structure.local_systems`, at each cell that supp D touches and at each
-    support vertex of the curve, and the balancing test the transposed
-    germ relations.
+    change.  Columns past ncols are carried along and never pivot.
+    `_echelon` and `solve` build the rows fresh from their input, the Weil
+    test passes the augmented rows of `structure.local_systems` at each
+    cell that supp D touches, balancing and the intersection product at
+    n = 2 those rows with the curve's multiplicities appended at each
+    support vertex, and balancing otherwise the transposed germ
+    relations.
     """
     if type(sum(chain.from_iterable(m))) is not int:
         m = [_integers(row) for row in m]
@@ -166,18 +168,20 @@ def solve(rows, rhs):
     `_solution` of the eliminated augmented rows."""
     ncols = len(rows[0]) if rows else 0
     return _solution(*_echelon_in_place(
-        [list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1), ncols)
+        [list(row) + [b] for row, b in zip(rows, rhs)], ncols), ncols)
 
 
 def _solution(m, pivots, ncols):
     """The solution of a system whose augmented rows (right-hand side in
-    column ncols) `_echelon_in_place` reduced to (m, pivots), or None if
-    inconsistent.
+    column ncols, any further columns ignored) `_echelon_in_place` reduced
+    over their first ncols columns to (m, pivots), or None if inconsistent:
+    if a row past the pivots keeps a nonzero right-hand side.
 
     Free variables are set to 0 (deterministic particular solution), so
-    each pivot variable is the last entry of its row divided by the pivot.
+    each pivot variable is the right-hand side of its row divided by the
+    pivot.
     """
-    if pivots and pivots[-1] == ncols:
+    if any(row[ncols] for row in m[len(pivots):]):
         return None
     x = [_ZERO] * ncols
     for row, p in zip(m, pivots):

@@ -684,9 +684,8 @@ def test_cartier_and_classify_build_each_local_matrix_once(
     D = tropcomplex.div_vertex_function(
         T, [rng.randint(-3, 3) for _ in range(t.nv)])
     C = tropcomplex.Curve.on_edges(gen.torus_curve(t, rng))
-    balance = tropcomplex.is_balanced(T, C)
     touched = touched_cells(T.complex, D)
-    assert D.ridge_part and balance.balanced
+    assert D.ridge_part and tropcomplex.is_balanced(T, C).balanced
     for call, expected in ((tropcomplex.classify, [list(range(t.nv))]),
                            (tropcomplex.classify, [list(range(t.nv))]),
                            (lambda T: tropcomplex.weil_test(T, D),
@@ -695,8 +694,52 @@ def test_cartier_and_classify_build_each_local_matrix_once(
         call(T)
         assert calls == expected, call
     calls.clear()
-    assert tropcomplex.intersect_degree(T, D, C, balance).degree == 0
+    assert tropcomplex.intersect_degree(T, D, C).degree == 0
     assert calls == [C.support_vertices(T.complex)]
+
+
+def test_surface_curve_queries_build_one_local_system_per_support_vertex(
+        monkeypatch):
+    # at n = 2 one local_systems call over the support vertices, in order,
+    # serves is_balanced on a balanced curve and intersect_degree, without
+    # the germ relations; an unbalanced curve stops intersect_degree with
+    # NotBalanced, still without them
+    systems = count_row_builds(monkeypatch)
+    relations = counting_calls(monkeypatch, "curves", "_germ_relations")
+    rng = random.Random(28)
+    t = gen.torus(5, rng)
+    T = tropcomplex.load_fixture(t.fixture).structure()
+    D = tropcomplex.Divisor.on_ridges(gen.torus_principal(
+        t, [rng.randint(-3, 3) for _ in range(t.nv)]))
+    C = tropcomplex.Curve.on_edges(gen.torus_curve(t, rng))
+    U = tropcomplex.Curve.on_edges({0: 1})
+    support = C.support_vertices(T.complex)
+    assert tropcomplex.is_balanced(T, C).balanced
+    assert systems == [support] and relations == []
+    systems.clear()
+    assert tropcomplex.intersect_degree(T, D, C).degree == 0
+    assert systems == [support] and relations == []
+    systems.clear()
+    with pytest.raises(tropcomplex.NotBalanced):
+        tropcomplex.intersect_degree(T, D, U)
+    assert systems == [U.support_vertices(T.complex)] and relations == []
+
+
+def test_verify_builds_each_support_vertex_once(capsys, monkeypatch):
+    # tcx verify at n = 2 leaves balance to intersect_degree: past the Weil
+    # test's cells, one local_systems call over the curve's support
+    # vertices, with no is_balanced and no germ relations
+    systems = count_row_builds(monkeypatch)
+    relations = counting_calls(monkeypatch, "curves", "_germ_relations")
+    balanced = counting_calls(monkeypatch, "curves", "is_balanced")
+    path = fixture_path("tet-degen")
+    f = tropcomplex.load_fixture_file(path)
+    D, C = f.degeneration.divisors["D"], f.degeneration.curves["C"]
+    code, _, _ = invoke(capsys, "verify", path, "-D", "D", "-C", "C")
+    assert code == 0
+    assert systems == [touched_cells(f.complex, D),
+                       C.support_vertices(f.complex)]
+    assert relations == [] and balanced == []
 
 
 def test_weil_and_cartier_eliminate_only_where_the_divisor_touches(
@@ -1353,6 +1396,37 @@ def test_wrong_typed_side_file_is_quoted_to_a_bounded_prefix(
     code, report, err = invoke(capsys, argv[0], path, *rest)
     assert code == 2
     assert len(repr(quoted)) > REPR_LIMIT
+    assert report["error"] == {
+        "type": error,
+        "message": message % (repr(quoted)[:REPR_LIMIT] + "...")}
+    assert err == "%s: error: %s\n" % (argv[0], report["error"]["message"])
+
+
+@pytest.mark.parametrize("argv, quoted, error, message", [
+    (["cartier", "tetrahedron", "-D", NAME], NAME, "UnknownName",
+     "no divisor named %s in the fixture"),
+    (["balance", "tetrahedron", "-C", NAME], NAME, "UnknownName",
+     "no curve named %s in the fixture"),
+    (["div", "tetrahedron", "--phi", NAME], NAME, "UnknownName",
+     "no vertex function named %s"),
+    (["robust", "plane", "--cell", "1," * 2500], "1," * 2500, "InputError",
+     "cell must be given as 'dim,index', not %s"),
+    (["specialize", "tet-degen", NAME], NAME, "UnknownName",
+     "no divisor or curve named %s"),
+    (["verify", "tet-degen", "-D", NAME, "-C", "C"], NAME, "UnknownName",
+     "no divisor named %s"),
+    (["verify", "tet-degen", "-D", "D", "-C", NAME], NAME, "UnknownName",
+     "no curve named %s"),
+])
+def test_long_argument_is_quoted_to_a_bounded_prefix(
+        capsys, argv, quoted, error, message):
+    # a 5 000-character name or cell given on the command line is quoted
+    # by its first REPR_LIMIT characters, as a fixture value is
+    from tropcomplex.errors import REPR_LIMIT
+
+    code, report, err = invoke(capsys, argv[0], fixture_path(argv[1]),
+                               *argv[2:])
+    assert code == 2
     assert report["error"] == {
         "type": error,
         "message": message % (repr(quoted)[:REPR_LIMIT] + "...")}

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcomplex import (
+    BalanceResult,
     BreakpointFunction,
     Curve,
     DeltaComplex,
     DiscontinuousInput,
     Divisor,
+    InputError,
+    IntersectResult,
     NotBalanced,
     NotQCartierNearCurve,
     TropicalStructure,
@@ -27,11 +30,12 @@ from tropcomplex import (
     load_fixture,
     load_fixture_file,
     local_matrix,
+    PointSum,
     restrict_divisor,
 )
 from tropcomplex.curves import _germ_relations
 from tropcomplex.embedded import derive_structure
-from tropcomplex.linalg import kernel_basis
+from tropcomplex.linalg import _echelon, kernel_basis, rref
 from tcxbench import gen
 from tests.conftest import fixture_path, full_simplex
 
@@ -428,3 +432,170 @@ def test_principal_times_balanced_is_degree_zero_random(fx):
                 except NotQCartierNearCurve:
                     continue
                 assert res.degree == 0
+
+
+# -- the n = 2 path against the germ relations ------------------------------
+
+
+def relations_balance_at(T, C, v):
+    """(fails, germ dimension, w) at v: one elimination of the transposed
+    germ relations with the slope functional w appended."""
+    coords, rows, ncols = _germ_relations(T, v)
+    w = [C.mult(t.coface[1]) for t in coords]
+    w.insert(0, -sum(w))
+    _, pivots = _echelon(list(map(list, zip(*rows, w))), len(rows) + 1,
+                         reduced=False)
+    fails = len(rows) in pivots
+    return fails, ncols - len(pivots) + (1 if fails else 0), w
+
+
+def relations_is_balanced(T, C):
+    """`is_balanced` as it was before the local systems took it over at
+    n = 2: `relations_balance_at` per support vertex."""
+    dims, certificate = [], None
+    for v in C.support_vertices(T.complex):
+        fails, dim, w = relations_balance_at(T, C, v)
+        dims.append((v, dim))
+        if fails and certificate is None:
+            germ = next(g for g in germ_space(T, v).basis
+                        if sum(a * b for a, b in zip(w, g)))
+            certificate = (v, germ)
+    return BalanceResult(certificate is None, certificate, tuple(dims))
+
+
+def relations_intersect_degree(T, D, C):
+    """`intersect_degree` at n = 2 as it was before: `relations_is_balanced`
+    first, then per support vertex the local system solved by rref, its
+    free variables 0."""
+    X = T.complex
+    rhs = dict(D.ridge_part)
+    balance = relations_is_balanced(T, C)
+    if not balance.balanced:
+        raise NotBalanced("curve unbalanced at vertex %d"
+                          % balance.certificate[0])
+    coeffs = {}
+    for v in C.support_vertices(X):
+        local = local_matrix(T, (0, v))
+        size = len(local.elements)
+        m, pivots = rref([list(row) + [rhs.get(t.coface[1], 0)]
+                          for row, t in zip(local.matrix, local.elements)])
+        if size in pivots:
+            raise NotQCartierNearCurve("divisor not Q-Cartier at vertex %d" % v)
+        germ = [Fraction(0)] * size
+        for row, p in zip(m, pivots):
+            germ[p] = row[size]
+        total = sum(C.mult(t.coface[1]) * x
+                    for t, x in zip(local.elements, germ))
+        if total:
+            coeffs[("v", v)] = total
+    ps = PointSum.of(coeffs)
+    return IntersectResult(ps, ps.degree)
+
+
+def outcome(call, *args):
+    """("ok", result), or the exception's type name and message."""
+    try:
+        return "ok", call(*args)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def torus_case(k, alpha_kind, curve_kind, divisor_kind, rng):
+    """(T, C, D) on the shuffled k x k torus.  alpha is 1 everywhere
+    ("unit"), skewed with slot sums 2 ("skewed"), or 1 with one to four
+    entries moved by +-1, off the weak constraint ("off-weak"); C is a
+    sum of straight cycles or random; D is principal for alpha = 1 or
+    random."""
+    t = gen.torus(k, rng)
+    alpha = {}
+    for e in range(len(t.edges)):
+        a = rng.choice((-1, 0, 1, 1, 2, 3)) if alpha_kind == "skewed" else 1
+        alpha[e, 0], alpha[e, 1] = a, 2 - a
+    if alpha_kind == "off-weak":
+        for key in rng.sample(sorted(alpha), rng.randint(1, 4)):
+            alpha[key] += rng.choice((-1, 1))
+    T = TropicalStructure(load_fixture(t.fixture).complex, alpha)
+    if curve_kind == "cycles":
+        C = Curve.on_edges(gen.torus_curve(t, rng))
+    else:
+        C = Curve.on_edges({e: rng.randint(-2, 2)
+                            for e in rng.sample(range(len(t.edges)), 4)})
+    if divisor_kind == "principal":
+        D = Divisor.on_ridges(gen.torus_principal(
+            t, [rng.randint(-3, 3) for _ in range(t.nv)]))
+    else:
+        D = Divisor.on_ridges({e: rng.randint(-2, 2)
+                               for e in rng.sample(range(len(t.edges)), 3)})
+    return T, C, D
+
+
+@functools.lru_cache(maxsize=None)
+def surface_fixture_cases():
+    """(T, C, D) for every ridge divisor and curve of the n = 2 fixtures."""
+    out = []
+    for name in ("triangle", "triangle-tropical", "tetrahedron", "plane",
+                 "tet-degen"):
+        f = load_fixture_file(fixture_path(name))
+        if name == "plane":
+            T = derive_structure(f.embedded)[2]
+        elif name == "tet-degen":
+            T = build_structure_from_degeneration(f.complex, f.degeneration)
+        else:
+            T = f.structure()
+        out += [(T, C, D) for C in f.curves.values()
+                for D in f.divisors.values() if not D.facet_pieces]
+    return tuple(out)
+
+
+def vertex_kinds(T, C):
+    """(weak, balanced) per support vertex: whether every row of M_v sums
+    to alpha(r_t, slot of v), c = -M_v 1, and whether C balances at v."""
+    kinds = set()
+    for v in C.support_vertices(T.complex):
+        local = local_matrix(T, (0, v))
+        weak = all(sum(row) == T.alpha[t.coface[1], t.slots[0]]
+                   for row, t in zip(local.matrix, local.elements))
+        kinds.add((weak, not relations_balance_at(T, C, v)[0]))
+    return kinds
+
+
+def check_against_relations(T, C, D):
+    """The outcome kind of intersect_degree after both routines agree."""
+    balance = is_balanced(T, C)
+    assert balance == relations_is_balanced(T, C)
+    got = outcome(intersect_degree, T, D, C)
+    assert got == outcome(relations_intersect_degree, T, D, C)
+    return got[0]
+
+
+ALPHA_KINDS = ("unit", "skewed", "off-weak")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 6), st.sampled_from(ALPHA_KINDS),
+       st.sampled_from(("cycles", "random")),
+       st.sampled_from(("principal", "random")), st.randoms())
+def test_surface_balance_and_intersection_match_the_germ_relations(
+        k, alpha_kind, curve_kind, divisor_kind, rng):
+    check_against_relations(*torus_case(k, alpha_kind, curve_kind,
+                                        divisor_kind, rng))
+
+
+def test_surface_oracle_reaches_every_outcome():
+    # every outcome of intersect_degree, and support vertices off the weak
+    # constraint where the curve balances and where it does not
+    rng = random.Random(28)
+    outcomes, kinds = set(), set()
+    cases = list(surface_fixture_cases())
+    for k in (3, 4, 5, 6):
+        for alpha_kind in ALPHA_KINDS:
+            for curve_kind in ("cycles", "random"):
+                for divisor_kind in ("principal", "random"):
+                    for _ in range(2):
+                        cases.append(torus_case(k, alpha_kind, curve_kind,
+                                                divisor_kind, rng))
+    for T, C, D in cases:
+        outcomes.add(check_against_relations(T, C, D))
+        kinds |= vertex_kinds(T, C)
+    assert outcomes == {"ok", "NotBalanced", "NotQCartierNearCurve"}
+    assert {(False, True), (False, False)} <= kinds

@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 from tcxbench import gen
-from tests.conftest import CONE_OVER_LOOP
+from tests.conftest import CONE_OVER_LOOP, full_simplex
 from tropcomplex import (
     Curve,
+    DegenerationData,
     DeltaComplex,
     Divisor,
     InconsistentData,
     PreconditionFailed,
+    TropicalStructure,
+    UnsupportedDimension,
+    is_balanced,
     UnknownName,
     build_structure_from_degeneration,
     check_weak,
@@ -493,6 +497,40 @@ def test_verify_precondition_balance(triangle):
     assert exc.value.verdict == "unbalanced"
     # the well-posed pair still verifies
     assert verify_theorem(T, data, "P1", "C1").match
+
+
+def test_verify_reports_an_unbalanced_curve_before_the_dimension(
+        path_graph, triangle):
+    # intersect_degree decides balance at n = 1 and 2, and verify_theorem
+    # asks is_balanced first only elsewhere: in every dimension an
+    # unbalanced curve is the `unbalanced` precondition, and at n = 3 a
+    # balanced one reaches UnsupportedDimension
+    X3 = full_simplex(3)
+    cases = [(path_graph.structure(), path_graph.complex),
+             (triangle.structure(), triangle.complex),
+             (TropicalStructure(X3, {(r, s): 0 for r in range(4)
+                                     for s in range(3)}), X3)]
+    seen = set()
+    for T, X in cases:
+        curves = {"C%d" % e: Curve.on_edges({e: 1})
+                  for e in range(X.counts[1])}
+        curves["Zero"] = Curve.on_edges({})
+        data = DegenerationData(
+            "strict", {}, {}, {"Z": Divisor.on_ridges({})}, curves,
+            {("Z", c): Fraction(0) for c in curves})
+        for cname, C in curves.items():
+            balanced = is_balanced(T, C).balanced
+            seen.add((X.n, balanced))
+            if not balanced:
+                with pytest.raises(PreconditionFailed) as exc:
+                    verify_theorem(T, data, "Z", cname)
+                assert exc.value.verdict == "unbalanced"
+            elif X.n == 3:
+                with pytest.raises(UnsupportedDimension):
+                    verify_theorem(T, data, "Z", cname)
+            else:
+                assert verify_theorem(T, data, "Z", cname).match
+    assert {(n, b) for n in (1, 2, 3) for b in (True, False)} <= seen
 
 
 def test_verify_invariant_under_principal_shifts(tet_degen):

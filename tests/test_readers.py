@@ -7,9 +7,15 @@ readers did before, and every reader must give the same value, or raise
 the same exception type with the same message.
 """
 
+import json
+import subprocess
+import sys
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import FIXDIR, checked_report
 from tropcomplex.delta import _face_rows
 from tropcomplex.errors import (DimensionExceeded, SchemaError, brief,
                                 entry_list, int_entries, int_entry, int_table)
@@ -146,7 +152,11 @@ def face_tables(draw):
     for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2, 3)))):
         edit = draw(st.sampled_from(("drop", "repeat", "field", "extra",
                                      "tuple", "short", "long", "long-odd",
-                                     "odd")))
+                                     "odd", "count")))
+        if edit == "count":  # more simplices than the entries can fill
+            k = draw(st.integers(1, n)) if n else 0
+            counts[k] += draw(st.integers(1, 3))
+            continue
         if not table:
             break
         at = draw(st.integers(0, len(table) - 1))
@@ -199,3 +209,36 @@ def test_a_cut_entry_names_its_first_bad_element():
     nested = list(range(40)) + [list(range(100))]
     assert brief(nested, ints=True) == "%s... (first bad element %s... at " \
         "index 40)" % (repr(nested)[:80], repr(list(range(100)))[:80])
+
+
+# run in a child process whose address space is capped at 512 MB, so that
+# a reader that allocates per counted simplex fails there and not here
+CAPPED_VALIDATE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+sys.path.insert(0, sys.argv[1])
+from tropcomplex import cli
+sys.exit(cli.main(["validate", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("dim, message", [
+    (1, "missing face entries for (1,3)"),
+    (0, "complex has 99999998 components"),
+])
+def test_counts_the_entries_cannot_fill_allocate_only_the_entries(
+        tmp_path, dim, message):
+    # the triangle with 10**8 edges or 10**8 vertices: the face reader and
+    # the connectivity test allocate what the entries fill, and report as
+    # they would at any count
+    data = json.loads((FIXDIR / "triangle.json").read_text())
+    data["simplices"][dim] = 10 ** 8
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_VALIDATE,
+         str(FIXDIR.parent / "src"), str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    report = checked_report(["validate"], done.returncode, done.stdout)
+    assert report["error"]["message"] == message

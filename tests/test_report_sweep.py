@@ -36,6 +36,13 @@ GENERATED_REPORTS_SHA256 = (
 FAMILY_REPORTS_SHA256 = (
     "115f2566484048f19e6d240b8b3a302b6502ceb7d16c81e221499c53eb2d17eb")
 
+# sha256 of the balance and intersect reports of the sweep on
+# `skewed_torus()` and on `weak_failing(skewed_torus())`, built as
+# SHIPPED_REPORTS_SHA256 is, with the files written `torus.json` and
+# `weak.json`: certificates, germ dimensions, degrees and NotBalanced.
+CURVE_REPORTS_SHA256 = (
+    "c89a5131ef76b8a92ff7a3eb42dc6f930d206d1efc0a09db6420c37ea1f04f3c")
+
 
 @pytest.fixture
 def sweep(monkeypatch):
@@ -232,3 +239,34 @@ def test_generated_family_reports_are_pinned(sweep, tmp_path):
             digest.update(json.dumps([result["exit"], stdout]).encode())
     assert codes == {0, 1, 2}
     assert digest.hexdigest() == FAMILY_REPORTS_SHA256
+
+
+def weak_failing(data):
+    """A copy of fixture data with alpha raised by 1 at slot 0 of every
+    third edge: those edges' slot sums miss their degree."""
+    alpha = [[e, s, a + (s == 0 and e % 3 == 0)] for e, s, a in data["alpha"]]
+    return dict(data, alpha=alpha)
+
+
+def test_curve_reports_are_pinned(sweep, tmp_path):
+    # balancing and intersection at support vertices whose alpha meets the
+    # weak constraint, and at vertices whose alpha misses it
+    data = skewed_torus()
+    digest = hashlib.sha256()
+    balanced = set()
+    for name, fixture in (("torus.json", data),
+                          ("weak.json", weak_failing(data))):
+        path = tmp_path / name
+        path.write_text(json.dumps(fixture))
+        for argv in sweep.calls(path, fixture):
+            if argv[0] not in ("balance", "intersect"):
+                continue
+            result = sweep.run(argv)
+            report = checked_report(argv, result["exit"], result["stdout"])
+            if argv[0] == "balance":
+                balanced.add((name, report["result"]["balanced"]))
+            stdout = result["stdout"].replace(str(path), name)
+            digest.update(json.dumps([result["exit"], stdout]).encode())
+    assert balanced == {("torus.json", True), ("torus.json", False),
+                        ("weak.json", False)}
+    assert digest.hexdigest() == CURVE_REPORTS_SHA256
