@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
-from .linalg import _echelon_in_place, _solution, kernel_basis
+from .linalg import _echelon_in_place, kernel_basis
 from .delta import _SLOTS
 from .structure import TropicalStructure, Value, local_systems
 from .divisors import Divisor, _check_edges, _check_ridges
@@ -122,9 +122,9 @@ class BalanceResult(NamedTuple):
 
 
 def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
-    """At n = 2, per support vertex v in order: (elements, rows, pivots,
-    fails, dim), from one `local_systems` call and one elimination per
-    vertex (two for the intersection off the weak constraint).
+    """At n = 2, per support vertex v in order: (elements, w', rows,
+    pivots, fails, dim), from one `local_systems` call and one elimination
+    per vertex (two for the intersection off the weak constraint).
 
     The germ relations at v are M_v bordered by the column c, with
     c_t = -alpha(r_t, slot of v), and w'_t is the multiplicity of ridge
@@ -138,8 +138,8 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
     appended is eliminated instead: the transposed germ relations with the
     slope functional appended, whose pivots decide both; [M_v | [D]_v] is
     then eliminated on its own only when rhs is given.  With rhs given,
-    rows and pivots are the reduced elimination that `_solution` reads;
-    without it they mean nothing.
+    rows and pivots are the reduced elimination that `intersect_degree`
+    reads; without it they mean nothing.
     """
     alpha = T.alpha
     reduced = rhs is not None
@@ -167,7 +167,7 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
             dim = 1 + size - len(relations) + fails
             if reduced:
                 rows, pivots = _echelon_in_place(rows, size)
-        yield elems, rows, pivots, fails, dim
+        yield elems, w, rows, pivots, fails, dim
 
 
 def is_balanced(T: TropicalStructure, C: Curve):
@@ -318,9 +318,11 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve):
     every support vertex, which decides balance and the germ together: the
     germ at a vertex is the rational solution that `solve` would return,
     read off its rows; any other differs from it by a kernel germ, which a
-    balanced curve annihilates, so the vertex total is the same.  n = 1
-    calls `is_balanced`.  NotBalanced (first failing vertex) comes before
-    NotQCartierNearCurve.
+    balanced curve annihilates, so the vertex total is the same.  Every
+    pivot of the reduced rows has the same absolute value P, so the total
+    sum(w'_t x_t) is one integer numerator over P, one Fraction per
+    vertex.  n = 1 calls `is_balanced`.  NotBalanced (first failing
+    vertex) comes before NotQCartierNearCurve.
     """
     X = T.complex
     if D.facet_pieces:
@@ -332,7 +334,7 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve):
     rhs = [0] * _check_ridges(X, D)
     _check_edges(X, C)
     vertices = C.support_vertices(X)
-    germs = []
+    totals = []  # per vertex, sum of mult * slope; None: not Q-Cartier
     if X.n == 1:
         balance = is_balanced(T, C)
         if not balance.balanced:
@@ -342,32 +344,35 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve):
         # slope [D]_v / deg(v) along every edge at v
         for v in vertices:
             elems = X.link0((0, v))
-            germs.append((elems,
-                          (Fraction(D.coeff(v), len(elems)),) * len(elems)))
+            totals.append(sum(C.mult(t.coface[1]) for t in elems)
+                          * Fraction(D.coeff(v), len(elems)))
     else:
         for r, c in D.ridge_part:
             rhs[r] = c
         failing = None
-        for v, (elems, rows, pivots, fails, _) in zip(
+        for v, (elems, w, rows, pivots, fails, _) in zip(
                 vertices, _vertex_systems(T, C, vertices, rhs)):
             if fails and failing is None:
                 failing = v
-            germs.append((elems, _solution(rows, pivots, len(elems))))
+            size = len(elems)
+            if any(row[size] for row in rows[len(pivots):]):
+                totals.append(None)
+                continue
+            # the germ has x_p = row[size] / row[p] at each pivot p and 0
+            # elsewhere, and |row[p]| is the same for every pivot
+            total = 0
+            for row, p in zip(rows, pivots):
+                y = w[p] * row[size]
+                total += y if row[p] > 0 else -y
+            totals.append(Fraction(total, abs(rows[0][pivots[0]]))
+                          if pivots else 0)
         if failing is not None:
             raise NotBalanced("curve unbalanced at vertex %d" % failing)
-        for v, (_, germ) in zip(vertices, germs):
-            if germ is None:
+        for v, total in zip(vertices, totals):
+            if total is None:
                 raise NotQCartierNearCurve(
                     "divisor not Q-Cartier at vertex %d" % v
                 )
-    coeffs = {}
-    for v, (elems, germ) in zip(vertices, germs):
-        total = Fraction(0)
-        for t, x in zip(elems, germ):
-            m = C.mult(t.coface[1])
-            if m:
-                total += m * x
-        if total:
-            coeffs[("v", v)] = total
-    ps = PointSum.of(coeffs)
+    ps = PointSum.of({("v", v): total
+                      for v, total in zip(vertices, totals) if total})
     return IntersectResult(ps, ps.degree)

@@ -124,8 +124,8 @@ def div_vertex_function(T: TropicalStructure, phi):
     One pass over the facet rows adds phi at every vertex slot d of a
     facet to its ridge d_d, whose opposite vertex that is; each link
     incidence of a ridge, a loop's two included, is one such pair.  Then
-    every ridge subtracts its alpha-weighted vertex values, read from its
-    face-table row.
+    one pass over the alpha entries subtracts alpha(r, slot) times phi at
+    the vertex in that slot of r's face-table row.
     """
     X = T.complex
     if len(phi) != X.counts[0]:
@@ -139,10 +139,9 @@ def div_vertex_function(T: TropicalStructure, phi):
     for ridges, verts in zip(X.faces[n], X._face_table[n]):
         for r, v in zip(ridges, verts):
             coeffs[r] += phi[v]
-    alpha = T.alpha
-    for r, verts in enumerate(X._face_table[n - 1]):
-        for slot in range(n):
-            coeffs[r] -= alpha[r, slot] * phi[verts[slot]]
+    ridges = X._face_table[n - 1]
+    for (r, slot), a in T.alpha.items():
+        coeffs[r] -= a * phi[ridges[r][slot]]
     return Divisor(tuple((r, c) for r, c in enumerate(coeffs) if c))
 
 

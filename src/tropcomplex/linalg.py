@@ -9,13 +9,24 @@ minor of the input, within Hadamard's bound, and no gcd is taken.
 `inertia` checks symmetry) before one in-place kernel each,
 `_echelon_in_place` and `_inertia_in_place`, which scale rational rows
 to integers once; the rows of `structure.local_systems`, the one builder
-of local intersection matrices, go to those kernels directly.  When a pivot equals the previous scale, as every inertia
-pivot of the local matrices of the alpha = 1 tori does, a row with zero
-in the pivot column does not change and any other row changes only in
-the pivot row's nonzero columns; otherwise the whole remaining block is
-rescaled.  The integer elimination is kept apart from rref's Fraction
-output: the Weil test and the balancing test of `curves` only need the
-pivots, and build no Fraction; `solve` and `kernel_basis` build one
+of local intersection matrices, go to those kernels directly.
+
+`_echelon_in_place` builds no list per pivot: it loops over the rows by
+index, skips the pivot row, and tests each pivot-row entry for zero
+inside the update.  `_inertia_in_place` deletes no line: it eliminates
+over a list of the indices not yet eliminated and leaves the lines it is
+done with in place.  When a pivot equals the previous scale, as every
+inertia pivot of the local matrices of the alpha = 1 tori does, a row
+with zero in the pivot column does not change and any other row changes
+only where the pivot line is nonzero; otherwise the whole remaining
+block is rescaled.  After a reduced `_echelon_in_place` every
+pivot entry has the same absolute value, so a solution is one integer
+vector over that common scale: `curves.intersect_degree` sums each
+vertex total as one integer numerator over it.
+
+The integer elimination is kept apart from rref's Fraction output: the
+Weil test and the balancing test of `curves` only need the pivots, and
+build no Fraction; `solve` and `kernel_basis` build one
 Fraction per nonzero entry they return.  The Smith normal form (`smith`)
 eliminates on sparse integer rows (dense lists, or `{column: entry}`
 dicts such as the chip-firing rows of `divisors.chip_matrix`), pivoting
@@ -81,9 +92,17 @@ def _echelon_in_place(m, ncols=None, reduced=True):
     pivots are the same, and only the first len(pivots) rows are nonzero.
     When p equals prev a row with zero in column c does not change, and
     any other row changes only in the pivot row's nonzero columns;
-    otherwise every row is rescaled.  With reduced=False only the rows
-    below each pivot are cleared (row echelon form): the pivots do not
-    change.  Columns past ncols are carried along and never pivot.
+    otherwise every row is rescaled.  No list is built per pivot: the
+    loop over the rows skips the pivot row by its index, and the sparse
+    update tests each pivot-row entry for zero as it goes.  With
+    reduced=False only the rows below each pivot are cleared (row echelon
+    form): the pivots do not change.  Columns past ncols are carried
+    along and never pivot.  After a reduced elimination every pivot entry
+    has the same absolute value, the last p: a rescale multiplies each
+    earlier pivot entry by p / prev, as the pivot row is zero in the
+    earlier pivot columns, and a sparse update leaves it alone.  So the
+    solution of an augmented system is one integer vector over that
+    common scale.
     `_echelon` and `solve` build the rows fresh from their input, the Weil
     test passes the augmented rows of `structure.local_systems` at each
     cell that supp D touches, balancing and the intersection product at
@@ -98,34 +117,41 @@ def _echelon_in_place(m, ncols=None, reduced=True):
     pivots = []
     prev = 1
     r = 0
+    height = len(m)
     for c in range(ncols):
-        for i in range(r, len(m)):
+        for i in range(r, height):
             if m[i][c]:
                 break
         else:
             continue
-        m[r], m[i] = m[i], m[r]
-        prow = m[r]
+        prow = m[i]
+        m[r], m[i] = prow, m[r]
         p = prow[c]
         s = 1 if p > 0 else -1
         p *= s
-        others = m[:r] + m[r + 1:] if reduced else m[r + 1:]
+        start = 0 if reduced else r + 1
         if p == prev:
-            cols = [j for j in range(c, len(prow)) if prow[j]]
-            for row in others:
+            width = len(prow)
+            for i in range(start, height):
+                row = m[i]
                 f = row[c]
-                if f:
+                if f and i != r:
                     f *= s
-                    for j in cols:
-                        row[j] -= f * prow[j] // prev
+                    for j in range(c, width):
+                        y = prow[j]
+                        if y:
+                            row[j] -= f * y // prev
         else:
-            for row in others:
-                f = s * row[c]
-                row[:] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            for i in range(start, height):
+                if i != r:
+                    row = m[i]
+                    f = s * row[c]
+                    row[:] = [(p * x - f * y) // prev
+                              for x, y in zip(row, prow)]
         pivots.append(c)
         prev = p
         r += 1
-        if r == len(m):
+        if r == height:
             break
     return m, pivots
 
@@ -164,23 +190,17 @@ def kernel_basis(rows, ncols):
 
 
 def solve(rows, rhs):
-    """One rational solution of rows . x = rhs, or None if inconsistent:
-    `_solution` of the eliminated augmented rows."""
-    ncols = len(rows[0]) if rows else 0
-    return _solution(*_echelon_in_place(
-        [list(row) + [b] for row, b in zip(rows, rhs)], ncols), ncols)
+    """One rational solution of rows . x = rhs, or None if inconsistent.
 
-
-def _solution(m, pivots, ncols):
-    """The solution of a system whose augmented rows (right-hand side in
-    column ncols, any further columns ignored) `_echelon_in_place` reduced
-    over their first ncols columns to (m, pivots), or None if inconsistent:
-    if a row past the pivots keeps a nonzero right-hand side.
-
-    Free variables are set to 0 (deterministic particular solution), so
-    each pivot variable is the right-hand side of its row divided by the
-    pivot.
+    The augmented rows are built fresh and `_echelon_in_place` reduces
+    them over their first ncols columns; the system is inconsistent if a
+    row past the pivots keeps a nonzero right-hand side.  Free variables
+    are set to 0 (deterministic particular solution), so each pivot
+    variable is the right-hand side of its row divided by the pivot.
     """
+    ncols = len(rows[0]) if rows else 0
+    m, pivots = _echelon_in_place(
+        [list(row) + [b] for row, b in zip(rows, rhs)], ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     x = [_ZERO] * ncols
@@ -443,9 +463,12 @@ def _inertia_in_place(m):
     m, which the caller owns and which is consumed.
 
     Symmetric congruence elimination on integers.  Rational input is first
-    scaled by one common denominator, so it stays symmetric.  The pivot is the first
-    nonzero diagonal entry d; when all remaining diagonal entries vanish,
-    the first nonzero off-diagonal entry b gives a 2x2 block [[0,b],[b,0]],
+    scaled by one common denominator, so it stays symmetric.  No line is
+    deleted: `rest` lists the indices of the lines not yet eliminated, in
+    increasing order, and the active block is m restricted to them.  The
+    pivot is the first nonzero diagonal entry d in that order; when all
+    remaining diagonal entries vanish, the first nonzero off-diagonal
+    entry b (row-major over `rest`) gives a 2x2 block [[0,b],[b,0]],
     which contributes one positive and one negative eigenvalue.  The
     active block is kept as |det| of the eliminated principal block times
     the rational Schur complement, a positive multiple, so the inertia is
@@ -455,6 +478,7 @@ def _inertia_in_place(m):
     as in `_echelon_in_place`: when the new scale (|d|, or |b| for a 2x2
     block) equals the previous one, only the rows and columns where the
     pivot lines are nonzero change; otherwise the whole block is rescaled.
+    Eliminated lines keep the values they had when they left the block.
     `inertia` copies its input, and `structure.classify` passes the rows
     that `structure.local_systems` builds at every cell, after packing
     them into its records.
@@ -463,20 +487,20 @@ def _inertia_in_place(m):
         n = len(m)
         flat = _integers(chain.from_iterable(m))
         m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    rest = list(range(len(m)))  # the lines not yet eliminated, in order
     pos = neg = zero = 0
     prev = 1
-    while m:
-        for piv, row in enumerate(m):
-            if row[piv]:
+    while rest:
+        for piv in rest:
+            if m[piv][piv]:
                 break
         else:
             piv = None
         if piv is not None:
-            # (|d| A - sign(d) c c^T) / prev, with c the pivot column
-            c = m.pop(piv)
-            d = c.pop(piv)
-            for row in m:
-                del row[piv]
+            # (|d| A - sign(d) c c^T) / prev, with c the pivot line
+            rest.remove(piv)
+            c = m[piv]
+            d = c[piv]
             if d > 0:
                 pos += 1
                 sign = 1
@@ -485,28 +509,28 @@ def _inertia_in_place(m):
                 d = -d
                 sign = -1
             if d == prev:
-                nz = [i for i, x in enumerate(c) if x]
+                nz = [i for i in rest if c[i]]
                 for i in nz:
                     row, f = m[i], sign * c[i]
                     for j in nz:
                         row[j] -= f * c[j] // prev
             else:
-                for row, ci in zip(m, c):
-                    f = sign * ci
-                    row[:] = [(d * x - f * y) // prev for x, y in zip(row, c)]
+                for i in rest:
+                    row, f = m[i], sign * c[i]
+                    for j in rest:
+                        row[j] = (d * row[j] - f * c[j]) // prev
             prev = d
         else:
-            off = next(((i, j) for i, row in enumerate(m)
-                        for j in range(i + 1, len(m)) if row[j]), None)
+            off = next(((i, j) for t, i in enumerate(rest)
+                        for j in rest[t + 1:] if m[i][j]), None)
             if off is None:
-                zero += len(m)
+                zero += len(rest)
                 break
             i0, j0 = off
-            e = m.pop(j0)
-            c = m.pop(i0)
+            rest.remove(i0)
+            rest.remove(j0)
+            c, e = m[i0], m[j0]
             b = c[j0]
-            for row in (c, e, *m):
-                del row[j0], row[i0]
             pos += 1
             neg += 1
             # |b| (|b| A - sign(b) (c e^T + e c^T)) / prev^2, against the
@@ -515,16 +539,18 @@ def _inertia_in_place(m):
             if b < 0:
                 c = [-x for x in c]
             if scale == prev:
-                nz = [i for i, (x, y) in enumerate(zip(c, e)) if x or y]
+                nz = [i for i in rest if c[i] or e[i]]
                 for i in nz:
                     row, ci, ei = m[i], c[i], e[i]
                     for j in nz:
                         row[j] -= (ci * e[j] + ei * c[j]) // prev
             else:
                 q = prev * prev
-                for row, ci, ei in zip(m, c, e):
-                    row[:] = [scale * (scale * x - ci * y - ei * z) // q
-                              for x, y, z in zip(row, e, c)]
+                for i in rest:
+                    row, ci, ei = m[i], c[i], e[i]
+                    for j in rest:
+                        row[j] = (scale * (scale * row[j] - ci * e[j]
+                                           - ei * c[j]) // q)
             prev = scale * scale // prev
     return pos, neg, zero
 

@@ -109,14 +109,12 @@ def check_weak(T: TropicalStructure):
     X = T.complex
     if X.n == 0:
         return WeakReport(True, (), ())
-    alpha = T.alpha
-    slots = range(X.n)
+    totals = [0] * X.counts[X.n - 1]
+    for (r, _), a in T.alpha.items():
+        totals[r] += a
     violations = []
     isolated = []
-    for r, link in enumerate(X._links[X.n - 1]):
-        total = 0
-        for slot in slots:
-            total += alpha[r, slot]
+    for r, (link, total) in enumerate(zip(X._links[X.n - 1], totals)):
         deg = len(link[0])
         if deg == 0:
             isolated.append(r)
@@ -163,28 +161,39 @@ def local_systems(T: TropicalStructure, cells, rhs=None):
     whose element in link0(q) misses slot d1 - 1 of the ridge, so it sits
     at the cofacet position of that ridge at d1 - 1, and likewise its end
     at d1 sits at the position of d_d1 (n, j) at d0.  The two are the same
-    element for a loop.
+    element for a loop.  Both slot rules are read from the two slot
+    tables once per call, into one small dict each (`opp`, `ends`), so
+    the loops make one lookup per element or edge.  Augmented rows are
+    allocated at their full width.
     """
     X = T.complex
     n = X.n
-    facet_slots, ridge_slots = _slot_table(n), _slot_table(n - 1)
+    # slots -> the slot it misses, for a link0 element's slots in its
+    # ridge, and -> (d0, d1 - 1, d1), for a link edge's slots in its facet
+    opp = {slots: faces[0][0]
+           for slots, (_, faces) in _slot_table(n - 1).items()
+           if len(faces) == 1}
+    ends = {slots: (faces[0][0], faces[1][0] - 1, faces[1][0])
+            for slots, (_, faces) in _slot_table(n).items()
+            if len(faces) == 2}
     links, facets, pos = X._links[n - 2], X.faces[n], X._cofacet_pos[n - 1]
     alpha = T.alpha
+    extra = 0 if rhs is None else 1
     systems = []
     for q in cells:
         elements, edges = links[q]
         size = len(elements)
         m = []
         for i, ((_, r), slots) in enumerate(elements):
-            row = [0] * size
-            row[i] = -alpha[r, ridge_slots[slots][1][0][0]]
-            if rhs is not None:
-                row.append(rhs[r])
+            row = [0] * (size + extra)
+            row[i] = -alpha[r, opp[slots]]
+            if extra:
+                row[size] = rhs[r]
             m.append(row)
         for (_, j), slots in edges:
-            _, ((d0, _), (d1, _)) = facet_slots[slots]
+            d0, d, d1 = ends[slots]
             row = facets[j]
-            a = pos[row[d0]][d1 - 1]
+            a = pos[row[d0]][d]
             b = pos[row[d1]][d0]
             m[a][b] += 1  # a loop, a == b, adds 2 on the diagonal
             m[b][a] += 1

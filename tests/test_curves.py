@@ -500,12 +500,16 @@ def outcome(call, *args):
         return type(exc).__name__, str(exc)
 
 
-def torus_case(k, alpha_kind, curve_kind, divisor_kind, rng):
+def torus_case(k, alpha_kind, curve_kind, divisor_kind, rng,
+               numbers="int"):
     """(T, C, D) on the shuffled k x k torus.  alpha is 1 everywhere
     ("unit"), skewed with slot sums 2 ("skewed"), or 1 with one to four
     entries moved by +-1, off the weak constraint ("off-weak"); C is a
     sum of straight cycles or random; D is principal for alpha = 1 or
-    random."""
+    random.  With numbers="rational" the multiplicities of C and the
+    coefficients of D are Fractions: a cycle sum and a principal D are
+    scaled by one Fraction, which keeps them balanced and principal, and
+    a random C or D by one Fraction per entry."""
     t = gen.torus(k, rng)
     alpha = {}
     for e in range(len(t.edges)):
@@ -526,7 +530,21 @@ def torus_case(k, alpha_kind, curve_kind, divisor_kind, rng):
     else:
         D = Divisor.on_ridges({e: rng.randint(-2, 2)
                                for e in rng.sample(range(len(t.edges)), 3)})
+    if numbers == "rational":
+        C = Curve.on_edges(rational_scaled(
+            dict(C.multiplicities), rng, curve_kind == "cycles"))
+        D = Divisor.on_ridges(rational_scaled(
+            dict(D.ridge_part), rng, divisor_kind == "principal"))
     return T, C, D
+
+
+def rational_scaled(coeffs, rng, common):
+    """coeffs times Fractions with denominators 2 to 5: one for every
+    entry when common, else one per entry."""
+    def scale():
+        return Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(2, 5))
+    s = scale()
+    return {key: c * (s if common else scale()) for key, c in coeffs.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -574,11 +592,14 @@ ALPHA_KINDS = ("unit", "skewed", "off-weak")
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 6), st.sampled_from(ALPHA_KINDS),
        st.sampled_from(("cycles", "random")),
-       st.sampled_from(("principal", "random")), st.randoms())
+       st.sampled_from(("principal", "random")), st.randoms(),
+       st.sampled_from(("int", "rational")))
 def test_surface_balance_and_intersection_match_the_germ_relations(
-        k, alpha_kind, curve_kind, divisor_kind, rng):
+        k, alpha_kind, curve_kind, divisor_kind, rng, numbers):
+    # rational C and D reach the per-row `_integers` scaling of the
+    # elimination kernel, which no torus-session operation does
     check_against_relations(*torus_case(k, alpha_kind, curve_kind,
-                                        divisor_kind, rng))
+                                        divisor_kind, rng, numbers))
 
 
 def test_surface_oracle_reaches_every_outcome():

@@ -21,6 +21,7 @@ from tropcomplex.linalg import (
     _echelon,
     _echelon_in_place,
     _inertia_in_place,
+    _integers,
     _pivot,
     feasible_strict,
     inertia,
@@ -713,6 +714,71 @@ def test_rank_and_solvable_match_fraction_reference(a, data):
     assert solvable == (solve(a, b) is not None)
 
 
+def listed_echelon_in_place(m, ncols=None, reduced=True):
+    """`_echelon_in_place` as it was with a list of the other rows and a
+    list of the pivot row's nonzero columns built at every pivot: the
+    same Bareiss updates in the same order, the reference for the kernel
+    that builds neither."""
+    if type(sum(itertools.chain.from_iterable(m))) is not int:
+        m = [_integers(row) for row in m]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        p = prow[c]
+        s = 1 if p > 0 else -1
+        p *= s
+        others = m[:r] + m[r + 1:] if reduced else m[r + 1:]
+        if p == prev:
+            cols = [j for j in range(c, len(prow)) if prow[j]]
+            for row in others:
+                f = row[c]
+                if f:
+                    f *= s
+                    for j in cols:
+                        row[j] -= f * prow[j] // prev
+        else:
+            for row in others:
+                f = s * row[c]
+                row[:] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+@example([[2, 4, 1], [3, 1, 5], [1, 1, 1]], 2, True)  # pivots 2, then 10
+@example([[-3, 1, 2], [6, 2, 0]], None, False)  # a negative non-unit pivot
+@example([[Fraction(1, 2), 1, 0], [1, Fraction(2, 3), 1]], 2, True)
+@example([[0, 1, 1], [0, 1, 2]], 3, True)  # a skipped column
+@given(st.one_of(degenerate_matrices(small_int), degenerate_matrices(rational)),
+       st.one_of(st.none(), st.integers(0, 6)), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_echelon_kernel_matches_the_listed_kernel(a, ncols, reduced):
+    # identical rows and pivots for both reduced values, ncols None, below
+    # the row width or at it, integer and rational rows; and after a
+    # reduced elimination every pivot entry has one absolute value, the
+    # common scale over which `intersect_degree` reads a germ
+    if ncols is not None:
+        ncols = min(ncols, len(a[0]))
+    got = _echelon_in_place(copy(a), ncols, reduced)
+    assert got == listed_echelon_in_place(copy(a), ncols, reduced)
+    rows, pivots = got
+    if reduced:
+        assert len({abs(row[c]) for row, c in zip(rows, pivots)}) <= 1
+
+
 @given(st.one_of(symmetric_matrices(small_int), symmetric_matrices(rational)))
 @settings(max_examples=100, deadline=None)
 def test_inertia_matches_fraction_reference(a):
@@ -728,8 +794,12 @@ def test_inertia_and_solvable_match_references_on_local_matrices(
         kernel_structures):
     # every local matrix of the kernel structures; random alpha there makes
     # pivots other than +-1, so the kernels rescale as well as update
-    # sparsely.  One right-hand side is in the image, one is random.
+    # sparsely.  One right-hand side is in the image, one is random.  The
+    # reduced elimination of the augmented rows, as `intersect_degree`
+    # runs it, matches the listed kernel, and its pivots share one
+    # absolute value, off 1 on some cells.
     rng = random.Random(19)
+    scales = set()
     for T in kernel_structures:
         X = T.complex
         for qi in range(X.counts[X.n - 2] if X.n >= 2 else 0):
@@ -740,6 +810,12 @@ def test_inertia_and_solvable_match_references_on_local_matrices(
                 aug = [list(row) + [y] for row, y in zip(a, b)]
                 assert (len(a) in _echelon(aug, len(a) + 1, reduced=False)[1]
                         ) == (len(a) in reference_rref(aug)[1])
+                rows, pivots = _echelon_in_place(copy(aug), len(a))
+                assert (rows, pivots) == listed_echelon_in_place(aug, len(a))
+                scale = {abs(row[c]) for row, c in zip(rows, pivots)}
+                assert len(scale) <= 1
+                scales |= scale
+    assert scales - {1}
 
 
 def working_bits(f, *args, limit):
@@ -851,13 +927,14 @@ def exact_steps(a):
     """_inertia_in_place on a copy of the integer symmetric matrix a, and
     the number of pivot steps checked.  At the head of the loop, before
     each step and after the last, with P the lines eliminated so far (the
-    rows keep their identity as the kernel updates them in place), the
-    scale `prev` must be |det a[P]| and the block `m` that scale times the
-    Schur complement of a[P] (Bareiss).  Each step divides by the previous
+    lines not in `rest`; the rows keep their place and identity as the
+    kernel updates them in place), the scale `prev` must be |det a[P]| and
+    the block of `m` on the lines of `rest` that scale times the Schur
+    complement of a[P] (Bareiss).  Each step divides by the previous
     scale, and the exact quotient is that invariant, an integer; so a
     floor that dropped a remainder, or a wrong scale, breaks it at once."""
     lines, first = inspect.getsourcelines(_inertia_in_place)
-    head = first + [line.strip() for line in lines].index("while m:")
+    head = first + [line.strip() for line in lines].index("while rest:")
     b = copy(a)
     ids = [id(row) for row in b]
     steps = 0
@@ -865,10 +942,12 @@ def exact_steps(a):
     def local(frame, event, arg):
         nonlocal steps
         if event == "line" and frame.f_lineno == head:
-            m, prev = frame.f_locals["m"], frame.f_locals["prev"]
-            left = [ids.index(id(row)) for row in m]
+            rows, rest = frame.f_locals["m"], frame.f_locals["rest"]
+            prev = frame.f_locals["prev"]
+            assert [id(row) for row in rows] == ids
+            m = [[rows[i][j] for j in rest] for i in rest]
             scale, block = schur_scaled(
-                a, [i for i in range(len(a)) if i not in left])
+                a, [i for i in range(len(a)) if i not in rest])
             if (prev, m) != (scale, block):
                 raise AssertionError("after %d steps the scale is %d and the "
                                      "block %s, not %s and %s"
