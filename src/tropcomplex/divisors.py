@@ -91,30 +91,30 @@ def chip_matrix(T: TropicalStructure):
     """The chip-firing matrix L, with (L phi)[r] = divisor coefficient of
     phi at ridge r, as one {vertex: nonzero coefficient} dict per ridge.
 
-    Row r reads the ridge's link and face-table row once: each facet
-    incidence adds 1 at the facet's vertex in the slot missing from the
-    incidence's slots, and each slot of r subtracts its alpha there.
+    Two passes build every row, with the pairing of
+    `div_vertex_function`: one over the facet rows, where facet j adds 1
+    at its vertex in slot d to the row of its ridge d_d (each link
+    incidence of a ridge, a loop's two included, is one such pair), and
+    one over the alpha entries, where (r, slot) subtracts alpha at the
+    vertex in that slot of r.  Zero coefficients are left out.
     """
     X = T.complex
     n = X.n
     if n == 0:
         return []
-    alpha = T.alpha
-    facets = X._face_table[n]
-    top = n * (n + 1) // 2  # the sum of a facet's slots
-    rows = []
-    for r, (link, verts) in enumerate(zip(X._links[n - 1],
-                                           X._face_table[n - 1])):
-        row = {}
-        for (_, j), slots in link[0]:
-            v = facets[j][top - sum(slots)]
+    rows = [{} for _ in range(X.counts[n - 1])]
+    for ridges, verts in zip(X.faces[n], X._face_table[n]):
+        for r, v in zip(ridges, verts):
+            row = rows[r]
             row[v] = row.get(v, 0) + 1
-        for slot in range(n):
-            v = verts[slot]
-            row[v] = row.get(v, 0) - alpha[r, slot]
+    ridges = X._face_table[n - 1]
+    for (r, slot), a in T.alpha.items():
+        row = rows[r]
+        v = ridges[r][slot]
+        row[v] = row.get(v, 0) - a
+    for r, row in enumerate(rows):
         if 0 in row.values():
-            row = {v: c for v, c in row.items() if c}
-        rows.append(row)
+            rows[r] = {v: c for v, c in row.items() if c}
     return rows
 
 

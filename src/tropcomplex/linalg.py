@@ -33,7 +33,10 @@ dicts such as the chip-firing rows of `divisors.chip_matrix`), pivoting
 on an entry of smallest absolute value (ties by position) and reducing
 the pivot row and column modulo it.  The pivot search reads the rows in
 index order and stops after the first row that holds a unit, which is
-where the smallest entry lies whenever there is one.  U and V are kept
+where the smallest entry lies whenever there is one.  Each row operation
+is applied inside the pivot loop, and a unit pivot p takes -x * p as the
+nearest quotient of x and clears its row and column in one pass, so it
+is never pivoted on again.  U and V are kept
 as logs of row and column operations that are replayed on one vector at
 a time; `smith_normal_form` builds them dense on request.  The
 transforms are not reduced, so their entries can exceed Hadamard's
@@ -319,8 +322,13 @@ def smith(a, ncols=None):
     column), found by `_pivot`.  The pivot column and then the pivot row
     are reduced modulo the pivot with nearest quotients; while a remainder
     is left the pivot is chosen again, so entries shrink towards the gcd
-    instead of growing as in Euclid-by-swapping.  The pivots are finally
-    put under the divisibility chain by gcd/lcm steps on pairs.
+    instead of growing as in Euclid-by-swapping.  Each row operation
+    updates the target row and the column index in place, inside the
+    loop over the pivot column.  For a pivot p = +-1 the nearest quotient
+    of x is -x * p, what `_nearest` gives, and every remainder is zero:
+    the column operations then clear the pivot row with no division, and
+    no second pivot is tested for.  The pivots are finally put under the
+    divisibility chain by gcd/lcm steps on pairs.
     """
     m = len(a)
     n = ncols if ncols is not None else len(a[0]) if m else 0
@@ -334,39 +342,44 @@ def smith(a, ncols=None):
             for j in entries:
                 at[j].add(i)
     row_log, col_log = [], []
-
-    def add_row(i, k, q):
-        dst = live[k]
-        for j, v in live[i].items():
-            w = dst.get(j, 0) + q * v
-            if w:
-                if j not in dst:
-                    at[j].add(k)
-                dst[j] = w
-            elif j in dst:
-                del dst[j]
-                at[j].discard(k)
-        row_log.append((i, k, q))
-        if not dst:
-            del live[k]
-
     pivots = []  # [row, column, value > 0]
     while live:
         _, i, j = _pivot(live)
-        p = live[i][j]
+        prow = live[i]
+        p = prow[j]
+        unit = p == 1 or p == -1
         again = False
         for k in sorted(at[j]):
-            if k != i:
-                add_row(i, k, -_nearest(live[k][j], p))
-                again = again or j in live.get(k, ())
+            if k == i:
+                continue
+            # row k += q * row i, with q the nearest quotient; |x| >= |p|,
+            # so q and every q * v are nonzero
+            dst = live[k]
+            x = dst[j]
+            q = -x * p if unit else -_nearest(x, p)
+            for l, v in prow.items():
+                if l in dst:
+                    w = dst[l] + q * v
+                    if w:
+                        dst[l] = w
+                    else:
+                        del dst[l]
+                        at[l].discard(k)
+                else:
+                    dst[l] = q * v
+                    at[l].add(k)
+            row_log.append((i, k, q))
+            if not dst:
+                del live[k]
+            elif not unit and j in dst:
+                again = True
         if not again:
             # column j is now zero outside row i, so a column operation
             # against it changes only row i
-            prow = live[i]
             for l in sorted(prow):
                 if l != j:
                     x = prow[l]
-                    q = -_nearest(x, p)
+                    q = -x * p if unit else -_nearest(x, p)
                     col_log.append((j, l, q))
                     if x + q * p:
                         prow[l] = x + q * p

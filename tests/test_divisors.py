@@ -14,7 +14,9 @@ from tropcomplex import (
     DiscontinuousInput,
     Divisor,
     IndexMismatch,
+    TropicalStructure,
     TwoPieceFunction,
+    build_complex,
     build_structure_from_degeneration,
     chip_matrix,
     class_group,
@@ -84,8 +86,9 @@ def test_additivity_random(fx):
 
 
 def test_vertex_function_divisor_matches_chip_matrix(kernel_structures):
-    # div_vertex_function sweeps the facet rows, chip_matrix reads each
-    # ridge's link: the dense chip matrix times phi must give the divisor
+    # both sweep the facet rows and the alpha entries, one summing values
+    # and the other building rows: the dense chip matrix times phi must
+    # give the divisor
     rng = random.Random(21)
     for T in kernel_structures:
         nv = T.complex.counts[0]
@@ -121,6 +124,59 @@ def test_divisor_is_a_hashable_value_not_a_tuple(tetrahedron):
             op(d)
     with pytest.raises(AttributeError, match="^Divisor is immutable$"):
         d.ridge_part = ()
+
+
+def linked_chip_matrix(T):
+    """The chip matrix as it was built from each ridge's link, before zero
+    coefficients are left out: every facet incidence in link0 of r adds 1
+    at the facet's vertex in the slot its slots miss, and each slot of r
+    subtracts alpha at r's vertex there.  The reference for the builder
+    that sweeps the facet rows."""
+    X = T.complex
+    n = X.n
+    if n == 0:
+        return []
+    rows = []
+    for r in range(X.counts[n - 1]):
+        row = {}
+        for t in X.link0((n - 1, r)):
+            v = X.opp_vertex(t)
+            row[v] = row.get(v, 0) + 1
+        for slot, v in enumerate(X.vertices_of((n - 1, r))):
+            row[v] = row.get(v, 0) - T.alpha[r, slot]
+        rows.append(row)
+    return rows
+
+
+def test_chip_matrix_matches_the_link_builder(kernel_structures):
+    # the kernel structures (every shipped fixture, tet-degen as the
+    # structure its data builds and plane and twosheet as derived, and
+    # generated degenerations), the chip-smith graphs and tori, and
+    # shuffled tori with alpha in [-1, 2], where the link and alpha
+    # cancel at some vertices (as on triangle and loop): equal rows, with
+    # no zero coefficient
+    rng = random.Random(23)
+    structures = list(kernel_structures)
+    structures += [load_fixture(g.fixture).structure() for g in (
+        gen.cycle_graph(12), gen.cycle_graph(24), gen.complete_graph(6),
+        gen.complete_graph(8), gen.grid_graph(3), gen.grid_graph(4),
+        gen.grid_graph(5))]
+    structures += [load_fixture(gen.torus(k).fixture).structure()
+                   for k in (3, 4, 5, 6)]
+    shuffled = []
+    for seed in range(8):
+        X = build_complex(gen.torus(3 + seed % 4, random.Random(seed)).fixture)
+        shuffled.append(TropicalStructure(X, {
+            (r, s): rng.randint(-1, 2)
+            for r in range(X.counts[X.n - 1]) for s in range(X.n)}))
+    cancelled = 0
+    for t, T in enumerate(structures + shuffled):
+        want = linked_chip_matrix(T)
+        assert chip_matrix(T) == [{v: c for v, c in row.items() if c}
+                                  for row in want]
+        if t >= len(structures):
+            cancelled += sum(not c for row in want for c in row.values())
+    assert cancelled
 
 
 def test_chip_matrix_columns_kill_constants(fx):

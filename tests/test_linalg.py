@@ -17,12 +17,16 @@ from hypothesis import strategies as st
 import tropcomplex.linalg
 from tcxbench import gen
 from tropcomplex import chip_matrix, load_fixture, local_matrix
+from tropcomplex.structure import local_systems
 from tropcomplex.linalg import (
+    SmithForm,
     _echelon,
     _echelon_in_place,
     _inertia_in_place,
     _integers,
+    _nearest,
     _pivot,
+    _xgcd,
     feasible_strict,
     inertia,
     kernel_basis,
@@ -375,7 +379,9 @@ def test_pivot_matches_scan_rule_inside_smith(monkeypatch):
 
 # sha256 of repr(smith(a)), first 16 hex digits, as the scan rule
 # (`scan_pivot`) gives them: the search must find the same pivots, so the
-# whole elimination, both logs included, stays the same.
+# whole elimination, both logs included, stays the same.  The graph and
+# local entries, and the grids' chip rows, were recorded with the kernel
+# of `listed_smith`, before the row update moved into the pivot loop.
 SMITH_DIGESTS = {
     ("torus", 3, "lex"): "e64b8b0ab4a6e660",
     ("torus", 3, "shuffled"): "8248f0b6b77e4588",
@@ -388,6 +394,11 @@ SMITH_DIGESTS = {
     ("grid", 3): "2bed062b87648078",
     ("grid", 4): "2182f8671eb971ab",
     ("grid", 5): "6ec6b1a300da2c5d",
+    ("graph", "C12"): "5e56b9bc3373da9e",
+    ("graph", "C24"): "1f96cf602d70d3ea",
+    ("graph", "K6"): "6685d07d4d408296",
+    ("graph", "K8"): "abffc0a49eab8535",
+    ("local", 6): "9e4864d1dc4936ce",
     ("seeded", 0): "94134059e4627718",
     ("seeded", 1): "a20c6cf3886082d2",
     ("seeded", 2): "112b4801fffe78ef",
@@ -399,16 +410,27 @@ SMITH_DIGESTS = {
 }
 
 
+GRAPHS = {"C12": gen.cycle_graph(12), "C24": gen.cycle_graph(24),
+          "K6": gen.complete_graph(6), "K8": gen.complete_graph(8)}
+
+
 def digest_inputs(key):
     """The matrix of a SMITH_DIGESTS key, as smith's arguments: a chip
-    matrix both as sparse rows and as dense ones."""
+    matrix both as sparse rows and as dense ones (a graph's dense chip
+    matrix is its Laplacian), or the local matrix at vertex 0 of the
+    lexicographic torus, as the rows `local_cartier_test` passes."""
     kind, k = key[:2]
     if kind == "torus":
         rows, nv = chip(gen.torus(k, random.Random(k)
                                   if key[2] == "shuffled" else None))
         return [(rows, nv), (dense(rows, nv),)]
-    if kind == "grid":
-        return [(gen.grid_graph(k).laplacian(),)]
+    if kind in ("grid", "graph"):
+        g = gen.grid_graph(k) if kind == "grid" else GRAPHS[k]
+        return [chip(g), (g.laplacian(),)]
+    if kind == "local":
+        T = load_fixture(gen.torus(k).fixture).structure()
+        ((_, rows),) = local_systems(T, (0,))
+        return [(rows,)]
     return [(seeded_matrices()[k],)]
 
 
@@ -417,6 +439,133 @@ def test_smith_form_digest_is_pinned(key):
     for args in digest_inputs(key):
         got = hashlib.sha256(repr(smith(*args)).encode()).hexdigest()
         assert got[:16] == SMITH_DIGESTS[key]
+
+
+def listed_smith(a, ncols=None):
+    """`smith` as it was with each row operation applied by an `add_row`
+    closure and every quotient taken by `_nearest`, unit pivots included:
+    the reference for the kernel that updates rows inside the pivot loop
+    and takes -x * p as the quotient of a unit pivot p."""
+    m = len(a)
+    n = ncols if ncols is not None else len(a[0]) if m else 0
+    live = {}
+    at = [set() for _ in range(n)]
+    for i, row in enumerate(a):
+        entries = (dict(row) if isinstance(row, dict) else
+                   {j: int(x) for j, x in enumerate(row) if x})
+        if entries:
+            live[i] = entries
+            for j in entries:
+                at[j].add(i)
+    row_log, col_log = [], []
+
+    def add_row(i, k, q):
+        dst = live[k]
+        for j, v in live[i].items():
+            w = dst.get(j, 0) + q * v
+            if w:
+                if j not in dst:
+                    at[j].add(k)
+                dst[j] = w
+            elif j in dst:
+                del dst[j]
+                at[j].discard(k)
+        row_log.append((i, k, q))
+        if not dst:
+            del live[k]
+
+    pivots = []
+    while live:
+        _, i, j = _pivot(live)
+        p = live[i][j]
+        again = False
+        for k in sorted(at[j]):
+            if k != i:
+                add_row(i, k, -_nearest(live[k][j], p))
+                again = again or j in live.get(k, ())
+        if not again:
+            prow = live[i]
+            for l in sorted(prow):
+                if l != j:
+                    x = prow[l]
+                    q = -_nearest(x, p)
+                    col_log.append((j, l, q))
+                    if x + q * p:
+                        prow[l] = x + q * p
+                        again = True
+                    else:
+                        del prow[l]
+                        at[l].discard(i)
+        if again:
+            continue
+        del live[i]
+        at[j].discard(i)
+        if p < 0:
+            row_log.append((i,))
+        pivots.append([i, j, abs(p)])
+
+    units = [pv for pv in pivots if pv[2] == 1]
+    rest = [pv for pv in pivots if pv[2] != 1]
+    for s, first in enumerate(rest):
+        for second in rest[s + 1:]:
+            (ri, ci, x), (rk, ck, y) = first, second
+            if y % x:
+                g, u, w = _xgcd(x, y)
+                row_log.append((ri, rk, u, w, -y // g, x // g))
+                col_log.append((ci, ck, 1, 1, -w * y // g, u * x // g))
+                first[2], second[2] = g, x // g * y
+    pivots = units + rest
+    rows = [pv[0] for pv in pivots]
+    cols = [pv[1] for pv in pivots]
+    done_rows, done_cols = set(rows), set(cols)
+    return SmithForm(
+        (m, n),
+        tuple(pv[2] for pv in pivots) + (0,) * (min(m, n) - len(pivots)),
+        tuple(rows + [i for i in range(m) if i not in done_rows]),
+        tuple(cols + [j for j in range(n) if j not in done_cols]),
+        tuple(row_log),
+        tuple(col_log),
+    )
+
+
+# entries with units of either sign, and entries with no unit (every
+# pivot non-unit, so a row or column can need a second pivot)
+unit_rich = st.integers(-3, 3)
+unit_poor = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -10])
+
+
+@st.composite
+def smith_inputs(draw):
+    """(rows, ncols) for `smith`: dense list rows or sparse {column:
+    entry} dict rows, some rows zero, ncols None (list rows only) or up to
+    three columns wider than the entries use."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([unit_rich, unit_poor]))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n))
+            if draw(st.integers(0, 5)) else [0] * n for _ in range(m)]
+    ncols = n + draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return [{j: x for j, x in enumerate(row) if x} for row in rows], ncols
+    return rows, draw(st.sampled_from([None, ncols]))
+
+
+@example(([[2, 3], [3, 4]], None))  # a non-unit pivot leaves a remainder
+@example(([[-2, 4], [6, -9]], 3))  # negative non-unit pivots, a free column
+@example(([{0: -1, 2: 4}, {}, {1: 6, 2: -1}], 4))  # negative units, a zero row
+@given(smith_inputs())
+@settings(max_examples=300, deadline=None)
+def test_smith_matches_the_listed_kernel(args):
+    a, ncols = args
+    assert repr(smith(a, ncols)) == repr(listed_smith(a, ncols))
+
+
+def test_smith_operation_counts_grow_linearly():
+    # on lexicographic tori the row and column logs grow with the vertex
+    # count: 4 times the vertices from k = 8 to k = 16, and at most 1.25
+    # times that in log length (828 -> 3108 rows, 187 -> 763 columns)
+    small, large = (smith(*chip(gen.torus(k))) for k in (8, 16))
+    assert len(large.row_log) <= 1.25 * 4 * len(small.row_log)
+    assert len(large.col_log) <= 1.25 * 4 * len(small.col_log)
 
 
 def test_pivot_search_reads_few_entries(monkeypatch):
