@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import (DiscontinuousInput, IndexMismatch, NotBalanced,
                      NotQCartierNearCurve, UnsupportedDimension)
-from .linalg import _echelon_in_place, kernel_basis
+from .linalg import _echelon_in_place, _integral_part, kernel_basis
 from .delta import _SLOTS
 from .structure import TropicalStructure, Value, local_systems
 from .divisors import Divisor, _check_edges, _check_ridges
@@ -54,6 +54,15 @@ class Curve(Value):
             out.add(X.faces[1][e][0])
             out.add(X.faces[1][e][1])
         return sorted(out)
+
+
+def _integral_curve(C: Curve):
+    """(curve, den): C with every multiplicity times den, the lcm of their
+    denominators, as an int, so the kernels get ints; C itself, with
+    den = 1, when its multiplicities are ints.  Balance is the same for
+    every positive multiple of a curve."""
+    mults, den = _integral_part(C.multiplicities)
+    return (C if mults is C.multiplicities else Curve(mults)), den
 
 
 class GermSpace(NamedTuple):
@@ -182,10 +191,13 @@ def is_balanced(T: TropicalStructure, C: Curve):
     does: w is in the span unless its column is a pivot, and the germ
     dimension is ncols minus the rank of the relations.  Only at the first
     failing vertex is the germ basis built, to report its first violating
-    germ as the certificate.
+    germ as the certificate.  Rational multiplicities are scaled to ints
+    once (`_integral_curve`), which changes neither verdict, dimensions
+    nor certificate.
     """
     X = T.complex
     _check_edges(X, C)
+    C, _ = _integral_curve(C)
     vertices = C.support_vertices(X)
     dims = []
     failing = None
@@ -321,8 +333,11 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve):
     balanced curve annihilates, so the vertex total is the same.  Every
     pivot of the reduced rows has the same absolute value P, so the total
     sum(w'_t x_t) is one integer numerator over P, one Fraction per
-    vertex.  n = 1 calls `is_balanced`.  NotBalanced (first failing
-    vertex) comes before NotQCartierNearCurve.
+    vertex.  Rational coefficients of D and multiplicities of C enter the
+    rows scaled to ints, by the lcm of the denominators of each
+    (`_integral_part`), and P is multiplied by both scales.  n = 1 calls
+    `is_balanced`.  NotBalanced (first failing vertex) comes before
+    NotQCartierNearCurve.
     """
     X = T.complex
     if D.facet_pieces:
@@ -347,8 +362,11 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve):
             totals.append(sum(C.mult(t.coface[1]) for t in elems)
                           * Fraction(D.coeff(v), len(elems)))
     else:
-        for r, c in D.ridge_part:
+        part, scale = _integral_part(D.ridge_part)
+        for r, c in part:
             rhs[r] = c
+        C, den = _integral_curve(C)
+        scale *= den
         failing = None
         for v, (elems, w, rows, pivots, fails, _) in zip(
                 vertices, _vertex_systems(T, C, vertices, rhs)):
@@ -364,7 +382,7 @@ def intersect_degree(T: TropicalStructure, D: Divisor, C: Curve):
             for row, p in zip(rows, pivots):
                 y = w[p] * row[size]
                 total += y if row[p] > 0 else -y
-            totals.append(Fraction(total, abs(rows[0][pivots[0]]))
+            totals.append(Fraction(total, abs(rows[0][pivots[0]]) * scale)
                           if pivots else 0)
         if failing is not None:
             raise NotBalanced("curve unbalanced at vertex %d" % failing)

@@ -129,16 +129,18 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
     zero = TropicalStructure(X, dict.fromkeys(
         ((r, s) for r in range(X.counts[n - 1]) for s in range(n)), 0))
     alpha = {}
-    for qi, (elements, rows) in enumerate(local_systems(zero, range(strata))):
-        for ti, t in enumerate(elements):
+    keys = X._local_keys
+    for qi, (_, rows) in enumerate(local_systems(zero, range(strata))):
+        it = iter(keys[qi])
+        for ti, key in enumerate(zip(it, it)):
             if (qi, ti) not in data.self_intersections:
                 raise InconsistentData(
                     "missing self-intersection at stratum %d position %d"
                     % (qi, ti)
                 )
-            # one element names (r, s), in link0 of d_s r: each set once
-            alpha[t.coface[1], X.opp_slot(t)] = (
-                rows[ti][ti] - data.self_intersections[(qi, ti)])
+            # one element names (r, s), its key in the local table of the
+            # stratum, in link0 of d_s r: each set once
+            alpha[key] = rows[ti][ti] - data.self_intersections[(qi, ti)]
     T = TropicalStructure(X, alpha)
     weak = check_weak(T)
     if not weak.passed:

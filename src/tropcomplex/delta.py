@@ -18,13 +18,20 @@ every simplex at every slot tuple, each entry read from the level below.
 construction composes no chain of faces.  The pass that fills the links
 also records, for each m-simplex (m >= 1) and each slot d, its position in
 link0 of its facet d_d (`_cofacet_pos[m][j][d]`, shaped like `faces`): the
-local systems of `structure` and the germ coordinates of `curves` read
-positions there instead of searching link0.
+germ coordinates of `curves` read positions there instead of searching
+link0.  For n >= 2 the same pass records the local table of every
+(n-2)-cell q, two flat tuples of ints in link order: `_local_keys[q]`, the
+alpha key (ridge, slot) of each link0 element, and `_local_ends[q]`, the
+two link0 positions of each link edge.  The local systems of `structure`
+read only these, so a query makes no slot-table or facet-row lookup.
+They are filled at construction, not on a first query: a complex is
+immutable and holds no memo.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import (Disconnected, DimensionExceeded, SchemaError,
@@ -67,26 +74,33 @@ def _slot_table(m):
 
 def _plan(m):
     """How construction fills the tables of an m-simplex (m >= 1), built
-    once per process from the slot tables: (faces, lower, cofacets).
+    once per process from the slot tables: (faces, lower, cofacets, edges).
 
     faces lists, for each slot tuple S but the full one in combinations
     order, (the largest slot not in S, the position in the slot table of
     m - 1 of S re-indexed to that face).  lower lists each tuple of size
     below m, in the same order, as (S, the dimension of the face it spans,
     its link dimension); cofacets lists each tuple of size m as (the slot d
-    it misses, S), d decreasing, which is their combinations order.
+    it misses, S), d decreasing, which is their combinations order.  edges
+    lists each tuple of size m - 1, the link edges of the (m - 2)-faces, as
+    (its position in lower, d0, d1 - 1, d1) for the slots d0 < d1 it
+    misses.
     """
     plan = _PLANS.get(m)
     if plan is None:
         below = _slot_table(m - 1)
         table = _slot_table(m)
         tuples = list(table)[:-1]
+        lower = [(slots, len(slots) - 1, m - len(slots))
+                 for slots in tuples[:-m - 1]]
         plan = _PLANS[m] = (
             [(faces[-1][0], below[faces[-1][1]][0])
              for _, faces in list(table.values())[:-1]],
-            [(slots, len(slots) - 1, m - len(slots))
-             for slots in tuples[:-m - 1]],
-            list(enumerate(reversed(tuples[-m - 1:])))[::-1])
+            lower,
+            list(enumerate(reversed(tuples[-m - 1:])))[::-1],
+            [(p, d0, d1 - 1, d1)
+             for p, (slots, _, d) in enumerate(lower) if d == 1
+             for (d0, _), (d1, _) in [table[slots][1]]])
     return plan
 
 
@@ -133,26 +147,25 @@ class DeltaComplex:
         # simplicial identity d_i d_j = d_{j-1} d_i for i < j
         for k in range(2, self.n + 1):
             lower = self.faces[k - 1]
+            pairs = [(i, j) for j in range(1, k + 1) for i in range(j)]
             for i_s, row in enumerate(self.faces[k]):
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        if lower[row[j]][i] != lower[row[i]][j - 1]:
-                            raise SimplicialIdentityViolation((k, i_s), i, j)
+                for i, j in pairs:
+                    if lower[row[j]][i] != lower[row[i]][j - 1]:
+                        raise SimplicialIdentityViolation((k, i_s), i, j)
         # connectedness of the 1-skeleton, by union-find over the vertices
         # that an edge touches: every simplex is joined to its vertices
         # through its edges, and every other vertex is a component of its
-        # own, so nothing is allocated per vertex count
+        # own, so nothing is allocated per vertex count.  Both finds run
+        # inline, with path halving, and each component keeps one root
         edges = self.faces[1] if self.n >= 1 else ()
         parent = {v: v for edge in edges for v in edge}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
         for a, b in edges:
-            parent[find(a)] = find(b)
-        components = (len({find(v) for v in parent})
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[a] = b
+        components = (sum(map(eq, parent, parent.values()))
                       + self.counts[0] - len(parent))
         if components > 1:
             raise Disconnected("complex has %d components" % components)
@@ -168,21 +181,25 @@ class DeltaComplex:
         largest slot not in S, the first slot that removing the complement
         from the top drops: the face is the face of d_drop (m, j) at S
         re-indexed, read from row d_drop (m, j) of level m-1 (for |S| = m,
-        its last entry).
+        its last entry).  The level is filled a column at a time: each
+        slot tuple's column is gathered over every row by maps of item
+        lookups and the rows are zipped from the columns, so no bytecode
+        runs per simplex.
         """
         table = [tuple((i,) for i in range(self.counts[0]))]
         for m in range(1, self.n + 1):
-            plan = _plan(m)[0]
-            lower = table[m - 1]
-            table.append(tuple(
-                tuple([lower[row[drop]][p] for drop, p in plan] + [j])
-                for j, row in enumerate(self.faces[m])))
+            lower, rows = table[m - 1], self.faces[m]
+            table.append(tuple(zip(*[
+                map(itemgetter(p), map(lower.__getitem__,
+                                       map(itemgetter(drop), rows)))
+                for drop, p in _plan(m)[0]], range(len(rows)))))
         self._face_table = tuple(table)
 
     def _build_links(self):
         """One pass over the cofaces: each (coface, slot tuple) pair is
         appended to the link of the face it spans, read from the face
-        table, and the cofacet positions are recorded on the way.
+        table, and the cofacet positions and the local tables are recorded
+        on the way.
 
         Visiting cofaces by dimension, then index, then slot tuple in
         combinations order gives every link its elements in exactly that
@@ -192,17 +209,32 @@ class DeltaComplex:
         list before the append is the element's position there, stored as
         `_cofacet_pos[m][j][d]` for the m-simplex (m, j), a table shaped
         like `faces` (level 0 is empty).
+
+        For n >= 2 the same pass fills the local table of every
+        (n-2)-cell q, two flat tuples of ints in link order.
+        `_local_keys[q]` holds r, d for each element of link0(q): the ridge
+        (n-1, r) and the slot d of r that the element's slots miss, the
+        key of its alpha entry; it is appended with the element.
+        `_local_ends[q]` holds a, b for each edge of link1(q): an edge
+        ((n, j), slots) misses slots d0 < d1 of its facet, and its ends
+        are the link0(q) positions of the ridges d_d0 and d_d1 of (n, j),
+        at their slots d1 - 1 and d0, read from the cofacet positions of
+        the ridges, which the pass has filled by then.  A loop has a == b.
         """
         n, counts = self.n, self.counts
         new = tuple.__new__  # a LinkElement without its Python-level __new__
         # lists[k][d][i]: the link elements of (k, i) of link dimension d
         lists = [[[[] for _ in range(counts[k])] for _ in range(n - k)]
                  for k in range(n + 1)]
+        cells = counts[n - 2] if n >= 2 else 0
+        keys = [[] for _ in range(cells)]
+        ends = [[] for _ in range(cells)]
         positions = [()]
         for m in range(1, n + 1):
-            _, plan, cofacets = _plan(m)
+            _, plan, cofacets, edges = _plan(m)
             lower = [(slots, lists[k][d]) for slots, k, d in plan]
             top = lists[m - 1][0]
+            ridges = positions[m - 1]  # the cofacet positions of level m - 1
             here = []
             for j, (row, faces) in enumerate(zip(self._face_table[m],
                                                  self.faces[m])):
@@ -215,11 +247,20 @@ class DeltaComplex:
                     pos[d] = len(link0)
                     link0.append(new(LinkElement, (coface, slots)))
                 here.append(tuple(pos))
+                if m == n - 1:
+                    for d, _ in cofacets:
+                        keys[faces[d]] += j, d
+                elif m == n:
+                    for p, d0, d, d1 in edges:
+                        ends[row[p]] += (ridges[faces[d0]][d],
+                                         ridges[faces[d1]][d0])
             positions.append(tuple(here))
         self._links = tuple(
             tuple(zip(*[map(tuple, per_dim) for per_dim in lists[k]]))
             if k < n else ((),) * counts[k] for k in range(n + 1))
         self._cofacet_pos = tuple(positions)
+        self._local_keys = tuple(map(tuple, keys))
+        self._local_ends = tuple(map(tuple, ends))
 
     # -- queries -------------------------------------------------------------
 

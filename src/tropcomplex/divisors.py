@@ -13,7 +13,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DegenerateCut, IndexMismatch
-from .linalg import SmithForm, _echelon_in_place, smith, smith_solve, solve
+from .linalg import (SmithForm, _echelon_in_place, _integral_part, smith,
+                     smith_solve, solve)
 from .structure import (TropicalStructure, Value, _check_local_base,
                         local_systems)
 
@@ -290,13 +291,15 @@ def weil_test(T: TropicalStructure, D: Divisor):
     pivot, so it passes and is not built.  One `local_systems` call builds
     the local system of every other cell with [D]_q appended, and each gets
     one fraction-free elimination in place: it is solvable unless the
-    right-hand side column is a pivot.
+    right-hand side column is a pivot.  Rational coefficients are scaled
+    to ints once, by the lcm of their denominators (`_integral_part`),
+    which moves no pivot.
     """
     X = T.complex
     rhs = [0] * _check_ridges(X, D)
     if X.n < 2:
         return True, ()
-    for r, c in D.ridge_part:
+    for r, c in _integral_part(D.ridge_part)[0]:
         rhs[r] = c
     cells = X.faces[X.n - 1]
     touched = sorted({q for r, _ in D.ridge_part for q in cells[r]})

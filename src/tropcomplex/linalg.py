@@ -7,9 +7,13 @@ divides exactly by the previous pivot scale, so every working entry is a
 minor of the input, within Hadamard's bound, and no gcd is taken.
 `_echelon` and `inertia` are front doors that copy their input (and
 `inertia` checks symmetry) before one in-place kernel each,
-`_echelon_in_place` and `_inertia_in_place`, which scale rational rows
-to integers once; the rows of `structure.local_systems`, the one builder
-of local intersection matrices, go to those kernels directly.
+`_echelon_in_place` and `_inertia_in_place`.  The kernels take ints only:
+they make no type test and no Fraction.  Rational input is scaled to
+integers once, before a kernel sees it: by the front doors `_echelon`,
+`solve` and `inertia`, and by the callers that feed the kernels the rows
+of `structure.local_systems`, the one builder of local intersection
+matrices, by one lcm of denominators per call over supp D or supp C
+(`_integral_part`).
 
 `_echelon_in_place` builds no list per pivot: it loops over the rows by
 index, skips the pivot row, and tests each pivot-row entry for zero
@@ -56,6 +60,14 @@ from .errors import InconsistentData
 _ZERO = Fraction(0)
 
 
+def _scaled(values):
+    """(ints, den): the rational values times den, the lcm of their
+    denominators, as ints, each value read through Fraction."""
+    fracs = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs], den
+
+
 def _integers(values):
     """The values as ints, scaled by the lcm of their denominators.
 
@@ -64,28 +76,56 @@ def _integers(values):
     values = list(values)
     if set(map(type, values)) <= {int}:
         return values
-    fracs = [Fraction(x) for x in values]
-    den = lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (den // x.denominator) for x in fracs]
+    return _scaled(values)[0]
+
+
+def _integral_part(part):
+    """(part, den): a sorted (index, rational value) part, such as a
+    divisor's ridge part or a curve's multiplicities, with every value
+    times den, the lcm of the denominators, as an int.  A part of ints
+    comes back as it is, with den = 1, after one type test per value and
+    no Fraction.  The callers that feed the kernels from it read a verdict
+    that no positive scale changes, or divide their result by den."""
+    for _, x in part:
+        if type(x) is not int:
+            break
+    else:
+        return part, 1
+    values, den = _scaled(x for _, x in part)
+    return tuple(zip((i for i, _ in part), values)), den
+
+
+def _integral_rows(m):
+    """The rows m when every entry is an int (a sum of ints is an int; a
+    Fraction or a float makes it one too), else each row scaled by
+    `_integers`, which changes neither the pivots nor the solutions of an
+    augmented system: the copying front doors scale their input once
+    here, so the kernels take ints only."""
+    if type(sum(chain.from_iterable(m))) is int:
+        return m
+    return [_integers(row) for row in m]
 
 
 def _echelon(rows, ncols=None, reduced=True):
-    """Fraction-free Gauss-Jordan elimination of a copy of rows, as integer
-    rows: (rows, pivot columns) of `_echelon_in_place`."""
-    return _echelon_in_place([list(row) for row in rows], ncols, reduced)
+    """Fraction-free Gauss-Jordan elimination of a copy of rows, scaled to
+    integers by `_integral_rows`: (rows, pivot columns) of
+    `_echelon_in_place`."""
+    return _echelon_in_place(_integral_rows([list(row) for row in rows]),
+                             ncols, reduced)
 
 
 def _echelon_in_place(m, ncols=None, reduced=True):
-    """Fraction-free Gauss-Jordan elimination of the rows m, which the
-    caller owns: (integer rows, pivot columns).
+    """Fraction-free Gauss-Jordan elimination of the integer rows m, which
+    the caller owns: (rows, pivot columns).
 
-    Int rows are updated in place.  Rational rows (a sum of ints is an int;
-    a Fraction or a float makes it one too) are first replaced by integer
-    multiples of themselves, each row scaled by `_integers`, which changes
-    neither the pivots nor the solutions of an augmented system.  Pivots
-    are chosen as the first nonzero entry when scanning columns left to
-    right, which keeps the output (and everything derived from it)
-    deterministic.  With p the pivot's absolute value, prev the one before
+    The rows are ints and are updated in place; no entry is type-tested
+    and no Fraction is made.  A caller with rational input scales it to
+    integers first: the front doors `_echelon` and `solve` row by row
+    (`_integral_rows`), and the callers in `divisors` and `curves` once
+    per call, by the lcm of the denominators over supp D or supp C
+    (`_integral_part`).  Pivots are chosen as the first nonzero entry when
+    scanning columns left to right, which keeps the output (and
+    everything derived from it) deterministic.  With p the pivot's absolute value, prev the one before
     it and s the pivot's sign, every other row becomes
     (p * row - s * row[c] * pivot_row) / prev (Bareiss), as if the pivot
     row had been negated to a positive pivot.  The division is exact and
@@ -113,8 +153,6 @@ def _echelon_in_place(m, ncols=None, reduced=True):
     support vertex, and balancing otherwise the transposed germ
     relations.
     """
-    if type(sum(chain.from_iterable(m))) is not int:
-        m = [_integers(row) for row in m]
     if ncols is None:
         ncols = len(m[0]) if m else 0
     pivots = []
@@ -195,15 +233,16 @@ def kernel_basis(rows, ncols):
 def solve(rows, rhs):
     """One rational solution of rows . x = rhs, or None if inconsistent.
 
-    The augmented rows are built fresh and `_echelon_in_place` reduces
-    them over their first ncols columns; the system is inconsistent if a
+    The augmented rows are built fresh, scaled to integers by
+    `_integral_rows`, and `_echelon_in_place` reduces them over their
+    first ncols columns; the system is inconsistent if a
     row past the pivots keeps a nonzero right-hand side.  Free variables
     are set to 0 (deterministic particular solution), so each pivot
     variable is the right-hand side of its row divided by the pivot.
     """
     ncols = len(rows[0]) if rows else 0
-    m, pivots = _echelon_in_place(
-        [list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    m, pivots = _echelon_in_place(_integral_rows(
+        [list(row) + [b] for row, b in zip(rows, rhs)]), ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     x = [_ZERO] * ncols
@@ -463,20 +502,26 @@ def smith_solve(f, b):
 def inertia(a):
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
-    A copy of a goes to `_inertia_in_place`.  An asymmetric matrix raises
-    ValueError.
+    A copy of a goes to `_inertia_in_place`, scaled to integers first by
+    one common denominator when any entry is rational, so it stays
+    symmetric.  An asymmetric matrix raises ValueError.
     """
     if list(map(tuple, a)) != list(zip(*a)):
         raise ValueError("matrix not symmetric")
-    return _inertia_in_place([list(row) for row in a])
+    m = [list(row) for row in a]
+    if type(sum(chain.from_iterable(m))) is not int:
+        n = len(m)
+        flat = _integers(chain.from_iterable(m))
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return _inertia_in_place(m)
 
 
 def _inertia_in_place(m):
-    """(positive, negative, zero) eigenvalue counts of the symmetric matrix
-    m, which the caller owns and which is consumed.
+    """(positive, negative, zero) eigenvalue counts of the symmetric integer
+    matrix m, which the caller owns and which is consumed.
 
-    Symmetric congruence elimination on integers.  Rational input is first
-    scaled by one common denominator, so it stays symmetric.  No line is
+    Symmetric congruence elimination on integers: no entry is type-tested
+    and no Fraction is made (`inertia` scales rational input).  No line is
     deleted: `rest` lists the indices of the lines not yet eliminated, in
     increasing order, and the active block is m restricted to them.  The
     pivot is the first nonzero diagonal entry d in that order; when all
@@ -496,10 +541,6 @@ def _inertia_in_place(m):
     that `structure.local_systems` builds at every cell, after packing
     them into its records.
     """
-    if type(sum(chain.from_iterable(m))) is not int:
-        n = len(m)
-        flat = _integers(chain.from_iterable(m))
-        m = [flat[i * n:(i + 1) * n] for i in range(n)]
     rest = list(range(len(m)))  # the lines not yet eliminated, in order
     pos = neg = zero = 0
     prev = 1

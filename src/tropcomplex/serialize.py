@@ -35,7 +35,10 @@ FORMAT = "tcx-1"
 
 
 def rat(x):
-    f = Fraction(x)
+    """[numerator, denominator] in lowest terms.  An int or a Fraction is
+    read as it is, already in lowest terms; anything else (a bool among
+    them, which would print as true) goes through Fraction."""
+    f = x if type(x) is int or type(x) is Fraction else Fraction(x)
     return [f.numerator, f.denominator]
 
 

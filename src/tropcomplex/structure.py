@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .delta import DeltaComplex, _slot_table
+from .delta import DeltaComplex
 from .errors import IndexMismatch, MissingAlpha, SchemaError, WrongDimension
 from .linalg import _inertia_in_place
 
@@ -153,48 +153,32 @@ def local_systems(T: TropicalStructure, cells, rhs=None):
 
     Off-diagonal (t,u): the number of edges between t and u in link(q).
     Diagonal (t,t): 2 * (loops at t) - alpha(r(t), opp(t)), where the
-    slot opp(t) of the ridge r(t) is the one its slot tuple misses: the
-    slot that the one face of its entry in `delta._slot_table(n - 1)`
-    drops.  An edge ((n, j), slots) of link(q) misses slots d0 < d1 of its
-    facet row, the slots that the two faces of its entry in
-    `delta._slot_table(n)` drop; its end at d0 is the ridge d_d0 (n, j),
-    whose element in link0(q) misses slot d1 - 1 of the ridge, so it sits
-    at the cofacet position of that ridge at d1 - 1, and likewise its end
-    at d1 sits at the position of d_d1 (n, j) at d0.  The two are the same
-    element for a loop.  Both slot rules are read from the two slot
-    tables once per call, into one small dict each (`opp`, `ends`), so
-    the loops make one lookup per element or edge.  Augmented rows are
+    slot opp(t) of the ridge r(t) is the one its slot tuple misses.  Both
+    are read from the local table of q that construction records
+    (`delta.DeltaComplex._build_links`): `_local_keys[q]` holds r(t),
+    opp(t) for each element t, and `_local_ends[q]` the two link0
+    positions of each edge, the same position twice for a loop.  So a
+    call looks up no slot tuple and no facet row; augmented rows are
     allocated at their full width.
     """
     X = T.complex
-    n = X.n
-    # slots -> the slot it misses, for a link0 element's slots in its
-    # ridge, and -> (d0, d1 - 1, d1), for a link edge's slots in its facet
-    opp = {slots: faces[0][0]
-           for slots, (_, faces) in _slot_table(n - 1).items()
-           if len(faces) == 1}
-    ends = {slots: (faces[0][0], faces[1][0] - 1, faces[1][0])
-            for slots, (_, faces) in _slot_table(n).items()
-            if len(faces) == 2}
-    links, facets, pos = X._links[n - 2], X.faces[n], X._cofacet_pos[n - 1]
+    links, keys, ends = X._links[X.n - 2], X._local_keys, X._local_ends
     alpha = T.alpha
     extra = 0 if rhs is None else 1
     systems = []
     for q in cells:
-        elements, edges = links[q]
+        elements = links[q][0]
         size = len(elements)
         m = []
-        for i, ((_, r), slots) in enumerate(elements):
+        it = iter(keys[q])
+        for i, (r, d) in enumerate(zip(it, it)):
             row = [0] * (size + extra)
-            row[i] = -alpha[r, opp[slots]]
+            row[i] = -alpha[r, d]
             if extra:
                 row[size] = rhs[r]
             m.append(row)
-        for (_, j), slots in edges:
-            d0, d, d1 = ends[slots]
-            row = facets[j]
-            a = pos[row[d0]][d]
-            b = pos[row[d1]][d0]
+        it = iter(ends[q])
+        for a, b in zip(it, it):
             m[a][b] += 1  # a loop, a == b, adds 2 on the diagonal
             m[b][a] += 1
         systems.append((elements, m))

@@ -32,6 +32,7 @@ from tropcomplex import (
     local_matrix,
     PointSum,
     restrict_divisor,
+    weil_test,
 )
 from tropcomplex.curves import _germ_relations
 from tropcomplex.embedded import derive_structure
@@ -596,10 +597,48 @@ ALPHA_KINDS = ("unit", "skewed", "off-weak")
        st.sampled_from(("int", "rational")))
 def test_surface_balance_and_intersection_match_the_germ_relations(
         k, alpha_kind, curve_kind, divisor_kind, rng, numbers):
-    # rational C and D reach the per-row `_integers` scaling of the
-    # elimination kernel, which no torus-session operation does
+    # rational C and D are scaled to ints once per call, by the lcm of the
+    # denominators of each, before the elimination kernel, which takes ints
+    # only; no torus-session operation passes them
     check_against_relations(*torus_case(k, alpha_kind, curve_kind,
                                         divisor_kind, rng, numbers))
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 6), max_value=6,
+                                  max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), positive_rationals, positive_rationals)
+def test_scaled_divisors_and_curves_keep_their_verdicts(data, lam, mu):
+    # the callers scale rational D and C to ints once, by the lcm of their
+    # denominators, before the int-only kernels: a positive multiple keeps
+    # the Weil verdict, the balance result and the outcome of the product,
+    # and multiplies its degree by lam * mu.  Shuffled tori k <= 5 with
+    # integer or rational C and D, and every n = 2 fixture pair
+    if data.draw(st.booleans()):
+        T, C, D = data.draw(st.sampled_from(surface_fixture_cases()))
+    else:
+        T, C, D = torus_case(
+            data.draw(st.integers(3, 5)),
+            data.draw(st.sampled_from(ALPHA_KINDS)),
+            data.draw(st.sampled_from(("cycles", "random"))),
+            data.draw(st.sampled_from(("principal", "random"))),
+            data.draw(st.randoms(use_true_random=False)),
+            data.draw(st.sampled_from(("int", "rational"))))
+    scaled_d = Divisor.on_ridges({r: lam * c for r, c in D.ridge_part})
+    scaled_c = Curve.on_edges({e: mu * m for e, m in C.multiplicities})
+    assert weil_test(T, scaled_d) == weil_test(T, D)
+    assert is_balanced(T, scaled_c) == is_balanced(T, C)
+    got = outcome(intersect_degree, T, scaled_d, scaled_c)
+    want = outcome(intersect_degree, T, D, C)
+    if want[0] == "ok":
+        assert got[0] == "ok"
+        assert got[1].degree == lam * mu * want[1].degree
+        assert got[1].point_sum == PointSum(tuple(
+            (loc, lam * mu * c) for loc, c in want[1].point_sum.entries))
+    else:
+        assert got == want
 
 
 def test_surface_oracle_reaches_every_outcome():

@@ -355,6 +355,46 @@ def test_link_graph_matches_dict_lookup(kernel_structures):
     assert loops > 0
 
 
+def walked_local_tables(X):
+    """(keys, ends) of every (n-2)-cell, walked from its link: the flat
+    (ridge, the slot of the ridge that the slot tuple misses) of each link0
+    element, and the flat link0 positions of the two ends of each link
+    edge, found by searching link0.  An edge ((n, j), slots) misses facet
+    slots d0 < d1; its end at d is the element of the ridge d_d (n, j)
+    whose slots are the edge's re-indexed to that face."""
+    n = X.n
+    keys, ends = [], []
+    for q in range(X.counts[n - 2] if n >= 2 else 0):
+        link = X.link((n - 2, q))
+        elements = link[0]
+        keys.append(tuple(x for (_, r), slots in elements
+                          for x in (r, next(d for d in range(n)
+                                            if d not in slots))))
+        flat = []
+        for (_, j), slots in link[1] if len(link) > 1 else ():
+            for d in (d for d in range(n + 1) if d not in slots):
+                face = tuple(x if x < d else x - 1 for x in slots)
+                flat.append(elements.index(((n - 1, X.faces[n][j][d]),
+                                            face)))
+        ends.append(tuple(flat))
+    return tuple(keys), tuple(ends)
+
+
+def test_local_tables_match_the_link_walk(kernel_structures):
+    # the local tables recorded at construction against the link walk, on
+    # every kernel structure: loops (a == b) and a ridge twice in one link0
+    # included, as in loop.json, twosheet.json and CONE_OVER_LOOP
+    loops = repeated = 0
+    for X in (T.complex for T in kernel_structures):
+        keys, ends = walked_local_tables(X)
+        assert (X._local_keys, X._local_ends) == (keys, ends), X
+        for flat in ends:
+            loops += sum(a == b for a, b in zip(flat[::2], flat[1::2]))
+        for flat in keys:
+            repeated += len(set(flat[::2])) < len(flat) // 2
+    assert loops > 0 and repeated > 0
+
+
 def test_link_elements_built_without_new_are_link_elements(fx):
     # construction makes elements by tuple.__new__, past the named tuple's
     # own __new__: they must still be LinkElements, equal and hashed as

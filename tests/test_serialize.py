@@ -33,6 +33,17 @@ from tests.conftest import FIXDIR, fixture_path
 def test_rational_encoding():
     assert rat(Fraction(3, 4)) == [3, 4]
     assert rat(5) == [5, 1]
+    # ints and Fractions are read directly; a bool, a float or a numeric
+    # string still goes through Fraction, so every value is encoded as the
+    # ints of its lowest terms, as canonical_json prints them
+    for x in (0, -7, 10 ** 30, Fraction(-6, 4), Fraction(5), Fraction(0),
+              True, False, 0.375, "-2/6"):
+        f = Fraction(x)
+        got = rat(x)
+        assert got == [f.numerator, f.denominator], x
+        assert [type(v) for v in got] == [int, int], x
+        assert canonical_json(got) == canonical_json(
+            [f.numerator, f.denominator])
 
 
 def test_divisor_round_trip(tetrahedron):

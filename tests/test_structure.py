@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from tropcomplex import (
     local_matrix,
     weil_test,
 )
+from tropcomplex import delta, linalg
 from tropcomplex.structure import local_systems
 from tcxbench import gen
 
@@ -239,10 +241,17 @@ def test_local_systems_match_reference_on_any_cell_list(kernel_structures):
 
 
 def test_local_systems_make_no_incidence_helper_call(monkeypatch):
-    # classify, weil_test, is_balanced and intersect_degree read the face
-    # table and alpha directly: no face composition or opposite-slot lookup
-    # per link element
+    # classify, weil_test, is_balanced and intersect_degree read the local
+    # tables recorded at construction and alpha directly: no face
+    # composition, opposite-slot lookup or slot table (wherever the
+    # package binds it) per link element.  On an integer torus the kernels
+    # get ints with no type test and no Fraction, so neither `_integers`,
+    # linalg's Fraction nor the `chain` of the front doors' type test is
+    # reached
     calls = Counter()
+
+    def refused(*args):
+        raise AssertionError("called after construction")
 
     def counted(name):
         original = getattr(DeltaComplex, name)
@@ -260,6 +269,13 @@ def test_local_systems_make_no_incidence_helper_call(monkeypatch):
     D = div_vertex_function(T, [rng.randint(-3, 3) for _ in range(t.nv)])
     C = Curve.on_edges(gen.torus_curve(t, rng))
     assert D.ridge_part and C.multiplicities
+    slot_table = delta._slot_table
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("tropcomplex")
+                and getattr(module, "_slot_table", None) is slot_table):
+            monkeypatch.setattr(module, "_slot_table", refused)
+    for name in ("_integers", "Fraction", "chain"):
+        monkeypatch.setattr(linalg, name, refused)
     assert classify(T).verdict == "tropical"
     assert weil_test(T, D) == (True, ())
     assert is_balanced(T, C).balanced
