@@ -136,8 +136,9 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
     per vertex (two for the intersection off the weak constraint).
 
     The germ relations at v are M_v bordered by the column c, with
-    c_t = -alpha(r_t, slot of v), and w'_t is the multiplicity of ridge
-    r_t.  As M_v is symmetric, C is balanced at v iff some y has
+    c_t = -alpha(r_t, s_t) for the slot s_t of v in the edge r_t, read as
+    `T._diag[2 * r_t + s_t]`, and w'_t is the multiplicity of ridge r_t.
+    As M_v is symmetric, C is balanced at v iff some y has
     M_v y = w' and c . y = w_0 = -sum(w').  Where every row of M_v sums to
     -c_t (the weak constraint at v's ridges), c . y = -1 . M_v y = w_0 for
     every solution, so [M_v | [D]_v | w'] is eliminated over M_v's
@@ -150,7 +151,7 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
     rows and pivots are the reduced elimination that `intersect_degree`
     reads; without it they mean nothing.
     """
-    alpha = T.alpha
+    diag = T._diag
     reduced = rhs is not None
     for elems, rows in local_systems(T, vertices, rhs):
         size = len(elems)
@@ -158,7 +159,7 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
         weak = True
         for row, ((_, r), (s,)) in zip(rows, elems):
             w.append(C.mult(r))
-            weak = weak and sum(row[:size]) == alpha[r, s]
+            weak = weak and sum(row[:size]) == -diag[2 * r + s]
         pivots = None
         if weak:
             for row, x in zip(rows, w):
@@ -170,7 +171,8 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
             check = [row[:size] for row in rows] if reduced else rows
             for row, x in zip(check, w):
                 row.append(x)
-            check.append([-alpha[r, s] for (_, r), (s,) in elems] + [-sum(w)])
+            check.append([diag[2 * r + s] for (_, r), (s,) in elems]
+                         + [-sum(w)])
             _, relations = _echelon_in_place(check, size + 1, reduced=False)
             fails = size in relations
             dim = 1 + size - len(relations) + fails

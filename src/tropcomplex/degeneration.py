@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .delta import DeltaComplex
 from .errors import (InconsistentData, NotBalanced, PreconditionFailed,
                      SchemaError, UnknownName, brief, entry_list,
-                     fraction_entry, int_entry, int_table, named)
+                     fraction_entry, int_fields, int_table, named)
 from .structure import TropicalStructure, check_weak, local_systems
 from .divisors import Divisor, chip_matrix, weil_test
 from .curves import Curve, is_balanced, intersect_degree
@@ -42,7 +42,7 @@ def _claimed(entry):
             or not all(isinstance(x, str) for x in entry[:2]):
         raise SchemaError("claimed entry %s is not [divisor name, curve "
                           "name, numerator, denominator]" % brief(entry))
-    num, den = int_entry(entry[2:], 2, "claimed")
+    num, den = int_fields(entry, (2, 3), "claimed")
     return tuple(entry[:2]), fraction_entry(num, den, "claimed entry", entry)
 
 
@@ -131,16 +131,16 @@ def build_structure_from_degeneration(X: DeltaComplex, data: DegenerationData):
     alpha = {}
     keys = X._local_keys
     for qi, (_, rows) in enumerate(local_systems(zero, range(strata))):
-        it = iter(keys[qi])
-        for ti, key in enumerate(zip(it, it)):
+        for ti, key in enumerate(keys[qi]):
             if (qi, ti) not in data.self_intersections:
                 raise InconsistentData(
                     "missing self-intersection at stratum %d position %d"
                     % (qi, ti)
                 )
-            # one element names (r, s), its key in the local table of the
-            # stratum, in link0 of d_s r: each set once
-            alpha[key] = rows[ti][ti] - data.self_intersections[(qi, ti)]
+            # one element has the key r * n + s of (r, s) in the local
+            # table of a stratum, in link0 of d_s r: each (r, s) set once
+            alpha[divmod(key, n)] = (rows[ti][ti]
+                                     - data.self_intersections[(qi, ti)])
     T = TropicalStructure(X, alpha)
     weak = check_weak(T)
     if not weak.passed:

@@ -20,10 +20,12 @@ also records, for each m-simplex (m >= 1) and each slot d, its position in
 link0 of its facet d_d (`_cofacet_pos[m][j][d]`, shaped like `faces`): the
 germ coordinates of `curves` read positions there instead of searching
 link0.  For n >= 2 the same pass records the local table of every
-(n-2)-cell q, two flat tuples of ints in link order: `_local_keys[q]`, the
-alpha key (ridge, slot) of each link0 element, and `_local_ends[q]`, the
-two link0 positions of each link edge.  The local systems of `structure`
-read only these, so a query makes no slot-table or facet-row lookup.
+(n-2)-cell q, two flat tuples of ints in link order: `_local_keys[q]`, one
+int key r * n + s per link0 element for its alpha entry (ridge r, slot s),
+and `_local_ends[q]`, the two link0 positions of each link edge.  The
+local systems of `structure` read only these and the flat alpha diagonal
+of the structure, so a query makes no slot-table or facet-row lookup and
+builds no key tuple.
 They are filled at construction, not on a first query: a complex is
 immutable and holds no memo.
 """
@@ -212,9 +214,10 @@ class DeltaComplex:
 
         For n >= 2 the same pass fills the local table of every
         (n-2)-cell q, two flat tuples of ints in link order.
-        `_local_keys[q]` holds r, d for each element of link0(q): the ridge
-        (n-1, r) and the slot d of r that the element's slots miss, the
-        key of its alpha entry; it is appended with the element.
+        `_local_keys[q]` holds one int r * n + d for each element of
+        link0(q): the ridge (n-1, r) and the slot d of r that the
+        element's slots miss, the key of its alpha entry, which
+        `divmod(key, n)` decodes; it is appended with the element.
         `_local_ends[q]` holds a, b for each edge of link1(q): an edge
         ((n, j), slots) misses slots d0 < d1 of its facet, and its ends
         are the link0(q) positions of the ridges d_d0 and d_d1 of (n, j),
@@ -248,8 +251,9 @@ class DeltaComplex:
                     link0.append(new(LinkElement, (coface, slots)))
                 here.append(tuple(pos))
                 if m == n - 1:
+                    key = j * n
                     for d, _ in cofacets:
-                        keys[faces[d]] += j, d
+                        keys[faces[d]].append(key + d)
                 elif m == n:
                     for p, d0, d, d1 in edges:
                         ends[row[p]] += (ridges[faces[d0]][d],

@@ -19,7 +19,7 @@ from .delta import DeltaComplex
 from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
                      InputError, NoSolution, NonUnimodular, SchemaError,
                      SimplicialIdentityViolation, brief, entry_list,
-                     int_entries, int_entry, int_table)
+                     int_entries, int_entry, int_fields, int_table)
 from .linalg import feasible_strict, primitive_integer, solve
 from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
@@ -317,7 +317,7 @@ def load_embedded(data):
         if not isinstance(entry, list) or len(entry) != 4:
             raise SchemaError("face sheet map entry %s is not [k, index, slot, "
                               "images]" % brief(entry))
-        key = int_entry(entry[:3], 3, "face sheet map")
+        key = int_fields(entry, (0, 1, 2), "face sheet map")
         maps[key] = int_entry(entry[3], None, "face sheet map images")
     return EmbeddedComplex(N, vertices, bounded, unbounded, counts, maps)
 

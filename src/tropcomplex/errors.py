@@ -52,6 +52,19 @@ def int_entry(entry, size, what):
     return tuple(entry)
 
 
+def int_fields(entry, indices, what):
+    """The elements at the given indices of a mixed-shape fixture entry,
+    a list whose length and other elements its reader checks, as a tuple
+    of ints, or SchemaError quoting the whole entry and naming the first
+    of those elements that is not a JSON integer, with its index."""
+    fields = tuple(entry[i] for i in indices)
+    for i, x in zip(indices, fields):
+        if type(x) is not int:
+            raise SchemaError("%s entry %s has %s at index %d, not an "
+                              "integer" % (what, brief(entry), brief(x), i))
+    return fields
+
+
 def int_entries(entries, size, what):
     """The entries of a fixture list, each as int_entry reads it.  One
     pass tests each entry inline, with no call per entry; only when it

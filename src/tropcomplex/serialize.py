@@ -24,7 +24,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .delta import DeltaComplex, build_complex
 from .errors import (IndexMismatch, InputError, SchemaError, brief,
-                     entry_list, fraction_entry, int_entry, int_table, named)
+                     entry_list, fraction_entry, int_entry, int_fields,
+                     int_table, named)
 from .structure import TropicalStructure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
@@ -167,7 +168,7 @@ def _facet_piece(entry):
         raise SchemaError("facet piece entry %s is not [facet, normal, "
                           "numerator, denominator, multiplicity]"
                           % brief(entry))
-    f, num, den, mult = int_entry(entry[:1] + entry[2:], 4, "facet piece")
+    f, num, den, mult = int_fields(entry, (0, 2, 3, 4), "facet piece")
     offset = fraction_entry(num, den, "facet piece entry", entry)
     normal = int_entry(entry[1], None, "facet piece normal")
     return FacetPiece(f, normal, offset, mult)
@@ -224,7 +225,7 @@ def breakpoints_from_json(data):
                 or not isinstance(entry[1], list):
             raise SchemaError("breakpoint entry %s is not [edge, points]"
                               % brief(entry))
-        (e,) = int_entry(entry[:1], 1, "breakpoint edge")
+        (e,) = int_fields(entry, (0,), "breakpoint")
         # every point's integers are read before any denominator, so a
         # malformed point is named before a zero denominator
         points = [int_entry(pt, 4, "breakpoint") for pt in entry[1]]

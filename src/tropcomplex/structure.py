@@ -1,11 +1,14 @@
 """Structure constants alpha(v, r) and the tropical-complex condition.
 
 alpha assigns an integer to every (ridge, vertex slot) pair: its keys are
-exactly those pairs, checked once when a TropicalStructure is made, so the
-kernels index it directly.  The weak constraint demands the slot sum equal
-deg(r) at every ridge.  The complex is tropical when every local
-intersection matrix has exactly one positive eigenvalue, decided by exact
-inertia computation.
+exactly those pairs, checked once when a TropicalStructure is made.  The
+same pass fills the flat list `_diag`, with -alpha(r, s) at r * n + s.
+The weak check, the local systems and the surface curve systems index it
+by the int key that construction records for each link element, so they
+build no key tuple and do not read alpha.  The weak constraint demands
+the slot sum equal deg(r) at every ridge.  The complex is tropical when
+every local intersection matrix has exactly one positive eigenvalue,
+decided by exact inertia computation.
 """
 
 from __future__ import annotations
@@ -66,19 +69,26 @@ class TropicalStructure(Value):
     and every value is an int: SchemaError names the first entry that is
     not, IndexMismatch the first entry out of range, and MissingAlpha the
     first absent pair in ridge-major order.
+
+    alpha stays the public dict and the one checked source.  The pass that
+    checks it also fills the private flat list `_diag`, with
+    `_diag[r * n + s] = -alpha[r, s]`: the diagonal entry of a local
+    matrix row whose link element has alpha key (r, s), indexed by the
+    int key of `DeltaComplex._local_keys` (empty at n = 0).
     """
 
-    __slots__ = ("complex", "alpha")
+    __slots__ = ("complex", "alpha", "_diag")
 
     def __init__(self, complex: DeltaComplex, alpha: dict = None):
         n = complex.n
         if alpha is None:
             if n > 1:
                 raise MissingAlpha("alpha required for n = %d" % n)
-            alpha = {(v, 0): complex.degree((0, v))
-                     for v in range(complex.counts[0])} if n else {}
+            diag = [-len(link[0]) for link in complex._links[0]] if n else []
+            alpha = {(v, 0): -a for v, a in enumerate(diag)}
         else:
             ridges = complex.counts[n - 1] if n else 0
+            diag = [0] * (ridges * n)
             for (r, slot), a in alpha.items():
                 # a bool or a rational too: smith reads its rows by int()
                 if type(a) is not int:
@@ -91,6 +101,7 @@ class TropicalStructure(Value):
                     raise IndexMismatch(
                         "alpha entry [%d, %d, %d]: %s %d out of range "
                         "(%d %ss)" % (r, slot, a, cell, i, count, cell))
+                diag[r * n + slot] = -a
             # every key is in range, so a full table has ridges * n keys
             if len(alpha) != ridges * n:
                 r, slot = next((r, slot) for r in range(ridges)
@@ -99,23 +110,27 @@ class TropicalStructure(Value):
                                    % (r, slot))
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_diag", diag)
 
     def _key(self):
         return self.complex
 
 
 def check_weak(T: TropicalStructure):
-    """Weak constraint report: per ridge, slot sum of alpha vs deg(r)."""
+    """Weak constraint report: per ridge, slot sum of alpha vs deg(r).
+
+    The slot sum of ridge r is minus the sum of its n-wide run
+    `_diag[r * n:(r + 1) * n]`, so alpha itself is not read."""
     X = T.complex
-    if X.n == 0:
+    n = X.n
+    if n == 0:
         return WeakReport(True, (), ())
-    totals = [0] * X.counts[X.n - 1]
-    for (r, _), a in T.alpha.items():
-        totals[r] += a
     violations = []
     isolated = []
-    for r, (link, total) in enumerate(zip(X._links[X.n - 1], totals)):
+    runs = zip(*[iter(T._diag)] * n)
+    for r, (link, run) in enumerate(zip(X._links[n - 1], runs)):
         deg = len(link[0])
+        total = -sum(run)
         if deg == 0:
             isolated.append(r)
         if total != deg:
@@ -155,27 +170,29 @@ def local_systems(T: TropicalStructure, cells, rhs=None):
     Diagonal (t,t): 2 * (loops at t) - alpha(r(t), opp(t)), where the
     slot opp(t) of the ridge r(t) is the one its slot tuple misses.  Both
     are read from the local table of q that construction records
-    (`delta.DeltaComplex._build_links`): `_local_keys[q]` holds r(t),
-    opp(t) for each element t, and `_local_ends[q]` the two link0
-    positions of each edge, the same position twice for a loop.  So a
-    call looks up no slot tuple and no facet row; augmented rows are
-    allocated at their full width.
+    (`delta.DeltaComplex._build_links`): `_local_keys[q]` holds the int
+    key k = r(t) * n + opp(t) of each element t, and `_local_ends[q]` the
+    two link0 positions of each edge, the same position twice for a loop.
+    Row t takes its diagonal from `T._diag[k]` and its right-hand side
+    from rhs[k // n].  So a call looks up no slot tuple and no facet row,
+    and builds no alpha key; augmented rows are allocated at their full
+    width.
     """
     X = T.complex
-    links, keys, ends = X._links[X.n - 2], X._local_keys, X._local_ends
-    alpha = T.alpha
+    n = X.n
+    links, keys, ends = X._links[n - 2], X._local_keys, X._local_ends
+    diag = T._diag
     extra = 0 if rhs is None else 1
     systems = []
     for q in cells:
         elements = links[q][0]
         size = len(elements)
         m = []
-        it = iter(keys[q])
-        for i, (r, d) in enumerate(zip(it, it)):
+        for i, k in enumerate(keys[q]):
             row = [0] * (size + extra)
-            row[i] = -alpha[r, d]
+            row[i] = diag[k]
             if extra:
-                row[size] = rhs[r]
+                row[size] = rhs[k // n]
             m.append(row)
         it = iter(ends[q])
         for a, b in zip(it, it):
@@ -217,13 +234,14 @@ def classify(T: TropicalStructure):
     if X.n < 2:
         return ClassifyResult("tropical", (), weak)
     dim = X.n - 2
+    new = tuple.__new__  # an Inertia without its Python-level __new__
     matrices = []
     inertias = []
     cells = range(X.counts[dim])
     for qi, (elems, rows) in zip(cells, local_systems(T, cells)):
         matrices.append((qi, LocalIntersectionMatrix(
             (dim, qi), elems, tuple(map(tuple, rows)))))
-        inertias.append((qi, Inertia(*_inertia_in_place(rows))))
+        inertias.append((qi, new(Inertia, _inertia_in_place(rows))))
     ok = all(ine.positive == 1 for _, ine in inertias)
     return ClassifyResult("tropical" if ok else "weak-only", tuple(inertias),
                           weak, tuple(matrices))

@@ -50,6 +50,46 @@ def full_simplex(n):
     return build_complex(gen.regular_fixture(n, cells))
 
 
+def relabel(data, rng):
+    """(copy, perm): an abstract fixture dict with the simplex indices of
+    each dimension permuted by rng, simplex (k, i) becoming (k, perm[k][i]),
+    and the permutations.  The slots are kept: each face entry keeps its
+    slot and maps its simplex and its target.  alpha, the ridge parts and
+    facet pieces of the divisors (a normal is in slot coordinates, so it
+    is kept), the curves and the vertex functions are carried along.
+    Face, alpha, ridge and curve entries come out sorted."""
+    n = data["n"]
+    perm = [rng.sample(range(count), count) for count in data["simplices"]]
+    out = dict(data)
+    out["faces"] = sorted([k, perm[k][i], slot, perm[k - 1][target]]
+                          for k, i, slot, target in data.get("faces", []))
+    if "alpha" in data:
+        out["alpha"] = sorted([perm[n - 1][r], slot, a]
+                              for r, slot, a in data["alpha"])
+
+    def divisor(d):
+        if isinstance(d, list):
+            return sorted([perm[n - 1][r], c] for r, c in d)
+        return {"ridge_part": divisor(d.get("ridge_part", [])),
+                "facet_pieces": [[perm[n][f], *rest]
+                                 for f, *rest in d.get("facet_pieces", [])]}
+
+    if "divisors" in data:
+        out["divisors"] = {name: divisor(d)
+                           for name, d in data["divisors"].items()}
+    if "curves" in data:
+        out["curves"] = {name: sorted([perm[1][e], m] for e, m in entries)
+                         for name, entries in data["curves"].items()}
+    if "functions" in data:
+        out["functions"] = {}
+        for name, values in data["functions"].items():
+            mapped = [None] * len(values)
+            for v, x in enumerate(values):
+                mapped[perm[0][v]] = x
+            out["functions"][name] = mapped
+    return out, perm
+
+
 def dense(rows, ncols):
     """Sparse {column: entry} rows, such as `chip_matrix`'s, as lists."""
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]

@@ -1138,6 +1138,12 @@ TYPED_ERRORS = {
         "twosheet", edit("sheets", "face_sheet_maps", append=[1, 0, 0]),
         ["validate"], None, "SchemaError",
         "face sheet map entry [1, 0, 0] is not [k, index, slot, images]"),
+    "face-sheet-map-element": (
+        "twosheet", edit("sheets", "face_sheet_maps",
+                         append=[1, "x", 0, [0]]),
+        ["validate"], None, "SchemaError",
+        "face sheet map entry [1, 'x', 0, [0]] has 'x' at index 1, not an "
+        "integer"),
     # vertex 0 gets two sheets, and edge [0, 1] sends it to the second
     # while edge [0, 2] sends it to the first: d_1 d_2 != d_1 d_1
     "sheet-maps-do-not-commute": (
@@ -1157,6 +1163,13 @@ TYPED_ERRORS = {
         "SchemaError",
         "facet piece entry [0, [1, 0], 0, 1] is not [facet, normal, "
         "numerator, denominator, multiplicity]"),
+    # an entry of mixed shape is quoted whole, with its bad element named
+    "facet-piece-element": (
+        "triangle", edit("divisors", "F", value={
+            "facet_pieces": [[0, [1, 0, 0], "x", 1, 1]]}), ["validate"], None,
+        "SchemaError",
+        "facet piece entry [0, [1, 0, 0], 'x', 1, 1] has 'x' at index 2, "
+        "not an integer"),
     "facet-piece-denominator-0": (
         "triangle", edit("divisors", "F", value={
             "facet_pieces": [[0, [1, 0], 0, 0, 1]]}), ["validate"], None,
@@ -1172,6 +1185,12 @@ TYPED_ERRORS = {
         [[0, [[0, 0, 0, 1], [1, 1, 0, 1]]]], "SchemaError",
         "breakpoint entry [0, [[0, 0, 0, 1], [1, 1, 0, 1]]] has "
         "denominator 0"),
+    "breakpoint-edge-element": (
+        "tetrahedron", None,
+        ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
+        [["0", [[0, 1, 0, 1], [1, 1, 0, 1]]]], "SchemaError",
+        "breakpoint entry ['0', [[0, 1, 0, 1], [1, 1, 0, 1]]] has '0' at "
+        "index 0, not an integer"),
     "breakpoints-not-a-list": (
         "tetrahedron", None,
         ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],
@@ -1198,6 +1217,11 @@ TYPED_ERRORS = {
         "tet-degen", edit("claimed", 0, value=["D", "C", 2, 0]),
         ["degen-build"], None, "SchemaError",
         "claimed entry ['D', 'C', 2, 0] has denominator 0"),
+    "claimed-element": (
+        "tet-degen", edit("claimed", 0, value=["D", "C", 2, 1.5]),
+        ["degen-build"], None, "SchemaError",
+        "claimed entry ['D', 'C', 2, 1.5] has 1.5 at index 3, not an "
+        "integer"),
     # handlers
     "div-without-option": (
         "tetrahedron", None, ["div"], None, "InputError",

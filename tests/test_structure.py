@@ -28,7 +28,7 @@ from tropcomplex import (
     weil_test,
 )
 from tropcomplex import delta, linalg
-from tropcomplex.structure import local_systems
+from tropcomplex.structure import Inertia, local_systems
 from tcxbench import gen
 
 TRIANGLE_MATRICES = {
@@ -240,14 +240,26 @@ def test_local_systems_match_reference_on_any_cell_list(kernel_structures):
     assert seen == {int, Fraction}
 
 
+class RefusedAlpha(dict):
+    """An alpha table that may not be read: lookups, iteration and its
+    views raise."""
+
+    def _refused(self, *args):
+        raise AssertionError("alpha read after construction")
+
+    __getitem__ = __contains__ = __iter__ = get = items = keys = values = (
+        _refused)
+
+
 def test_local_systems_make_no_incidence_helper_call(monkeypatch):
     # classify, weil_test, is_balanced and intersect_degree read the local
-    # tables recorded at construction and alpha directly: no face
-    # composition, opposite-slot lookup or slot table (wherever the
-    # package binds it) per link element.  On an integer torus the kernels
-    # get ints with no type test and no Fraction, so neither `_integers`,
-    # linalg's Fraction nor the `chain` of the front doors' type test is
-    # reached
+    # tables recorded at construction and the flat alpha diagonal by int
+    # key: no face composition, opposite-slot lookup or slot table
+    # (wherever the package binds it) per link element, and no read of the
+    # alpha dict, which is swapped for one that raises once the structure
+    # is made.  On an integer torus the kernels get ints with no type test
+    # and no Fraction, so neither `_integers`, linalg's Fraction nor the
+    # `chain` of the front doors' type test is reached
     calls = Counter()
 
     def refused(*args):
@@ -276,6 +288,9 @@ def test_local_systems_make_no_incidence_helper_call(monkeypatch):
             monkeypatch.setattr(module, "_slot_table", refused)
     for name in ("_integers", "Fraction", "chain"):
         monkeypatch.setattr(linalg, name, refused)
+    object.__setattr__(T, "alpha", RefusedAlpha(T.alpha))
+    with pytest.raises(AssertionError, match="alpha read"):
+        T.alpha[0, 0]
     assert classify(T).verdict == "tropical"
     assert weil_test(T, D) == (True, ())
     assert is_balanced(T, C).balanced
@@ -283,6 +298,42 @@ def test_local_systems_make_no_incidence_helper_call(monkeypatch):
     assert not calls
     T.complex.face_at((2, 0), (0, 1))
     assert calls == {"face_at": 1}
+
+
+def test_alpha_diagonal_is_minus_alpha_by_int_key(kernel_structures, fx):
+    # the flat diagonal filled with the alpha check: -alpha[r, s] at
+    # r * n + s, on every kernel structure (the n = 1 default alpha of
+    # path.json and loop.json included) and at n = 0, where it is empty
+    defaults = 0
+    point = TropicalStructure(DeltaComplex(0, [1], {}))
+    for T in kernel_structures + [point]:
+        X = T.complex
+        n = X.n
+        ridges = X.counts[n - 1] if n else 0
+        assert type(T._diag) is list and len(T._diag) == ridges * n
+        for (r, s), a in T.alpha.items():
+            assert T._diag[r * n + s] == -a
+        defaults += n == 1 and T.alpha == {
+            (v, 0): X.degree((0, v)) for v in range(X.counts[0])}
+    assert defaults >= 2
+    assert point._diag == []
+
+
+def test_classify_records_are_inertias_equal_to_plain_triples(
+        kernel_structures):
+    # classify makes its Inertia records by tuple.__new__, past the named
+    # tuple's own __new__: they must still be Inertias, equal and hashed
+    # as the plain (positive, negative, zero) triple
+    count = 0
+    for T in kernel_structures:
+        for _, ine in classify(T).inertias:
+            triple = tuple(ine)
+            assert type(ine) is Inertia and len(triple) == 3
+            assert ine == triple and hash(ine) == hash(triple)
+            assert ine == Inertia(*triple) and ine.as_tuple() == triple
+            assert (ine.positive, ine.negative, ine.zero) == triple
+            count += 1
+    assert count > 0
 
 
 def test_triangle_local_matrices(triangle):
