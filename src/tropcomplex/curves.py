@@ -124,6 +124,19 @@ def germ_space(T: TropicalStructure, v):
     return GermSpace(v, coords, tuple(kernel_basis(rows, ncols)))
 
 
+def _balance(relations, w):
+    """(fails, dim) at a vertex with the given germ relations, as rows of
+    length len(w): fails is whether w lies outside their row space, and
+    dim is the germ dimension len(w) - rank.  One fraction-free
+    elimination of the transposed relations with w appended decides both:
+    w is in the span unless its column is a pivot.  Pivot columns do not
+    depend on the order of the relations."""
+    _, pivots = _echelon_in_place([list(col) for col in zip(*relations, w)],
+                                  len(relations) + 1, reduced=False)
+    fails = len(relations) in pivots
+    return fails, len(w) - len(pivots) + fails
+
+
 class BalanceResult(NamedTuple):
     balanced: bool
     certificate: tuple | None  # (vertex, germ vector) violating the condition
@@ -144,12 +157,11 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
     every solution, so [M_v | [D]_v | w'] is eliminated over M_v's
     columns, fails (C unbalanced at v) is w' outside the column space of
     M_v, read off the rows past the pivots, and the germ dimension is
-    1 + size - rank(M_v).  At any other vertex [M_v | w'] with [c | w_0]
-    appended is eliminated instead: the transposed germ relations with the
-    slope functional appended, whose pivots decide both; [M_v | [D]_v] is
-    then eliminated on its own only when rhs is given.  With rhs given,
-    rows and pivots are the reduced elimination that `intersect_degree`
-    reads; without it they mean nothing.
+    1 + size - rank(M_v).  At any other vertex `_balance` decides both on
+    the germ relations [c | M_v] and the slope functional [w_0 | w'];
+    [M_v | [D]_v] is then eliminated on its own only when rhs is given.
+    With rhs given, rows and pivots are the reduced elimination that
+    `intersect_degree` reads; without it they mean nothing.
     """
     diag = T._diag
     reduced = rhs is not None
@@ -168,14 +180,10 @@ def _vertex_systems(T: TropicalStructure, C: Curve, vertices, rhs=None):
             fails = any(row[-1] for row in rows[len(pivots):])
             dim = 1 + size - len(pivots)
         else:
-            check = [row[:size] for row in rows] if reduced else rows
-            for row, x in zip(check, w):
-                row.append(x)
-            check.append([diag[2 * r + s] for (_, r), (s,) in elems]
-                         + [-sum(w)])
-            _, relations = _echelon_in_place(check, size + 1, reduced=False)
-            fails = size in relations
-            dim = 1 + size - len(relations) + fails
+            fails, dim = _balance(
+                [[diag[2 * r + s], *row[:size]]
+                 for row, ((_, r), (s,)) in zip(rows, elems)],
+                [-sum(w), *w])
             if reduced:
                 rows, pivots = _echelon_in_place(rows, size)
         yield elems, w, rows, pivots, fails, dim
@@ -188,40 +196,30 @@ def is_balanced(T: TropicalStructure, C: Curve):
     That sum is w . g for the germ g, with w[i + 1] the multiplicity of the
     i-th link coordinate and w[0] minus their sum, so C is balanced at v
     exactly when w lies in the row space of v's germ relations.  At n = 2
-    `_vertex_systems` decides it from the local matrices; otherwise one
-    fraction-free elimination of the transposed relations with w appended
-    does: w is in the span unless its column is a pivot, and the germ
-    dimension is ncols minus the rank of the relations.  Only at the first
-    failing vertex is the germ basis built, to report its first violating
-    germ as the certificate.  Rational multiplicities are scaled to ints
-    once (`_integral_curve`), which changes neither verdict, dimensions
-    nor certificate.
+    `_vertex_systems` decides it from the local matrices; otherwise
+    `_balance` does, on the relations of `_germ_relations`, and gives the
+    germ dimension.  Only at the first failing vertex is the germ basis
+    built, to report its first violating germ as the certificate.
+    Rational multiplicities are scaled to ints once (`_integral_curve`),
+    which changes neither verdict, dimensions nor certificate.
     """
     X = T.complex
     _check_edges(X, C)
     C, _ = _integral_curve(C)
     vertices = C.support_vertices(X)
-    dims = []
-    failing = None
     if X.n == 2:
-        for v, (*_, fails, dim) in zip(vertices,
-                                       _vertex_systems(T, C, vertices)):
-            dims.append((v, dim))
-            if fails and failing is None:
-                failing = v
+        found = [system[-2:] for system in _vertex_systems(T, C, vertices)]
     else:
+        found = []
         for v in vertices:
-            coords, rows, ncols = _germ_relations(T, v)
+            coords, rows, _ = _germ_relations(T, v)
             w = [C.mult(t.coface[1]) for t in coords]
-            w.insert(0, -sum(w))
-            _, pivots = _echelon_in_place(list(map(list, zip(*rows, w))),
-                                          len(rows) + 1, reduced=False)
-            fails = len(rows) in pivots  # w is not in the span
-            dims.append((v, ncols - len(pivots) + (1 if fails else 0)))
-            if fails and failing is None:
-                failing = v
+            found.append(_balance(rows, [-sum(w), *w]))
+    dims = tuple((v, dim) for v, (_, dim) in zip(vertices, found))
+    failing = next((v for v, (fails, _) in zip(vertices, found) if fails),
+                   None)
     if failing is None:
-        return BalanceResult(True, None, tuple(dims))
+        return BalanceResult(True, None, dims)
     space = germ_space(T, failing)
     w = [C.mult(t.coface[1]) for t in space.coords]
     w.insert(0, -sum(w))

@@ -37,7 +37,8 @@ from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import (Disconnected, DimensionExceeded, SchemaError,
-                     SimplicialIdentityViolation, entry_list, int_entry)
+                     SimplicialIdentityViolation, entry_list, int_entry,
+                     int_value)
 
 Simplex = tuple  # (dimension, index)
 
@@ -354,7 +355,7 @@ def build_complex(data):
     for key in ("n", "simplices"):
         if key not in data:
             raise SchemaError("complex is missing key %r" % key)
-    (n,) = int_entry([data["n"]], 1, "n")
+    n = int_value(data["n"], "n")
     counts = int_entry(data["simplices"], None, "simplices")
     if n < 0:
         raise DimensionExceeded("n must be nonnegative")

@@ -19,8 +19,9 @@ from .delta import DeltaComplex
 from .errors import (InconsistentData, InconsistentSheets, IndexMismatch,
                      InputError, NoSolution, NonUnimodular, SchemaError,
                      SimplicialIdentityViolation, brief, entry_list,
-                     int_entries, int_entry, int_fields, int_table)
-from .linalg import feasible_strict, primitive_integer, solve
+                     int_entries, int_entry, int_fields, int_table,
+                     int_value)
+from .linalg import feasible_strict, primitive_integer, smith, solve
 from .structure import TropicalStructure
 from .divisors import Divisor, div_vertex_function
 
@@ -220,34 +221,15 @@ class EmbeddedComplex:
         Three vectors in Z^3, such as a cell of full dimension at N = 2
         (every maximal cell of a subdivision of the plane), are unimodular
         exactly when their determinant, expanded along the first row, is
-        +-1.  Otherwise column Euclid steps reduce each row in turn to a
-        single entry on the columns no earlier row has taken; the vectors
-        are unimodular exactly when that entry is always +-1, and the test
-        stops at the first row where it is not (its gcd then divides every
-        maximal minor).  A general fraction-free determinant took longer
-        on the 3 x 3 cells of the plane fixture than these Euclid steps
-        do, so only the closed form is used.
+        +-1.  Every other shape is read off `smith`: the vectors are
+        unimodular exactly when it finds one invariant factor 1 per
+        vector.
         """
         if len(vectors) == 3 and len(vectors[0]) == 3:
             (a, b, c), (d, e, f), (g, h, i) = vectors
             return abs(a * (e * i - f * h) - b * (d * i - f * g)
                        + c * (d * h - e * g)) == 1
-        cols = [list(c) for c in zip(*vectors)]
-        free = list(range(len(cols)))
-        for r in range(len(vectors)):
-            live = [j for j in free if cols[j][r]]
-            while len(live) > 1:
-                j = min(live, key=lambda l: abs(cols[l][r]))
-                pivot = cols[j]
-                for l in live:
-                    if l != j:
-                        q = cols[l][r] // pivot[r]
-                        cols[l] = [a - q * b for a, b in zip(cols[l], pivot)]
-                live = [l for l in live if cols[l][r]]
-            if not live or abs(cols[live[0]][r]) != 1:
-                return False
-            free.remove(live[0])
-        return True
+        return smith(vectors).factors == (1,) * len(vectors)
 
     # -- queries -------------------------------------------------------------
 
@@ -291,7 +273,7 @@ def load_embedded(data):
     for key in ("N", "vertices"):
         if key not in data:
             raise SchemaError("embedded fixture is missing key %r" % key)
-    (N,) = int_entry([data["N"]], 1, "N")
+    N = int_value(data["N"], "N")
     vertices = int_entries(entry_list(data["vertices"], "vertex"), None,
                            "vertex")
     bounded = [
@@ -386,15 +368,13 @@ def alpha_from_balancing(E: EmbeddedComplex, ridge_index):
     ridge = E.bounded[n - 1][ridge_index]
     rhs = [0] * (E.N + 1)
     d = 0
-    bounded_facets, unbounded_facets = E.facets_through(ridge)
-    for fidx in bounded_facets:
-        (extra,) = set(E.bounded[n][fidx]) - set(ridge)
-        mult = E.sheets(n, fidx)
-        d += mult
-        rhs = [a + mult * b for a, b in zip(rhs, E.vertices[extra])]
-    for ci in unbounded_facets:
-        for r in E.unbounded[ci].rays:
-            rhs = [a + b for a, b in zip(rhs, r + (0,))]
+    for kind, data, mult in _ridge_environment(E, ridge):
+        if kind == "b":
+            d += mult
+            vector = E.vertices[data]
+        else:
+            vector = data + (0,)
+        rhs = [a + mult * b for a, b in zip(rhs, vector)]
     rows = [[E.vertices[v][j] for v in ridge] for j in range(E.N + 1)]
     sol = solve(rows, rhs)
     if sol is None:
@@ -448,13 +428,11 @@ def robustness_check(E: EmbeddedComplex, k, idx):
     base = E.vertices[cell[0]][:-1]
     dirs = [tuple(a - b for a, b in zip(E.vertices[v][:-1], base))
             for v in cell[1:]]
-    rays = []
-    adjacent = []
-    for ci, u in enumerate(E.unbounded):
-        if set(cell) <= set(u.vertices):
-            adjacent.append(ci)
-            if u.dim == k + 1:
-                rays.extend(u.rays)
+    adjacent = [ci for ci, u in enumerate(E.unbounded)
+                if set(cell) <= set(u.vertices)]
+    cells_k1 = [E.unbounded[ci] for ci in adjacent
+                if E.unbounded[ci].dim == k + 1]
+    rays = [r for u in cells_k1 for r in u.rays]
     if rays:
         y = feasible_strict(dirs, rays, E.N)
         robust = y is not None
@@ -462,21 +440,14 @@ def robustness_check(E: EmbeddedComplex, k, idx):
     else:
         robust = True
         cert = tuple(0 for _ in range(E.N))
-    maximal = None
-    cells_k1 = [ci for ci in adjacent if E.unbounded[ci].dim == k + 1]
-    best = None
-    for ci in adjacent:
-        u = E.unbounded[ci]
-        ok = all(
-            set(E.unbounded[a].vertices) <= set(u.vertices)
-            and set(E.unbounded[a].rays) <= set(u.rays)
-            for a in cells_k1
-        )
-        if ok:
-            cand = (u.dim, -ci)
-            if best is None or cand > best:
-                best = cand
-                maximal = ci
+    # the adjacent cell of largest dimension, the first among equals, that
+    # contains every adjacent (k+1)-cell
+    maximal = max(
+        (ci for ci in adjacent
+         if all(set(a.vertices) <= set(E.unbounded[ci].vertices)
+                and set(a.rays) <= set(E.unbounded[ci].rays)
+                for a in cells_k1)),
+        key=lambda ci: (E.unbounded[ci].dim, -ci), default=None)
     if robust and rays:
         if any(sum(a * b for a, b in zip(cert, r)) <= 0 for r in rays) \
                 or any(sum(a * b for a, b in zip(cert, v)) for v in dirs):
@@ -496,9 +467,10 @@ class PushResult(NamedTuple):
 
 
 def _ridge_environment(E: EmbeddedComplex, ridge):
-    """Adjacent facets of a bounded ridge: ('b', extra vertex, sheets) and
-    ('u', ray, 1) entries."""
-    n = E.bounded_dim()
+    """Adjacent facets of a bounded ridge, bounded facets first, in cell
+    order: ('b', extra vertex, sheets) and ('u', ray, 1) entries.  The
+    facets lie one level up, at level len(ridge)."""
+    n = len(ridge)
     out = []
     bounded_facets, unbounded_facets = E.facets_through(ridge)
     for fidx in bounded_facets:

@@ -52,6 +52,14 @@ def int_entry(entry, size, what):
     return tuple(entry)
 
 
+def int_value(value, what):
+    """A fixture value that must be a JSON integer (not a bool, float or
+    numeric string), or SchemaError quoting it."""
+    if type(value) is not int:
+        raise SchemaError("%s %s is not an integer" % (what, brief(value)))
+    return value
+
+
 def int_fields(entry, indices, what):
     """The elements at the given indices of a mixed-shape fixture entry,
     a list whose length and other elements its reader checks, as a tuple
@@ -67,9 +75,9 @@ def int_fields(entry, indices, what):
 
 def int_entries(entries, size, what):
     """The entries of a fixture list, each as int_entry reads it.  One
-    pass tests each entry inline, with no call per entry; only when it
-    stops at an entry does int_entry read them one by one, to name the
-    first bad entry (or to read a tuple)."""
+    pass tests each entry inline, with no call per entry; an entry that
+    the inline test stops at is read by int_entry, which raises naming it
+    or reads it (a tuple from an API caller), and the pass goes on."""
     rows = []
     for entry in entries:
         if type(entry) is list and (size is None or len(entry) == size):
@@ -79,10 +87,8 @@ def int_entries(entries, size, what):
             else:
                 rows.append(tuple(entry))
                 continue
-        break
-    else:
-        return rows
-    return [int_entry(entry, size, what) for entry in entries]
+        rows.append(int_entry(entry, size, what))
+    return rows
 
 
 def fraction_entry(num, den, what, entry):
@@ -108,8 +114,8 @@ def int_table(value, width, what):
     JSON object, the last entry for a key wins.
 
     One pass unpacks and tests each entry inline, with no call per entry.
-    Only when it stops at an entry does int_entry read the entries one by
-    one: it raises SchemaError naming the first that is not `width` JSON
+    An entry that the inline test stops at is read by int_entry: it
+    raises SchemaError naming the entry if it is not `width` JSON
     integers, and reads a tuple as a list.
     """
     entries = entry_list(value, what)
@@ -121,9 +127,8 @@ def int_table(value, width, what):
                 if type(a) is int and type(b) is int:
                     table[a] = b
                     continue
-            break
-        else:
-            return table
+            a, b = int_entry(entry, 2, what)
+            table[a] = b
     else:
         for entry in entries:
             if type(entry) is list and len(entry) == 3:
@@ -131,11 +136,9 @@ def int_table(value, width, what):
                 if type(a) is int and type(b) is int and type(c) is int:
                     table[a, b] = c
                     continue
-            break
-        else:
-            return table
-    rows = [int_entry(entry, width, what) for entry in entries]
-    return {row[0] if width == 2 else row[:-1]: row[-1] for row in rows}
+            a, b, c = int_entry(entry, 3, what)
+            table[a, b] = c
+    return table
 
 
 def named(data, key):

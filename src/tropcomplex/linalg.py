@@ -9,11 +9,13 @@ minor of the input, within Hadamard's bound, and no gcd is taken.
 `inertia` checks symmetry) before one in-place kernel each,
 `_echelon_in_place` and `_inertia_in_place`.  The kernels take ints only:
 they make no type test and no Fraction.  Rational input is scaled to
-integers once, before a kernel sees it: by the front doors `_echelon`,
-`solve` and `inertia`, and by the callers that feed the kernels the rows
-of `structure.local_systems`, the one builder of local intersection
-matrices, by one lcm of denominators per call over supp D or supp C
-(`_integral_part`).
+integers once, before a kernel sees it, by one helper, `_scaled`, which
+passes ints through after one type test per value: the front doors
+`_echelon` and `solve` call it per row and `inertia` on the whole
+matrix, and the callers that feed the kernels the rows of
+`structure.local_systems`, the one builder of local intersection
+matrices, call it through `_integral_part`, by one lcm of denominators
+per call over supp D or supp C.
 
 `_echelon_in_place` builds no list per pivot: it loops over the rows by
 index, skips the pivot row, and tests each pivot-row entry for zero
@@ -61,22 +63,20 @@ _ZERO = Fraction(0)
 
 
 def _scaled(values):
-    """(ints, den): the rational values times den, the lcm of their
-    denominators, as ints, each value read through Fraction."""
+    """(ints, den): the values times den, the lcm of their denominators, as
+    a new list of ints.  Ints come back as they are, with den = 1, after
+    one type test per value and no Fraction; otherwise each value is read
+    through Fraction.  No positive den changes the pivots or solutions of
+    an augmented system or the inertia of a symmetric matrix."""
+    values = list(values)
+    for x in values:
+        if type(x) is not int:
+            break
+    else:
+        return values, 1
     fracs = [Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in fracs))
     return [x.numerator * (den // x.denominator) for x in fracs], den
-
-
-def _integers(values):
-    """The values as ints, scaled by the lcm of their denominators.
-
-    Integer input is used as it is; anything else goes through Fraction.
-    """
-    values = list(values)
-    if set(map(type, values)) <= {int}:
-        return values
-    return _scaled(values)[0]
 
 
 def _integral_part(part):
@@ -95,23 +95,12 @@ def _integral_part(part):
     return tuple(zip((i for i, _ in part), values)), den
 
 
-def _integral_rows(m):
-    """The rows m when every entry is an int (a sum of ints is an int; a
-    Fraction or a float makes it one too), else each row scaled by
-    `_integers`, which changes neither the pivots nor the solutions of an
-    augmented system: the copying front doors scale their input once
-    here, so the kernels take ints only."""
-    if type(sum(chain.from_iterable(m))) is int:
-        return m
-    return [_integers(row) for row in m]
-
-
 def _echelon(rows, ncols=None, reduced=True):
-    """Fraction-free Gauss-Jordan elimination of a copy of rows, scaled to
-    integers by `_integral_rows`: (rows, pivot columns) of
+    """Fraction-free Gauss-Jordan elimination of a copy of rows, each row
+    scaled to integers by `_scaled`: (rows, pivot columns) of
     `_echelon_in_place`."""
-    return _echelon_in_place(_integral_rows([list(row) for row in rows]),
-                             ncols, reduced)
+    return _echelon_in_place([_scaled(row)[0] for row in rows], ncols,
+                             reduced)
 
 
 def _echelon_in_place(m, ncols=None, reduced=True):
@@ -120,8 +109,8 @@ def _echelon_in_place(m, ncols=None, reduced=True):
 
     The rows are ints and are updated in place; no entry is type-tested
     and no Fraction is made.  A caller with rational input scales it to
-    integers first: the front doors `_echelon` and `solve` row by row
-    (`_integral_rows`), and the callers in `divisors` and `curves` once
+    integers first through `_scaled`: the front doors `_echelon` and
+    `solve` row by row, and the callers in `divisors` and `curves` once
     per call, by the lcm of the denominators over supp D or supp C
     (`_integral_part`).  Pivots are chosen as the first nonzero entry when
     scanning columns left to right, which keeps the output (and
@@ -150,8 +139,8 @@ def _echelon_in_place(m, ncols=None, reduced=True):
     test passes the augmented rows of `structure.local_systems` at each
     cell that supp D touches, balancing and the intersection product at
     n = 2 those rows with the curve's multiplicities appended at each
-    support vertex, and balancing otherwise the transposed germ
-    relations.
+    support vertex, and `curves._balance` the transposed germ relations
+    with the slope functional appended.
     """
     if ncols is None:
         ncols = len(m[0]) if m else 0
@@ -233,16 +222,16 @@ def kernel_basis(rows, ncols):
 def solve(rows, rhs):
     """One rational solution of rows . x = rhs, or None if inconsistent.
 
-    The augmented rows are built fresh, scaled to integers by
-    `_integral_rows`, and `_echelon_in_place` reduces them over their
-    first ncols columns; the system is inconsistent if a
+    The augmented rows are built fresh, each scaled to integers by
+    `_scaled`, and `_echelon_in_place` reduces them over their first
+    ncols columns; the system is inconsistent if a
     row past the pivots keeps a nonzero right-hand side.  Free variables
     are set to 0 (deterministic particular solution), so each pivot
     variable is the right-hand side of its row divided by the pivot.
     """
     ncols = len(rows[0]) if rows else 0
-    m, pivots = _echelon_in_place(_integral_rows(
-        [list(row) + [b] for row, b in zip(rows, rhs)]), ncols)
+    m, pivots = _echelon_in_place(
+        [_scaled((*row, b))[0] for row, b in zip(rows, rhs)], ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     x = [_ZERO] * ncols
@@ -502,18 +491,15 @@ def smith_solve(f, b):
 def inertia(a):
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
-    A copy of a goes to `_inertia_in_place`, scaled to integers first by
-    one common denominator when any entry is rational, so it stays
-    symmetric.  An asymmetric matrix raises ValueError.
+    A copy of a goes to `_inertia_in_place`, scaled to integers by
+    `_scaled` with one common denominator, so it stays symmetric.  An
+    asymmetric matrix raises ValueError.
     """
     if list(map(tuple, a)) != list(zip(*a)):
         raise ValueError("matrix not symmetric")
-    m = [list(row) for row in a]
-    if type(sum(chain.from_iterable(m))) is not int:
-        n = len(m)
-        flat = _integers(chain.from_iterable(m))
-        m = [flat[i * n:(i + 1) * n] for i in range(n)]
-    return _inertia_in_place(m)
+    n = len(a)
+    flat, _ = _scaled(chain.from_iterable(a))
+    return _inertia_in_place([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 def _inertia_in_place(m):
@@ -694,6 +680,6 @@ def feasible_strict(equalities, positives, dim):
 def primitive_integer(vec):
     """Scale a rational vector to a primitive integer vector (same ray); a
     zero vector stays zero."""
-    row = _integers(vec)
+    row, _ = _scaled(vec)
     g = gcd(*row) or 1
     return tuple(x // g for x in row)

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .delta import DeltaComplex, build_complex
 from .errors import (IndexMismatch, InputError, SchemaError, brief,
                      entry_list, fraction_entry, int_entry, int_fields,
-                     int_table, named)
+                     int_table, int_value, named)
 from .structure import TropicalStructure
 from .divisors import Divisor, FacetPiece, LocalGerm, TwoPieceFunction
 from .curves import BreakpointFunction, Curve, PointSum
@@ -180,7 +180,7 @@ def two_piece_from_json(data):
     if not isinstance(data, dict) or not {"facet", "normal", "offset"} <= set(data):
         raise SchemaError("a two-piece function is an object with facet, "
                           "normal and offset, not %s" % brief(data))
-    (facet,) = int_entry([data["facet"]], 1, "two-piece facet")
+    facet = int_value(data["facet"], "two-piece facet")
     num, den = int_entry(data["offset"], 2, "two-piece offset")
     offset = fraction_entry(num, den, "two-piece offset", data["offset"])
     normal = int_entry(data["normal"], None, "two-piece normal")

@@ -90,6 +90,59 @@ def relabel(data, rng):
     return out, perm
 
 
+def relabel_embedded(data, rng):
+    """(copy, perm, unbounded_perm): an embedded fixture dict with the
+    cells of each bounded level permuted by rng, bounded cell (k, i)
+    becoming (k, perm[k][i]), the unbounded cells reordered so that cell
+    j moves to unbounded_perm[j], and the permutations.  Each cell keeps
+    its vertex tuple (and its rays), so the vertices, a face's slot and
+    the vertex functions are kept.  The sheet counts and face sheet maps
+    are keyed by the new cell indices.  The divisors and curves live on
+    the duplicated complex, one simplex per (cell, sheet) in cell order,
+    so their indices are mapped through the new order of those pairs."""
+    levels = data["bounded_cells"]
+    perm = [rng.sample(range(len(level)), len(level)) for level in levels]
+    ucells = data.get("unbounded_cells", [])
+    unbounded_perm = rng.sample(range(len(ucells)), len(ucells))
+    out = dict(data)
+    out["bounded_cells"] = [[None] * len(level) for level in levels]
+    for k, level in enumerate(levels):
+        for i, cell in enumerate(level):
+            out["bounded_cells"][k][perm[k][i]] = cell
+    out["unbounded_cells"] = [None] * len(ucells)
+    for j, cell in enumerate(ucells):
+        out["unbounded_cells"][unbounded_perm[j]] = cell
+    sheets = data.get("sheets", {})
+    counts = {(k, i): c for k, i, c in sheets.get("counts", [])}
+    out["sheets"] = {
+        "counts": sorted([k, perm[k][i], c] for (k, i), c in counts.items()),
+        "face_sheet_maps": sorted(
+            [k, perm[k][i], slot, images]
+            for k, i, slot, images in sheets.get("face_sheet_maps", []))}
+    dup = []  # per level, each duplicated simplex's new index
+    for k, level in enumerate(levels):
+        pairs = [(perm[k][i], s) for i in range(len(level))
+                 for s in range(counts.get((k, i), 1))]
+        new = {pair: j for j, pair in enumerate(sorted(pairs))}
+        dup.append([new[pair] for pair in pairs])
+    n = len(levels) - 1
+
+    def divisor(d):
+        if isinstance(d, list):
+            return sorted([dup[n - 1][r], c] for r, c in d)
+        return {"ridge_part": divisor(d.get("ridge_part", [])),
+                "facet_pieces": [[dup[n][f], *rest]
+                                 for f, *rest in d.get("facet_pieces", [])]}
+
+    if "divisors" in data:
+        out["divisors"] = {name: divisor(d)
+                           for name, d in data["divisors"].items()}
+    if "curves" in data:
+        out["curves"] = {name: sorted([dup[1][e], m] for e, m in entries)
+                         for name, entries in data["curves"].items()}
+    return out, perm, unbounded_perm
+
+
 def dense(rows, ncols):
     """Sparse {column: entry} rows, such as `chip_matrix`'s, as lists."""
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]

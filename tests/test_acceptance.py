@@ -326,3 +326,36 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+COUNTED = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f(x):
+    """A function docstring."""
+
+    s = """a string,
+which is code"""
+    return os.sep + s + x
+'''
+
+
+def test_count_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
+    # `scripts/count_lines.py`, which CHANGES.md and ROADMAP quote: on a
+    # module of docstrings and comments only it counts 0, a string that is
+    # no docstring counts, and the per-module counts sum to the total
+    (tmp_path / "counted.py").write_text(COUNTED)
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n# and a '
+                                       'comment\n\n')
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" \
+        / "count_lines.py"
+    out = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                         check=True, capture_output=True, text=True).stdout
+    rows = [line.split(None, 1) for line in out.splitlines()]
+    assert [(int(count), pathlib.Path(name).name)
+            for count, name in rows] == [(5, "counted.py"), (0, "empty.py"),
+                                         (5, "total")]

@@ -1072,12 +1072,19 @@ TYPED_ERRORS = {
         "triangle", edit("faces", delete=-1), ["validate"], None,
         "DimensionExceeded",
         "missing face entries for (2,0)"),
+    # a scalar is quoted as it is, a bool refused like any non-integer
+    "n-not-an-integer": (
+        "triangle", edit("n", value="x"), ["validate"], None, "SchemaError",
+        "n 'x' is not an integer"),
     "no-vertices": (
         "path", replace_all({"format": "tcx-1", "kind": "abstract", "n": 0,
                              "simplices": [0], "faces": []}),
         ["validate"], None, "Disconnected",
         "complex has no vertices"),
     # EmbeddedComplex
+    "N-not-an-integer": (
+        "plane", edit("N", value=True), ["validate"], None, "SchemaError",
+        "N True is not an integer"),
     "bounded-cell-repeats-a-vertex": (
         "plane", edit("bounded_cells", 1, 0, value=[0, 0]), ["validate"],
         None, "IndexMismatch",
@@ -1179,6 +1186,10 @@ TYPED_ERRORS = {
         "tetrahedron", None, ["div", "--two-piece", "SIDE"],
         {"facet": 0, "normal": [1, 0], "offset": [0, 0]}, "SchemaError",
         "two-piece offset [0, 0] has denominator 0"),
+    "two-piece-facet-not-an-integer": (
+        "tetrahedron", None, ["div", "--two-piece", "SIDE"],
+        {"facet": 1.5, "normal": [1, 0], "offset": [0, 1]}, "SchemaError",
+        "two-piece facet 1.5 is not an integer"),
     "breakpoint-denominator-0": (
         "tetrahedron", None,
         ["intersect", "-D", "Dab", "-C", "C", "--breakpoints", "SIDE"],

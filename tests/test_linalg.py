@@ -23,9 +23,9 @@ from tropcomplex.linalg import (
     _echelon,
     _echelon_in_place,
     _inertia_in_place,
-    _integers,
     _nearest,
     _pivot,
+    _scaled,
     _xgcd,
     feasible_strict,
     inertia,
@@ -869,7 +869,7 @@ def listed_echelon_in_place(m, ncols=None, reduced=True):
     same Bareiss updates in the same order, the reference for the kernel
     that builds neither."""
     if type(sum(itertools.chain.from_iterable(m))) is not int:
-        m = [_integers(row) for row in m]
+        m = [_scaled(row)[0] for row in m]
     if ncols is None:
         ncols = len(m[0]) if m else 0
     pivots = []

@@ -1,8 +1,9 @@
 """The fixture-entry readers against per-entry reference readers.
 
 `errors.int_table`, `errors.int_entries` and `delta._face_rows` test every
-entry inline in one pass and read the entries one by one only to name the
-first bad one.  The references below read one entry at a time, as the
+entry inline in one pass.  The first two read an entry that the inline
+test stops at through `int_entry` and go on; `_face_rows` then reads
+every entry one by one, to name the first bad one.  The references below read one entry at a time, as the
 readers did before, and every reader must give the same value, or raise
 the same exception type with the same message.
 """
@@ -12,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import FIXDIR, checked_report
@@ -113,6 +114,12 @@ def entries(draw, good, width):
     return table
 
 
+# a tuple entry, read by int_entry, and then a bad entry, which is named;
+# a bad entry and then a tuple, where the bad one is named
+@example((2, [[1, 2], (3, 4), [5, "x"]]))
+@example((2, [[1, 2], [5, 2.5], (3, 4), [6, "x"]]))
+@example((3, [(1, 2, 3), [4, 5, True]]))
+@example((3, [[4, None, 6], (1, 2, 3)]))
 @given(st.sampled_from((2, 3)).flatmap(lambda width: st.tuples(
     st.just(width), st.one_of(entries(8, width), ODD))))
 @settings(max_examples=400, deadline=None)
@@ -122,6 +129,8 @@ def test_int_table_matches_the_per_entry_reader(case):
         reference_int_table, value, width, "alpha")
 
 
+@example((3, [[1, 2, 3], (4, 5, 6), [7, "x", 9]]))
+@example((None, [[1], [2, 2.5], (3,), ["x"]]))
 @given(st.sampled_from((None, 1, 3)).flatmap(lambda size: st.tuples(
     st.just(size), entries(6, size or 2).map(
         lambda table: table + [[1] * len(table)]))))

@@ -1,6 +1,7 @@
 """Relabelling invariance: the paper defines everything up to isomorphism
 of Delta-complexes, so permuting the simplex indices within each
-dimension, slots kept, must map every answer with the labels.  The
+dimension, slots kept, must map every answer with the labels, and so must
+permuting the cells of an embedded complex within each level.  The
 answers of a relabelled copy, mapped back, must equal the answers on the
 fixture as given."""
 
@@ -15,8 +16,11 @@ from tcxbench import gen
 from tropcomplex import (InputError, classify, div_vertex_function,
                          intersect_degree, is_balanced, load_fixture,
                          weil_test)
+from tropcomplex.embedded import (derive_structure, push_forward_and_compare,
+                                  robustness_check)
 
-from tests.conftest import ABSTRACT, fixture_path, relabel
+from tests.conftest import (ABSTRACT, EMBEDDED, fixture_path, relabel,
+                            relabel_embedded)
 
 ALPHA_KINDS = ("unit", "weak", "kernel")
 
@@ -101,19 +105,21 @@ def answers(fixture, back):
     return out
 
 
+def inverse(perm):
+    """The permutation that undoes perm."""
+    back = [0] * len(perm)
+    for i, j in enumerate(perm):
+        back[j] = i
+    return back
+
+
 def relabelled_answers(data, rng):
     """(answers on data as given, answers on a relabelled copy mapped
     back)."""
     identity = [range(count) for count in data["simplices"]]
     copy, perm = relabel(data, rng)
-    back = []
-    for p in perm:
-        inverse = [0] * len(p)
-        for i, j in enumerate(p):
-            inverse[j] = i
-        back.append(inverse)
     return (answers(load_fixture(data), identity),
-            answers(load_fixture(copy), back))
+            answers(load_fixture(copy), [inverse(p) for p in perm]))
 
 
 SOURCES = st.one_of(
@@ -156,3 +162,88 @@ def test_relabelling_reaches_every_kind_of_answer():
         ("weil", True), ("weil", False), ("balance", True),
         ("balance", False), "NotBalanced", "NotQCartierNearCurve",
         ("degree", True), ("degree", False)}, kinds
+
+
+# -- embedded data -----------------------------------------------------------
+
+
+def maximal_key(E, k, idx, m):
+    """The maximal unbounded cell m of bounded cell (k, idx), label-free:
+    its dimension, and the cell itself (its vertices and rays) unless
+    another cell of that dimension also contains every unbounded
+    (k+1)-cell on the bounded cell, when the cell order breaks the tie."""
+    if m is None:
+        return None
+    cell = set(E.bounded[k][idx])
+    faces = [u for u in E.unbounded
+             if u.dim == k + 1 and cell <= set(u.vertices)]
+    dim = E.unbounded[m].dim
+    tied = [u for u in E.unbounded if u.dim == dim and all(
+        set(a.vertices) <= set(u.vertices) and set(a.rays) <= set(u.rays)
+        for a in faces)]
+    return dim, E.unbounded[m] if len(tied) == 1 else None
+
+
+def embedded_answers(data, back):
+    """Every answer of the import, the robustness test and the
+    push-forward on a loaded embedded fixture, with bounded cell (k, i)
+    written as back[k][i]: the balancing coefficients and d per ridge
+    cell, the verdict, certificate and maximal cell (`maximal_key`) per
+    bounded cell, and per vertex function the push-forward, the oracle
+    weights and the verdict, and per divisor its push-forward."""
+    fixture = load_fixture(data)
+    E = fixture.embedded
+    n = E.n
+    out = {}
+    for r, sol in derive_structure(E)[3].items():
+        out["balancing", back[n - 1][r]] = sol.coefficients, sol.d
+    for k, level in enumerate(E.bounded):
+        for idx in range(len(level)):
+            robust, cert, m = robustness_check(E, k, idx)
+            out["robust", k, back[k][idx]] = (robust, cert,
+                                              maximal_key(E, k, idx, m))
+
+    def mapped(weights):
+        return sorted((back[n - 1][r], w) for r, w in weights.items())
+
+    for name, f in fixture.functions.items():
+        push = push_forward_and_compare(E, f=f)
+        out["push", name] = (mapped(push.pushed), mapped(push.oracle),
+                             push.verdict)
+    for name, D in fixture.divisors.items():
+        out["push", name] = mapped(push_forward_and_compare(E, D).pushed)
+    return out
+
+
+def embedded_data(source, rng):
+    """An embedded fixture dict: a shipped one or `gen.embedded_square`,
+    with one more vertex function drawn from rng."""
+    if source[0] == "fixture":
+        data = json.loads(shipped(source[1]))
+    else:
+        data = dict(gen.embedded_square(source[1], rng).fixture)
+    data["functions"] = dict(data.get("functions", {}), drawn=[
+        rng.randint(-4, 4) for _ in data["vertices"]])
+    return data
+
+
+def relabelled_embedded_answers(data, rng):
+    """(answers on data as given, answers on a relabelled copy mapped
+    back)."""
+    copy, perm, _ = relabel_embedded(data, rng)
+    identity = [range(len(level)) for level in data["bounded_cells"]]
+    return (embedded_answers(data, identity),
+            embedded_answers(copy, [inverse(p) for p in perm]))
+
+
+EMBEDDED_SOURCES = st.one_of(
+    st.tuples(st.just("fixture"), st.sampled_from(EMBEDDED)),
+    st.tuples(st.just("square"), st.integers(1, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(EMBEDDED_SOURCES, st.randoms(use_true_random=False))
+def test_embedded_answers_map_with_a_relabelling(source, rng):
+    given_answers, mapped = relabelled_embedded_answers(
+        embedded_data(source, rng), rng)
+    assert mapped == given_answers

@@ -258,8 +258,8 @@ def test_local_systems_make_no_incidence_helper_call(monkeypatch):
     # (wherever the package binds it) per link element, and no read of the
     # alpha dict, which is swapped for one that raises once the structure
     # is made.  On an integer torus the kernels get ints with no type test
-    # and no Fraction, so neither `_integers`, linalg's Fraction nor the
-    # `chain` of the front doors' type test is reached
+    # and no Fraction, so neither linalg's Fraction nor the `chain` of the
+    # `inertia` front door is reached
     calls = Counter()
 
     def refused(*args):
@@ -286,7 +286,7 @@ def test_local_systems_make_no_incidence_helper_call(monkeypatch):
         if (module.__name__.startswith("tropcomplex")
                 and getattr(module, "_slot_table", None) is slot_table):
             monkeypatch.setattr(module, "_slot_table", refused)
-    for name in ("_integers", "Fraction", "chain"):
+    for name in ("Fraction", "chain"):
         monkeypatch.setattr(linalg, name, refused)
     object.__setattr__(T, "alpha", RefusedAlpha(T.alpha))
     with pytest.raises(AssertionError, match="alpha read"):
