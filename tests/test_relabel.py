@@ -170,15 +170,16 @@ def test_relabelling_reaches_every_kind_of_answer():
 def maximal_key(E, k, idx, m):
     """The maximal unbounded cell m of bounded cell (k, idx), label-free:
     its dimension, and the cell itself (its vertices and rays) unless
-    another cell of that dimension also contains every unbounded
-    (k+1)-cell on the bounded cell, when the cell order breaks the tie."""
+    another unbounded cell on the bounded cell, of that dimension, also
+    contains every unbounded (k+1)-cell on it, when the cell order breaks
+    the tie."""
     if m is None:
         return None
     cell = set(E.bounded[k][idx])
-    faces = [u for u in E.unbounded
-             if u.dim == k + 1 and cell <= set(u.vertices)]
+    adjacent = [u for u in E.unbounded if cell <= set(u.vertices)]
+    faces = [u for u in adjacent if u.dim == k + 1]
     dim = E.unbounded[m].dim
-    tied = [u for u in E.unbounded if u.dim == dim and all(
+    tied = [u for u in adjacent if u.dim == dim and all(
         set(a.vertices) <= set(u.vertices) and set(a.rays) <= set(u.rays)
         for a in faces)]
     return dim, E.unbounded[m] if len(tied) == 1 else None
